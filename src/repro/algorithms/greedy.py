@@ -40,16 +40,12 @@ import numpy as np
 
 from repro.algorithms.base import SeedSelector
 from repro.cascade.base import CascadeModel
-from repro.cascade.pools import MASKS_PER_JOB, SnapshotPool, snapshot_initial_gains
+from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.exec.executor import Executor
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int
-
-#: Snapshots per gains job — canonical value lives with the shared-pool
-#: machinery in :mod:`repro.cascade.pools`; re-exported for compatibility.
-_MASKS_PER_JOB = MASKS_PER_JOB
 
 
 @dataclass

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.cache import cache_enabled, params_token, shard_memo
 from repro.cascade.base import CascadeModel
+from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.kernels import resolve_kernel
 from repro.cascade.snapshots import (
     SnapshotOracle,
@@ -118,6 +119,28 @@ def _default_shards() -> int:
     return shards
 
 
+def _pooled_means(
+    per_chunk: list[tuple[SpreadEstimate, ...]],
+) -> list[float]:
+    """Per-node means of chunk estimates pooled in chunk order.
+
+    Applies the mean formula of :meth:`SpreadEstimate.__add__` to whole
+    arrays, left to right over the chunks, so the result is bit-identical
+    to folding the estimates one node at a time — without building the
+    pooled objects.
+    """
+    mean = np.array([est.mean for est in per_chunk[0]], dtype=float)
+    samples = np.array([est.samples for est in per_chunk[0]], dtype=np.int64)
+    for chunk in per_chunk[1:]:
+        other_mean = np.array([est.mean for est in chunk], dtype=float)
+        other_samples = np.array([est.samples for est in chunk], dtype=np.int64)
+        total = samples + other_samples
+        mean = (mean * samples + other_mean * other_samples) / total
+        samples = total
+    means: list[float] = mean.tolist()
+    return means
+
+
 def snapshot_initial_gains(
     graph: DiGraph,
     masks: list[np.ndarray],
@@ -137,11 +160,7 @@ def snapshot_initial_gains(
         SnapshotGainsJob(graph=payload, masks=tuple(masks[i : i + MASKS_PER_JOB]))
         for i in range(0, len(masks), MASKS_PER_JOB)
     ]
-    per_chunk = resolve_executor(executor).estimates(jobs)
-    pooled = list(per_chunk[0])
-    for chunk in per_chunk[1:]:
-        pooled = [prev + new for prev, new in zip(pooled, chunk)]
-    return [est.mean for est in pooled]
+    return _pooled_means(resolve_executor(executor).estimates(jobs))
 
 
 class SnapshotPool:
@@ -349,8 +368,4 @@ class SnapshotPool:
                 )
                 for seed, size in self._shard_seeds(key, count)
             ]
-        per_shard = resolve_executor(executor).estimates(jobs)
-        pooled = list(per_shard[0])
-        for shard in per_shard[1:]:
-            pooled = [prev + new for prev, new in zip(pooled, shard)]
-        return [est.mean for est in pooled]
+        return _pooled_means(resolve_executor(executor).estimates(jobs))

@@ -2,84 +2,34 @@
 
 ``NewGreedy`` (Chen, Wang & Yang, KDD'09) — the first round of MixGreedy —
 needs, for each snapshot, the size of the reachable set of *every* node.
-Running a BFS from each node is quadratic in the worst case; instead we
-condense the live subgraph into its strongly connected components (iterative
-Tarjan) and propagate reachable-set *bitsets* through the condensation DAG
-in reverse topological order.  Bitsets are freed as soon as every parent has
-consumed them, so peak memory tracks the DAG frontier rather than the whole
-graph.
+Running a BFS from each node is quadratic in the worst case; instead the
+live subgraph is condensed into its strongly connected components and the
+reachable sets are propagated through the condensation DAG, children
+before parents.  Every step is a whole-array operation:
 
-The DP bitsets are packed ``uint64`` words (:mod:`repro.utils.bitset`) —
-one bit per node instead of a byte — so the live DAG frontier costs n/8
-bytes per component, and the union step (``|=``) and the popcount both run
-64 nodes per instruction.  *edge_mask* may itself be boolean-style or
-packed; results are bit-identical either way.
+* the live subgraph is one vectorized mask lookup over the CSR edge ids;
+* SCC labels come from :func:`scipy.sparse.csgraph.connected_components`
+  (``connection="strong"``);
+* condensation edges are the unique ``(label[src], label[dst])`` keys;
+* the DAG is processed in sink-first Kahn levels.  A level's reach lists
+  are one sorted unique over ``(component, reachable component)`` keys
+  gathered from its children's lists plus the components themselves, and
+  a component's reach size is the summed member count of its list.
+
+*edge_mask* may be boolean-style or a packed bitset
+(:mod:`repro.utils.bitset`); results are identical either way.  Reach
+sizes are integers, so the result is exact whatever the processing order.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from repro.cascade.kernels import segment_ranges, sorted_unique
 from repro.graphs.digraph import DiGraph
-from repro.utils.bitset import lookup_bits, packed_zeros, popcount, set_bits
-
-
-def _tarjan_scc(num_nodes: int, adj: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Iterative Tarjan; returns (component id per node, component count).
-
-    Component ids are assigned in reverse topological order of the
-    condensation: if component A has an edge to component B, then
-    ``id(A) > id(B)``.
-    """
-    index = np.full(num_nodes, -1, dtype=np.int64)
-    lowlink = np.zeros(num_nodes, dtype=np.int64)
-    on_stack = np.zeros(num_nodes, dtype=bool)
-    comp = np.full(num_nodes, -1, dtype=np.int64)
-    stack: list[int] = []
-    next_index = 0
-    next_comp = 0
-
-    for root in range(num_nodes):
-        if index[root] != -1:
-            continue
-        # Each work item is (node, iterator position into adj[node]).
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = lowlink[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            while pos < len(neighbors):
-                w = int(neighbors[pos])
-                pos += 1
-                if index[w] == -1:
-                    work[-1][1] = pos
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work[-1][1] = pos
-            if pos >= len(neighbors):
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = next_comp
-                        if w == v:
-                            break
-                    next_comp += 1
-    return comp, next_comp
+from repro.utils.bitset import lookup_bits
 
 
 def all_reach_sizes(graph: DiGraph, edge_mask: np.ndarray | None = None) -> np.ndarray:
@@ -92,47 +42,73 @@ def all_reach_sizes(graph: DiGraph, edge_mask: np.ndarray | None = None) -> np.n
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
-    # Materialize the (masked) adjacency once.
-    adj: list[np.ndarray] = []
-    for u in range(n):
-        # one-shot adjacency materialization for the SCC DP (not a
-        # frontier walk; the DP itself is vectorized per component)
-        nbrs = graph.out_neighbors(u)  # reprolint: disable=RP007
-        if edge_mask is not None and nbrs.size:
-            nbrs = nbrs[lookup_bits(edge_mask, graph.out_edge_ids(u))]  # reprolint: disable=RP007
-        adj.append(nbrs)
+    indptr = graph.out_indptr
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    dst = np.asarray(graph.out_indices, dtype=np.int64)
+    if edge_mask is not None:
+        live = np.asarray(lookup_bits(edge_mask, graph.edge_ids), dtype=bool)
+        src, dst = src[live], dst[live]
 
-    comp, num_comps = _tarjan_scc(n, adj)
+    live_graph = csr_matrix(
+        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n)
+    )
+    num_comps, labels = connected_components(
+        live_graph, directed=True, connection="strong"
+    )
+    label = np.asarray(labels, dtype=np.int64)
+    members = np.bincount(label, minlength=num_comps)
 
-    # Condensation edges and member lists.
-    members: list[list[int]] = [[] for _ in range(num_comps)]
-    for v in range(n):
-        members[comp[v]].append(v)
-    children: list[set[int]] = [set() for _ in range(num_comps)]
-    pending_parents = np.zeros(num_comps, dtype=np.int64)
-    for u in range(n):
-        cu = comp[u]
-        for w in adj[u]:
-            cw = comp[int(w)]
-            if cw != cu and cw not in children[cu]:
-                children[cu].add(cw)
-                pending_parents[cw] += 1
+    # Condensation DAG: unique cross-component edges, parent-major.
+    cs, cd = label[src], label[dst]
+    cross = cs != cd
+    keys = sorted_unique(cs[cross] * num_comps + cd[cross])
+    parent, child = keys // num_comps, keys % num_comps
+    # Edges grouped by parent (keys are parent-major already) and by child.
+    parent_ptr = np.searchsorted(parent, np.arange(num_comps + 1))
+    by_child = np.argsort(child, kind="stable")
+    child_ptr = np.searchsorted(child[by_child], np.arange(num_comps + 1))
+    parents_of = parent[by_child]
+    pending = np.diff(parent_ptr)  # children not yet processed
 
-    # Tarjan emitted components in reverse topological order: children first.
-    # Reach sets are packed bitsets (one bit per node); unions and size
-    # counts operate on whole uint64 words.
-    sizes = np.zeros(n, dtype=np.int64)
-    reach: dict[int, np.ndarray] = {}
-    for c in range(num_comps):
-        bits = packed_zeros(n)
-        set_bits(bits, np.asarray(members[c], dtype=np.int64))
-        for child in children[c]:
-            bits |= reach[child]
-            pending_parents[child] -= 1
-            if pending_parents[child] == 0:
-                del reach[child]  # no remaining consumers; free the bitset
-        size = popcount(bits)
-        sizes[members[c]] = size
-        if pending_parents[c] > 0:
-            reach[c] = bits
-    return sizes
+    # Reach lists live in one growing buffer; a component's list is
+    # buffer[start : start + length].
+    buffer = np.empty(max(2 * num_comps, 16), dtype=np.int64)
+    used = 0
+    start = np.zeros(num_comps, dtype=np.int64)
+    length = np.zeros(num_comps, dtype=np.int64)
+    comp_sizes = np.zeros(num_comps, dtype=np.int64)
+
+    level = np.flatnonzero(pending == 0)
+    while level.size:
+        # Edges out of this level's components; children are all done.
+        e_lo, e_hi = parent_ptr[level], parent_ptr[level + 1]
+        edge_idx = segment_ranges(e_lo, e_hi - e_lo)
+        kids = child[edge_idx]
+        kid_len = length[kids]
+        gathered = buffer[segment_ranges(start[kids], kid_len)]
+        owners = np.repeat(parent[edge_idx], kid_len)
+        pairs = sorted_unique(
+            np.concatenate([owners, level]) * num_comps
+            + np.concatenate([gathered, level])
+        )
+        owner, reached = pairs // num_comps, pairs % num_comps
+        heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        # ``level`` is sorted and every component owns at least itself, so
+        # segment i of ``pairs`` is level[i]'s reach list.
+        comp_sizes[level] = np.add.reduceat(members[reached], heads)
+        if used + pairs.size > buffer.size:
+            grown = np.empty(max(2 * buffer.size, used + pairs.size), dtype=np.int64)
+            grown[:used] = buffer[:used]
+            buffer = grown
+        buffer[used : used + pairs.size] = reached
+        start[level] = used + heads
+        length[level] = np.diff(np.r_[heads, pairs.size])
+        used += pairs.size
+
+        # Kahn step: parents whose last pending child was in this level.
+        p_lo, p_hi = child_ptr[level], child_ptr[level + 1]
+        ups = parents_of[segment_ranges(p_lo, p_hi - p_lo)]
+        np.subtract.at(pending, ups, 1)
+        ups = sorted_unique(ups)
+        level = ups[pending[ups] == 0]
+    return comp_sizes[label]

@@ -18,13 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cascade.base import CascadeModel
-from repro.cascade.kernels import (
-    absorb_reachable,
-    count_new_reachable,
-    reachable_mask_batch,
-    resolve_kernel,
-)
-from repro.errors import CascadeError
+from repro.cascade.kernels import reachable_mask_batch, resolve_kernel, sweep_rows
+from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
 from repro.utils.bitset import is_packed, num_words, pack_bits, unpack_bits
 from repro.utils.rng import RandomSource, as_rng
@@ -209,14 +204,19 @@ class SnapshotOracle:
     """Estimates spreads by reachability over a fixed set of live-edge masks.
 
     The oracle supports the incremental pattern greedy algorithms need:
-    :meth:`reach` materializes the per-snapshot reached sets of the current
-    seed set, and :meth:`marginal_gain` counts only *newly* reachable nodes,
-    stopping its BFS at already-reached nodes (in a live-edge world,
-    everything reachable from a reached node is itself already reached).
+    :meth:`reach` returns the reached sets of the current seed set as one
+    ``(snapshots, n)`` boolean array (row *s* is snapshot *s*),
+    :meth:`extend_reach` adds a seed to that array in place, and
+    :meth:`marginal_gain` counts only *newly* reachable nodes, stopping at
+    already-reached ones (in a live-edge world, everything reachable from a
+    reached node is itself already reached).  Both incremental methods run
+    one frontier sweep over flat ``(snapshot, node)`` pairs
+    (:func:`~repro.cascade.kernels.sweep_rows`) instead of one search per
+    snapshot.
 
-    *kernel* selects the sweep implementation — the python BFS or the
-    mask-filtered CSR frontier sweep (see :mod:`repro.cascade.kernels`);
-    both visit the same nodes, so oracle results are kernel-independent.
+    *kernel* selects the implementation of :meth:`spread` and :meth:`reach`
+    (see :func:`~repro.cascade.kernels.reachable_mask_batch`); every kernel
+    visits the same nodes, so oracle results are kernel-independent.
 
     Masks may be boolean-style (length *m*) or packed bitsets
     (:mod:`repro.utils.bitset`); a homogeneous packed sample is kept packed
@@ -245,10 +245,9 @@ class SnapshotOracle:
                 )
         self.graph = graph
         self.masks = list(masks)
-        # Stacked (snapshots, edges-or-words) view: spread/reach sweep all
-        # snapshots in one reachable_mask_batch call instead of a per-mask
-        # loop.  A fully packed sample stays packed (uint64 rows); mixed
-        # samples are normalized to boolean rows.
+        # Stacked (snapshots, edges-or-words) view: every sweep covers all
+        # snapshots at once.  A fully packed sample stays packed (uint64
+        # rows); mixed samples are normalized to boolean rows.
         if all_packed:
             self.mask_matrix = np.stack(self.masks)
         else:
@@ -273,23 +272,59 @@ class SnapshotOracle:
         )
         return int(visited.sum()) / len(self.masks)
 
-    def reach(self, seeds: Sequence[int]) -> list[np.ndarray]:
-        """Per-snapshot boolean reached arrays for *seeds*."""
-        visited = reachable_mask_batch(
+    def reach(self, seeds: Sequence[int]) -> np.ndarray:
+        """``(snapshots, n)`` boolean array of the nodes *seeds* reach."""
+        return reachable_mask_batch(
             self.graph, seeds, self.mask_matrix, kernel=self.kernel
         )
-        return [visited[s] for s in range(visited.shape[0])]
 
-    def extend_reach(self, reached: list[np.ndarray], new_seed: int) -> None:
-        """Mutate *reached* in place to include everything reachable from *new_seed*."""
-        for mask, already in zip(self.masks, reached):
-            absorb_reachable(self.graph, mask, new_seed, already, kernel=self.kernel)
-
-    def marginal_gain(self, candidate: int, reached: list[np.ndarray]) -> float:
-        """Average count of nodes newly reached by adding *candidate*."""
-        total = 0
-        for mask, already in zip(self.masks, reached):
-            total += count_new_reachable(
-                self.graph, mask, candidate, already, kernel=self.kernel
+    def _unreached_rows(self, node: int, reached: np.ndarray) -> np.ndarray:
+        """Snapshots in which *node* is not yet reached (validates inputs)."""
+        n = self.graph.num_nodes
+        if not 0 <= node < n:
+            raise GraphError(f"node {node} out of range [0, {n})")
+        if reached.shape != (len(self.masks), n):
+            raise CascadeError(
+                f"reached array shape {reached.shape} does not match "
+                f"(snapshots, nodes) = {(len(self.masks), n)}"
             )
-        return total / len(self.masks)
+        return np.flatnonzero(~reached[:, node])
+
+    def extend_reach(self, reached: np.ndarray, new_seed: int) -> None:
+        """Mutate *reached* in place to include everything reachable from *new_seed*."""
+        rows = self._unreached_rows(new_seed, reached)
+        reached[rows, new_seed] = True
+        sweep_rows(
+            self.graph,
+            self.mask_matrix,
+            rows,
+            np.full(rows.size, new_seed, dtype=np.int64),
+            reached,
+        )
+
+    def marginal_gain(self, candidate: int, reached: np.ndarray) -> float:
+        """Average count of nodes newly reached by adding *candidate*.
+
+        The sweep marks the nodes it visits in *reached* and unmarks them
+        before returning, so *reached* is unchanged afterwards (even when
+        the sweep raises).
+        """
+        rows = self._unreached_rows(candidate, reached)
+        if rows.size == 0:
+            return 0.0
+        n = self.graph.num_nodes
+        marked: list[np.ndarray] = [rows * n + candidate]
+        reached[rows, candidate] = True
+        try:
+            new = sweep_rows(
+                self.graph,
+                self.mask_matrix,
+                rows,
+                np.full(rows.size, candidate, dtype=np.int64),
+                reached,
+                marked,
+            )
+        finally:
+            for keys in marked:
+                reached[keys // n, keys % n] = False
+        return (rows.size + new) / len(self.masks)

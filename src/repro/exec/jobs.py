@@ -167,13 +167,22 @@ class CompetitiveJob:
 def _reach_estimates(
     graph: DiGraph, masks: tuple[np.ndarray, ...] | list[np.ndarray]
 ) -> tuple[SpreadEstimate, ...]:
-    """Per-node reach-size estimates over *masks* (samples = len(masks))."""
-    values = np.empty((len(masks), graph.num_nodes), dtype=float)
-    for i, mask in enumerate(masks):
-        values[i] = all_reach_sizes(graph, mask)
+    """Per-node reach-size estimates over *masks* (samples = len(masks)).
+
+    The means and standard deviations of all nodes come from one axis-0
+    reduction over the ``(masks, nodes)`` reach-size matrix.  Reach sizes
+    are integers, so every mean equals the per-node ``from_values`` mean
+    exactly.
+    """
+    values = np.stack([all_reach_sizes(graph, mask) for mask in masks]).astype(float)
+    samples = values.shape[0]
+    means = values.mean(axis=0).tolist()
+    stds = (
+        values.std(axis=0, ddof=1).tolist() if samples > 1 else [0.0] * len(means)
+    )
     return tuple(
-        SpreadEstimate.from_values(values[:, v])
-        for v in range(graph.num_nodes)
+        SpreadEstimate(mean=mean, std=std, samples=samples)
+        for mean, std in zip(means, stds)
     )
 
 
@@ -184,10 +193,11 @@ class SnapshotGainsJob:
     Used by the snapshot-greedy algorithms (MixGreedy / CELF) to fan the
     NewGreedy step out across workers: each job evaluates its chunk of
     masks with the SCC-condensation DP and returns one estimate **per
-    node** (samples = masks in the chunk).  Pooling the chunk estimates
-    with :meth:`SpreadEstimate.__add__` recovers the average reach over
-    the full snapshot sample; reach sizes are integers, so the pooled
-    means are exact regardless of how masks were chunked.
+    node** (samples = masks in the chunk).  Pooling the chunk means with
+    the mean formula of :meth:`SpreadEstimate.__add__` (the parent applies
+    it to whole arrays) recovers the average reach over the full snapshot
+    sample; reach sizes are integers, so the pooled means are exact
+    regardless of how masks were chunked.
 
     The job draws no randomness — masks are sampled by the caller (a
     private ``select`` call or a shared per-group

@@ -1,11 +1,10 @@
 """Packed bitsets: boolean arrays stored as ``np.uint64`` words.
 
-The cascade layer keeps many large boolean arrays alive at once — live-edge
-snapshot masks (one bit per edge, dozens of snapshots per pool) and the
-reachable-set bitsets of the NewGreedy SCC DP (one bit per node, one set per
-live DAG component).  Stored as numpy ``bool`` arrays these cost a byte per
-bit; packing them into ``uint64`` words cuts that memory by 8x, which is
-what lets million-node graphs keep whole snapshot pools resident.
+The cascade layer keeps many large boolean arrays alive at once — above all
+live-edge snapshot masks (one bit per edge, dozens of snapshots per pool).
+Stored as numpy ``bool`` arrays these cost a byte per bit; packing them
+into ``uint64`` words cuts that memory by 8x, which is what lets
+million-node graphs keep whole snapshot pools resident.
 
 Conventions
 -----------

@@ -1,12 +1,15 @@
-"""Shared fixtures: small deterministic graphs and seeded RNGs."""
+"""Shared fixtures: small deterministic graphs, seeded RNGs, a run journal."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi, karate_like_fixture
+from tests.journal_fixture import write_run_journal
 
 
 @pytest.fixture
@@ -46,3 +49,9 @@ def karate() -> DiGraph:
 @pytest.fixture
 def random_graph() -> DiGraph:
     return erdos_renyi(60, 240, rng=7)
+
+
+@pytest.fixture(scope="session")
+def run_journal(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    """A recorded GetReal run journal (see ``tests/journal_fixture.py``)."""
+    return write_run_journal(tmp_path_factory.mktemp("journal") / "run_journal.jsonl")

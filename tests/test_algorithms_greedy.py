@@ -143,3 +143,59 @@ class TestQuality:
         # Spreads must match exactly (identical possible worlds); the seed
         # identities may differ only on exact ties.
         assert oracle.spread(lazy) == pytest.approx(oracle.spread(exhaustive))
+
+
+class TestPinnedHepSelection:
+    """CELF seeds and gains on the hep surrogate, pinned to recorded values.
+
+    Reach sizes and gain counts are integers, so any reimplementation of
+    the reach DP, the oracle sweeps or the gains pooling must reproduce
+    these numbers exactly (not merely within noise).
+    """
+
+    PINNED = {
+        "ic": (
+            [94, 696, 572, 224, 237, 118, 473, 753, 209, 748],
+            [18.05, 12.3, 11.45, 7.8, 6.6, 6.35, 5.95, 5.9, 5.6, 5.5],
+            [1.9, 2.0, 1.75, 5.4, 9.15],
+            "508d9724406cc00d82f5bbf7280455e50d60709e4eb3e9ca8f249a7198ffe6b0",
+        ),
+        "wc": (
+            [613, 696, 224, 94, 237, 572, 67, 209, 753, 473],
+            [29.9, 27.55, 25.25, 22.5, 20.95, 16.75, 12.9, 12.3, 11.8, 11.25],
+            [3.05, 4.0, 2.9, 7.55, 9.75],
+            "50af4831ffe615a7ab0003b4862dbe960addb5e932de584c635cc9b72da45fed",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        from repro.graphs.datasets import hep
+
+        return hep(scale=0.05)
+
+    @pytest.mark.parametrize("model_name", ["ic", "wc"])
+    def test_celf_seeds_and_gains(self, graph, model_name):
+        import hashlib
+
+        from repro.algorithms.greedy import run_celf
+        from repro.cascade.pools import snapshot_initial_gains
+        from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
+        from repro.exec import Executor
+
+        model = IndependentCascade(0.08) if model_name == "ic" else WeightedCascade()
+        seeds, pick_gains, gains_head, gains_sha = self.PINNED[model_name]
+        masks = sample_snapshots(
+            graph, model, 20, np.random.default_rng(7), packed=True
+        )
+        with Executor("serial") as executor:
+            gains = snapshot_initial_gains(graph, masks, executor)
+        assert gains[:5] == gains_head
+        assert hashlib.sha256(np.asarray(gains).tobytes()).hexdigest() == gains_sha
+        got, trace = run_celf(SnapshotOracle(graph, masks), 10, gains)
+        assert got == seeds
+        assert trace.pick_gains == pick_gains
+
+    def test_mixgreedy_select(self, graph):
+        seeds = MixGreedy(IndependentCascade(0.08), 20).select(graph, 10, rng=11)
+        assert seeds == [94, 696, 224, 613, 748, 237, 749, 693, 720, 209]

@@ -7,9 +7,10 @@ from repro.cascade.ic import IndependentCascade
 from repro.cascade.reachability import all_reach_sizes
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.cascade.wc import WeightedCascade
-from repro.errors import CascadeError
+from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi
+from repro.utils.bitset import pack_bits
 from repro.utils.rng import as_rng
 
 
@@ -94,6 +95,64 @@ class TestSnapshotOracle:
         assert total == pytest.approx(oracle.spread(seeds))
 
 
+class TestBatchedOracleSweeps:
+    """The batched sweeps against one ``reachable_from`` BFS per snapshot."""
+
+    @pytest.fixture(params=[False, True], ids=["bool", "packed"])
+    def setup(self, request):
+        graph = erdos_renyi(50, 200, rng=4)
+        masks = sample_snapshots(graph, IndependentCascade(0.3), 7, rng=9)
+        oracle = SnapshotOracle(
+            graph, [pack_bits(m) for m in masks] if request.param else masks
+        )
+        return graph, masks, oracle
+
+    def test_reach_is_one_snapshot_by_node_array(self, setup):
+        graph, masks, oracle = setup
+        reached = oracle.reach([1, 8])
+        assert reached.shape == (len(masks), graph.num_nodes)
+        assert reached.dtype == bool
+        for row, mask in zip(reached, masks):
+            np.testing.assert_array_equal(row, graph.reachable_from([1, 8], mask))
+
+    def test_marginal_gain_matches_per_snapshot_bfs(self, setup):
+        graph, masks, oracle = setup
+        seeds = [3, 17]
+        reached = oracle.reach(seeds)
+        before = reached.copy()
+        for candidate in range(graph.num_nodes):
+            expected = sum(
+                int(
+                    (
+                        graph.reachable_from(seeds + [candidate], mask)
+                        & ~graph.reachable_from(seeds, mask)
+                    ).sum()
+                )
+                for mask in masks
+            ) / len(masks)
+            assert oracle.marginal_gain(candidate, reached) == expected
+            np.testing.assert_array_equal(reached, before)
+
+    def test_extend_reach_is_bfs_union(self, setup):
+        graph, masks, oracle = setup
+        reached = oracle.reach([5])
+        oracle.extend_reach(reached, 22)
+        oracle.extend_reach(reached, 40)
+        for row, mask in zip(reached, masks):
+            expected = graph.reachable_from([5], mask) | graph.reachable_from(
+                [22], mask
+            ) | graph.reachable_from([40], mask)
+            np.testing.assert_array_equal(row, expected)
+
+    def test_bad_candidate_and_shape_rejected(self, setup):
+        graph, masks, oracle = setup
+        reached = oracle.reach([])
+        with pytest.raises(GraphError, match="out of range"):
+            oracle.marginal_gain(graph.num_nodes, reached)
+        with pytest.raises(CascadeError, match="does not match"):
+            oracle.extend_reach(reached[:1], 0)
+
+
 class TestAllReachSizes:
     def test_path(self, path_graph):
         sizes = all_reach_sizes(path_graph)
@@ -135,3 +194,17 @@ class TestAllReachSizes:
         )
         sizes = all_reach_sizes(g)
         assert sizes.tolist() == [6, 6, 6, 3, 3, 3]
+
+    def test_deep_condensation_dag(self):
+        # A 300-node path of 2-cycles with shortcut arcs: hundreds of Kahn
+        # levels, each component reaching everything downstream.
+        edges = []
+        for i in range(0, 300, 2):
+            edges += [(i, i + 1), (i + 1, i)]
+            if i + 2 < 300:
+                edges.append((i + 1, i + 2))
+            if i + 5 < 300:
+                edges.append((i, i + 5))
+        g = DiGraph(300, edges)
+        sizes = all_reach_sizes(g)
+        assert sizes.tolist() == [300 - 2 * (v // 2) for v in range(300)]

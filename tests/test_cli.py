@@ -273,9 +273,9 @@ class TestGetRealCommand:
 
 
 class TestObsCommands:
-    FIXTURE = os.path.join(
-        os.path.dirname(__file__), "fixtures", "run_journal.jsonl"
-    )
+    @pytest.fixture(autouse=True)
+    def _journal(self, run_journal):
+        self.FIXTURE = str(run_journal)
 
     def test_obs_trace_renders_span_tree(self, capsys):
         assert main(["obs", "trace", self.FIXTURE]) == 0

@@ -3,7 +3,6 @@
 import io
 import json
 import os
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.obs.monitor import (
     run_monitor,
 )
 
-FIXTURE = Path(__file__).parent / "fixtures" / "run_journal.jsonl"
 
 
 def _write(path, text, mode="a"):
@@ -157,9 +155,9 @@ class TestDashboard:
 
 
 class TestRunMonitor:
-    def test_once_renders_fixture_dashboard(self):
+    def test_once_renders_fixture_dashboard(self, run_journal):
         out = io.StringIO()
-        code = run_monitor(FIXTURE, once=True, stream=out)
+        code = run_monitor(run_journal, once=True, stream=out)
         assert code == 0
         panel = out.getvalue()
         assert "get_real" in panel

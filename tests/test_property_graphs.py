@@ -115,3 +115,51 @@ class TestReachSizesProperty:
         sizes = all_reach_sizes(g, mask)
         for v in range(n):
             assert sizes[v] == int(g.reachable_from([v], mask).sum())
+
+
+@st.composite
+def structured_edge_lists(draw, max_nodes=14):
+    """Edge lists with a planted cycle, self-loops, parallel edges and isolates.
+
+    ``DiGraph`` drops self-loops and collapses parallel edges, so these
+    exercise that the reach DP sees the same simple graph the BFS does.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=25))
+    cycle = draw(st.lists(node, unique=True, max_size=n))
+    edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    edges += [(v, v) for v in draw(st.lists(node, max_size=3))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    return n + isolated, edges
+
+
+class TestReachSizesStructured:
+    @given(
+        structured_edge_lists(),
+        st.sampled_from(["random", "dead", "live"]),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_all_reach_sizes_match_bfs_on_structured_inputs(
+        self, data, mask_kind, packed, seed
+    ):
+        from repro.cascade.reachability import all_reach_sizes
+        from repro.utils.bitset import pack_bits
+
+        n, edges = data
+        g = DiGraph(n, edges)
+        if mask_kind == "random":
+            mask = np.random.default_rng(seed).random(g.num_edges) < 0.5
+        else:
+            mask = np.full(g.num_edges, mask_kind == "live", dtype=bool)
+        sizes = all_reach_sizes(g, pack_bits(mask) if packed else mask)
+        for v in range(n):
+            assert sizes[v] == int(g.reachable_from([v], mask).sum())
+        if mask_kind == "dead":
+            assert sizes.tolist() == [1] * n
+        if mask_kind == "live":
+            assert sizes.tolist() == all_reach_sizes(g).tolist()
