@@ -47,7 +47,6 @@ K = 10
 SNAPSHOTS = 2
 DELTA_EDGES = 5
 MODEL = IndependentCascade(0.02)
-KERNEL = "numpy"
 #: Smallest graph whose warm/cold ratio is stable enough to gate.
 GATED_RATIO_MIN_NODES = 100_000
 
@@ -80,7 +79,6 @@ def test_incremental_repair_speedup(report):
         graph,
         MODEL,
         num_snapshots=SNAPSHOTS,
-        kernel=KERNEL,
         rng=SEED,
     )
     cold_select_watch = Stopwatch()
@@ -102,7 +100,6 @@ def test_incremental_repair_speedup(report):
         session.graph,
         MODEL,
         num_snapshots=SNAPSHOTS,
-        kernel=KERNEL,
         pool_seed=session.pool_seed,
     )
     cold_reselect_watch = Stopwatch()
@@ -128,7 +125,6 @@ def test_incremental_repair_speedup(report):
         "k": K,
         "snapshots": SNAPSHOTS,
         "seed": SEED,
-        "kernel": KERNEL,
         "delta_edges": 2 * DELTA_EDGES,
         "generate_s": round(gen_watch.elapsed, 2),
         "cold_select_s": round(cold_select_watch.elapsed, 2),

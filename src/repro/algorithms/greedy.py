@@ -218,12 +218,10 @@ class _SnapshotGreedyBase(SeedSelector):
         model: CascadeModel,
         num_snapshots: int = 100,
         executor: Executor | None = None,
-        kernel: str | None = None,
     ) -> None:
         self.model = model
         self.num_snapshots = check_positive_int(num_snapshots, "num_snapshots")
         self.executor = executor
-        self.kernel = kernel
 
     def _initial_gains(
         self, graph: DiGraph, oracle: SnapshotOracle
@@ -245,7 +243,7 @@ class _SnapshotGreedyBase(SeedSelector):
         masks = sample_snapshots(  # reprolint: disable=RP008
             graph, self.model, self.num_snapshots, generator
         )
-        oracle = SnapshotOracle(graph, masks, kernel=self.kernel)
+        oracle = SnapshotOracle(graph, masks)
         gains = self._initial_gains(graph, oracle)
         return self._run_celf(k, oracle, gains)
 
@@ -258,7 +256,7 @@ class _SnapshotGreedyBase(SeedSelector):
     ) -> list[int]:
         """Select against the group's shared masks and shared initial gains."""
         k = self._check_budget(graph, k)
-        oracle = pool.oracle(self.model, self.num_snapshots, kernel=self.kernel)
+        oracle = pool.oracle(self.model, self.num_snapshots)
         gains = pool.initial_gains(self.model, self.num_snapshots, self.executor)
         return self._run_celf(k, oracle, gains)
 
@@ -282,9 +280,8 @@ class MixGreedy(_SnapshotGreedyBase):
         model: CascadeModel,
         num_snapshots: int = 100,
         executor: Executor | None = None,
-        kernel: str | None = None,
     ) -> None:
-        super().__init__(model, num_snapshots, executor, kernel)
+        super().__init__(model, num_snapshots, executor)
         self.name = f"mg{model.name}"
 
 
@@ -302,7 +299,6 @@ class CELFGreedy(_SnapshotGreedyBase):
         model: CascadeModel,
         num_snapshots: int = 100,
         executor: Executor | None = None,
-        kernel: str | None = None,
     ) -> None:
-        super().__init__(model, num_snapshots, executor, kernel)
+        super().__init__(model, num_snapshots, executor)
         self.name = f"celf{model.name}"

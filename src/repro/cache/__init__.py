@@ -6,7 +6,7 @@ parameters, budget, RNG state) don't change when only simulation-side knobs
 do.  This package memoizes those computations behind content-derived keys:
 
 * :func:`selection_memo` — ``SeedSelector.select`` results, keyed on graph
-  fingerprint, selector params, ``k``, kernel, RNG state, and (for pooled
+  fingerprint, selector params, ``k``, RNG state, and (for pooled
   snapshot strategies) the pool token.
 * :func:`blocking_memo` — ``select_blockers`` results, keyed analogously.
 * :func:`shard_memo` — per-shard stable snapshot samples, keyed on the

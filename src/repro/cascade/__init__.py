@@ -11,7 +11,6 @@ from repro.cascade.general_threshold import (
     majority_activation,
 )
 from repro.cascade.icn import NegativeAwareCascade
-from repro.cascade.kernels import KERNEL_ENV_VAR, KERNELS, resolve_kernel
 from repro.cascade.competitive import (
     ClaimRule,
     CompetitiveDiffusion,
@@ -36,9 +35,6 @@ __all__ = [
     "linear_activation",
     "independent_activation",
     "majority_activation",
-    "KERNEL_ENV_VAR",
-    "KERNELS",
-    "resolve_kernel",
     "ClaimRule",
     "CompetitiveDiffusion",
     "CompetitiveOutcome",

@@ -106,13 +106,8 @@ class GeneralThreshold(CascadeModel):
         graph: DiGraph,
         seeds: Sequence[int],
         rng: RandomSource = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
-        """One general-threshold diffusion.
-
-        Arbitrary activation functions have no vectorized kernel; the
-        reference walk below runs regardless of *kernel*.
-        """
+        """One general-threshold diffusion."""
         generator = as_rng(rng)
         n = graph.num_nodes
         thresholds = generator.random(n)
@@ -133,8 +128,7 @@ class GeneralThreshold(CascadeModel):
             next_frontier: list[int] = []
             touched: set[int] = set()
             for u in frontier:
-                # general activation functions: no vectorized kernel form
-                for v in graph.out_neighbors(u):  # reprolint: disable=RP007
+                for v in graph.out_neighbors(u):
                     if not active[v]:
                         active_in_count[v] += 1
                         touched.add(int(v))

@@ -57,13 +57,8 @@ class NegativeAwareCascade(CascadeModel):
         graph: DiGraph,
         seeds: Sequence[int],
         rng: RandomSource = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
-        """One IC-N diffusion; returns the **positive** adopter indicator.
-
-        IC-N's per-node quality sampling has no vectorized kernel; the
-        reference walk below runs regardless of *kernel*.
-        """
+        """One IC-N diffusion; returns the **positive** adopter indicator."""
         generator = as_rng(rng)
         n = graph.num_nodes
         # state: 0 inactive, 1 positive, 2 negative.
@@ -81,8 +76,7 @@ class NegativeAwareCascade(CascadeModel):
             next_frontier: list[int] = []
             for u in frontier:
                 negative_parent = state[u] == 2
-                # IC-N's per-node quality draw: no vectorized kernel form
-                nbrs = graph.out_neighbors(u)  # reprolint: disable=RP007
+                nbrs = graph.out_neighbors(u)
                 if nbrs.size == 0:
                     continue
                 hits = generator.random(nbrs.size) < self.probability
@@ -121,8 +115,7 @@ class NegativeAwareCascade(CascadeModel):
             next_frontier: list[int] = []
             for u in frontier:
                 negative_parent = state[u] == 2
-                # IC-N's per-node quality draw: no vectorized kernel form
-                nbrs = graph.out_neighbors(u)  # reprolint: disable=RP007
+                nbrs = graph.out_neighbors(u)
                 if nbrs.size == 0:
                     continue
                 hits = generator.random(nbrs.size) < self.probability

@@ -1,80 +1,55 @@
-"""Diffusion kernels: the per-round inner loops behind every simulation.
+"""Diffusion kernels: the inner loops behind every simulation.
 
-Two interchangeable implementations of the same diffusion semantics live
-here, selected by the ``kernel`` argument (or the ``REPRO_KERNEL``
-environment variable):
+Every diffusion has exactly one implementation here, a frontier-batched
+numpy sweep over the CSR arrays.  Each step expands *all* frontier
+out-edges at once with ``np.repeat``/fancy indexing, reduces per-target
+attempt counts and the survival product ``Π(1 - p_e)`` with segmented
+reductions (``np.multiply.reduceat`` / ``np.bincount``), and resolves
+activation plus PROPORTIONAL / WINNER_TAKE_ALL claims for the whole step in
+one vectorized pass.
 
-``python``
-    The reference implementation: explicit frontier walks, one node and one
-    edge at a time.  Easy to audit against Section 3.2 of the paper and the
-    default everywhere.
+The competitive IC/WC kernel (:func:`run_competitive_cascades`) goes one
+step further and runs *all* of a job's simulations as one sweep over flat
+``round * n + node`` keys, the pattern :func:`sweep_rows` uses for
+snapshots: a simulation whose cascade dies early drops out of the frontier
+while the others keep expanding.  Its claimed-node state is one packed
+bitset of ``rounds * n`` bits, and per-simulation spreads come from a
+``bincount`` over the claimed keys, so a job costs what its cascades touch
+rather than ``rounds * n``.  The LT and single-group paths run one
+simulation per call.
 
-``numpy``
-    A frontier-batched vectorization of the same process.  Each round
-    expands *all* frontier out-edges at once with ``np.repeat``/fancy
-    indexing over the CSR arrays, reduces per-target attempt counts and the
-    survival product ``Π(1 - p_e)`` with segmented reductions
-    (``np.multiply.reduceat`` / ``np.bincount``), and resolves activation
-    plus PROPORTIONAL / WINNER_TAKE_ALL claims for the whole round in one
-    vectorized pass.  The LT pressure path and the reachability BFS get
-    the same treatment (a mask-filtered CSR frontier sweep).
-
-The snapshot oracle's incremental sweeps (:func:`sweep_rows`) have only
-the batched form: they draw no randomness, so there is nothing for a
-second implementation to be equivalent to.
-
-**Determinism contract.**  Both kernels draw every random variate from the
-caller's :class:`numpy.random.Generator`, so for a fixed master seed each
-kernel is bit-identical to itself across backends and worker counts (the
-SeedSequence discipline of :mod:`repro.exec`).  The kernels consume
-randomness in different orders, however, so they are *not* bit-identical to
-each other — they are statistically equivalent: per-node activation and
-claim probabilities match exactly, only the sample paths differ.  The
-equivalence suite (``tests/test_kernel_equivalence.py``) checks both halves
-of this contract.
-
-Per-node Python diffusion loops outside this module are flagged by
-reprolint rule RP007.
+**Determinism contract.**  Every random variate comes from the caller's
+:class:`numpy.random.Generator`, so for a fixed master seed every kernel is
+bit-identical to itself across backends and worker counts (the
+SeedSequence discipline of :mod:`repro.exec`).  The python reference walks
+in ``tests/reference_kernels.py`` consume randomness in a different order,
+so the kernels are *statistically* equivalent to them — per-node
+activation and claim probabilities match exactly, only the sample paths
+differ — which ``tests/test_kernel_equivalence.py`` checks.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
-from repro.obs.metrics import histogram, counter
-from repro.utils.bitset import is_packed, lookup_bits, lookup_bits_rows, num_words
+from repro.obs.metrics import histogram
+from repro.utils.bitset import (
+    is_packed,
+    lookup_bits,
+    lookup_bits_rows,
+    num_words,
+    packed_zeros,
+    set_bits,
+)
 
-#: Environment variable selecting the process-wide default kernel.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Known kernel names, in documentation order.
-KERNELS = ("python", "numpy")
-
-# Cached instrument handles (RP004): one counter pair per kernel so metrics
-# record which implementation actually ran, exec.*-style.
-_SIMULATIONS = {name: counter(f"kernel.{name}.simulations") for name in KERNELS}
-_SWEEPS = {name: counter(f"kernel.{name}.sweeps") for name in KERNELS}
+# Cached instrument handle (RP004).
 _FRONTIER_SIZE = histogram("cascade.frontier_size")
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """Resolve *kernel* to a concrete kernel name.
-
-    ``None`` falls back to ``REPRO_KERNEL`` (default ``python``); anything
-    outside :data:`KERNELS` raises :class:`CascadeError`.
-    """
-    resolved = kernel or os.environ.get(KERNEL_ENV_VAR, "").strip() or "python"
-    if resolved not in KERNELS:
-        raise CascadeError(
-            f"unknown cascade kernel {resolved!r}; known: {sorted(KERNELS)}"
-        )
-    return resolved
 
 
 class ClaimRule(enum.Enum):
@@ -86,22 +61,8 @@ class ClaimRule(enum.Enum):
     WINNER_TAKE_ALL = "winner_take_all"
 
 
-def claim_group(
-    weights: np.ndarray,
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
-) -> int:
-    """Pick the claiming group for one node given per-group attempt weights."""
-    total = weights.sum()
-    if claim_rule is ClaimRule.PROPORTIONAL:
-        return int(generator.choice(weights.shape[0], p=weights / total))
-    best = weights.max()
-    winners = np.flatnonzero(weights == best)
-    return int(winners[generator.integers(0, winners.shape[0])])
-
-
 # ---------------------------------------------------------------------- #
-# CSR frontier expansion (shared by every numpy kernel)
+# CSR frontier expansion (shared by every kernel)
 # ---------------------------------------------------------------------- #
 
 
@@ -152,16 +113,32 @@ def _frontier_edges(
     return targets, eids, degs
 
 
+def _segments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group a flat attempt list by target: ``(order, segment starts, uniques)``.
+
+    ``targets[order]`` is sorted (stably, so each segment keeps frontier
+    order); segment *s* starts at ``starts[s]`` and belongs to ``uniques[s]``.
+    """
+    order = np.argsort(targets, kind="stable")
+    t_sorted = targets[order]
+    head = np.empty(t_sorted.size, dtype=bool)
+    head[0] = True
+    np.not_equal(t_sorted[1:], t_sorted[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return order, starts, t_sorted[starts]
+
+
 def _claim_batch(
     weights: np.ndarray,
     claim_rule: ClaimRule,
     generator: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized :func:`claim_group` over a ``(nodes, groups)`` weight matrix.
+    """Pick the claiming group of every row of a ``(nodes, groups)`` weight matrix.
 
     One uniform draw per node resolves the claim: inverse-CDF over the
-    per-node weight rows for PROPORTIONAL, an index into the tied-maximum
-    set for WINNER_TAKE_ALL — the same distributions as the scalar path.
+    per-node weight rows for PROPORTIONAL (group *j* with probability
+    ``w_j / Σw``), an index into the tied-maximum set for WINNER_TAKE_ALL
+    (the most attempts wins, ties uniform).
     """
     m = weights.shape[0]
     if m == 0:
@@ -178,14 +155,26 @@ def _claim_batch(
     return np.asarray((wins > pick[:, None]).argmax(axis=1), dtype=np.int64)
 
 
-def _initial_owner(
-    num_nodes: int, initiators: Sequence[Sequence[int]]
+def _initiator_keys(
+    num_nodes: int, initiators_per_round: Sequence[Sequence[Sequence[int]]], r: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ownership array seeded from disjoint initiator sets, plus the frontier."""
-    owner = np.full(num_nodes, -1, dtype=np.int64)
-    for j, nodes in enumerate(initiators):
-        owner[np.asarray(list(nodes), dtype=np.int64)] = j
-    return owner, np.flatnonzero(owner >= 0)
+    """Flat ``round * n + node`` keys of every initiator, plus their groups."""
+    rounds = len(initiators_per_round)
+    sizes = np.array(
+        [[len(nodes) for nodes in groups] for groups in initiators_per_round],
+        dtype=np.int64,
+    ).reshape(rounds, r)
+    nodes = np.fromiter(
+        chain.from_iterable(chain.from_iterable(initiators_per_round)),
+        dtype=np.int64,
+        count=int(sizes.sum()),
+    )
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
+        bad = nodes[(nodes < 0) | (nodes >= num_nodes)][0]
+        raise CascadeError(f"initiator {int(bad)} out of range [0, {num_nodes})")
+    rows = np.arange(rounds, dtype=np.int64).repeat(sizes.sum(axis=1))
+    groups = np.tile(np.arange(r, dtype=np.int64), rounds).repeat(sizes.ravel())
+    return rows * num_nodes + nodes, groups
 
 
 # ---------------------------------------------------------------------- #
@@ -193,123 +182,73 @@ def _initial_owner(
 # ---------------------------------------------------------------------- #
 
 
-def run_competitive_cascade(
+def run_competitive_cascades(
     graph: DiGraph,
     probs: np.ndarray,
-    initiators: Sequence[Sequence[int]],
+    initiators_per_round: Sequence[Sequence[Sequence[int]]],
     claim_rule: ClaimRule,
     generator: np.random.Generator,
-    kernel: str | None = None,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """One competitive cascade; returns ``(owner, rounds, activation_round)``.
+    claims: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """All of a job's competitive cascades as one frontier sweep.
 
-    Nodes are activated with the combined probability ``1 - Π(1 - p_e)``
-    over all attempting edges and claimed per *claim_rule* (Section 3.2).
+    Simulation *i* diffuses from the disjoint initiator sets
+    ``initiators_per_round[i]`` (one per group).  A node is activated with
+    the combined probability ``1 - Π(1 - p_e)`` over all attempting edges
+    and claimed per *claim_rule* (Section 3.2); once claimed it never
+    switches groups.  The simulations share one frontier of flat
+    ``i * n + node`` keys and one packed claimed-bitset of ``rounds * n``
+    bits, and draw their variates from *generator* in key order.
+
+    Returns ``(spreads, steps)``: the ``(rounds, r)`` claimed-node counts
+    per simulation and group, and each simulation's number of diffusion
+    steps (its last step claims nothing; 0 when it had no initiators).
+    When *claims* is given, every wave's claimed ``(keys, groups)`` is
+    appended to it, the initiators first, so a caller can rebuild per-node
+    ownership and activation steps.
     """
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _competitive_cascade_numpy(
-            graph, probs, initiators, claim_rule, generator
-        )
-    return _competitive_cascade_python(graph, probs, initiators, claim_rule, generator)
+    n = graph.num_nodes
+    rounds = len(initiators_per_round)
+    r = len(initiators_per_round[0]) if rounds else 0
+    keys, groups = _initiator_keys(n, initiators_per_round, r)
+    claimed = packed_zeros(rounds * n)
+    set_bits(claimed, keys)
+    rows = keys // n
+    spreads = np.bincount(rows * r + groups, minlength=rounds * r)
+    last = np.full(rounds, -1, dtype=np.int64)
+    last[rows] = 0
 
-
-def _competitive_cascade_python(
-    graph: DiGraph,
-    probs: np.ndarray,
-    initiators: Sequence[Sequence[int]],
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    r = len(initiators)
-    owner = np.full(graph.num_nodes, -1, dtype=np.int64)
-    when = np.zeros(graph.num_nodes, dtype=np.int64)
-    frontiers: list[list[int]] = []
-    for j, nodes in enumerate(initiators):
-        for v in nodes:
-            owner[v] = j
-        frontiers.append(list(nodes))
-
-    rounds = 0
-    while any(frontiers):
-        rounds += 1
-        # attempts[v] = (per-group counts, running product of (1 - p)).
-        attempts: dict[int, tuple[np.ndarray, float]] = {}
-        for j in range(r):
-            for u in frontiers[j]:
-                nbrs = graph.out_neighbors(u)
-                if nbrs.size == 0:
-                    continue
-                eids = graph.out_edge_ids(u)
-                for v, eid in zip(nbrs, eids):
-                    if owner[v] >= 0:
-                        continue
-                    counts, survive = attempts.get(
-                        int(v), (np.zeros(r, dtype=np.int64), 1.0)
-                    )
-                    counts[j] += 1
-                    attempts[int(v)] = (counts, survive * (1.0 - probs[eid]))
-
-        next_frontiers: list[list[int]] = [[] for _ in range(r)]
-        for v, (counts, survive) in attempts.items():
-            # Combined activation probability: 1 - Π(1 - p_e) over all
-            # attempting edges; equals 1 - (1 - p)^T for uniform p,
-            # the paper's Section 3.2 formula.
-            if generator.random() < 1.0 - survive:
-                winner = claim_group(counts.astype(float), claim_rule, generator)
-                owner[v] = winner
-                when[v] = rounds
-                next_frontiers[winner].append(v)
-        frontiers = next_frontiers
-        _FRONTIER_SIZE.observe(sum(len(f) for f in frontiers))
-    return owner, rounds, when
-
-
-def _competitive_cascade_numpy(
-    graph: DiGraph,
-    probs: np.ndarray,
-    initiators: Sequence[Sequence[int]],
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    r = len(initiators)
-    owner, frontier = _initial_owner(graph.num_nodes, initiators)
-    when = np.zeros(graph.num_nodes, dtype=np.int64)
-
-    rounds = 0
-    while frontier.size:
-        rounds += 1
-        targets, eids, degs = _frontier_edges(graph, frontier)
-        groups = np.repeat(owner[frontier], degs)
-        live = owner[targets] < 0
-        targets, eids, groups = targets[live], eids[live], groups[live]
-        if targets.size:
-            # Segment the flat edge list by target node: one segment per
-            # unique target, per-group attempt counts via bincount over
-            # (segment, group) keys, survival Π(1 - p_e) via reduceat.
-            order = np.argsort(targets, kind="stable")
-            t_sorted = targets[order]
-            seg_head = np.r_[True, t_sorted[1:] != t_sorted[:-1]]
-            seg_starts = np.flatnonzero(seg_head)
-            uniq = t_sorted[seg_starts]
-            survive = np.multiply.reduceat(1.0 - probs[eids[order]], seg_starts)
-            slots = np.cumsum(seg_head) - 1
-            counts = np.bincount(
-                slots * r + groups[order], minlength=uniq.size * r
-            ).reshape(uniq.size, r)
-            activated = generator.random(uniq.size) < 1.0 - survive
-            new_nodes = uniq[activated]
-            winners = _claim_batch(
-                counts[activated].astype(float), claim_rule, generator
-            )
-            owner[new_nodes] = winners
-            when[new_nodes] = rounds
-            frontier = new_nodes
-        else:
-            frontier = targets
-        _FRONTIER_SIZE.observe(float(frontier.size))
-    return owner, rounds, when
+    wave = 0
+    while keys.size:
+        if claims is not None:
+            claims.append((keys, groups))
+        wave += 1
+        targets, eids, degs = _frontier_edges(graph, keys - rows * n)
+        targets += (rows * n).repeat(degs)
+        live = ~lookup_bits(claimed, targets)
+        targets, eids = targets[live], eids[live]
+        if targets.size == 0:
+            break
+        attackers = groups.repeat(degs)[live]
+        # Segment the flat attempt list by target key: per-group attempt
+        # counts via bincount over (segment, group) keys, survival
+        # Π(1 - p_e) via reduceat.
+        order, starts, uniq = _segments(targets)
+        survive = np.multiply.reduceat(1.0 - probs[eids[order]], starts)
+        slots = np.zeros(targets.size, dtype=np.int64)
+        slots[starts[1:]] = 1
+        counts = np.bincount(
+            slots.cumsum() * r + attackers[order], minlength=uniq.size * r
+        ).reshape(uniq.size, r)
+        activated = generator.random(uniq.size) < 1.0 - survive
+        keys = uniq[activated]
+        groups = _claim_batch(counts[activated].astype(float), claim_rule, generator)
+        set_bits(claimed, keys)
+        rows = keys // n
+        spreads += np.bincount(rows * r + groups, minlength=rounds * r)
+        last[rows] = wave
+        _FRONTIER_SIZE.observe(float(keys.size))
+    return spreads.reshape(rounds, r), last + 1
 
 
 # ---------------------------------------------------------------------- #
@@ -322,7 +261,6 @@ def run_competitive_threshold(
     initiators: Sequence[Sequence[int]],
     claim_rule: ClaimRule,
     generator: np.random.Generator,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """One competitive LT diffusion; returns ``(owner, rounds, activation_round)``.
 
@@ -331,74 +269,15 @@ def run_competitive_threshold(
     proportion to each group's share of that accumulated weight (the LT
     analogue of ``t_j / Σt_j``).
     """
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _competitive_threshold_numpy(graph, initiators, claim_rule, generator)
-    return _competitive_threshold_python(graph, initiators, claim_rule, generator)
-
-
-def _competitive_threshold_python(
-    graph: DiGraph,
-    initiators: Sequence[Sequence[int]],
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
-) -> tuple[np.ndarray, int, np.ndarray]:
     n = graph.num_nodes
     r = len(initiators)
     thresholds = generator.random(n)
     weight_in = 1.0 / np.maximum(graph.in_degrees().astype(float), 1.0)
 
     owner = np.full(n, -1, dtype=np.int64)
-    when = np.zeros(n, dtype=np.int64)
-    pressure = np.zeros((n, r))
-    frontiers: list[list[int]] = []
     for j, nodes in enumerate(initiators):
-        for v in nodes:
-            owner[v] = j
-        frontiers.append(list(nodes))
-
-    rounds = 0
-    while any(frontiers):
-        rounds += 1
-        touched: set[int] = set()
-        for j in range(r):
-            for u in frontiers[j]:
-                for v in graph.out_neighbors(u):
-                    if owner[v] < 0:
-                        pressure[v, j] += weight_in[v]
-                        touched.add(int(v))
-
-        next_frontiers: list[list[int]] = [[] for _ in range(r)]
-        # Sorted so the claim_group draw order — and thus the whole
-        # trajectory — is deterministic by construction, not by the accident
-        # of CPython's int-set iteration order (RP011).
-        for v in sorted(touched):
-            total = pressure[v].sum()
-            if total >= thresholds[v]:
-                # Claim in proportion to each group's share of the
-                # accumulated weight (the LT analogue of t_j / Σt_j).
-                winner = claim_group(pressure[v].copy(), claim_rule, generator)
-                owner[v] = winner
-                when[v] = rounds
-                next_frontiers[winner].append(v)
-        frontiers = next_frontiers
-        _FRONTIER_SIZE.observe(sum(len(f) for f in frontiers))
-    return owner, rounds, when
-
-
-def _competitive_threshold_numpy(
-    graph: DiGraph,
-    initiators: Sequence[Sequence[int]],
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    n = graph.num_nodes
-    r = len(initiators)
-    thresholds = generator.random(n)
-    weight_in = 1.0 / np.maximum(graph.in_degrees().astype(float), 1.0)
-
-    owner, frontier = _initial_owner(n, initiators)
+        owner[np.asarray(list(nodes), dtype=np.int64)] = j
+    frontier = np.flatnonzero(owner >= 0)
     when = np.zeros(n, dtype=np.int64)
     pressure = np.zeros((n, r))
 
@@ -411,7 +290,7 @@ def _competitive_threshold_numpy(
         targets, groups = targets[live], groups[live]
         if targets.size:
             np.add.at(pressure, (targets, groups), weight_in[targets])
-            touched = np.unique(targets)
+            touched = sorted_unique(targets)
             crossed = pressure[touched].sum(axis=1) >= thresholds[touched]
             new_nodes = touched[crossed]
             winners = _claim_batch(pressure[new_nodes], claim_rule, generator)
@@ -429,69 +308,25 @@ def _competitive_threshold_numpy(
 # ---------------------------------------------------------------------- #
 
 
-def simulate_cascade(
-    graph: DiGraph,
-    probs: np.ndarray,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """One single-group cascade from *seeds*; returns the active-node mask."""
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _simulate_cascade_numpy(graph, probs, seeds, generator)
-    return _simulate_cascade_python(graph, probs, seeds, generator)
-
-
-def _checked_seed_array(num_nodes: int, seeds: Sequence[int]) -> np.ndarray:
+def _seed_frontier(num_nodes: int, seeds: Sequence[int]) -> np.ndarray:
+    """The distinct *seeds*, sorted; raises on an out-of-range seed."""
     seed_arr = np.asarray([int(s) for s in seeds], dtype=np.int64)
     bad = (seed_arr < 0) | (seed_arr >= num_nodes)
     if bad.any():
         first = int(seed_arr[bad][0])
         raise CascadeError(f"seed {first} out of range [0, {num_nodes})")
-    return seed_arr
+    return sorted_unique(seed_arr)
 
 
-def _simulate_cascade_python(
+def simulate_cascade(
     graph: DiGraph,
     probs: np.ndarray,
     seeds: Sequence[int],
     generator: np.random.Generator,
 ) -> np.ndarray:
+    """One single-group cascade from *seeds*; returns the active-node mask."""
     active = np.zeros(graph.num_nodes, dtype=bool)
-    frontier: list[int] = []
-    for s in seeds:
-        if not 0 <= s < graph.num_nodes:
-            raise CascadeError(f"seed {s} out of range [0, {graph.num_nodes})")
-        if not active[s]:
-            active[s] = True
-            frontier.append(int(s))
-
-    while frontier:
-        next_frontier: list[int] = []
-        for u in frontier:
-            nbrs = graph.out_neighbors(u)
-            if nbrs.size == 0:
-                continue
-            eids = graph.out_edge_ids(u)
-            hits = generator.random(nbrs.size) < probs[eids]
-            for v in nbrs[hits]:
-                if not active[v]:
-                    active[v] = True
-                    next_frontier.append(int(v))
-        frontier = next_frontier
-    return active
-
-
-def _simulate_cascade_numpy(
-    graph: DiGraph,
-    probs: np.ndarray,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-) -> np.ndarray:
-    active = np.zeros(graph.num_nodes, dtype=bool)
-    frontier = np.unique(_checked_seed_array(graph.num_nodes, seeds))
+    frontier = _seed_frontier(graph.num_nodes, seeds)
     active[frontier] = True
     while frontier.size:
         targets, eids, _ = _frontier_edges(graph, frontier)
@@ -499,12 +334,8 @@ def _simulate_cascade_numpy(
         targets, eids = targets[live], eids[live]
         if targets.size == 0:
             break
-        order = np.argsort(targets, kind="stable")
-        t_sorted = targets[order]
-        seg_head = np.r_[True, t_sorted[1:] != t_sorted[:-1]]
-        seg_starts = np.flatnonzero(seg_head)
-        uniq = t_sorted[seg_starts]
-        survive = np.multiply.reduceat(1.0 - probs[eids[order]], seg_starts)
+        order, starts, uniq = _segments(targets)
+        survive = np.multiply.reduceat(1.0 - probs[eids[order]], starts)
         hits = generator.random(uniq.size) < 1.0 - survive
         frontier = uniq[hits]
         active[frontier] = True
@@ -515,62 +346,15 @@ def simulate_threshold(
     graph: DiGraph,
     seeds: Sequence[int],
     generator: np.random.Generator,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """One single-group LT diffusion from *seeds*; returns the active-node mask."""
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _simulate_threshold_numpy(graph, seeds, generator)
-    return _simulate_threshold_python(graph, seeds, generator)
-
-
-def _simulate_threshold_python(
-    graph: DiGraph,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-) -> np.ndarray:
-    n = graph.num_nodes
-    thresholds = generator.random(n)
-    in_deg = graph.in_degrees().astype(float)
-    weight_in = 1.0 / np.maximum(in_deg, 1.0)
-
-    active = np.zeros(n, dtype=bool)
-    pressure = np.zeros(n)  # summed weight of active in-neighbours
-    frontier: list[int] = []
-    for s in seeds:
-        if not 0 <= s < n:
-            raise CascadeError(f"seed {s} out of range [0, {n})")
-        if not active[s]:
-            active[s] = True
-            frontier.append(int(s))
-
-    while frontier:
-        next_frontier: list[int] = []
-        for u in frontier:
-            for v in graph.out_neighbors(u):
-                if active[v]:
-                    continue
-                pressure[v] += weight_in[v]
-                if pressure[v] >= thresholds[v]:
-                    active[v] = True
-                    next_frontier.append(int(v))
-        frontier = next_frontier
-    return active
-
-
-def _simulate_threshold_numpy(
-    graph: DiGraph,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-) -> np.ndarray:
     n = graph.num_nodes
     thresholds = generator.random(n)
     weight_in = 1.0 / np.maximum(graph.in_degrees().astype(float), 1.0)
 
     active = np.zeros(n, dtype=bool)
     pressure = np.zeros(n)
-    frontier = np.unique(_checked_seed_array(n, seeds))
+    frontier = _seed_frontier(n, seeds)
     active[frontier] = True
     while frontier.size:
         targets, _, _ = _frontier_edges(graph, frontier)
@@ -578,7 +362,7 @@ def _simulate_threshold_numpy(
         if targets.size == 0:
             break
         np.add.at(pressure, targets, weight_in[targets])
-        touched = np.unique(targets)
+        touched = sorted_unique(targets)
         frontier = touched[pressure[touched] >= thresholds[touched]]
         active[frontier] = True
     return active
@@ -589,51 +373,37 @@ def _simulate_threshold_numpy(
 # ---------------------------------------------------------------------- #
 
 
-def _sweep_numpy(
-    graph: DiGraph,
-    edge_mask: np.ndarray | None,
-    frontier: np.ndarray,
-    visited: np.ndarray,
-) -> None:
-    """Mask-filtered CSR frontier sweep; marks everything reachable in *visited*.
-
-    *edge_mask* may be a boolean-style array of length *m* or its packed
-    bitset equivalent (:mod:`repro.utils.bitset`); both filter identically.
-    """
-    while frontier.size:
-        targets, eids, _ = _frontier_edges(graph, frontier)
-        if edge_mask is not None and targets.size:
-            keep = lookup_bits(edge_mask, eids)
-            targets = targets[keep]
-        if targets.size:
-            targets = targets[~visited[targets]]
-        if targets.size == 0:
-            return
-        frontier = np.unique(targets)
-        visited[frontier] = True
+def _source_nodes(num_nodes: int, sources: Sequence[int]) -> np.ndarray:
+    """The distinct *sources*, sorted; raises on an out-of-range node."""
+    nodes = np.asarray([int(s) for s in sources], dtype=np.int64)
+    bad = (nodes < 0) | (nodes >= num_nodes)
+    if bad.any():
+        raise GraphError(f"node {int(nodes[bad][0])} out of range [0, {num_nodes})")
+    return sorted_unique(nodes)
 
 
 def reachable_mask(
     graph: DiGraph,
     sources: Sequence[int],
     edge_mask: np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
-    """Boolean array marking nodes reachable from *sources* (mask-filtered)."""
-    resolved = resolve_kernel(kernel)
-    _SWEEPS[resolved].inc()
-    if resolved == "python":
-        return graph.reachable_from(sources, edge_mask)
+    """Boolean array marking nodes reachable from *sources* (mask-filtered).
+
+    *edge_mask* may be a boolean-style array of length *m* or its packed
+    bitset equivalent (:mod:`repro.utils.bitset`); both filter identically.
+    """
     visited = np.zeros(graph.num_nodes, dtype=bool)
-    frontier: list[int] = []
-    for s in sources:
-        node = int(s)
-        if not 0 <= node < graph.num_nodes:
-            raise GraphError(f"node {node} out of range [0, {graph.num_nodes})")
-        if not visited[node]:
-            visited[node] = True
-            frontier.append(node)
-    _sweep_numpy(graph, edge_mask, np.asarray(frontier, dtype=np.int64), visited)
+    frontier = _source_nodes(graph.num_nodes, sources)
+    visited[frontier] = True
+    while frontier.size:
+        targets, eids, _ = _frontier_edges(graph, frontier)
+        if edge_mask is not None and targets.size:
+            targets = targets[lookup_bits(edge_mask, eids)]
+        targets = targets[~visited[targets]]
+        if targets.size == 0:
+            break
+        frontier = sorted_unique(targets)
+        visited[frontier] = True
     return visited
 
 
@@ -641,22 +411,19 @@ def reachable_mask_batch(
     graph: DiGraph,
     sources: Sequence[int],
     mask_matrix: np.ndarray,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Per-snapshot reachability over a stacked ``(snapshots, edges)`` mask.
 
     Row *s* of the returned ``(snapshots, nodes)`` boolean matrix equals
-    ``reachable_mask(graph, sources, mask_matrix[s])`` bit for bit.  The
-    python kernel is that per-mask loop verbatim; the numpy kernel runs one
-    frontier sweep over flat ``(snapshot, node)`` pairs, so a snapshot whose
-    cascade dies early drops out of the frontier while live snapshots keep
-    expanding — the batched analogue of the per-mask early exit.
+    ``reachable_mask(graph, sources, mask_matrix[s])`` bit for bit.  One
+    frontier sweep runs over flat ``(snapshot, node)`` pairs, so a snapshot
+    whose cascade dies early drops out of the frontier while live snapshots
+    keep expanding.
 
     *mask_matrix* is either boolean-style ``(snapshots, edges)`` or packed
     ``(snapshots, words)`` ``uint64`` rows (:mod:`repro.utils.bitset`);
     results are bit-identical between the two representations.
     """
-    resolved = resolve_kernel(kernel)
     expected_width = (
         num_words(graph.num_edges) if is_packed(mask_matrix) else graph.num_edges
     )
@@ -666,22 +433,10 @@ def reachable_mask_batch(
             f"(snapshots, {expected_width})"
         )
     num_snaps = mask_matrix.shape[0]
-    _SWEEPS[resolved].inc(num_snaps)
-    if resolved == "python":
-        rows = [graph.reachable_from(sources, mask_matrix[s]) for s in range(num_snaps)]
-        if not rows:
-            return np.zeros((0, graph.num_nodes), dtype=bool)
-        return np.stack(rows)
     visited = np.zeros((num_snaps, graph.num_nodes), dtype=bool)
-    starts: list[int] = []
-    for s in sources:
-        node = int(s)
-        if not 0 <= node < graph.num_nodes:
-            raise GraphError(f"node {node} out of range [0, {graph.num_nodes})")
-        starts.append(node)
-    if not starts or num_snaps == 0:
+    uniq = _source_nodes(graph.num_nodes, sources)
+    if not uniq.size or num_snaps == 0:
         return visited
-    uniq = np.unique(np.asarray(starts, dtype=np.int64))
     visited[:, uniq] = True
     sweep_rows(
         graph,

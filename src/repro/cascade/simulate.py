@@ -58,7 +58,6 @@ def estimate_spread(
     rounds: int = 100,
     rng: RandomSource = None,
     executor: Executor | None = None,
-    kernel: str | None = None,
 ) -> SpreadEstimate:
     """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations."""
     check_positive_int(rounds, "rounds")
@@ -67,7 +66,6 @@ def estimate_spread(
         model=model,
         seeds=tuple(int(s) for s in seeds),
         rounds=rounds,
-        kernel=kernel,
     )
     started = time.perf_counter()
     (estimate,) = resolve_executor(executor).estimates([job], rng=rng)[0]
@@ -88,7 +86,6 @@ def estimate_competitive_spread(
     tie_break: TieBreakRule = TieBreakRule.UNIFORM,
     claim_rule: ClaimRule = ClaimRule.PROPORTIONAL,
     executor: Executor | None = None,
-    kernel: str | None = None,
 ) -> list[SpreadEstimate]:
     """Estimate per-group competitive spreads for a full seed-set profile.
 
@@ -104,7 +101,6 @@ def estimate_competitive_spread(
         rounds=rounds,
         tie_break=tie_break,
         claim_rule=claim_rule,
-        kernel=kernel,
     )
     started = time.perf_counter()
     estimates = list(resolve_executor(executor).estimates([job], rng=rng)[0])

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cascade.base import CascadeModel
-from repro.cascade.kernels import reachable_mask_batch, resolve_kernel, sweep_rows
+from repro.cascade.kernels import reachable_mask_batch, sweep_rows
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
 from repro.utils.bitset import is_packed, num_words, pack_bits, unpack_bits
@@ -214,10 +214,6 @@ class SnapshotOracle:
     (:func:`~repro.cascade.kernels.sweep_rows`) instead of one search per
     snapshot.
 
-    *kernel* selects the implementation of :meth:`spread` and :meth:`reach`
-    (see :func:`~repro.cascade.kernels.reachable_mask_batch`); every kernel
-    visits the same nodes, so oracle results are kernel-independent.
-
     Masks may be boolean-style (length *m*) or packed bitsets
     (:mod:`repro.utils.bitset`); a homogeneous packed sample is kept packed
     end to end — the stacked matrix stores one bit per edge — and every
@@ -228,7 +224,6 @@ class SnapshotOracle:
         self,
         graph: DiGraph,
         masks: Sequence[np.ndarray],
-        kernel: str | None = None,
     ) -> None:
         if not masks:
             raise CascadeError("at least one snapshot mask is required")
@@ -259,7 +254,6 @@ class SnapshotOracle:
                     for mask in self.masks
                 ]
             )
-        self.kernel = resolve_kernel(kernel)
 
     @property
     def num_snapshots(self) -> int:
@@ -267,16 +261,12 @@ class SnapshotOracle:
 
     def spread(self, seeds: Sequence[int]) -> float:
         """Average number of nodes reachable from *seeds* over all snapshots."""
-        visited = reachable_mask_batch(
-            self.graph, seeds, self.mask_matrix, kernel=self.kernel
-        )
+        visited = reachable_mask_batch(self.graph, seeds, self.mask_matrix)
         return int(visited.sum()) / len(self.masks)
 
     def reach(self, seeds: Sequence[int]) -> np.ndarray:
         """``(snapshots, n)`` boolean array of the nodes *seeds* reach."""
-        return reachable_mask_batch(
-            self.graph, seeds, self.mask_matrix, kernel=self.kernel
-        )
+        return reachable_mask_batch(self.graph, seeds, self.mask_matrix)
 
     def _unreached_rows(self, node: int, reached: np.ndarray) -> np.ndarray:
         """Snapshots in which *node* is not yet reached (validates inputs)."""

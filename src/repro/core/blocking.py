@@ -33,7 +33,6 @@ from repro.cache import (
     set_rng_state,
 )
 from repro.cascade.base import CascadeModel
-from repro.cascade.kernels import resolve_kernel
 from repro.errors import SeedSelectionError
 from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import CompetitiveJob
@@ -82,7 +81,6 @@ def _blocking_job(
     blockers: Sequence[int],
     rounds: int,
     crn_base: int,
-    kernel: str | None = None,
 ) -> CompetitiveJob:
     """Rival-vs-blockers evaluation as a CRN-paired competitive job."""
     rival = tuple(int(s) for s in rival_seeds)
@@ -96,7 +94,6 @@ def _blocking_job(
         rounds=rounds,
         crn_base=crn_base,
         crn_step=BLOCKING_CRN_STEP,
-        kernel=kernel,
     )
 
 
@@ -109,7 +106,6 @@ def select_blockers(
     candidate_pool: int = 100,
     rng: RandomSource = None,
     executor: Executor | None = None,
-    kernel: str | None = None,
 ) -> BlockingResult:
     """Greedy blocker selection minimizing the rival's competitive spread.
 
@@ -122,7 +118,7 @@ def select_blockers(
 
     Reproducible calls (``rng`` given) are memoized in the work-sharing
     blocking cache, keyed on graph fingerprint, model params, rival seeds,
-    budgets, kernel, and RNG state; a hit returns the stored result and
+    budgets, and RNG state; a hit returns the stored result and
     restores the post-run RNG state, so warm runs are bit-identical to
     cold ones.  The executor backend is deliberately not part of the key —
     batched results are backend-independent.
@@ -148,7 +144,6 @@ def select_blockers(
             int(k),
             int(rounds),
             int(candidate_pool),
-            resolve_kernel(kernel),
             rng_token(generator),
         )
         hit = memo.get(key)
@@ -172,16 +167,14 @@ def select_blockers(
             f"only {len(candidates)} candidates available for budget k={k}"
         )
 
-    baseline_job = _blocking_job(graph, model, rival, [], rounds, crn_base, kernel)
+    baseline_job = _blocking_job(graph, model, rival, [], rounds, crn_base)
     baseline = runner.estimates([baseline_job], rng=generator)[0][0].mean
 
     blockers: list[int] = []
     for _ in range(k):
         remaining = [c for c in candidates if c not in blockers]
         jobs = [
-            _blocking_job(
-                graph, model, rival, blockers + [c], rounds, crn_base, kernel
-            )
+            _blocking_job(graph, model, rival, blockers + [c], rounds, crn_base)
             for c in remaining
         ]
         results = runner.estimates(jobs, rng=generator)
@@ -194,7 +187,7 @@ def select_blockers(
                 best_candidate = c
         blockers.append(best_candidate)
 
-    final_job = _blocking_job(graph, model, rival, blockers, rounds, crn_base, kernel)
+    final_job = _blocking_job(graph, model, rival, blockers, rounds, crn_base)
     final = runner.estimates([final_job], rng=generator)[0]
     result = BlockingResult(
         blockers=blockers,

@@ -89,17 +89,12 @@ class SimulationJob(Protocol):
 
 @dataclass(frozen=True)
 class SpreadJob:
-    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations.
-
-    ``kernel`` selects the diffusion inner loop (``"python"``/``"numpy"``;
-    ``None`` falls back to ``REPRO_KERNEL`` at run time).
-    """
+    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations."""
 
     graph: DiGraph | GraphRef
     model: CascadeModel
     seeds: tuple[int, ...]
     rounds: int
-    kernel: str | None = None
 
     @property
     def num_nodes(self) -> int | None:
@@ -109,9 +104,7 @@ class SpreadJob:
         graph = resolve_graph(self.graph)
         values = np.empty(self.rounds, dtype=float)
         for i in range(self.rounds):
-            values[i] = self.model.spread_once(
-                graph, self.seeds, generator, kernel=self.kernel
-            )
+            values[i] = self.model.spread_once(graph, self.seeds, generator)
         return (SpreadEstimate.from_values(values),)
 
 
@@ -121,14 +114,14 @@ class CompetitiveJob:
 
     Each of the *rounds* simulations independently re-resolves seed
     collisions (initiator assignment) and re-runs the diffusion, matching
-    the paper's expectation over both sources of randomness.
+    the paper's expectation over both sources of randomness.  On the
+    cascade path all rounds run as one batched frontier sweep
+    (:meth:`CompetitiveDiffusion.spreads`).
 
     When ``crn_base`` is set, round *i* draws from a fresh stream seeded
     ``(crn_base + crn_step·i) mod 2^63-1`` — the common-random-numbers
-    pairing used by the greedy candidate loops.
-
-    ``kernel`` selects the diffusion inner loop (``"python"``/``"numpy"``;
-    ``None`` falls back to ``REPRO_KERNEL`` at run time).
+    pairing used by the greedy candidate loops — so each round is a
+    one-round batch on its own stream.
     """
 
     graph: DiGraph | GraphRef
@@ -139,7 +132,6 @@ class CompetitiveJob:
     claim_rule: ClaimRule = ClaimRule.PROPORTIONAL
     crn_base: int | None = None
     crn_step: int = 7919
-    kernel: str | None = None
 
     @property
     def num_nodes(self) -> int | None:
@@ -147,20 +139,19 @@ class CompetitiveJob:
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
         graph = resolve_graph(self.graph)
-        engine = CompetitiveDiffusion(
-            graph, self.model, self.tie_break, self.claim_rule, self.kernel
-        )
+        engine = CompetitiveDiffusion(graph, self.model, self.tie_break, self.claim_rule)
         profile = [list(seeds) for seeds in self.seed_sets]
-        values = np.empty((len(profile), self.rounds), dtype=float)
-        for i in range(self.rounds):
-            if self.crn_base is None:
-                stream = generator
-            else:
-                stream = as_rng((self.crn_base + self.crn_step * i) % _SEED_MODULUS)
-            outcome = engine.run(profile, stream)
-            values[:, i] = outcome.spreads()
+        if self.crn_base is None:
+            values = engine.spreads(profile, self.rounds, generator)
+        else:
+            streams = (
+                as_rng((self.crn_base + self.crn_step * i) % _SEED_MODULUS)
+                for i in range(self.rounds)
+            )
+            values = np.concatenate([engine.spreads(profile, 1, s) for s in streams])
+        values = values.astype(float)
         return tuple(
-            SpreadEstimate.from_values(values[j]) for j in range(len(profile))
+            SpreadEstimate.from_values(values[:, j]) for j in range(len(profile))
         )
 
 

@@ -19,10 +19,7 @@ variable                     meaning                                  default
 Execution is configured by the engine's own variables: ``REPRO_BACKEND``
 (``serial``/``thread``/``process``) and ``REPRO_WORKERS`` select the
 simulation backend all runners submit their batches to — results are
-bit-identical across those settings for a fixed seed.  ``REPRO_KERNEL``
-(``python``/``numpy``) selects the diffusion kernel; results are
-bit-identical across backends *within* a kernel and statistically
-equivalent across kernels (see ``docs/execution.md``).
+bit-identical across those settings for a fixed seed.
 ``REPRO_SYMMETRY`` (``full``/``reduce``) selects full-profile vs
 symmetric-reduced payoff estimation, and ``REPRO_CACHE=off`` disables the
 work-sharing selection/blocking caches (both in ``docs/execution.md``).
@@ -43,13 +40,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.algorithms import DegreeDiscount, MixGreedy, SingleDiscount
-from repro.cascade import (
-    KERNEL_ENV_VAR,
-    CascadeModel,
-    IndependentCascade,
-    WeightedCascade,
-    resolve_kernel,
-)
+from repro.cascade import CascadeModel, IndependentCascade, WeightedCascade
 from repro.core.payoff import SYMMETRY_ENV_VAR, resolve_symmetry
 from repro.core.strategy import StrategySpace
 from repro.errors import ExperimentError
@@ -89,7 +80,7 @@ def _env_workers() -> int | None:
     """``REPRO_WORKERS``: unset/empty means auto, otherwise an int >= 1.
 
     Rejecting zero and negatives here (instead of letting them reach the
-    executor) mirrors how ``resolve_kernel``/``resolve_symmetry`` fail fast
+    executor) mirrors how ``resolve_symmetry`` fails fast
     on bad environment values — previously ``REPRO_WORKERS=0`` silently
     meant auto and ``-2`` passed straight through to the worker pool.
     """
@@ -132,11 +123,6 @@ class ExperimentConfig:
         default_factory=lambda: _env_str(BACKEND_ENV_VAR, "serial")
     )
     workers: int | None = field(default_factory=_env_workers)
-    kernel: str = field(
-        default_factory=lambda: resolve_kernel(
-            _env_str(KERNEL_ENV_VAR, "python")
-        )
-    )
     symmetry: str = field(
         default_factory=lambda: resolve_symmetry(
             _env_str(SYMMETRY_ENV_VAR, "full")
@@ -191,7 +177,6 @@ class ExperimentConfig:
             model,
             num_snapshots=self.snapshots,
             executor=self.executor(),
-            kernel=self.kernel,
         )
         if model_kind == "ic":
             return StrategySpace([greedy, DegreeDiscount(self.ic_probability)])

@@ -2,11 +2,11 @@
 
 A *scenario* is the measurement taken inside one cell of a scenario
 matrix: a callable ``fn(cell, config) -> metrics`` where *cell* is the
-:class:`ScenarioCell` naming the (dataset, model, kernel, backend,
-symmetry, k) coordinates, *config* is a fully resolved
+:class:`ScenarioCell` naming the (dataset, model, backend, symmetry, k)
+coordinates, *config* is a fully resolved
 :class:`~repro.experiments.config.ExperimentConfig` for that cell (its
 ``executor()``/``load()``/``strategy_space()`` plumbing already points at
-the cell's backend, kernel and dataset), and *metrics* is a flat JSON
+the cell's backend and dataset), and *metrics* is a flat JSON
 object of results.
 
 Metric value conventions — these drive the regression gate
@@ -51,7 +51,6 @@ class ScenarioCell:
 
     dataset: str
     model: str
-    kernel: str
     backend: str
     symmetry: str
     k: int
@@ -60,7 +59,7 @@ class ScenarioCell:
     def cell_id(self) -> str:
         """Stable identifier used in manifests, journals and trajectories."""
         return (
-            f"{self.dataset}/{self.model}/{self.kernel}/"
+            f"{self.dataset}/{self.model}/"
             f"{self.backend}/{self.symmetry}/k{self.k}"
         )
 
@@ -111,8 +110,8 @@ def competitive_spread(cell: ScenarioCell, config: Any) -> dict[str, Any]:
     """Per-group competitive spreads of φ1 vs φ2 at the cell's budget.
 
     Exercises the full estimation stack — strategy selection (MixGreedy's
-    snapshot pools + the selection cache), the batched executor on the
-    cell's backend, and the cell's diffusion kernel.
+    snapshot pools + the selection cache) and the batched executor on the
+    cell's backend.
     """
     from repro.cascade.simulate import estimate_competitive_spread
     from repro.core.metrics import jaccard
@@ -129,7 +128,6 @@ def competitive_spread(cell: ScenarioCell, config: Any) -> dict[str, Any]:
         config.rounds,
         rng,
         executor=config.executor(),
-        kernel=cell.kernel,
     )
     return {
         "p1_spread": {
@@ -165,7 +163,6 @@ def getreal(cell: ScenarioCell, config: Any) -> dict[str, Any]:
         rounds=config.rounds,
         rng=config.seed,
         executor=config.executor(),
-        kernel=cell.kernel,
         symmetry=cell.symmetry,
     )
     return {
@@ -212,8 +209,7 @@ def payoff_speedup(cell: ScenarioCell, config: Any) -> dict[str, Any]:
                 rounds=config.rounds,
                 rng=config.seed,
                 executor=config.executor(),
-                kernel=cell.kernel,
-                symmetry=mode,
+                        symmetry=mode,
             )
         timings[mode] = (watch.elapsed, table)
     full_s, full = timings["full"]

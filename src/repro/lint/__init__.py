@@ -8,7 +8,7 @@ hence the equilibrium Algorithm 1 returns.  These properties do not survive
 refactors by reviewer vigilance alone, so this package enforces them
 mechanically:
 
-* :mod:`repro.lint.rules` — the RP001–RP007 AST rules;
+* :mod:`repro.lint.rules` — the per-file AST rules;
 * :mod:`repro.lint.engine` — file discovery, suppression handling
   (``# reprolint: disable=RPxxx``), and human/JSON rendering;
 * :mod:`repro.lint.cli` — the ``python -m repro lint`` / ``tools/reprolint``

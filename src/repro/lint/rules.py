@@ -483,75 +483,6 @@ class NoAdHocSimulationLoops(Rule):
         self.generic_visit(node)
 
 
-class NoPerNodeDiffusionLoops(Rule):
-    """RP007: per-node diffusion walks belong to ``cascade/kernels.py``.
-
-    A Python loop that expands adjacency node by node
-    (``out_neighbors``/``in_neighbors``/``out_edge_ids`` inside a
-    ``for``/``while``) re-creates exactly the hardware-starved inner loop
-    the kernel module replaces: it cannot be vectorized behind the
-    ``kernel=`` switch, silently ignores ``REPRO_KERNEL``, and splits the
-    diffusion semantics across modules.  New sweeps should be implemented
-    as a kernel pair (python reference + numpy vectorization) in
-    :mod:`repro.cascade.kernels`; model-specific dynamics that genuinely
-    have no vectorized form carry an explicit suppression.
-    """
-
-    code: ClassVar[str] = "RP007"
-    name: ClassVar[str] = "no-per-node-diffusion-loops"
-    rationale: ClassVar[str] = (
-        "per-node adjacency walks outside the kernel module bypass the "
-        "kernel switch: they stay pure-Python regardless of REPRO_KERNEL "
-        "and fork the diffusion semantics"
-    )
-    hint: ClassVar[str] = (
-        "implement the sweep in repro/cascade/kernels.py as a python+numpy "
-        "kernel pair and dispatch through its public functions; suppress "
-        "with '# reprolint: disable=RP007' only for model-specific "
-        "dynamics with no vectorized form"
-    )
-
-    #: adjacency expansions that mark a per-node walk when called in a loop
-    _EXPANSIONS = frozenset({"out_neighbors", "in_neighbors", "out_edge_ids"})
-
-    @classmethod
-    def applies_to(cls, module: tuple[str, ...]) -> bool:
-        if not module_matches(module, "cascade"):
-            return False
-        return module[-1] != "kernels.py"
-
-    def __init__(self, path: str, module: tuple[str, ...]):
-        super().__init__(path, module)
-        self._loop_depth = 0
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
-    visit_ListComp = _visit_loop
-    visit_SetComp = _visit_loop
-    visit_DictComp = _visit_loop
-    visit_GeneratorExp = _visit_loop
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            self._loop_depth > 0
-            and isinstance(func, ast.Attribute)
-            and func.attr in self._EXPANSIONS
-        ):
-            self.report(
-                node,
-                f"per-node adjacency walk ({func.attr}(...) inside a loop) "
-                "outside cascade/kernels.py",
-            )
-        self.generic_visit(node)
-
-
 class UseSharedSnapshotPools(Rule):
     """RP008: strategies acquire live-edge pools via the shared-pool API.
 
@@ -743,7 +674,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     CacheMetricHandles,
     PublicAPIAnnotations,
     NoAdHocSimulationLoops,
-    NoPerNodeDiffusionLoops,
     UseSharedSnapshotPools,
     UseSpanTiming,
     NoWholeGraphInvalidation,

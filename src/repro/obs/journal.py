@@ -170,7 +170,6 @@ class RunJournal:
         jobs: int,
         backend: str,
         workers: int,
-        kernel: str | None = None,
         payload_bytes: int | None = None,
     ) -> None:
         """A simulation batch was submitted to an execution backend.
@@ -185,7 +184,6 @@ class RunJournal:
             jobs=int(jobs),
             backend=backend,
             workers=int(workers),
-            **({"kernel": kernel} if kernel is not None else {}),
             **(
                 {"payload_bytes": int(payload_bytes)}
                 if payload_bytes is not None
@@ -200,7 +198,6 @@ class RunJournal:
         backend: str,
         workers: int,
         duration_seconds: float,
-        kernel: str | None = None,
     ) -> None:
         """Every job of a simulation batch completed."""
         self.emit(
@@ -210,7 +207,6 @@ class RunJournal:
             backend=backend,
             workers=int(workers),
             duration_seconds=float(duration_seconds),
-            **({"kernel": kernel} if kernel is not None else {}),
         )
 
     def equilibrium_found(

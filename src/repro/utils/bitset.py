@@ -13,8 +13,8 @@ Conventions
 * Packed arrays are detected **by dtype**: ``uint64`` means packed words,
   anything else is treated as a boolean-style mask.  The kernels accept
   either representation at every mask argument via :func:`lookup_bits`.
-* Padding bits past ``num_bits`` are always zero, so :func:`popcount` and
-  equality comparisons need no trailing-word masking.
+* Padding bits past ``num_bits`` are always zero, so equality comparisons
+  (and ``np.bitwise_count(words).sum()``) need no trailing-word masking.
 
 Every operation here is exact — packing then unpacking round-trips bit for
 bit — so the packed and boolean code paths of the kernels are bit-identical
@@ -35,7 +35,6 @@ __all__ = [
     "pack_bits",
     "packed_bytes",
     "packed_zeros",
-    "popcount",
     "set_bits",
     "unpack_bits",
 ]
@@ -95,13 +94,6 @@ def unpack_bits(words: np.ndarray, num_bits: int) -> np.ndarray:
         np.unpackbits(words.view(np.uint8), count=int(num_bits), bitorder="little")
         .astype(bool)
     )
-
-
-def popcount(words: np.ndarray) -> int:
-    """Total number of set bits across *words* (the packed ``.sum()``)."""
-    if words.size == 0:
-        return 0
-    return int(np.bitwise_count(words).sum())
 
 
 def lookup_bits(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -46,7 +46,6 @@ def write_run_journal(path: str | Path) -> Path:
             rounds=4,
             rng=2015,
             executor=executor,
-            kernel="python",
             symmetry="full",
         )
     # Leave no memoized selections behind for tests that run afterwards.

@@ -1,83 +1,32 @@
 """Unit tests for the diffusion-kernel layer (:mod:`repro.cascade.kernels`).
 
-Selection semantics (argument > ``REPRO_KERNEL`` > ``python`` default), the
-numpy kernel's diffusion semantics on gadget graphs where the exact
-activation/claim probabilities are known, error parity with the python
-reference, and the kernel metrics/journal plumbing.  Cross-kernel
-statistical equivalence lives in ``tests/test_kernel_equivalence.py``.
+The kernels' diffusion semantics on gadget graphs where the exact
+activation/claim probabilities are known, the batched competitive sweep's
+per-round bookkeeping, error parity with the python reference walks
+(``tests/reference_kernels.py``), and the kernel metrics.  Statistical
+equivalence with the reference walks lives in
+``tests/test_kernel_equivalence.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.cascade import KERNEL_ENV_VAR, KERNELS, resolve_kernel
-from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion
+from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, assign_initiators
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.kernels import (
-    claim_group,
     reachable_mask,
+    run_competitive_cascades,
     simulate_cascade,
     simulate_threshold,
 )
 from repro.cascade.lt import LinearThreshold
-from repro.cascade.simulate import estimate_spread
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError, GraphError
-from repro.exec.executor import Executor
-from repro.experiments.config import ExperimentConfig
 from repro.graphs.digraph import DiGraph
 from repro.obs.metrics import counter
 from repro.utils.rng import as_rng
-
-
-class TestResolveKernel:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel() == "python"
-        assert resolve_kernel(None) == "python"
-
-    def test_explicit_argument(self):
-        assert resolve_kernel("numpy") == "numpy"
-        assert resolve_kernel("python") == "python"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_kernel() == "numpy"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_kernel("python") == "python"
-
-    def test_blank_env_ignored(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "  ")
-        assert resolve_kernel() == "python"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(CascadeError, match="unknown cascade kernel"):
-            resolve_kernel("fortran")
-
-    def test_unknown_env_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cython")
-        with pytest.raises(CascadeError, match="unknown cascade kernel"):
-            resolve_kernel()
-
-    def test_known_kernels(self):
-        assert KERNELS == ("python", "numpy")
-
-    def test_engine_resolves_env_default(self, karate, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        engine = CompetitiveDiffusion(karate, IndependentCascade(0.1))
-        assert engine.kernel == "numpy"
-
-    def test_engine_rejects_unknown_kernel(self, karate):
-        with pytest.raises(CascadeError, match="unknown cascade kernel"):
-            CompetitiveDiffusion(karate, IndependentCascade(0.1), kernel="gpu")
-
-    def test_experiment_config_reads_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert ExperimentConfig().kernel == "numpy"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert ExperimentConfig().kernel == "python"
+from tests import reference_kernels
+from tests.reference_kernels import claim_group
 
 
 class TestClaimGroup:
@@ -114,7 +63,7 @@ class TestEdgeIds:
 class TestNumpyCompetitiveCascade:
     def test_p_zero_only_initiators_active(self, karate):
         engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.0), kernel="numpy"
+            karate, IndependentCascade(0.0)
         )
         outcome = engine.run([[0, 1], [2, 3]], rng=7)
         assert outcome.total_activated == 4
@@ -122,14 +71,14 @@ class TestNumpyCompetitiveCascade:
 
     def test_p_one_claims_every_node(self, karate):
         engine = CompetitiveDiffusion(
-            karate, IndependentCascade(1.0), kernel="numpy"
+            karate, IndependentCascade(1.0)
         )
         outcome = engine.run([[0], [33]], rng=8)
         assert outcome.total_activated == karate.num_nodes
 
     def test_ownership_partitions_active_nodes(self, karate):
         engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.3), kernel="numpy"
+            karate, IndependentCascade(0.3)
         )
         for seed in range(10):
             outcome = engine.run([[0, 1], [33, 32]], rng=seed)
@@ -139,7 +88,7 @@ class TestNumpyCompetitiveCascade:
         # Node 2 has two attacking in-edges: P(activation) = 1 - (1-p)^2.
         graph = DiGraph(3, [(0, 2), (1, 2)])
         p = 0.4
-        engine = CompetitiveDiffusion(graph, IndependentCascade(p), kernel="numpy")
+        engine = CompetitiveDiffusion(graph, IndependentCascade(p))
         rng = as_rng(32)
         n = 4000
         activations = sum(
@@ -151,7 +100,7 @@ class TestNumpyCompetitiveCascade:
         # Two attackers for group 0, one for group 1: claims split 2/3 vs 1/3.
         graph = DiGraph(4, [(0, 3), (1, 3), (2, 3)])
         engine = CompetitiveDiffusion(
-            graph, IndependentCascade(0.9), kernel="numpy"
+            graph, IndependentCascade(0.9)
         )
         rng = as_rng(33)
         claims = np.zeros(2)
@@ -167,7 +116,6 @@ class TestNumpyCompetitiveCascade:
             graph,
             IndependentCascade(1.0),
             claim_rule=ClaimRule.WINNER_TAKE_ALL,
-            kernel="numpy",
         )
         rng = as_rng(34)
         for _ in range(100):
@@ -180,7 +128,7 @@ class TestNumpyCompetitiveCascade:
 
     def test_activation_rounds_recorded(self, path_graph):
         engine = CompetitiveDiffusion(
-            path_graph, IndependentCascade(1.0), kernel="numpy"
+            path_graph, IndependentCascade(1.0)
         )
         outcome = engine.run([[0]], rng=9)
         assert outcome.activation_round.tolist() == [0, 1, 2, 3, 4]
@@ -188,7 +136,7 @@ class TestNumpyCompetitiveCascade:
 
     def test_lt_gadget_splits_fairly(self):
         graph = DiGraph(3, [(0, 2), (1, 2)])
-        engine = CompetitiveDiffusion(graph, LinearThreshold(), kernel="numpy")
+        engine = CompetitiveDiffusion(graph, LinearThreshold())
         rng = as_rng(35)
         claims = np.zeros(2)
         for _ in range(2000):
@@ -200,7 +148,7 @@ class TestNumpyCompetitiveCascade:
 
     def test_deterministic_for_fixed_seed(self, karate):
         engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.2), kernel="numpy"
+            karate, IndependentCascade(0.2)
         )
         a = engine.run([[0, 1], [33, 32]], rng=42)
         b = engine.run([[0, 1], [33, 32]], rng=42)
@@ -211,93 +159,146 @@ class TestNumpyCompetitiveCascade:
 class TestNumpySingleGroup:
     def test_seed_out_of_range_matches_python_error(self, karate, rng):
         probs = np.full(karate.num_edges, 0.1)
-        with pytest.raises(CascadeError, match=r"seed 99 out of range"):
-            simulate_cascade(karate, probs, [0, 99], rng, kernel="numpy")
-        with pytest.raises(CascadeError, match=r"seed -1 out of range"):
-            simulate_threshold(karate, [-1], rng, kernel="numpy")
+        for simulate in (simulate_cascade, reference_kernels.simulate_cascade):
+            with pytest.raises(CascadeError, match=r"seed 99 out of range"):
+                simulate(karate, probs, [0, 99], rng)
+        for threshold in (simulate_threshold, reference_kernels.simulate_threshold):
+            with pytest.raises(CascadeError, match=r"seed -1 out of range"):
+                threshold(karate, [-1], rng)
 
     def test_p_zero_only_seeds(self, karate, rng):
         probs = np.zeros(karate.num_edges)
-        active = simulate_cascade(karate, probs, [0, 5], rng, kernel="numpy")
+        active = simulate_cascade(karate, probs, [0, 5], rng)
         assert sorted(np.flatnonzero(active)) == [0, 5]
 
     def test_p_one_reaches_everything_reachable(self, path_graph, rng):
         probs = np.ones(path_graph.num_edges)
-        active = simulate_cascade(path_graph, probs, [1], rng, kernel="numpy")
+        active = simulate_cascade(path_graph, probs, [1], rng)
         assert sorted(np.flatnonzero(active)) == [1, 2, 3, 4]
 
     def test_duplicate_seeds_collapse(self, karate, rng):
         probs = np.zeros(karate.num_edges)
-        active = simulate_cascade(karate, probs, [3, 3, 3], rng, kernel="numpy")
+        active = simulate_cascade(karate, probs, [3, 3, 3], rng)
         assert active.sum() == 1
 
     def test_lt_path_wave_is_deterministic(self, path_graph, rng):
         # Every path node has a single in-neighbour of weight 1, so the wave
         # from node 0 claims everything regardless of thresholds.
-        active = simulate_threshold(path_graph, [0], rng, kernel="numpy")
+        active = simulate_threshold(path_graph, [0], rng)
         assert active.all()
-
-    def test_model_simulate_accepts_kernel(self, karate):
-        model = IndependentCascade(0.15)
-        active = model.simulate(karate, [0, 33], rng=11, kernel="numpy")
-        assert active[0] and active[33]
 
 
 class TestNumpyReachability:
     def test_bad_source_raises_graph_error(self, karate):
         with pytest.raises(GraphError, match="out of range"):
-            reachable_mask(karate, [999], kernel="numpy")
+            reachable_mask(karate, [999])
 
     def test_matches_python_sweep(self, random_graph, rng):
         mask = rng.random(random_graph.num_edges) < 0.5
         for source in range(0, random_graph.num_nodes, 7):
             np.testing.assert_array_equal(
-                reachable_mask(random_graph, [source], mask, kernel="python"),
-                reachable_mask(random_graph, [source], mask, kernel="numpy"),
+                random_graph.reachable_from([source], mask),
+                reachable_mask(random_graph, [source], mask),
             )
 
     def test_oracle_results_are_kernel_independent(self, random_graph):
-        # The sweeps draw no randomness, so oracle numbers must be *exactly*
-        # equal across kernels, not merely statistically close.
+        # The sweeps draw no randomness, so oracle numbers must *exactly*
+        # equal the python reference walk, not merely come close.
         masks = sample_snapshots(random_graph, IndependentCascade(0.2), 8, rng=3)
-        py = SnapshotOracle(random_graph, masks, kernel="python")
-        np_ = SnapshotOracle(random_graph, masks, kernel="numpy")
+        oracle = SnapshotOracle(random_graph, masks)
         seeds = [0, 9, 17]
-        assert py.spread(seeds) == np_.spread(seeds)
-        reached_py, reached_np = py.reach(seeds), np_.reach(seeds)
-        for a, b in zip(reached_py, reached_np):
-            np.testing.assert_array_equal(a, b)
+        walks = [random_graph.reachable_from(seeds, mask) for mask in masks]
+        assert oracle.spread(seeds) == sum(int(w.sum()) for w in walks) / len(masks)
+        reached = oracle.reach(seeds)
+        for row, walk in zip(reached, walks):
+            np.testing.assert_array_equal(row, walk)
         for candidate in (3, 25, 40):
-            assert py.marginal_gain(candidate, reached_py) == np_.marginal_gain(
-                candidate, reached_np
+            expected = sum(
+                int((random_graph.reachable_from([candidate], mask) & ~walk).sum())
+                for mask, walk in zip(masks, walks)
             )
-        py.extend_reach(reached_py, 25)
-        np_.extend_reach(reached_np, 25)
-        for a, b in zip(reached_py, reached_np):
-            np.testing.assert_array_equal(a, b)
+            assert oracle.marginal_gain(candidate, reached) == expected / len(masks)
+        oracle.extend_reach(reached, 25)
+        for row, mask in zip(reached, masks):
+            np.testing.assert_array_equal(
+                row, random_graph.reachable_from([*seeds, 25], mask)
+            )
+
+
+class TestBatchedCompetitiveCascades:
+    def test_one_round_matches_engine_outcome(self, karate):
+        engine = CompetitiveDiffusion(karate, IndependentCascade(0.3))
+        outcome = engine.run([[0, 1], [33, 32]], rng=5)
+        probs = IndependentCascade(0.3).edge_probabilities(karate)
+        gen = as_rng(5)
+        initiators = assign_initiators(karate.num_nodes, [[0, 1], [33, 32]], rng=gen)
+        spreads, steps = run_competitive_cascades(
+            karate, probs, [initiators], ClaimRule.PROPORTIONAL, gen
+        )
+        np.testing.assert_array_equal(spreads[0], outcome.spreads())
+        assert steps.tolist() == [outcome.rounds]
+
+    def test_rounds_are_independent_simulations(self, path_graph):
+        # p = 1 on a path: every round claims the whole tail of its seed.
+        probs = np.ones(path_graph.num_edges)
+        initiators = [[[0], []], [[], [2]], [[4], [1]]]
+        spreads, steps = run_competitive_cascades(
+            path_graph, probs, initiators, ClaimRule.PROPORTIONAL, as_rng(1)
+        )
+        assert spreads.tolist() == [[5, 0], [0, 3], [1, 3]]
+        # steps = claiming steps + 1 empty final step
+        assert steps.tolist() == [5, 3, 3]
+
+    def test_claims_record_every_wave(self, path_graph):
+        probs = np.ones(path_graph.num_edges)
+        claims: list[tuple[np.ndarray, np.ndarray]] = []
+        run_competitive_cascades(
+            path_graph, probs, [[[0]], [[3]]], ClaimRule.PROPORTIONAL, as_rng(2), claims
+        )
+        n = path_graph.num_nodes
+        waves = [sorted(keys.tolist()) for keys, _ in claims]
+        assert waves == [[0, n + 3], [1, n + 4], [2], [3], [4]]
+        assert all((groups == 0).all() for _, groups in claims)
+
+    def test_no_rounds(self, karate):
+        probs = np.full(karate.num_edges, 0.5)
+        spreads, steps = run_competitive_cascades(
+            karate, probs, [], ClaimRule.PROPORTIONAL, as_rng(3)
+        )
+        assert spreads.shape == (0, 0) and steps.shape == (0,)
+
+    def test_initiator_out_of_range(self, karate):
+        probs = np.full(karate.num_edges, 0.5)
+        with pytest.raises(CascadeError, match="initiator 99 out of range"):
+            run_competitive_cascades(
+                karate, probs, [[[0], [99]]], ClaimRule.PROPORTIONAL, as_rng(4)
+            )
+
+    def test_claimed_state_is_a_bitset(self, karate, monkeypatch):
+        # rounds * n bits, packed: never a (rounds, n) byte array.
+        from repro.cascade import kernels
+
+        sizes = []
+        real = kernels.packed_zeros
+
+        def spy(num_bits):
+            sizes.append(num_bits)
+            return real(num_bits)
+
+        monkeypatch.setattr(kernels, "packed_zeros", spy)
+        probs = np.full(karate.num_edges, 0.2)
+        run_competitive_cascades(
+            karate, probs, [[[0], [33]]] * 7, ClaimRule.PROPORTIONAL, as_rng(5)
+        )
+        assert sizes == [7 * karate.num_nodes]
 
 
 class TestKernelInstrumentation:
     def test_simulation_counter_records_kernel(self, karate):
-        handle = counter("kernel.numpy.simulations")
+        handle = counter("cascade.simulations")
         before = handle.value
-        engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.1), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(karate, IndependentCascade(0.1))
         engine.run([[0], [33]], rng=1)
         assert handle.value == before + 1
-
-    def test_executor_counts_jobs_by_kernel(self, karate):
-        handle = counter("exec.jobs_kernel_numpy")
-        before = handle.value
-        with Executor("serial") as ex:
-            estimate_spread(
-                karate,
-                IndependentCascade(0.1),
-                [0],
-                rounds=3,
-                rng=2,
-                executor=ex,
-                kernel="numpy",
-            )
-        assert handle.value == before + 1
+        engine.spreads([[0], [33]], 6, rng=1)
+        assert handle.value == before + 7

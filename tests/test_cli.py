@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import os
 
 import pytest
 
@@ -81,7 +80,6 @@ class TestSeedsIncremental:
         start = json.loads(journal.read_text().splitlines()[0])
         assert start["event"] == "run_start"
         assert start["incremental"] is True
-        assert start["kernel"] in ("python", "numpy")
         assert start["shards"] > 0
 
     def test_delta_requires_incremental(self, karate_file, tmp_path):
@@ -237,39 +235,6 @@ class TestGetRealCommand:
     def test_needs_two_strategies(self, karate_file):
         with pytest.raises(SystemExit, match="at least two"):
             main(["getreal", karate_file, "--strategies", "ddic"])
-
-    def test_kernel_flag_covers_whole_command(
-        self, karate_file, tmp_path, capsys, monkeypatch
-    ):
-        # --kernel must reach strategies built inside the command (mgic's
-        # snapshot oracle resolves the kernel via the environment), not
-        # just the estimators, and must not leak out of main().
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        journal = tmp_path / "run.jsonl"
-        code = main(
-            [
-                "getreal",
-                karate_file,
-                "--strategies",
-                "mgic,ddic",
-                "--k",
-                "3",
-                "--rounds",
-                "6",
-                "--kernel",
-                "numpy",
-                "--journal",
-                str(journal),
-            ]
-        )
-        assert code == 0
-        assert "REPRO_KERNEL" not in os.environ
-        kernels = {
-            event["kernel"]
-            for event in map(json.loads, journal.read_text().splitlines())
-            if event.get("event") == "batch_done"
-        }
-        assert kernels == {"numpy"}
 
 
 class TestObsCommands:

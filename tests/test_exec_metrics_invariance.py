@@ -65,17 +65,12 @@ def _work_profile(backend, karate):
     counters = {
         name: snap["counters"].get(name, 0) for name in WORK_COUNTERS
     }
-    kernel_jobs = {
-        name: value
-        for name, value in snap["counters"].items()
-        if name.startswith("exec.jobs_kernel_")
-    }
     histogram_counts = {
         name: stats["count"]
         for name, stats in snap["histograms"].items()
         if name.startswith(("cascade.", "span.exec.job"))
     }
-    return counters, kernel_jobs, histogram_counts
+    return counters, histogram_counts
 
 
 class TestBackendInvariance:

@@ -21,7 +21,7 @@ def entry(timestamp="t1", **overrides):
         "config": {"nodes": 300, "rounds": 6, "seed": 2015},
         "total_s": 1.25,
         "cells": {
-            "hep/ic/python/serial/full/k5": {
+            "hep/ic/serial/full/k5": {
                 "status": "ok",
                 "metrics": {
                     "p1_spread": {"mean": 10.0, "stderr": 0.5},
@@ -34,7 +34,7 @@ def entry(timestamp="t1", **overrides):
     return base
 
 
-def cell(base, name="hep/ic/python/serial/full/k5"):
+def cell(base, name="hep/ic/serial/full/k5"):
     return base["cells"][name]
 
 

@@ -22,7 +22,6 @@ SPEC = {
     "scenario": "competitive_spread",
     "datasets": ["hep"],
     "models": ["ic"],
-    "kernels": ["python"],
     "backends": ["serial"],
     "symmetries": ["full"],
     "ks": [3],
@@ -83,20 +82,21 @@ class TestMatrixSpec:
             spec_with(tmp_path, **overrides)
 
     def test_unknown_kernel_and_symmetry_raise(self, tmp_path):
-        with pytest.raises(Exception):
-            spec_with(tmp_path, kernels=["fortran"])
+        # There is one diffusion kernel, so a kernels axis is an unknown key.
+        with pytest.raises(ExperimentError, match="unknown matrix spec keys"):
+            spec_with(tmp_path, kernels=["numpy"])
         with pytest.raises(Exception):
             spec_with(tmp_path, symmetries=["sideways"])
 
     def test_expand_is_a_deterministic_cross_product(self, tmp_path):
         spec = spec_with(
-            tmp_path, models=["ic", "wc"], kernels=["python", "numpy"], ks=[2, 3]
+            tmp_path, models=["ic", "wc"], symmetries=["full", "reduce"], ks=[2, 3]
         )
         cells = spec.expand()
         assert len(cells) == 8
-        assert cells[0].cell_id == "hep/ic/python/serial/full/k2"
-        assert cells[-1].cell_id == "hep/wc/numpy/serial/full/k3"
-        # dataset > model > kernel > backend > symmetry > k axis order
+        assert cells[0].cell_id == "hep/ic/serial/full/k2"
+        assert cells[-1].cell_id == "hep/wc/serial/reduce/k3"
+        # dataset > model > backend > symmetry > k axis order
         assert [c.model for c in cells[:4]] == ["ic"] * 4
 
     def test_scalar_axis_values_are_promoted_to_tuples(self, tmp_path):
@@ -138,7 +138,7 @@ class TestRunMatrix:
         result = run_matrix(spec, output_dir=out)
         assert result.ok
         (cell_result,) = result.results
-        assert cell_result.cell.cell_id == "hep/ic/python/serial/full/k3"
+        assert cell_result.cell.cell_id == "hep/ic/serial/full/k3"
         assert set(cell_result.metrics) == {
             "p1_spread", "p2_spread", "seed_overlap",
         }
@@ -163,8 +163,8 @@ class TestRunMatrix:
         spec = spec_with(tmp_path)
         r1 = run_matrix(spec, output_dir=None)
         r2 = run_matrix(spec, output_dir=None)
-        m1 = r1.entry["cells"]["hep/ic/python/serial/full/k3"]["metrics"]
-        m2 = r2.entry["cells"]["hep/ic/python/serial/full/k3"]["metrics"]
+        m1 = r1.entry["cells"]["hep/ic/serial/full/k3"]["metrics"]
+        m2 = r2.entry["cells"]["hep/ic/serial/full/k3"]["metrics"]
         assert m1 == m2
         assert len(TrajectoryStore(spec.trajectory).read()) == 2
 
@@ -182,7 +182,7 @@ class TestRunMatrix:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         entry = TrajectoryStore(spec.trajectory).last()
-        cell = entry["cells"]["hep/ic/python/serial/full/k3"]
+        cell = entry["cells"]["hep/ic/serial/full/k3"]
         assert cell["status"] == "failed"
         assert "metrics" not in cell
 
@@ -209,7 +209,7 @@ class TestCli:
         assert main(["experiments", "list", "--matrix", str(path)]) == 0
         captured = capsys.readouterr().out
         assert "competitive_spread" in captured
-        assert "hep/ic/python/serial/full/k3" in captured
+        assert "hep/ic/serial/full/k3" in captured
 
     def test_run_then_gate_round_trip(self, tmp_path, capsys):
         path = self.write_spec(tmp_path)
@@ -229,7 +229,7 @@ class TestCli:
         history = json.loads(trajectory.read_text())
         doctored = json.loads(json.dumps(history[-1]))
         doctored["timestamp"] = "2099-01-01T00:00:00+00:00"
-        cell = doctored["cells"]["hep/ic/python/serial/full/k3"]
+        cell = doctored["cells"]["hep/ic/serial/full/k3"]
         cell["metrics"]["p1_spread"]["mean"] += 100.0
         history.append(doctored)
         trajectory.write_text(json.dumps(history))

@@ -1,16 +1,17 @@
-"""Cross-kernel equivalence suite (the kernel determinism contract).
+"""Kernel equivalence suite (the kernel determinism contract).
 
-The python and numpy kernels consume randomness in different orders, so
+The production kernels and the python reference walks of
+``tests/reference_kernels.py`` consume randomness in different orders, so
 they are **not** bit-identical to each other; the contract
 (``docs/execution.md``) is:
 
 * **statistical equivalence** — per-node activation and claim probabilities
-  match exactly, so spread estimates from the two kernels agree within
-  sampling noise (asserted at 3 pooled standard errors on every tier-1
-  graph/model pairing, with fixed seeds so the check is deterministic);
-* **within-kernel determinism** — for a fixed master seed the numpy kernel
-  is bit-identical to itself across runs, backends, and worker counts
-  (the SeedSequence discipline of :mod:`repro.exec`).
+  match exactly, so spread estimates from the kernels and the reference
+  walks agree within sampling noise (asserted at 3 pooled standard errors,
+  with fixed seeds so the check is deterministic);
+* **determinism** — for a fixed master seed the kernels are bit-identical
+  to themselves across runs, backends, and worker counts (the SeedSequence
+  discipline of :mod:`repro.exec`).
 """
 
 from __future__ import annotations
@@ -21,16 +22,26 @@ import numpy as np
 import pytest
 
 from repro.algorithms import DegreeDiscount, RandomSeeds
-from repro.cascade.competitive import CompetitiveDiffusion
+from repro.cascade import competitive
+from repro.cascade.competitive import (
+    ClaimRule,
+    CompetitiveDiffusion,
+    assign_initiators,
+)
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
 from repro.core.payoff import estimate_payoff_table
 from repro.core.strategy import StrategySpace
 from repro.exec import Executor
+from repro.exec.jobs import CompetitiveJob
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi, karate_like_fixture
+from repro.lint import contracts
+from repro.lint.contracts import ContractViolation
+from repro.obs import metrics
 from repro.utils.rng import as_rng
+from tests import reference_kernels
 
 GRAPHS: dict[str, tuple[DiGraph, list[int]]] = {
     "karate": (karate_like_fixture(), [0, 33]),
@@ -56,20 +67,51 @@ def _assert_within_pooled_stderr(a: np.ndarray, b: np.ndarray) -> None:
     )
 
 
+def _reference_spreads(
+    graph: DiGraph,
+    model: object,
+    profile: list[list[int]],
+    rounds: int,
+    rng: np.random.Generator,
+    claim_rule: ClaimRule = ClaimRule.PROPORTIONAL,
+) -> np.ndarray:
+    """``(rounds, r)`` spreads from the python reference walks."""
+    rows = []
+    for _ in range(rounds):
+        initiators = assign_initiators(graph.num_nodes, profile, rng=rng)
+        if isinstance(model, LinearThreshold):
+            owner, _, _ = reference_kernels.competitive_threshold(
+                graph, initiators, claim_rule, rng
+            )
+        else:
+            owner, _, _ = reference_kernels.competitive_cascade(
+                graph, model.edge_probabilities(graph), initiators, claim_rule, rng
+            )
+        rows.append(np.bincount(owner[owner >= 0], minlength=len(profile)))
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 class TestSingleGroupEquivalence:
     def test_spread_means_agree(self, graph_name, model_name):
         graph, seeds = GRAPHS[graph_name]
         model = MODELS[model_name]
-        samples = {}
-        for kernel in ("python", "numpy"):
-            rng = as_rng(2015)
-            samples[kernel] = [
-                model.spread_once(graph, seeds, rng, kernel=kernel)
+        rng = as_rng(2015)
+        if isinstance(model, LinearThreshold):
+            reference = [
+                reference_kernels.simulate_threshold(graph, seeds, rng).sum()
                 for _ in range(300)
             ]
-        _assert_within_pooled_stderr(samples["python"], samples["numpy"])
+        else:
+            probs = model.edge_probabilities(graph)
+            reference = [
+                reference_kernels.simulate_cascade(graph, probs, seeds, rng).sum()
+                for _ in range(300)
+            ]
+        rng = as_rng(2015)
+        kernel = [model.spread_once(graph, seeds, rng) for _ in range(300)]
+        _assert_within_pooled_stderr(reference, kernel)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -78,23 +120,47 @@ class TestCompetitiveEquivalence:
     def test_group_spread_means_agree(self, graph_name, model_name):
         graph, seeds = GRAPHS[graph_name]
         profile = [seeds[:1], seeds[1:]]
-        samples = {}
-        for kernel in ("python", "numpy"):
-            engine = CompetitiveDiffusion(
-                graph, MODELS[model_name], kernel=kernel
-            )
-            rng = as_rng(7)
-            samples[kernel] = np.array(
-                [engine.run(profile, rng).spreads() for _ in range(300)]
-            )
+        model = MODELS[model_name]
+        reference = _reference_spreads(graph, model, profile, 300, as_rng(7))
+        batched = CompetitiveDiffusion(graph, model).spreads(profile, 300, as_rng(7))
         for group in range(2):
-            _assert_within_pooled_stderr(
-                samples["python"][:, group], samples["numpy"][:, group]
-            )
+            _assert_within_pooled_stderr(reference[:, group], batched[:, group])
+
+
+@pytest.mark.parametrize("claim_rule", list(ClaimRule), ids=lambda c: c.value)
+@pytest.mark.parametrize("model_name", ["ic", "wc"])
+class TestBatchedKernelEquivalence:
+    """The batched sweep against the per-simulation python reference."""
+
+    GRAPH = erdos_renyi(80, 400, rng=11)
+
+    def test_three_groups(self, model_name, claim_rule):
+        profile = [[0, 1], [2, 3], [4]]
+        model = MODELS[model_name]
+        engine = CompetitiveDiffusion(self.GRAPH, model, claim_rule=claim_rule)
+        batched = engine.spreads(profile, 400, as_rng(21))
+        reference = _reference_spreads(
+            self.GRAPH, model, profile, 400, as_rng(21), claim_rule
+        )
+        for group in range(3):
+            _assert_within_pooled_stderr(reference[:, group], batched[:, group])
+
+    def test_contested_seeds(self, model_name, claim_rule):
+        # Seeds 0 and 1 are selected by both groups: every round re-resolves
+        # who initiates them before the batched sweep runs.
+        profile = [[0, 1, 5], [0, 1, 9]]
+        model = MODELS[model_name]
+        engine = CompetitiveDiffusion(self.GRAPH, model, claim_rule=claim_rule)
+        batched = engine.spreads(profile, 400, as_rng(22))
+        reference = _reference_spreads(
+            self.GRAPH, model, profile, 400, as_rng(22), claim_rule
+        )
+        for group in range(2):
+            _assert_within_pooled_stderr(reference[:, group], batched[:, group])
 
 
 class TestNumpyKernelDeterminism:
-    """The numpy kernel must be bit-identical to itself for a fixed seed."""
+    """The kernels must be bit-identical to themselves for a fixed seed."""
 
     def _table(self, executor):
         return estimate_payoff_table(
@@ -107,7 +173,6 @@ class TestNumpyKernelDeterminism:
             seed_draws=2,
             rng=2015,
             executor=executor,
-            kernel="numpy",
         )
 
     def _flatten(self, table):
@@ -143,11 +208,156 @@ class TestNumpyKernelDeterminism:
 
     def test_engine_level_repeatability(self):
         graph = erdos_renyi(80, 400, rng=5)
-        engine = CompetitiveDiffusion(
-            graph, WeightedCascade(), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(graph, WeightedCascade())
         a = engine.run([[0, 1], [2, 3]], rng=99)
         b = engine.run([[0, 1], [2, 3]], rng=99)
         np.testing.assert_array_equal(a.owner, b.owner)
         np.testing.assert_array_equal(a.activation_round, b.activation_round)
         assert a.rounds == b.rounds
+        np.testing.assert_array_equal(
+            engine.spreads([[0, 1], [2, 3]], 12, rng=99),
+            engine.spreads([[0, 1], [2, 3]], 12, rng=99),
+        )
+
+
+@pytest.mark.parametrize("crn_base", [None, 12345], ids=["spawned", "crn"])
+class TestCompetitiveJobBackends:
+    """``CompetitiveJob`` results are bit-identical on every backend."""
+
+    GRAPH = erdos_renyi(70, 300, rng=9)
+
+    def _jobs(self, crn_base):
+        return [
+            CompetitiveJob(
+                graph=self.GRAPH,
+                model=model,
+                seed_sets=((0, 1, 2), (2, 3, 4)),
+                rounds=9,
+                crn_base=crn_base,
+            )
+            for model in (IndependentCascade(0.15), WeightedCascade(), LinearThreshold())
+        ]
+
+    def _results(self, backend, workers, crn_base):
+        with Executor(backend, workers=workers) as ex:
+            return [
+                [(e.mean, e.std, e.samples) for e in ests]
+                for ests in ex.estimates(self._jobs(crn_base), rng=77)
+            ]
+
+    def test_serial_thread_process_identical(self, crn_base):
+        serial = self._results("serial", 1, crn_base)
+        assert self._results("thread", 2, crn_base) == serial
+        assert self._results("process", 2, crn_base) == serial
+
+
+def test_crn_rounds_replay_their_streams():
+    # Under CRN, round i depends only on its own stream, so the job's
+    # estimate does not depend on the executor's spawned generator.
+    job = CompetitiveJob(
+        graph=erdos_renyi(70, 300, rng=9),
+        model=IndependentCascade(0.15),
+        seed_sets=((0, 1, 2), (2, 3, 4)),
+        rounds=9,
+        crn_base=12345,
+    )
+    first = job.run(as_rng(1))
+    second = job.run(as_rng(2))
+    assert [(e.mean, e.std) for e in first] == [(e.mean, e.std) for e in second]
+
+
+class TestBatchedTelemetry:
+    """Counters and histograms equal the sums over the per-round outcomes."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_registry(self):
+        metrics.reset()
+        yield
+        metrics.reset()
+
+    def test_counters_match_per_round_outcomes(self, monkeypatch):
+        monkeypatch.setenv(contracts.ENV_VAR, "1")  # so the claims are kept
+        graph = erdos_renyi(60, 240, rng=4)
+        recorded = []
+        real = competitive.run_competitive_cascades
+
+        def spy(graph_, probs, initiators, claim_rule, generator, claims=None):
+            result = real(graph_, probs, initiators, claim_rule, generator, claims)
+            recorded.append((result, claims))
+            return result
+
+        monkeypatch.setattr(competitive, "run_competitive_cascades", spy)
+        engine = CompetitiveDiffusion(graph, IndependentCascade(0.2))
+        spreads = engine.spreads([[0, 1], [5, 6]], 15, rng=3)
+        ((kernel_spreads, steps), claims) = recorded[0]
+        np.testing.assert_array_equal(spreads, kernel_spreads)
+        # A simulation's step count is its last claiming wave plus the
+        # empty final step.
+        n = graph.num_nodes
+        last = np.zeros(15, dtype=np.int64)
+        for wave, (keys, _) in enumerate(claims):
+            last[keys // n] = wave
+        np.testing.assert_array_equal(steps, last + 1)
+
+        snap = metrics.snapshot()
+        assert snap["counters"]["cascade.simulations"] == 15
+        assert snap["counters"]["cascade.rounds"] == int(steps.sum())
+        assert snap["counters"]["cascade.nodes_activated"] == int(spreads.sum())
+        for group in range(2):
+            hist = snap["histograms"][f"cascade.group{group + 1}.spread"]
+            assert hist["count"] == 15
+            assert hist["total"] == pytest.approx(spreads[:, group].sum())
+            assert hist["min"] == spreads[:, group].min()
+            assert hist["max"] == spreads[:, group].max()
+            assert hist["std"] == pytest.approx(spreads[:, group].std())
+
+    def test_histograms_merge_like_single_observations(self):
+        graph = erdos_renyi(60, 240, rng=4)
+        engine = CompetitiveDiffusion(graph, WeightedCascade())
+        spreads = np.concatenate(
+            [engine.spreads([[0], [5]], 7, rng=seed) for seed in range(3)]
+        )
+        hist = metrics.snapshot()["histograms"]["cascade.group1.spread"]
+        assert hist["count"] == 21
+        assert hist["mean"] == pytest.approx(spreads[:, 0].mean())
+        assert hist["std"] == pytest.approx(spreads[:, 0].std())
+
+
+class TestBatchedContracts:
+    """With contracts on, every simulation of a batch is checked."""
+
+    def test_checks_run_per_simulation(self, monkeypatch):
+        monkeypatch.setenv(contracts.ENV_VAR, "1")
+        calls = {"ownership": 0, "spreads": 0}
+        real_ownership, real_spreads = contracts.check_ownership, contracts.check_spreads
+
+        def ownership(owner, initiators, num_groups):
+            calls["ownership"] += 1
+            real_ownership(owner, initiators, num_groups)
+
+        def spreads(values, num_nodes, name="spreads"):
+            calls["spreads"] += 1
+            real_spreads(values, num_nodes, name)
+
+        monkeypatch.setattr(contracts, "check_ownership", ownership)
+        monkeypatch.setattr(contracts, "check_spreads", spreads)
+        engine = CompetitiveDiffusion(erdos_renyi(60, 240, rng=4), IndependentCascade(0.2))
+        engine.spreads([[0, 1], [1, 5]], 11, rng=8)
+        assert calls == {"ownership": 11, "spreads": 11}
+
+    def test_reclaimed_initiator_is_caught(self, monkeypatch):
+        # A sweep that re-claimed an initiator for another group must fail
+        # the ownership contract of the simulation it happened in.
+        monkeypatch.setenv(contracts.ENV_VAR, "1")
+        real = competitive.run_competitive_cascades
+
+        def corrupt(graph, probs, initiators, claim_rule, generator, claims=None):
+            result = real(graph, probs, initiators, claim_rule, generator, claims)
+            keys, groups = claims[0]
+            claims.append((keys[-1:], 1 - groups[-1:]))
+            return result
+
+        monkeypatch.setattr(competitive, "run_competitive_cascades", corrupt)
+        engine = CompetitiveDiffusion(erdos_renyi(60, 240, rng=4), IndependentCascade(0.2))
+        with pytest.raises(ContractViolation, match="switched groups"):
+            engine.spreads([[0, 1], [5, 6]], 4, rng=8)

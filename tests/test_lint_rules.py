@@ -26,8 +26,8 @@ def codes(findings):
 class TestRuleCatalogue:
     def test_rules_with_stable_codes(self):
         assert [r.code for r in ALL_RULES] == [
-            "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007",
-            "RP008", "RP009", "RP017",
+            "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP008",
+            "RP009", "RP017",
         ]
 
     def test_every_rule_carries_metadata(self):
@@ -562,90 +562,6 @@ class TestRP006NoAdHocSimulationLoops:
             """,
             "core/payoff.py",
             select=["RP006"],
-        )
-        assert found == []
-
-
-class TestRP007NoPerNodeDiffusionLoops:
-    def test_flags_out_neighbors_in_for_loop(self):
-        found = findings_for(
-            """
-            def sweep(graph, frontier, active):
-                for u in frontier:
-                    for v in graph.out_neighbors(u):
-                        active[v] = True
-            """,
-            "cascade/custom_model.py",
-            select=["RP007"],
-        )
-        assert codes(found) == ["RP007"]
-        assert "out_neighbors" in found[0].message
-
-    def test_flags_out_edge_ids_in_while_loop(self):
-        found = findings_for(
-            """
-            def walk(graph, stack, mask):
-                while stack:
-                    u = stack.pop()
-                    live = mask[graph.out_edge_ids(u)]
-            """,
-            "cascade/custom_model.py",
-            select=["RP007"],
-        )
-        assert codes(found) == ["RP007"]
-
-    def test_flags_expansion_in_comprehension(self):
-        found = findings_for(
-            """
-            def fanout(graph, frontier):
-                return [v for u in frontier for v in graph.in_neighbors(u)]
-            """,
-            "cascade/custom_model.py",
-            select=["RP007"],
-        )
-        assert codes(found) == ["RP007"]
-
-    def test_allows_single_expansion_outside_loops(self):
-        found = findings_for(
-            """
-            def degree(graph, u):
-                return graph.out_neighbors(u).shape[0]
-            """,
-            "cascade/custom_model.py",
-            select=["RP007"],
-        )
-        assert found == []
-
-    def test_kernels_module_is_exempt(self):
-        source = """
-        def sweep(graph, frontier, active):
-            for u in frontier:
-                for v in graph.out_neighbors(u):
-                    active[v] = True
-        """
-        assert findings_for(source, "cascade/kernels.py", select=["RP007"]) == []
-
-    def test_out_of_scope_package_not_linted(self):
-        found = findings_for(
-            """
-            def materialize(graph):
-                return [graph.out_neighbors(u) for u in range(graph.num_nodes)]
-            """,
-            "graphs/stats.py",
-            select=["RP007"],
-        )
-        assert found == []
-
-    def test_suppression_comment(self):
-        found = findings_for(
-            """
-            def sweep(graph, frontier, active):
-                for u in frontier:
-                    for v in graph.out_neighbors(u):  # reprolint: disable=RP007
-                        active[v] = True
-            """,
-            "cascade/custom_model.py",
-            select=["RP007"],
         )
         assert found == []
 

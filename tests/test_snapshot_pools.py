@@ -4,7 +4,9 @@ Covers :class:`~repro.cascade.pools.SnapshotPool` sharing semantics (one
 live-edge sample per (model, count) request served to every strategy of a
 group), the Theorem-1 independence of per-group pools, and the bit-identity
 of :func:`~repro.cascade.kernels.reachable_mask_batch` against the
-sequential per-mask sweep on both kernels.
+sequential per-mask sweeps: the ``python`` reference walk
+(:meth:`~repro.graphs.digraph.DiGraph.reachable_from`) and the ``numpy``
+kernel (:func:`~repro.cascade.kernels.reachable_mask`).
 """
 
 import numpy as np
@@ -21,6 +23,13 @@ from repro.obs.metrics import counter
 
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
+
+
+def _sweep(name, graph, sources, mask):
+    """One per-mask reachability sweep: the python walk or the numpy kernel."""
+    if name == "python":
+        return graph.reachable_from(sources, mask)
+    return reachable_mask(graph, sources, mask)
 
 
 class TestSnapshotPool:
@@ -134,25 +143,25 @@ class TestReachableMaskBatch:
             graph, IndependentCascade(0.3), count, np.random.default_rng(seed)
         )
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_bit_identical_to_sequential_sweep(self, random_graph, kernel):
+    @pytest.mark.parametrize("sweep", ["python", "numpy"])
+    def test_bit_identical_to_sequential_sweep(self, random_graph, sweep):
         masks = self._masks(random_graph, 7, 10)
         matrix = np.stack(masks)
-        batch = reachable_mask_batch(random_graph, [0, 3], matrix, kernel=kernel)
+        batch = reachable_mask_batch(random_graph, [0, 3], matrix)
         assert batch.shape == (7, random_graph.num_nodes)
         for s, mask in enumerate(masks):
-            single = reachable_mask(random_graph, [0, 3], mask, kernel=kernel)
+            single = _sweep(sweep, random_graph, [0, 3], mask)
             np.testing.assert_array_equal(batch[s], single)
 
     def test_kernels_agree(self, random_graph):
-        matrix = np.stack(self._masks(random_graph, 5, 11))
-        py = reachable_mask_batch(random_graph, [1, 2], matrix, kernel="python")
-        np_ = reachable_mask_batch(random_graph, [1, 2], matrix, kernel="numpy")
-        np.testing.assert_array_equal(py, np_)
+        masks = self._masks(random_graph, 5, 11)
+        batch = reachable_mask_batch(random_graph, [1, 2], np.stack(masks))
+        walks = np.stack([random_graph.reachable_from([1, 2], m) for m in masks])
+        np.testing.assert_array_equal(batch, walks)
 
     def test_empty_matrix(self, random_graph):
         matrix = np.zeros((0, random_graph.num_edges), dtype=bool)
-        batch = reachable_mask_batch(random_graph, [0], matrix, kernel="python")
+        batch = reachable_mask_batch(random_graph, [0], matrix)
         assert batch.shape == (0, random_graph.num_nodes)
 
     def test_shape_validation(self, random_graph):
@@ -166,20 +175,15 @@ class TestReachableMaskBatch:
 
 
 class TestBatchedOracle:
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_spread_matches_per_mask_average(self, random_graph, kernel):
+    @pytest.mark.parametrize("sweep", ["python", "numpy"])
+    def test_spread_matches_per_mask_average(self, random_graph, sweep):
         masks = sample_snapshots(
             random_graph, IndependentCascade(0.2), 9, np.random.default_rng(12)
         )
-        oracle = SnapshotOracle(random_graph, masks, kernel=kernel)
+        oracle = SnapshotOracle(random_graph, masks)
         seeds = [0, 5]
         expected = float(
-            np.mean(
-                [
-                    reachable_mask(random_graph, seeds, mask, kernel=kernel).sum()
-                    for mask in masks
-                ]
-            )
+            np.mean([_sweep(sweep, random_graph, seeds, mask).sum() for mask in masks])
         )
         assert oracle.spread(seeds) == pytest.approx(expected)
 
@@ -200,8 +204,8 @@ class TestBatchedOracle:
         masks = sample_snapshots(
             random_graph, IndependentCascade(0.2), 6, np.random.default_rng(14)
         )
-        py = SnapshotOracle(random_graph, masks, kernel="python")
-        np_ = SnapshotOracle(random_graph, masks, kernel="numpy")
-        assert py.spread([2, 3]) == np_.spread([2, 3])
-        for a, b in zip(py.reach([2]), np_.reach([2])):
-            np.testing.assert_array_equal(a, b)
+        oracle = SnapshotOracle(random_graph, masks)
+        walks = [random_graph.reachable_from([2, 3], mask) for mask in masks]
+        assert oracle.spread([2, 3]) == float(np.mean([w.sum() for w in walks]))
+        for row, mask in zip(oracle.reach([2]), masks):
+            np.testing.assert_array_equal(row, random_graph.reachable_from([2], mask))

@@ -74,7 +74,6 @@ def main() -> int:
                 model=model,
                 seed_sets=(seeds, tuple(range(K, 2 * K))),
                 rounds=ROUNDS,
-                kernel="numpy",
             ),
         ]
         journal_path = Path(tmp) / "smoke.jsonl"
