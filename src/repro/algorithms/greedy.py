@@ -14,8 +14,8 @@ The NewGreedy step dominates the cost and is embarrassingly parallel per
 snapshot, so it is fanned out through the execution engine as a batch of
 :class:`~repro.exec.jobs.SnapshotGainsJob` chunks (fixed chunk size, so the
 split — and therefore the result — never depends on the worker count).
-The CELF refinement stays in-process: its lazy re-evaluations are
-sequential by construction.
+The CELF refinement stays in-process; its lazy re-evaluations run as
+doubling batches of candidates, one oracle sweep per batch.
 
 ``CELFGreedy`` is the classical lazy-greedy of Leskovec et al. (KDD'07),
 implemented against the same snapshot oracle but initializing from the
@@ -67,7 +67,7 @@ class RepairOutcome:
 
     ``repair_depth`` is the first pick depth that had to be recomputed
     (``k`` when every cached pick re-validated); ``evaluations`` counts the
-    oracle ``marginal_gain`` calls spent; ``fallback`` is set when the
+    candidates the oracle evaluated; ``fallback`` is set when the
     evaluation budget ran out before the seed set was complete — the caller
     should then do a full reselection (which, against the same oracle,
     produces the same seeds the repair would have).
@@ -80,6 +80,81 @@ class RepairOutcome:
     trace: CelfTrace
 
 
+def _stale_batch(
+    heap: list[tuple[float, int, int]],
+    size: int,
+    iteration: int,
+    evaluated: dict[int, float],
+) -> list[int]:
+    """Up to *size* not-yet-evaluated stale nodes from the top of *heap*.
+
+    Stops at the first entry that is fresh at *iteration*: one-at-a-time
+    CELF accepts that entry before it pops anything below it.  The heap is
+    left as it was.
+    """
+    popped: list[tuple[float, int, int]] = []
+    nodes: list[int] = []
+    while heap and len(nodes) < size and heap[0][2] != iteration:
+        entry = heapq.heappop(heap)
+        popped.append(entry)
+        if entry[1] not in evaluated:
+            nodes.append(entry[1])
+    for entry in popped:
+        heapq.heappush(heap, entry)
+    return nodes
+
+
+def _lazy_greedy(
+    oracle: SnapshotOracle,
+    reached: np.ndarray,
+    heap: list[tuple[float, int, int]],
+    trace: CelfTrace,
+    k: int,
+    budget: int | None = None,
+) -> tuple[int, bool]:
+    """Extend *trace* to *k* picks by lazy greedy over *heap*.
+
+    Heap entries are ``(-gain bound, node, stamp)``; an entry is fresh when
+    its stamp equals the current pick depth.  A stale entry at the top is
+    re-evaluated together with the stale entries just below it, in one
+    batched :meth:`SnapshotOracle.marginal_gain` sweep: the batch holds one
+    node, doubles on every re-evaluation within a pick and resets to one
+    when a pick is accepted.  The heap then replays one-at-a-time CELF
+    exactly — a batch value is pushed only when its node reaches the top
+    within the same pick, and the rest are dropped at the pick — so picks,
+    pick gains and the heap match the unbatched loop bit for bit even where
+    a pooled initial gain sits an ulp off its exact ``count / snapshots``.
+
+    *budget* caps the number of candidate evaluations.  Returns the
+    evaluations spent and whether the budget ran out first.
+    """
+    iteration = len(trace.picks)
+    evaluations = 0
+    batch = 1
+    evaluated: dict[int, float] = {}
+    while len(trace.picks) < k:
+        neg_gain, v, stamp = heapq.heappop(heap)
+        if stamp == iteration:
+            trace.picks.append(v)
+            trace.pick_gains.append(-neg_gain)
+            oracle.extend_reach(reached, v)
+            iteration += 1
+            batch = 1
+            evaluated.clear()
+            continue
+        if v not in evaluated:
+            size = batch if budget is None else min(batch, budget - evaluations)
+            if size <= 0:
+                return evaluations, True
+            nodes = [v, *_stale_batch(heap, size - 1, iteration, evaluated)]
+            gains = oracle.marginal_gain(np.asarray(nodes, dtype=np.int64), reached)
+            evaluated.update(zip(nodes, gains.tolist()))
+            evaluations += len(nodes)
+            batch *= 2
+        heapq.heappush(heap, (-evaluated.pop(v), v, iteration))
+    return evaluations, False
+
+
 def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[int], CelfTrace]:
     """CELF lazy greedy over *oracle* from per-node initial *gains*.
 
@@ -88,25 +163,15 @@ def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[i
     maximizer of the true marginal gain at that iteration (heap tuples break
     gain ties by node id, and a pick is only accepted once its gain is
     certified fresh), which is the exactness property :func:`repair_celf`
-    relies on.
+    relies on.  Stale candidates are re-evaluated in doubling batches (see
+    :func:`_lazy_greedy`).
     """
     heap: list[tuple[float, int, int]] = [
         (-gain, v, 0) for v, gain in enumerate(gains)
     ]
     heapq.heapify(heap)
     trace = CelfTrace()
-    reached = oracle.reach([])
-    iteration = 0
-    while len(trace.picks) < k:
-        neg_gain, v, stamp = heapq.heappop(heap)
-        if stamp == iteration:
-            trace.picks.append(v)
-            trace.pick_gains.append(-neg_gain)
-            oracle.extend_reach(reached, v)
-            iteration += 1
-        else:
-            fresh = oracle.marginal_gain(v, reached)
-            heapq.heappush(heap, (-fresh, v, iteration))
+    _lazy_greedy(oracle, oracle.reach([]), heap, trace, k)
     return list(trace.picks), trace
 
 
@@ -132,7 +197,7 @@ def repair_celf(
     cold reselection — repair only changes how much work certifying them
     takes.
 
-    *budget* caps the total ``marginal_gain`` evaluations; when exhausted
+    *budget* caps the total candidate evaluations; when exhausted
     the outcome is flagged ``fallback`` with whatever partial seeds were
     certified, and the caller should reselect from scratch.
     """
@@ -184,25 +249,18 @@ def repair_celf(
         (-float(arr[v]), v, -1) for v in range(n) if v not in seeded
     ]
     heapq.heapify(heap)
-    iteration = len(trace_out.picks)
-    while len(trace_out.picks) < k:
-        neg_gain, v, stamp = heapq.heappop(heap)
-        if stamp == iteration:
-            trace_out.picks.append(v)
-            trace_out.pick_gains.append(-neg_gain)
-            oracle.extend_reach(reached, v)
-            iteration += 1
-            continue
-        if budget is not None and evaluations >= budget:
-            exhausted = True
-            break
-        fresh = oracle.marginal_gain(v, reached)
-        evaluations += 1
-        heapq.heappush(heap, (-fresh, v, iteration))
+    spent, exhausted = _lazy_greedy(
+        oracle,
+        reached,
+        heap,
+        trace_out,
+        k,
+        None if budget is None else budget - evaluations,
+    )
     return RepairOutcome(
         seeds=list(trace_out.picks),
         repair_depth=repair_depth,
-        evaluations=evaluations,
+        evaluations=evaluations + spent,
         fallback=exhausted,
         trace=trace_out,
     )

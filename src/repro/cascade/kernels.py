@@ -10,12 +10,13 @@ one vectorized pass.
 
 The competitive IC/WC kernel (:func:`run_competitive_cascades`) goes one
 step further and runs *all* of a job's simulations as one sweep over flat
-``round * n + node`` keys, the pattern :func:`sweep_rows` uses for
-snapshots: a simulation whose cascade dies early drops out of the frontier
-while the others keep expanding.  Its claimed-node state is one packed
-bitset of ``rounds * n`` bits, and per-simulation spreads come from a
-``bincount`` over the claimed keys, so a job costs what its cascades touch
-rather than ``rounds * n``.  The LT and single-group paths run one
+``round * n + node`` keys, the pattern the snapshot sweeps
+(:func:`sweep_live`, :func:`new_reach_counts`) use over ``snapshot * n +
+node`` keys: a simulation whose cascade dies early drops out of the
+frontier while the others keep expanding.  Its claimed-node state is one
+packed bitset of ``rounds * n`` bits, and per-simulation spreads come from
+a ``bincount`` over the claimed keys, so a job costs what its cascades
+touch rather than ``rounds * n``.  The LT and single-group paths run one
 simulation per call.
 
 **Determinism contract.**  Every random variate comes from the caller's
@@ -42,7 +43,6 @@ from repro.obs.metrics import histogram
 from repro.utils.bitset import (
     is_packed,
     lookup_bits,
-    lookup_bits_rows,
     num_words,
     packed_zeros,
     set_bits,
@@ -407,6 +407,86 @@ def reachable_mask(
     return visited
 
 
+def live_edge_pairs(
+    graph: DiGraph, masks: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal ``(src, dst)`` node ids of every live ``(snapshot, edge)``.
+
+    *masks* is a ``(snapshots, edges)`` boolean-style or ``(snapshots,
+    words)`` packed stack, or ``None`` for one all-live snapshot.  Node *v*
+    of snapshot *s* is ``s * n + v``, so the live edges of different
+    snapshots never meet.  Pairs come out in snapshot-major CSR order:
+    ``src`` is non-decreasing.
+    """
+    n, m = graph.num_nodes, graph.num_edges
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.out_indptr))
+    dst = np.asarray(graph.out_indices, dtype=np.int64)
+    if masks is None:
+        return src, dst
+    width = num_words(m) if is_packed(masks) else m
+    if masks.ndim != 2 or masks.shape[1] != width:
+        raise CascadeError(
+            f"mask stack shape {masks.shape} does not match (snapshots, {width})"
+        )
+    # Flat ``s * m + p`` indices of the live edges, with columns permuted
+    # from edge-id order to CSR position order.
+    flat = np.flatnonzero(_unpacked(masks, m)[:, graph.edge_ids])
+    snap = flat // m
+    flat -= snap * m
+    snap *= n
+    live_src, live_dst = src[flat], dst[flat]
+    live_src += snap
+    live_dst += snap
+    return live_src, live_dst
+
+
+def _unpacked(masks: np.ndarray, num_edges: int) -> np.ndarray:
+    """A mask stack as ``(snapshots, edges)`` booleans."""
+    if not is_packed(masks):
+        return np.asarray(masks, dtype=bool)
+    bits = np.unpackbits(
+        np.ascontiguousarray(masks).view(np.uint8),
+        axis=1,
+        count=num_edges,
+        bitorder="little",
+    )
+    return bits.view(bool)
+
+
+def live_csr(graph: DiGraph, mask_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal CSR ``(indptr, indices)`` of every snapshot's live edges.
+
+    Row ``s * n + v`` lists the block nodes that node *v* reaches in one
+    live edge of snapshot *s* (see :func:`live_edge_pairs`), so the sweeps
+    below touch live edges only.
+    """
+    src, dst = live_edge_pairs(graph, mask_matrix)
+    indptr = np.zeros(mask_matrix.shape[0] * graph.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=indptr.size - 1), out=indptr[1:])
+    return indptr, dst
+
+
+def reach_rows(
+    live_indptr: np.ndarray,
+    live_indices: np.ndarray,
+    sources: Sequence[int],
+    num_snaps: int,
+    num_nodes: int,
+) -> np.ndarray:
+    """``(snapshots, nodes)`` boolean array of what *sources* reach in each snapshot.
+
+    ``live_indptr``/``live_indices`` are a block-diagonal live CSR
+    (:func:`live_csr`); one :func:`sweep_live` covers every snapshot.
+    """
+    visited = np.zeros((num_snaps, num_nodes), dtype=bool)
+    uniq = _source_nodes(num_nodes, sources)
+    frontier = (np.arange(num_snaps, dtype=np.int64)[:, None] * num_nodes + uniq).ravel()
+    flat = visited.reshape(-1)
+    flat[frontier] = True
+    sweep_live(live_indptr, live_indices, flat, frontier)
+    return visited
+
+
 def reachable_mask_batch(
     graph: DiGraph,
     sources: Sequence[int],
@@ -416,75 +496,81 @@ def reachable_mask_batch(
 
     Row *s* of the returned ``(snapshots, nodes)`` boolean matrix equals
     ``reachable_mask(graph, sources, mask_matrix[s])`` bit for bit.  One
-    frontier sweep runs over flat ``(snapshot, node)`` pairs, so a snapshot
-    whose cascade dies early drops out of the frontier while live snapshots
-    keep expanding.
+    frontier sweep runs over the block-diagonal live CSR of the whole
+    stack, so a snapshot whose cascade dies early drops out of the frontier
+    while live snapshots keep expanding.
 
     *mask_matrix* is either boolean-style ``(snapshots, edges)`` or packed
     ``(snapshots, words)`` ``uint64`` rows (:mod:`repro.utils.bitset`);
     results are bit-identical between the two representations.
     """
-    expected_width = (
-        num_words(graph.num_edges) if is_packed(mask_matrix) else graph.num_edges
+    return reach_rows(
+        *live_csr(graph, mask_matrix),
+        sources,
+        mask_matrix.shape[0],
+        graph.num_nodes,
     )
-    if mask_matrix.ndim != 2 or mask_matrix.shape[1] != expected_width:
-        raise CascadeError(
-            f"mask matrix shape {mask_matrix.shape} does not match "
-            f"(snapshots, {expected_width})"
-        )
-    num_snaps = mask_matrix.shape[0]
-    visited = np.zeros((num_snaps, graph.num_nodes), dtype=bool)
-    uniq = _source_nodes(graph.num_nodes, sources)
-    if not uniq.size or num_snaps == 0:
-        return visited
-    visited[:, uniq] = True
-    sweep_rows(
-        graph,
-        mask_matrix,
-        np.repeat(np.arange(num_snaps, dtype=np.int64), uniq.size),
-        np.tile(uniq, num_snaps),
-        visited,
-    )
-    return visited
 
 
-def sweep_rows(
-    graph: DiGraph,
-    mask_matrix: np.ndarray,
-    snaps: np.ndarray,
-    nodes: np.ndarray,
+def sweep_live(
+    live_indptr: np.ndarray,
+    live_indices: np.ndarray,
     visited: np.ndarray,
-    marked: list[np.ndarray] | None = None,
-) -> int:
-    """Mark in *visited* everything the ``(snapshot, node)`` pairs reach.
+    frontier: np.ndarray,
+) -> None:
+    """Mark in flat *visited* every block node the *frontier* block nodes reach.
 
-    One frontier sweep over flat pairs: pair ``(s, v)`` expands the edges
-    of *v* that are live in row *s* of the stacked *mask_matrix* (boolean
-    or packed).  The frontier pairs must already be marked in the
-    ``(snapshots, nodes)`` boolean *visited*; the sweep stops at marked
-    pairs, since in a live-edge world everything reachable from a reached
-    node is itself reached.  Returns how many pairs it newly marked; when
-    *marked* is given, the flat ``snapshot * nodes + node`` keys of those
-    pairs are appended to it wave by wave, so a caller can undo the marks
-    even if the sweep is interrupted.
+    ``live_indptr``/``live_indices`` are the block-diagonal CSR of the live
+    edges of every snapshot, over block nodes ``s * n + v``
+    (:func:`live_csr`); *visited* is the flat view of a ``(snapshots, n)``
+    boolean array.  The frontier
+    must already be marked; the sweep stops at marked nodes.
     """
-    n = graph.num_nodes
-    count = 0
-    while nodes.size:
-        targets, eids, degs = _frontier_edges(graph, nodes)
-        if targets.size == 0:
-            break
-        rows = snaps.repeat(degs)
-        live = lookup_bits_rows(mask_matrix, rows, eids)
-        targets, rows = targets[live], rows[live]
-        fresh = ~visited[rows, targets]
-        targets, rows = targets[fresh], rows[fresh]
-        if targets.size == 0:
-            break
-        keys = sorted_unique(rows * n + targets)
-        snaps, nodes = keys // n, keys % n
-        visited[snaps, nodes] = True
-        if marked is not None:
-            marked.append(keys)
-        count += keys.size
-    return count
+    while frontier.size:
+        starts = live_indptr[frontier]
+        degs = live_indptr[frontier + 1] - starts
+        targets = live_indices[segment_ranges(starts, degs)]
+        frontier = sorted_unique(targets[~visited[targets]])
+        visited[frontier] = True
+
+
+def new_reach_counts(
+    live_indptr: np.ndarray,
+    live_indices: np.ndarray,
+    reached: np.ndarray,
+    candidates: np.ndarray,
+) -> np.ndarray:
+    """Per candidate, how many ``(snapshot, node)`` pairs it newly reaches.
+
+    Candidate *b* starts in every snapshot whose row of the ``(snapshots,
+    n)`` boolean *reached* does not contain it, and expands over the live
+    CSR (as in :func:`sweep_live`) into block nodes not yet reached.  All
+    candidates share one frontier sweep over flat ``b * snapshots * n + s
+    * n + v`` keys; each candidate's private visited set is a slice of one
+    sorted key array with ``searchsorted`` membership, so memory grows with
+    the keys touched rather than ``candidates * snapshots * n``.
+    *reached* is only read, and duplicate candidates are counted
+    independently.
+    """
+    num_snaps, n = reached.shape
+    block = num_snaps * n
+    flat_reached = reached.reshape(-1)
+    owner, snap = np.nonzero(~reached[:, candidates].T)
+    frontier = snap * n + candidates[owner]
+    base = owner * block
+    # Candidate-major then snapshot-major, so the keys start sorted.
+    visited = base + frontier
+    while frontier.size:
+        starts = live_indptr[frontier]
+        degs = live_indptr[frontier + 1] - starts
+        targets = live_indices[segment_ranges(starts, degs)]
+        fresh = ~flat_reached[targets]
+        keys = sorted_unique(base.repeat(degs)[fresh] + targets[fresh])
+        at = np.searchsorted(visited, keys)
+        keys = keys[visited[np.minimum(at, visited.size - 1)] != keys]
+        # Two sorted runs: the stable sort merges them in linear time.
+        visited = np.concatenate([visited, keys])
+        visited.sort(kind="stable")
+        base = keys // block * block
+        frontier = keys - base
+    return np.bincount(visited // block, minlength=candidates.size)

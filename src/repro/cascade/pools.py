@@ -143,7 +143,7 @@ def _pooled_means(
 def snapshot_initial_gains(
     graph: DiGraph,
     masks: list[np.ndarray],
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
 ) -> list[float]:
     """Batched per-node NewGreedy gains over *masks* (one chunk per job).
 
@@ -154,6 +154,8 @@ def snapshot_initial_gains(
     when a default graph store is configured (see
     :func:`repro.graphs.store.maybe_ref`).
     """
+    if not masks:
+        raise CascadeError("at least one snapshot mask is required")
     payload = maybe_ref(graph)
     jobs = [
         SnapshotGainsJob(graph=payload, masks=tuple(masks[i : i + MASKS_PER_JOB]))
@@ -301,7 +303,7 @@ class SnapshotPool:
         self,
         model: CascadeModel,
         count: int,
-        executor: Executor | str | None = None,
+        executor: Executor | None = None,
     ) -> list[float]:
         """The shared batched NewGreedy gains for ``(model, count)``.
 
@@ -329,7 +331,7 @@ class SnapshotPool:
         model: CascadeModel,
         key: tuple[object, int],
         count: int,
-        executor: Executor | str | None,
+        executor: Executor | None,
     ) -> list[float]:
         payload = maybe_ref(self.graph)
         if self.stable:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, overload
 
 import numpy as np
 
 from repro.cascade.base import CascadeModel
-from repro.cascade.kernels import reachable_mask_batch, sweep_rows
+from repro.cascade.kernels import live_csr, new_reach_counts, reach_rows, sweep_live
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
 from repro.utils.bitset import is_packed, num_words, pack_bits, unpack_bits
@@ -200,6 +201,30 @@ def sample_stable_snapshots(
     return masks
 
 
+def stack_masks(masks: Sequence[np.ndarray], num_edges: int) -> np.ndarray:
+    """Stack per-snapshot masks into one ``(snapshots, edges-or-words)`` matrix.
+
+    A fully packed sample stays packed (``uint64`` rows); mixed samples are
+    normalized to boolean rows.  Every mask must match *num_edges*.
+    """
+    packed_words = num_words(num_edges)
+    arrays = [np.asarray(mask) for mask in masks]
+    for mask in arrays:
+        expected = (packed_words,) if is_packed(mask) else (num_edges,)
+        if mask.shape != expected:
+            raise CascadeError(
+                f"mask shape {mask.shape} does not match edge count {num_edges}"
+            )
+    if all(is_packed(mask) for mask in arrays):
+        return np.stack(arrays)
+    return np.stack(
+        [
+            unpack_bits(mask, num_edges) if is_packed(mask) else np.asarray(mask, dtype=bool)
+            for mask in arrays
+        ]
+    )
+
+
 class SnapshotOracle:
     """Estimates spreads by reachability over a fixed set of live-edge masks.
 
@@ -209,10 +234,13 @@ class SnapshotOracle:
     :meth:`extend_reach` adds a seed to that array in place, and
     :meth:`marginal_gain` counts only *newly* reachable nodes, stopping at
     already-reached ones (in a live-edge world, everything reachable from a
-    reached node is itself already reached).  Both incremental methods run
-    one frontier sweep over flat ``(snapshot, node)`` pairs
-    (:func:`~repro.cascade.kernels.sweep_rows`) instead of one search per
-    snapshot.
+    reached node is itself already reached).  Each call runs one frontier
+    sweep over a block-diagonal CSR of every snapshot's live edges, built
+    once per oracle, instead of one search per snapshot: :meth:`reach` and
+    :meth:`extend_reach` over flat ``(snapshot, node)`` keys
+    (:func:`~repro.cascade.kernels.sweep_live`), :meth:`marginal_gain` over
+    flat ``(candidate, snapshot, node)`` keys for a whole batch of
+    candidates (:func:`~repro.cascade.kernels.new_reach_counts`).
 
     Masks may be boolean-style (length *m*) or packed bitsets
     (:mod:`repro.utils.bitset`); a homogeneous packed sample is kept packed
@@ -227,94 +255,83 @@ class SnapshotOracle:
     ) -> None:
         if not masks:
             raise CascadeError("at least one snapshot mask is required")
-        packed_words = num_words(graph.num_edges)
-        all_packed = all(is_packed(np.asarray(mask)) for mask in masks)
-        for mask in masks:
-            expected = (packed_words,) if is_packed(np.asarray(mask)) else (
-                graph.num_edges,
-            )
-            if mask.shape != expected:
-                raise CascadeError(
-                    f"mask shape {mask.shape} does not match edge count "
-                    f"{graph.num_edges}"
-                )
         self.graph = graph
         self.masks = list(masks)
         # Stacked (snapshots, edges-or-words) view: every sweep covers all
-        # snapshots at once.  A fully packed sample stays packed (uint64
-        # rows); mixed samples are normalized to boolean rows.
-        if all_packed:
-            self.mask_matrix = np.stack(self.masks)
-        else:
-            self.mask_matrix = np.stack(
-                [
-                    unpack_bits(mask, graph.num_edges)
-                    if is_packed(np.asarray(mask))
-                    else np.asarray(mask, dtype=bool)
-                    for mask in self.masks
-                ]
-            )
+        # snapshots at once.
+        self.mask_matrix = stack_masks(self.masks, graph.num_edges)
 
     @property
     def num_snapshots(self) -> int:
         return len(self.masks)
 
+    @cached_property
+    def _live_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Block-diagonal CSR of every snapshot's live edges, built on first use."""
+        return live_csr(self.graph, self.mask_matrix)
+
     def spread(self, seeds: Sequence[int]) -> float:
         """Average number of nodes reachable from *seeds* over all snapshots."""
-        visited = reachable_mask_batch(self.graph, seeds, self.mask_matrix)
-        return int(visited.sum()) / len(self.masks)
+        return int(self.reach(seeds).sum()) / len(self.masks)
 
     def reach(self, seeds: Sequence[int]) -> np.ndarray:
         """``(snapshots, n)`` boolean array of the nodes *seeds* reach."""
-        return reachable_mask_batch(self.graph, seeds, self.mask_matrix)
+        return reach_rows(
+            *self._live_csr, seeds, len(self.masks), self.graph.num_nodes
+        )
 
-    def _unreached_rows(self, node: int, reached: np.ndarray) -> np.ndarray:
-        """Snapshots in which *node* is not yet reached (validates inputs)."""
+    def _checked_nodes(self, nodes: object, reached: np.ndarray) -> np.ndarray:
+        """*nodes* as a 1-D int64 array, validated against the graph and *reached*."""
         n = self.graph.num_nodes
-        if not 0 <= node < n:
-            raise GraphError(f"node {node} out of range [0, {n})")
+        arr = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
+        if arr.ndim != 1:
+            raise CascadeError(
+                f"candidates must be a node id or a 1-D array, got shape {arr.shape}"
+            )
+        bad = (arr < 0) | (arr >= n)
+        if bad.any():
+            raise GraphError(f"node {int(arr[bad][0])} out of range [0, {n})")
         if reached.shape != (len(self.masks), n):
             raise CascadeError(
                 f"reached array shape {reached.shape} does not match "
                 f"(snapshots, nodes) = {(len(self.masks), n)}"
             )
-        return np.flatnonzero(~reached[:, node])
+        return arr
 
     def extend_reach(self, reached: np.ndarray, new_seed: int) -> None:
-        """Mutate *reached* in place to include everything reachable from *new_seed*."""
-        rows = self._unreached_rows(new_seed, reached)
-        reached[rows, new_seed] = True
-        sweep_rows(
-            self.graph,
-            self.mask_matrix,
-            rows,
-            np.full(rows.size, new_seed, dtype=np.int64),
-            reached,
-        )
+        """Mutate *reached* in place to include everything reachable from *new_seed*.
 
-    def marginal_gain(self, candidate: int, reached: np.ndarray) -> float:
-        """Average count of nodes newly reached by adding *candidate*.
-
-        The sweep marks the nodes it visits in *reached* and unmarks them
-        before returning, so *reached* is unchanged afterwards (even when
-        the sweep raises).
+        *reached* must be C-contiguous, as :meth:`reach` returns it.
         """
-        rows = self._unreached_rows(candidate, reached)
-        if rows.size == 0:
-            return 0.0
+        seed = int(self._checked_nodes(new_seed, reached)[0])
+        if not reached.flags.c_contiguous:
+            raise CascadeError("reached array must be C-contiguous")
         n = self.graph.num_nodes
-        marked: list[np.ndarray] = [rows * n + candidate]
-        reached[rows, candidate] = True
-        try:
-            new = sweep_rows(
-                self.graph,
-                self.mask_matrix,
-                rows,
-                np.full(rows.size, candidate, dtype=np.int64),
-                reached,
-                marked,
-            )
-        finally:
-            for keys in marked:
-                reached[keys // n, keys % n] = False
-        return (rows.size + new) / len(self.masks)
+        frontier = np.flatnonzero(~reached[:, seed]) * n + seed
+        visited = reached.reshape(-1)
+        visited[frontier] = True
+        sweep_live(*self._live_csr, visited, frontier)
+
+    @overload
+    def marginal_gain(self, candidates: int, reached: np.ndarray) -> float: ...
+
+    @overload
+    def marginal_gain(
+        self, candidates: Sequence[int] | np.ndarray, reached: np.ndarray
+    ) -> np.ndarray: ...
+
+    def marginal_gain(
+        self, candidates: int | Sequence[int] | np.ndarray, reached: np.ndarray
+    ) -> float | np.ndarray:
+        """Average count of nodes newly reached by adding each candidate.
+
+        *candidates* is one node id (returns a float) or a 1-D array of ids
+        (returns a float array, one gain per entry, duplicates included).
+        All candidates are evaluated in one frontier sweep
+        (:func:`~repro.cascade.kernels.new_reach_counts`); *reached* is
+        only read.
+        """
+        nodes = self._checked_nodes(candidates, reached)
+        counts = new_reach_counts(*self._live_csr, reached, nodes)
+        gains = counts / len(self.masks)
+        return float(gains[0]) if np.ndim(candidates) == 0 else gains

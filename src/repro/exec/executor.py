@@ -410,4 +410,10 @@ def reset_default_executor() -> None:
 
 def resolve_executor(executor: Executor | None) -> Executor:
     """*executor* itself, or the process-wide default when ``None``."""
-    return executor if executor is not None else default_executor()
+    if executor is None:
+        return default_executor()
+    if not isinstance(executor, Executor):
+        raise TypeError(
+            f"expected an Executor or None, got {type(executor).__name__}"
+        )
+    return executor

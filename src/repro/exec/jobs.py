@@ -51,7 +51,11 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.reachability import all_reach_sizes
-from repro.cascade.snapshots import sample_snapshots, sample_stable_snapshots
+from repro.cascade.snapshots import (
+    sample_snapshots,
+    sample_stable_snapshots,
+    stack_masks,
+)
 from repro.graphs.digraph import DiGraph
 from repro.graphs.store import GraphRef, resolve_graph
 from repro.utils.rng import as_rng
@@ -160,12 +164,13 @@ def _reach_estimates(
 ) -> tuple[SpreadEstimate, ...]:
     """Per-node reach-size estimates over *masks* (samples = len(masks)).
 
-    The means and standard deviations of all nodes come from one axis-0
-    reduction over the ``(masks, nodes)`` reach-size matrix.  Reach sizes
-    are integers, so every mean equals the per-node ``from_values`` mean
+    One block-diagonal reach DP over the stacked masks gives the
+    ``(masks, nodes)`` reach-size matrix, and one axis-0 reduction gives
+    the means and standard deviations of all nodes.  Reach sizes are
+    integers, so every mean equals the per-node ``from_values`` mean
     exactly.
     """
-    values = np.stack([all_reach_sizes(graph, mask) for mask in masks]).astype(float)
+    values = all_reach_sizes(graph, stack_masks(masks, graph.num_edges)).astype(float)
     samples = values.shape[0]
     means = values.mean(axis=0).tolist()
     stds = (
@@ -183,8 +188,8 @@ class SnapshotGainsJob:
 
     Used by the snapshot-greedy algorithms (MixGreedy / CELF) to fan the
     NewGreedy step out across workers: each job evaluates its chunk of
-    masks with the SCC-condensation DP and returns one estimate **per
-    node** (samples = masks in the chunk).  Pooling the chunk means with
+    masks with one block-diagonal SCC-condensation DP and returns one
+    estimate **per node** (samples = masks in the chunk).  Pooling the chunk means with
     the mean formula of :meth:`SpreadEstimate.__add__` (the parent applies
     it to whole arrays) recovers the average reach over the full snapshot
     sample; reach sizes are integers, so the pooled means are exact

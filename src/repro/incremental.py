@@ -42,7 +42,7 @@ from repro.cache import DeltaInvalidation, invalidate_for_delta
 from repro.cascade.base import CascadeModel
 from repro.cascade.pools import SnapshotPool
 from repro.cascade.reachability import all_reach_sizes
-from repro.cascade.snapshots import SnapshotOracle
+from repro.cascade.snapshots import SnapshotOracle, stack_masks
 from repro.errors import GraphError
 from repro.graphs.delta import AppliedDelta, EdgeDelta, merge_delta
 from repro.graphs.digraph import DiGraph
@@ -208,8 +208,8 @@ class IncrementalSession:
                 masks = self._pool(self.graph).masks(
                     self.model, self.num_snapshots
                 )
-                reach = np.stack(
-                    [all_reach_sizes(self.graph, mask) for mask in masks]
+                reach = all_reach_sizes(
+                    self.graph, stack_masks(masks, self.graph.num_edges)
                 )
             self._masks, self._reach = masks, reach
             self._oracle = None
@@ -265,27 +265,29 @@ class IncrementalSession:
                 self.model, self.num_snapshots
             )
 
-        warm = incremental_enabled()
         affected_counts: list[int] = []
         full_recompute: list[bool] = []
-        rows: list[np.ndarray] = []
         with span("incremental.gains_update", snapshots=self.num_snapshots):
-            for t in range(self.num_snapshots):
-                if not warm:
-                    rows.append(all_reach_sizes(new_graph, new_masks[t]))
-                    affected_counts.append(new_graph.num_nodes)
-                    full_recompute.append(True)
-                    continue
-                row, count, full = self._update_row(
-                    applied, old_masks[t], new_masks[t], old_reach[t]
+            if incremental_enabled():
+                rows: list[np.ndarray] = []
+                for t in range(self.num_snapshots):
+                    row, count, full = self._update_row(
+                        applied, old_masks[t], new_masks[t], old_reach[t]
+                    )
+                    rows.append(row)
+                    affected_counts.append(count)
+                    full_recompute.append(full)
+                new_reach = np.stack(rows)
+            else:
+                new_reach = all_reach_sizes(
+                    new_graph, stack_masks(new_masks, new_graph.num_edges)
                 )
-                rows.append(row)
-                affected_counts.append(count)
-                full_recompute.append(full)
+                affected_counts = [new_graph.num_nodes] * self.num_snapshots
+                full_recompute = [True] * self.num_snapshots
 
         self.graph = new_graph
         self._masks = new_masks
-        self._reach = np.stack(rows)
+        self._reach = new_reach
         self._oracle = None
         return DeltaOutcome(
             applied=applied,

@@ -30,7 +30,6 @@ __all__ = [
     "WORD_BITS",
     "is_packed",
     "lookup_bits",
-    "lookup_bits_rows",
     "num_words",
     "pack_bits",
     "packed_bytes",
@@ -108,21 +107,6 @@ def lookup_bits(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     shifts = (idx & 63).astype(np.uint64)
     return ((mask[idx >> 6] >> shifts) & _ONE).astype(bool)
-
-
-def lookup_bits_rows(
-    matrix: np.ndarray, rows: np.ndarray, idx: np.ndarray
-) -> np.ndarray:
-    """``matrix[rows, idx]`` for a 2-D stacked mask of either representation.
-
-    Used by the batched snapshot sweep, where *rows* selects the snapshot
-    and *idx* the edge id for every flat frontier edge at once.
-    """
-    if not is_packed(matrix):
-        return matrix[rows, idx]
-    idx = np.asarray(idx, dtype=np.int64)
-    shifts = (idx & 63).astype(np.uint64)
-    return ((matrix[rows, idx >> 6] >> shifts) & _ONE).astype(bool)
 
 
 def set_bits(words: np.ndarray, idx: np.ndarray) -> None:

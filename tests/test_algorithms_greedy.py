@@ -199,3 +199,69 @@ class TestPinnedHepSelection:
     def test_mixgreedy_select(self, graph):
         seeds = MixGreedy(IndependentCascade(0.08), 20).select(graph, 10, rng=11)
         assert seeds == [94, 696, 224, 613, 748, 237, 749, 693, 720, 209]
+
+
+class TestBatchedCelf:
+    """``run_celf`` batches stale re-evaluations; the picks must not move.
+
+    The reference is the one-candidate-per-pop loop in
+    ``tests/reference_selection.py``.  Snapshot counts include 64 and 100,
+    where pooled initial gains can sit an ulp off ``count / snapshots``.
+    """
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["bool", "packed"])
+    @pytest.mark.parametrize(
+        ("seed", "nodes", "edges", "prob", "snapshots"),
+        [
+            (1, 30, 90, 0.3, 5),
+            (2, 40, 160, 0.15, 20),
+            (3, 36, 110, 0.4, 64),
+            (4, 25, 70, 0.5, 100),
+        ],
+    )
+    def test_matches_one_at_a_time_reference_up_to_k_equals_n(
+        self, packed, seed, nodes, edges, prob, snapshots
+    ):
+        from repro.algorithms.greedy import run_celf
+        from repro.cascade.pools import snapshot_initial_gains
+        from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
+        from repro.exec import Executor
+        from tests.reference_selection import celf_one_at_a_time
+
+        graph = erdos_renyi(nodes, edges, rng=seed)
+        masks = sample_snapshots(
+            graph, IndependentCascade(prob), snapshots, rng=seed, packed=packed
+        )
+        with Executor("serial") as executor:
+            gains = snapshot_initial_gains(graph, masks, executor)
+        for k in (1, 3, nodes // 2, nodes):
+            want, want_trace, _ = celf_one_at_a_time(
+                SnapshotOracle(graph, masks), k, gains
+            )
+            got, trace = run_celf(SnapshotOracle(graph, masks), k, gains)
+            assert got == want
+            assert trace.pick_gains == want_trace.pick_gains
+
+    def test_stale_batches_double_within_a_pick(self):
+        from repro.algorithms.greedy import run_celf
+        from repro.cascade.snapshots import SnapshotOracle
+
+        # A star with every edge live: once the hub is picked, every leaf's
+        # true gain is 0.
+        graph = DiGraph(6, [(0, i) for i in range(1, 6)])
+        oracle = SnapshotOracle(graph, [np.ones(graph.num_edges, dtype=bool)])
+        sizes: list[int] = []
+        original = oracle.marginal_gain
+
+        def spy(candidates, reached):
+            sizes.append(int(np.size(candidates)))
+            return original(candidates, reached)
+
+        oracle.marginal_gain = spy
+        # Initial gains overstate nodes 1..5, so every re-evaluation drops
+        # below the next stale bound and the batches grow 1, 2, ...
+        gains = [6.0, 5.0, 4.5, 4.0, 3.5, 3.0]
+        seeds, trace = run_celf(oracle, 2, gains)
+        assert seeds == [0, 1]
+        assert trace.pick_gains == [6.0, 0.0]
+        assert sizes[:2] == [1, 2]

@@ -153,6 +153,61 @@ class TestBatchedOracleSweeps:
             oracle.extend_reach(reached[:1], 0)
 
 
+    def test_batched_gains_equal_scalar_calls(self, setup):
+        graph, masks, oracle = setup
+        reached = oracle.reach([3, 17])
+        candidates = np.arange(graph.num_nodes)
+        gains = oracle.marginal_gain(candidates, reached)
+        assert isinstance(gains, np.ndarray)
+        assert gains.shape == (graph.num_nodes,)
+        for candidate, gain in zip(candidates, gains):
+            scalar = oracle.marginal_gain(int(candidate), reached)
+            assert isinstance(scalar, float)
+            assert gain == scalar
+
+    def test_duplicates_and_already_reached_candidates(self, setup):
+        graph, masks, oracle = setup
+        reached = oracle.reach([3])
+        # Partially reached: reached in some snapshots but not all.
+        counts = reached.sum(axis=0)
+        partial = int(np.flatnonzero((counts > 0) & (counts < len(masks)))[0])
+        everywhere = 3
+        free = int(np.flatnonzero(counts == 0)[0])
+        candidates = [free, partial, everywhere, free, partial]
+        gains = oracle.marginal_gain(candidates, reached)
+        expected = [oracle.marginal_gain(c, reached) for c in candidates]
+        assert gains.tolist() == expected
+        assert gains[2] == 0.0
+        assert gains[0] == gains[3] and gains[1] == gains[4]
+
+    def test_reached_is_byte_identical_afterwards(self, setup):
+        graph, masks, oracle = setup
+        reached = oracle.reach([5, 9])
+        before = reached.tobytes()
+        oracle.marginal_gain(np.arange(graph.num_nodes), reached)
+        oracle.marginal_gain(11, reached)
+        assert reached.tobytes() == before
+
+    def test_out_of_range_candidates_in_a_batch_raise(self, setup):
+        graph, masks, oracle = setup
+        reached = oracle.reach([])
+        with pytest.raises(GraphError, match="out of range"):
+            oracle.marginal_gain([0, graph.num_nodes], reached)
+        with pytest.raises(GraphError, match="out of range"):
+            oracle.marginal_gain(np.array([-1, 2]), reached)
+
+    def test_extend_reach_rejects_a_non_contiguous_array(self, setup):
+        graph, masks, oracle = setup
+        reached = np.asfortranarray(oracle.reach([]))
+        with pytest.raises(CascadeError, match="C-contiguous"):
+            oracle.extend_reach(reached, 0)
+
+    def test_empty_batch_returns_no_gains(self, setup):
+        graph, masks, oracle = setup
+        gains = oracle.marginal_gain(np.array([], dtype=np.int64), oracle.reach([]))
+        assert gains.shape == (0,)
+
+
 class TestAllReachSizes:
     def test_path(self, path_graph):
         sizes = all_reach_sizes(path_graph)
@@ -194,6 +249,10 @@ class TestAllReachSizes:
         )
         sizes = all_reach_sizes(g)
         assert sizes.tolist() == [6, 6, 6, 3, 3, 3]
+
+    def test_stack_shape_checked(self, path_graph):
+        with pytest.raises(CascadeError, match="does not match"):
+            all_reach_sizes(path_graph, np.ones((2, path_graph.num_edges + 1), dtype=bool))
 
     def test_deep_condensation_dag(self):
         # A 300-node path of 2-cycles with shortcut arcs: hundreds of Kahn

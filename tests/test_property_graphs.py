@@ -163,3 +163,50 @@ class TestReachSizesStructured:
             assert sizes.tolist() == [1] * n
         if mask_kind == "live":
             assert sizes.tolist() == all_reach_sizes(g).tolist()
+
+
+class TestStackedReachSizes:
+    """The block-diagonal reach DP over a mask stack, row by row against BFS."""
+
+    @given(
+        structured_edge_lists(),
+        st.lists(st.sampled_from(["random", "dead", "live"]), min_size=1, max_size=5),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_matches_bfs(self, data, kinds, packed, seed):
+        from repro.cascade.reachability import all_reach_sizes
+        from repro.utils.bitset import pack_bits
+        from tests.reference_selection import reach_sizes_by_bfs
+
+        n, edges = data
+        g = DiGraph(n, edges)
+        rng = np.random.default_rng(seed)
+        rows = [
+            rng.random(g.num_edges) < 0.5
+            if kind == "random"
+            else np.full(g.num_edges, kind == "live", dtype=bool)
+            for kind in kinds
+        ]
+        stack = np.stack([pack_bits(r) for r in rows] if packed else rows)
+        sizes = all_reach_sizes(g, stack)
+        assert sizes.shape == (len(rows), n)
+        for row, mask in zip(sizes, rows):
+            assert row.tolist() == reach_sizes_by_bfs(g, mask)
+        # A 1-D mask is a one-row stack.
+        one = all_reach_sizes(g, stack[0])
+        assert one.tolist() == sizes[0].tolist()
+        assert all_reach_sizes(g, stack[:1]).tolist() == [one.tolist()]
+
+    @given(edge_lists(max_nodes=12, max_edges=30))
+    @settings(max_examples=30, deadline=None)
+    def test_none_is_the_all_live_row(self, data):
+        from repro.cascade.reachability import all_reach_sizes
+
+        n, edges = data
+        g = DiGraph(n, edges)
+        live = np.ones((2, g.num_edges), dtype=bool)
+        whole = all_reach_sizes(g)
+        assert whole.shape == (n,)
+        assert all_reach_sizes(g, live).tolist() == [whole.tolist()] * 2

@@ -137,6 +137,29 @@ class TestPooledSelection:
         assert pool.initial_gains(model, 10) == direct
 
 
+class TestGainsInputChecks:
+    def test_string_executor_rejected_with_type_name(self, karate):
+        masks = sample_snapshots(karate, IndependentCascade(0.1), 3, rng=1)
+        with pytest.raises(TypeError, match="str"):
+            snapshot_initial_gains(karate, masks, "serial")
+
+    def test_pool_gains_reject_non_executor(self, karate):
+        pool = SnapshotPool(karate, shards=2)
+        pool.token(np.random.default_rng(2))
+        with pytest.raises(TypeError, match="int"):
+            pool.initial_gains(IndependentCascade(0.1), 4, 3)
+
+    def test_resolve_executor_names_offending_type(self):
+        from repro.exec.executor import resolve_executor
+
+        with pytest.raises(TypeError, match="expected an Executor or None, got dict"):
+            resolve_executor({})
+
+    def test_empty_mask_list_is_a_cascade_error(self, karate):
+        with pytest.raises(CascadeError, match="at least one snapshot mask"):
+            snapshot_initial_gains(karate, [])
+
+
 class TestReachableMaskBatch:
     def _masks(self, graph, count, seed):
         return sample_snapshots(

@@ -14,7 +14,6 @@ from repro.utils.bitset import (
     WORD_BITS,
     is_packed,
     lookup_bits,
-    lookup_bits_rows,
     num_words,
     pack_bits,
     packed_bytes,
@@ -72,18 +71,6 @@ class TestLookupAndSet:
         np.testing.assert_array_equal(lookup_bits(words, idx), mask[idx])
         # boolean-style masks pass through unchanged
         np.testing.assert_array_equal(lookup_bits(mask, idx), mask[idx])
-
-    def test_lookup_rows_matches_2d_indexing(self, rng):
-        bools = rng.random((5, 130)) < 0.3
-        matrix = np.stack([pack_bits(row) for row in bools])
-        rows = rng.integers(0, 5, 300)
-        idx = rng.integers(0, 130, 300)
-        np.testing.assert_array_equal(
-            lookup_bits_rows(matrix, rows, idx), bools[rows, idx]
-        )
-        np.testing.assert_array_equal(
-            lookup_bits_rows(bools, rows, idx), bools[rows, idx]
-        )
 
     @pytest.mark.parametrize("size", [1, 64, 65, 300])
     def test_set_bits_matches_bool_assignment(self, size, rng):
