@@ -50,34 +50,10 @@ from repro.utils.validation import check_positive_int
 
 @dataclass
 class CelfTrace:
-    """What one CELF run decided: the picks and their accepted marginal gains.
-
-    The trace is the input to :func:`repair_celf` — after an edge delta, the
-    repair re-validates each cached pick against the patched oracle and only
-    re-runs lazy greedy from the first depth whose decision no longer holds.
-    """
+    """What one CELF run decided: the picks and their accepted marginal gains."""
 
     picks: list[int] = field(default_factory=list)
     pick_gains: list[float] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class RepairOutcome:
-    """Result of :func:`repair_celf`.
-
-    ``repair_depth`` is the first pick depth that had to be recomputed
-    (``k`` when every cached pick re-validated); ``evaluations`` counts the
-    candidates the oracle evaluated; ``fallback`` is set when the
-    evaluation budget ran out before the seed set was complete — the caller
-    should then do a full reselection (which, against the same oracle,
-    produces the same seeds the repair would have).
-    """
-
-    seeds: list[int]
-    repair_depth: int
-    evaluations: int
-    fallback: bool
-    trace: CelfTrace
 
 
 def _stale_batch(
@@ -104,15 +80,13 @@ def _stale_batch(
     return nodes
 
 
-def _lazy_greedy(
-    oracle: SnapshotOracle,
-    reached: np.ndarray,
-    heap: list[tuple[float, int, int]],
-    trace: CelfTrace,
-    k: int,
-    budget: int | None = None,
-) -> tuple[int, bool]:
-    """Extend *trace* to *k* picks by lazy greedy over *heap*.
+def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[int], CelfTrace]:
+    """CELF lazy greedy over *oracle* from per-node initial *gains*.
+
+    Returns the seed set and a :class:`CelfTrace` of the accepted gains.
+    The accepted pick of every iteration is the minimum-id maximizer of the
+    true marginal gain at that iteration (heap tuples break gain ties by
+    node id, and a pick is only accepted once its gain is certified fresh).
 
     Heap entries are ``(-gain bound, node, stamp)``; an entry is fresh when
     its stamp equals the current pick depth.  A stale entry at the top is
@@ -124,12 +98,14 @@ def _lazy_greedy(
     within the same pick, and the rest are dropped at the pick — so picks,
     pick gains and the heap match the unbatched loop bit for bit even where
     a pooled initial gain sits an ulp off its exact ``count / snapshots``.
-
-    *budget* caps the number of candidate evaluations.  Returns the
-    evaluations spent and whether the budget ran out first.
     """
-    iteration = len(trace.picks)
-    evaluations = 0
+    heap: list[tuple[float, int, int]] = [
+        (-gain, v, 0) for v, gain in enumerate(gains)
+    ]
+    heapq.heapify(heap)
+    trace = CelfTrace()
+    reached = oracle.reach([])
+    iteration = 0
     batch = 1
     evaluated: dict[int, float] = {}
     while len(trace.picks) < k:
@@ -143,127 +119,12 @@ def _lazy_greedy(
             evaluated.clear()
             continue
         if v not in evaluated:
-            size = batch if budget is None else min(batch, budget - evaluations)
-            if size <= 0:
-                return evaluations, True
-            nodes = [v, *_stale_batch(heap, size - 1, iteration, evaluated)]
-            gains = oracle.marginal_gain(np.asarray(nodes, dtype=np.int64), reached)
-            evaluated.update(zip(nodes, gains.tolist()))
-            evaluations += len(nodes)
+            nodes = [v, *_stale_batch(heap, batch - 1, iteration, evaluated)]
+            gains_batch = oracle.marginal_gain(np.asarray(nodes, dtype=np.int64), reached)
+            evaluated.update(zip(nodes, gains_batch.tolist()))
             batch *= 2
         heapq.heappush(heap, (-evaluated.pop(v), v, iteration))
-    return evaluations, False
-
-
-def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[int], CelfTrace]:
-    """CELF lazy greedy over *oracle* from per-node initial *gains*.
-
-    Returns the seed set and a :class:`CelfTrace` for later incremental
-    repair.  The accepted pick of every iteration is the minimum-id
-    maximizer of the true marginal gain at that iteration (heap tuples break
-    gain ties by node id, and a pick is only accepted once its gain is
-    certified fresh), which is the exactness property :func:`repair_celf`
-    relies on.  Stale candidates are re-evaluated in doubling batches (see
-    :func:`_lazy_greedy`).
-    """
-    heap: list[tuple[float, int, int]] = [
-        (-gain, v, 0) for v, gain in enumerate(gains)
-    ]
-    heapq.heapify(heap)
-    trace = CelfTrace()
-    _lazy_greedy(oracle, oracle.reach([]), heap, trace, k)
     return list(trace.picks), trace
-
-
-def repair_celf(
-    oracle: SnapshotOracle,
-    k: int,
-    gains: list[float],
-    trace: CelfTrace,
-    tolerance: float = 1e-9,
-    budget: int | None = None,
-) -> RepairOutcome:
-    """Repair a cached CELF seed set against a patched snapshot oracle.
-
-    Walks the cached picks in order.  At depth ``d`` the cached pick ``v``
-    is kept iff its *fresh* marginal gain still dominates the best possible
-    gain of every other unseeded node — bounded by the patched initial
-    *gains* via submodularity, ties broken by node id exactly as the CELF
-    heap breaks them — and moved from its cached value by at most
-    *tolerance*.  A kept pick is therefore provably the pick a cold CELF run
-    on the patched oracle would make; the first failing depth re-enters lazy
-    greedy with a fresh heap, which reproduces the cold picks from that
-    depth onward.  Either way the returned seeds are bit-identical to a full
-    cold reselection — repair only changes how much work certifying them
-    takes.
-
-    *budget* caps the total candidate evaluations; when exhausted
-    the outcome is flagged ``fallback`` with whatever partial seeds were
-    certified, and the caller should reselect from scratch.
-    """
-    arr = np.asarray(gains, dtype=float)
-    n = arr.shape[0]
-    # Top-(k+1) candidates by (gain desc, id asc): enough that at every
-    # depth at least one candidate is neither the cached pick nor seeded,
-    # giving the tightest available bound on "the best other node".
-    order = [int(u) for u in np.lexsort((np.arange(n), -arr))[: k + 1]]
-    evaluations = 0
-    trace_out = CelfTrace()
-    reached = oracle.reach([])
-    depth = 0
-    exhausted = False
-    while depth < min(k, len(trace.picks)):
-        v = trace.picks[depth]
-        if budget is not None and evaluations >= budget:
-            exhausted = True
-            break
-        fresh = oracle.marginal_gain(v, reached)
-        evaluations += 1
-        seeded = set(trace_out.picks)
-        best_other = next(u for u in order if u != v and u not in seeded)
-        bound = float(arr[best_other])
-        dominant = fresh > bound or (fresh == bound and v < best_other)
-        if not dominant or abs(fresh - trace.pick_gains[depth]) > tolerance:
-            break
-        trace_out.picks.append(v)
-        trace_out.pick_gains.append(fresh)
-        oracle.extend_reach(reached, v)
-        depth += 1
-
-    repair_depth = depth
-    if exhausted or len(trace_out.picks) >= k:
-        return RepairOutcome(
-            seeds=list(trace_out.picks),
-            repair_depth=repair_depth,
-            evaluations=evaluations,
-            fallback=exhausted,
-            trace=trace_out,
-        )
-
-    # Re-run lazy greedy from the failing depth: a fresh heap of initial
-    # gains (stamp -1 == always stale) over unseeded nodes.  The accepted
-    # picks depend only on the reached state, not the heap's history, so
-    # this continuation equals the cold run's picks from this depth on.
-    seeded = set(trace_out.picks)
-    heap: list[tuple[float, int, int]] = [
-        (-float(arr[v]), v, -1) for v in range(n) if v not in seeded
-    ]
-    heapq.heapify(heap)
-    spent, exhausted = _lazy_greedy(
-        oracle,
-        reached,
-        heap,
-        trace_out,
-        k,
-        None if budget is None else budget - evaluations,
-    )
-    return RepairOutcome(
-        seeds=list(trace_out.picks),
-        repair_depth=repair_depth,
-        evaluations=evaluations + spent,
-        fallback=exhausted,
-        trace=trace_out,
-    )
 
 
 class _SnapshotGreedyBase(SeedSelector):

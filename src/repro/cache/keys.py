@@ -24,16 +24,10 @@ cache.
 from __future__ import annotations
 
 import enum
-import hashlib
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
-
-from repro.utils.shards import DEFAULT_NUM_SHARDS, shard_bounds
-
-if TYPE_CHECKING:
-    from repro.graphs.digraph import DiGraph
 
 __all__ = [
     "EXCLUDED_ATTRS",
@@ -42,7 +36,6 @@ __all__ = [
     "rng_state",
     "rng_token",
     "set_rng_state",
-    "shard_hashes",
 ]
 
 #: Attribute names that never participate in a params token.
@@ -103,50 +96,6 @@ def params_token(obj: Any, depth: int = 2) -> tuple[Any, ...]:
         freeze(getattr(obj, "name", None), 0),
         tuple(sorted(attrs.items())),
     )
-
-
-def shard_hashes(
-    graph: "DiGraph", num_shards: int = DEFAULT_NUM_SHARDS
-) -> tuple[int, ...]:
-    """Per-shard structural hash of *graph*'s out-CSR (cached on the graph).
-
-    Shard *s* covers the node range ``[bounds[s], bounds[s + 1])`` (see
-    :func:`repro.utils.shards.shard_bounds`); its hash digests the node
-    range, the *normalized* row pointers of the range (offsets relative to
-    the shard start, so the hash is position-independent of other shards'
-    edge counts), and the destination slice.  Two graph versions that agree
-    on a shard's local topology therefore agree on its hash even when edges
-    elsewhere were inserted or deleted — the property that lets an edge
-    delta invalidate only the shards it touched and lets clean shards'
-    snapshot samples be reused verbatim.
-
-    The edge-id permutation is deliberately excluded: it renumbers globally
-    on every delta, and per-edge *content* keys (e.g. the probability
-    digests of stable snapshot sampling) are handled by the callers that
-    need them.
-    """
-    cached = graph._shard_hashes.get(num_shards)
-    if cached is not None:
-        return cached
-    bounds = shard_bounds(graph.num_nodes, num_shards)
-    indptr = graph.out_indptr
-    indices = graph.out_indices
-    hashes = []
-    for s in range(num_shards):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        digest = hashlib.blake2b(digest_size=8)
-        digest.update(
-            f"{graph.num_nodes}:{num_shards}:{s}:{lo}:{hi}".encode()
-        )
-        row = np.ascontiguousarray(indptr[lo : hi + 1] - indptr[lo])
-        digest.update(row.tobytes())
-        digest.update(
-            np.ascontiguousarray(indices[indptr[lo] : indptr[hi]]).tobytes()
-        )
-        hashes.append(int.from_bytes(digest.digest(), "big"))
-    result = tuple(hashes)
-    graph._shard_hashes[num_shards] = result
-    return result
 
 
 def rng_state(generator: np.random.Generator) -> dict[str, Any]:

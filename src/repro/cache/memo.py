@@ -64,31 +64,10 @@ class Memo:
         self.namespace = namespace
         self.capacity = capacity
         self._entries: OrderedDict[Any, tuple[Any, int]] = OrderedDict()
-        # Secondary index: leading key element -> keys carrying it.  Every
-        # memo user puts the graph fingerprint (or shard hash) first in its
-        # key tuples, so invalidation walks exactly the affected keys
-        # instead of scanning the whole store.
-        self._by_group: dict[Any, set[Any]] = {}
         self._nbytes = 0
         self._lock = threading.Lock()
         with _MEMOS_LOCK:
             _ALL_MEMOS.append(self)
-
-    @staticmethod
-    def _group(key: Any) -> Any:
-        if isinstance(key, tuple) and key:
-            return key[0]
-        return None
-
-    def _index_drop(self, key: Any) -> None:
-        group = self._group(key)
-        if group is None:
-            return
-        members = self._by_group.get(group)
-        if members is not None:
-            members.discard(key)
-            if not members:
-                del self._by_group[group]
 
     def __len__(self) -> int:
         with self._lock:
@@ -128,53 +107,18 @@ class Memo:
                 self._nbytes -= previous[1]
             self._entries[key] = (value, int(nbytes))
             self._nbytes += int(nbytes)
-            group = self._group(key)
-            if group is not None:
-                self._by_group.setdefault(group, set()).add(key)
             while len(self._entries) > self.capacity:
-                victim, (_, dropped) = self._entries.popitem(last=False)
-                self._index_drop(victim)
+                _, (_, dropped) = self._entries.popitem(last=False)
                 self._nbytes -= dropped
                 evicted += 1
         if evicted:
             _EVICTIONS.inc(evicted)
         _update_bytes_gauge()
 
-    def invalidate(self, group: int) -> int:
-        """Drop every entry whose leading key element equals *group*.
-
-        All memo users put the graph fingerprint (or, for shard-scoped
-        memos, the shard's structural hash) first in their key tuples, so
-        invalidation resolves through the secondary index in time
-        proportional to the entries actually dropped — never a scan of the
-        full store — and the ``cache.bytes`` gauge stays exact after the
-        partial drop.  Returns the number of entries removed.
-
-        Prefer :func:`repro.cache.invalidate_for_delta` for graph edits:
-        it scopes the drop to the shards a delta touched (reprolint RP017
-        flags whole-graph ``invalidate(graph.fingerprint)`` calls outside
-        that helper).
-        """
-        removed = 0
-        with self._lock:
-            stale = self._by_group.pop(group, None)
-            if stale:
-                for key in stale:
-                    _, nbytes = self._entries.pop(key)
-                    self._nbytes -= nbytes
-                    removed += 1
-        if removed:
-            _update_bytes_gauge()
-            sink = current_journal()
-            if sink is not None:
-                sink.cache_event(self.namespace, "invalidate", removed)
-        return removed
-
     def clear(self) -> None:
         """Drop every entry and journal the clear."""
         with self._lock:
             self._entries.clear()
-            self._by_group.clear()
             self._nbytes = 0
         _update_bytes_gauge()
         sink = current_journal()

@@ -49,14 +49,10 @@ import os
 
 import numpy as np
 
-from repro.cache import cache_enabled, params_token, shard_memo
+from repro.cache import params_token
 from repro.cascade.base import CascadeModel
 from repro.cascade.estimate import SpreadEstimate
-from repro.cascade.snapshots import (
-    SnapshotOracle,
-    sample_snapshots,
-    sample_stable_snapshots,
-)
+from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
 from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import SnapshotGainsJob, SnapshotShardJob
@@ -65,7 +61,6 @@ from repro.graphs.store import maybe_ref
 from repro.obs.metrics import counter
 from repro.utils.bitset import packed_bytes
 from repro.utils.rng import RandomSource, as_rng
-from repro.utils.shards import DEFAULT_NUM_SHARDS
 
 __all__ = [
     "MASKS_PER_JOB",
@@ -172,9 +167,6 @@ class SnapshotPool:
         graph: DiGraph,
         packed: bool = True,
         shards: int | None = None,
-        stable: bool = False,
-        struct_shards: int = DEFAULT_NUM_SHARDS,
-        seed: int | None = None,
     ) -> None:
         self.graph = graph
         self.packed = bool(packed)
@@ -183,20 +175,7 @@ class SnapshotPool:
             raise CascadeError(
                 f"shard count must be positive, got {self.shards}"
             )
-        # Stable pools draw mask bits from per-edge hashes
-        # (sample_stable_snapshots) instead of a sequential generator
-        # stream, which makes the sample delta-stable: re-creating the pool
-        # with the *same identity seed* on a patched graph reproduces every
-        # clean structural shard bit for bit (and serves it from the shard
-        # memo when caching is on).  Pass ``seed=`` to pin that identity —
-        # the incremental session does — otherwise token(rng) draws one.
-        self.stable = bool(stable)
-        self.struct_shards = int(struct_shards)
-        if self.struct_shards <= 0:
-            raise CascadeError(
-                f"structural shard count must be positive, got {self.struct_shards}"
-            )
-        self._seed: int | None = None if seed is None else int(seed)
+        self._seed: int | None = None
         self._masks: dict[tuple[object, int], list[np.ndarray]] = {}
         self._oracles: dict[tuple[object, int], SnapshotOracle] = {}
         self._gains: dict[tuple[object, int], list[float]] = {}
@@ -238,21 +217,6 @@ class SnapshotPool:
         ]
 
     def _sample(self, model: CascadeModel, key: tuple[object, int], count: int) -> list[np.ndarray]:
-        if self.stable:
-            # Stable sampling is splittable by snapshot index, so the
-            # parent-side sample is one call regardless of the job fan-out
-            # (shard jobs cover [start, start+size) ranges of the same
-            # stream).  The shard memo turns clean-shard reuse across graph
-            # versions into the warm-pool splice.
-            return sample_stable_snapshots(
-                self.graph,
-                model,
-                count,
-                seed=self._child_seed(key),
-                packed=self.packed,
-                num_shards=self.struct_shards,
-                memo=shard_memo() if cache_enabled() else None,
-            )
         if self.shards == 1:
             # Exact legacy path: one stream seeded off the request key, so
             # single-shard pools reproduce historical masks bit for bit.
@@ -334,36 +298,14 @@ class SnapshotPool:
         executor: Executor | None,
     ) -> list[float]:
         payload = maybe_ref(self.graph)
-        if self.stable:
-            # One stable stream, one [start, start+size) range per job — all
-            # jobs share the pool-level child seed, so the union of their
-            # shard samples is exactly the parent-side _sample result.
-            stable_seed = self._child_seed(key)
-            jobs = []
-            start = 0
-            for size in shard_counts(count, self.shards):
-                jobs.append(
-                    SnapshotShardJob(
-                        graph=payload,
-                        model=model,
-                        shard_seed=stable_seed,
-                        count=size,
-                        packed=self.packed,
-                        stable=True,
-                        start=start,
-                        struct_shards=self.struct_shards,
-                    )
-                )
-                start += size
-        else:
-            jobs = [
-                SnapshotShardJob(
-                    graph=payload,
-                    model=model,
-                    shard_seed=seed,
-                    count=size,
-                    packed=self.packed,
-                )
-                for seed, size in self._shard_seeds(key, count)
-            ]
+        jobs = [
+            SnapshotShardJob(
+                graph=payload,
+                model=model,
+                shard_seed=seed,
+                count=size,
+                packed=self.packed,
+            )
+            for seed, size in self._shard_seeds(key, count)
+        ]
         return _pooled_means(resolve_executor(executor).estimates(jobs))

@@ -11,10 +11,9 @@ noise between candidates.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from functools import cached_property
-from typing import TYPE_CHECKING, overload
+from typing import overload
 
 import numpy as np
 
@@ -24,10 +23,6 @@ from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
 from repro.utils.bitset import is_packed, num_words, pack_bits, unpack_bits
 from repro.utils.rng import RandomSource, as_rng
-from repro.utils.shards import DEFAULT_NUM_SHARDS, shard_bounds
-
-if TYPE_CHECKING:
-    from repro.cache.memo import Memo
 
 
 def sample_snapshots(
@@ -50,154 +45,6 @@ def sample_snapshots(
     masks = [model.sample_live_mask(graph, generator) for _ in range(count)]
     if packed:
         return [pack_bits(mask) for mask in masks]
-    return masks
-
-
-# --------------------------------------------------------------------------- #
-# delta-stable sampling
-# --------------------------------------------------------------------------- #
-
-# splitmix64 finalizer constants (Steele et al.); the avalanche mixer behind
-# the per-edge hash draws of stable sampling.
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_U64 = np.uint64
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 (wrapping arithmetic)."""
-    x = x ^ (x >> _U64(30))
-    x = x * _MIX_1
-    x = x ^ (x >> _U64(27))
-    x = x * _MIX_2
-    return x ^ (x >> _U64(31))
-
-
-def stable_edge_draws(
-    seed: int, index: int, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Uniform [0, 1) draw per edge, a pure function of ``(seed, index, u, v)``.
-
-    Unlike a sequential generator stream, the draw of edge ``(u, v)`` in
-    snapshot *index* does not depend on which other edges exist — so after
-    an edge delta, every surviving edge keeps exactly the draw it had, and
-    a resampled shard is bit-identical to the same shard sampled cold on
-    the patched graph.  The 53 high bits of a splitmix64-mixed hash give
-    the float, matching the precision of ``Generator.random``.
-    """
-    with np.errstate(over="ignore"):
-        base = _mix64(np.asarray(_U64(seed % (1 << 64)) + _GOLDEN * _U64(index)))
-        h = _mix64(src.astype(np.uint64) * _GOLDEN ^ base)
-        h = _mix64(h ^ dst.astype(np.uint64) * _MIX_2)
-    return (h >> _U64(11)).astype(np.float64) * (2.0**-53)
-
-
-def _probs_digest(probs_slice: np.ndarray) -> int:
-    digest = hashlib.blake2b(
-        np.ascontiguousarray(probs_slice).tobytes(), digest_size=8
-    )
-    return int.from_bytes(digest.digest(), "big")
-
-
-def sample_stable_snapshots(
-    graph: DiGraph,
-    model: CascadeModel,
-    count: int,
-    seed: int,
-    start: int = 0,
-    packed: bool = False,
-    num_shards: int = DEFAULT_NUM_SHARDS,
-    memo: "Memo | None" = None,
-) -> list[np.ndarray]:
-    """Draw snapshots ``start .. start + count`` from per-edge hash draws.
-
-    The delta-stable counterpart of :func:`sample_snapshots`: mask bits are
-    computed shard by shard (structural node-range shards, see
-    :mod:`repro.utils.shards`) from :func:`stable_edge_draws`, so each
-    shard's slice is a pure function of ``(shard edges, edge probabilities,
-    seed, snapshot index)``.  Two consequences:
-
-    * sampling is *splittable* — any snapshot range of any shard can be
-      produced independently (``start`` offsets shard jobs without
-      replaying earlier snapshots);
-    * sampling is *delta-stable* — after an edge delta, shards the delta
-      left untouched produce byte-identical slices, which the optional
-      *memo* (keyed on shard structural hash + probability digest + seed +
-      index) turns into the warm-pool splice: clean shards are served from
-      cache, dirty shards are recomputed, and the resulting masks are
-      bit-identical to a cold pool on the patched graph.
-
-    Requires an independent-per-edge model (IC, WC): models that override
-    ``sample_live_mask`` with coupled draws (LT's triggering sets) are
-    rejected — their snapshots cannot be decomposed per edge.
-    """
-    if count <= 0:
-        raise CascadeError(f"snapshot count must be positive, got {count}")
-    if start < 0:
-        raise CascadeError(f"snapshot start must be non-negative, got {start}")
-    if type(model).sample_live_mask is not CascadeModel.sample_live_mask:
-        raise CascadeError(
-            f"stable sampling requires independent per-edge draws; "
-            f"{type(model).__name__} overrides sample_live_mask"
-        )
-
-    # Local import: repro.cache imports repro.utils, never repro.cascade,
-    # so the runtime edge cascade -> cache is acyclic (pools does the same).
-    from repro.cache.keys import shard_hashes
-
-    n, m = graph.num_nodes, graph.num_edges
-    probs = model.edge_probabilities(graph)
-    bounds = shard_bounds(n, num_shards)
-    indptr, indices, eids = graph.out_indptr, graph.out_indices, graph.edge_ids
-    hashes = shard_hashes(graph, num_shards) if memo is not None else None
-
-    # Per-shard CSR slices: source ids, destinations, stable edge ids, and
-    # the probability slice (edge-id indexed probabilities gathered to CSR
-    # positions).  Built once and shared by every snapshot.
-    shards: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]] = []
-    for s in range(num_shards):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        p0, p1 = int(indptr[lo]), int(indptr[hi])
-        if p0 == p1:
-            shards.append(
-                (
-                    np.zeros(0, np.int64),
-                    np.zeros(0, np.int64),
-                    np.zeros(0, np.int64),
-                    np.zeros(0, np.float64),
-                    s,
-                )
-            )
-            continue
-        degrees = np.asarray(indptr[lo : hi + 1] - indptr[lo])
-        src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(degrees))
-        dst = np.asarray(indices[p0:p1], dtype=np.int64)
-        shard_eids = np.asarray(eids[p0:p1])
-        shards.append((src, dst, shard_eids, probs[shard_eids], s))
-
-    digests = [_probs_digest(shard[3]) for shard in shards] if memo is not None else None
-
-    masks: list[np.ndarray] = []
-    for index in range(start, start + count):
-        mask = np.zeros(m, dtype=bool)
-        for src, dst, shard_eids, shard_probs, s in shards:
-            if shard_eids.size == 0:
-                continue
-            bits: np.ndarray | None = None
-            key: tuple[object, ...] | None = None
-            if memo is not None and hashes is not None and digests is not None:
-                key = ("stable", hashes[s], digests[s], int(seed), index)
-                stored = memo.get(key)
-                if stored is not None:
-                    bits = unpack_bits(stored[0], shard_eids.size)
-            if bits is None:
-                bits = stable_edge_draws(seed, index, src, dst) < shard_probs
-                if memo is not None and key is not None:
-                    packed_bits = pack_bits(bits)
-                    memo.put(key, (packed_bits,), nbytes=packed_bits.nbytes)
-            mask[shard_eids] = bits
-        masks.append(pack_bits(mask) if packed else mask)
     return masks
 
 

@@ -3,7 +3,8 @@
 Subcommands cover the everyday workflows:
 
 * ``stats``    — summarize a dataset surrogate or a SNAP edge-list file;
-* ``seeds``    — run one IM algorithm and print its seed set;
+* ``seeds``    — run one IM algorithm and print its seed set (``--delta``
+  selects on the graph patched by an edge-delta file);
 * ``spread``   — Monte-Carlo spread of an algorithm's seeds (optionally
   against a competing algorithm);
 * ``compete``  — two algorithms head-to-head: per-group spreads + overlap;
@@ -34,6 +35,7 @@ Examples::
 
     python -m repro stats hep --scale 0.1
     python -m repro seeds hep --algorithm ddic --k 10
+    python -m repro seeds hep --algorithm mgic --k 10 --delta delta.json
     python -m repro spread hep --algorithm mgic --k 20 --rounds 50
     python -m repro compete hep --first mgic --second ddic --k 20
     python -m repro getreal hep --strategies mgic,ddic --k 20 --rounds 30 \
@@ -52,12 +54,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 import time
-from collections.abc import Iterator
 from pathlib import Path
 
 from repro.algorithms import get_algorithm, registered_algorithms
@@ -65,11 +64,12 @@ from repro.cascade import IndependentCascade, LinearThreshold, WeightedCascade
 from repro.core.getreal import get_real
 from repro.core.metrics import jaccard
 from repro.core.strategy import StrategySpace
-from repro.errors import JournalError
+from repro.errors import GraphError, JournalError
 from repro.core.payoff import SYMMETRY_MODES
 from repro.exec.backends import BACKENDS
 from repro.exec.executor import Executor, build_executor
 from repro.graphs.datasets import DATASETS, get_dataset
+from repro.graphs.delta import EdgeDelta
 from repro.graphs.digraph import DiGraph
 from repro.graphs.loaders import load_edge_list
 from repro.graphs.store import GraphStore, is_store_entry
@@ -191,30 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--k", type=int, default=10)
     seeds.add_argument("--probability", type=float, default=0.05, help="IC p")
     seeds.add_argument(
-        "--incremental",
-        action="store_true",
-        help="select through an IncrementalSession (stable snapshots + "
-        "CELF repair; exports REPRO_INCREMENTAL=1 for the command)",
-    )
-    seeds.add_argument(
         "--delta",
         metavar="FILE",
         default=None,
-        help="JSON file {\"added\": [[u, v], ...], \"removed\": [...]} to "
-        "apply after the cold selection (requires --incremental); prints "
-        "the repaired seed set and repair stats",
-    )
-    seeds.add_argument(
-        "--snapshots",
-        type=int,
-        default=8,
-        help="live-edge snapshots for --incremental selection",
-    )
-    seeds.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="structural shard count for --incremental cache scoping",
+        help="JSON file {\"added\": [[u, v], ...], \"removed\": [...]}: "
+        "select on the graph with these edge changes applied",
     )
 
     getreal = sub.add_parser("getreal", help="run the GetReal pipeline")
@@ -407,42 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the reprolint static-analysis rules (per-file RP001-RP009 "
-        "and RP017; --project adds the whole-program RP010-RP016)",
+        help="run the reprolint static-analysis rules (per-file RP001-RP009; "
+        "--project adds the whole-program RP010-RP016)",
     )
     add_lint_arguments(lint)
 
     return parser
-
-
-@contextlib.contextmanager
-def _incremental_override(requested: bool) -> Iterator[None]:
-    """Export ``--incremental`` as ``REPRO_INCREMENTAL=1`` for the command.
-
-    Code built inside the command (the session, drivers consulting
-    :func:`repro.incremental.incremental_requested`) resolves the switch
-    through the environment.  Restored on exit.  An
-    explicit ``REPRO_INCREMENTAL=off`` kill-switch wins over the flag —
-    the flag still selects the session code path, but warm shortcuts stay
-    disabled and every answer recomputes cold.
-    """
-    if not requested:
-        yield
-        return
-    from repro.incremental import INCREMENTAL_ENV_VAR, incremental_enabled
-
-    if not incremental_enabled():
-        yield
-        return
-    previous = os.environ.get(INCREMENTAL_ENV_VAR)
-    os.environ[INCREMENTAL_ENV_VAR] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(INCREMENTAL_ENV_VAR, None)
-        else:
-            os.environ[INCREMENTAL_ENV_VAR] = previous
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -478,53 +429,38 @@ def main(argv: list[str] | None = None) -> int:
         configure_logging(args.log_level, json=args.log_json)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
-    incremental = bool(getattr(args, "incremental", False))
-    with _incremental_override(incremental):
-        journal = RunJournal(args.journal) if args.journal else None
-        if journal is None:
-            return _run_command(args)
-        # get_real journals its own run span; for every other command the CLI
-        # brackets the invocation so the journal is never event-less.
-        wrap_run = args.command != "getreal"
-        attach_journal(journal)
-        started = time.perf_counter()
+    journal = RunJournal(args.journal) if args.journal else None
+    if journal is None:
+        return _run_command(args)
+    # get_real journals its own run span; for every other command the CLI
+    # brackets the invocation so the journal is never event-less.
+    wrap_run = args.command != "getreal"
+    attach_journal(journal)
+    started = time.perf_counter()
+    if wrap_run:
+        journal.run_start(
+            args.command, argv=[str(a) for a in (argv or sys.argv[1:])]
+        )
+    try:
+        code = _run_command(args)
+    except BaseException as exc:
         if wrap_run:
-            # Incremental runs bundle the shard layout into run_start so `repro obs trace` can attribute warm vs
-            # cold paths without re-deriving run configuration.
-            extra: dict[str, object] = {}
-            if incremental:
-                from repro.utils.shards import DEFAULT_NUM_SHARDS
-
-                extra = {
-                    "shards": getattr(args, "shards", None)
-                    or DEFAULT_NUM_SHARDS,
-                    "incremental": True,
-                }
-            journal.run_start(
-                args.command,
-                argv=[str(a) for a in (argv or sys.argv[1:])],
-                **extra,
+            journal.run_end(
+                status="error",
+                duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
+                error=f"{type(exc).__name__}: {exc}",
             )
-        try:
-            code = _run_command(args)
-        except BaseException as exc:
-            if wrap_run:
-                journal.run_end(
-                    status="error",
-                    duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            raise
-        else:
-            if wrap_run:
-                journal.run_end(
-                    status="ok",
-                    duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
-                )
-            return code
-        finally:
-            detach_journal(journal)
-            journal.close()
+        raise
+    else:
+        if wrap_run:
+            journal.run_end(
+                status="ok",
+                duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
+            )
+        return code
+    finally:
+        detach_journal(journal)
+        journal.close()
 
 
 def _run_obs(args: argparse.Namespace) -> int:
@@ -644,43 +580,23 @@ def _run_experiments(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _seeds_incremental(args: argparse.Namespace, graph: DiGraph) -> int:
-    """``repro seeds --incremental``: session select, optional delta + repair."""
-    from repro.graphs.delta import EdgeDelta
-    from repro.incremental import IncrementalSession
-    from repro.utils.shards import DEFAULT_NUM_SHARDS
+def _apply_delta_file(graph: DiGraph, path: str) -> DiGraph:
+    """*graph* with the JSON edge delta in *path* applied.
 
-    session = IncrementalSession(
-        graph,
-        IndependentCascade(args.probability),
-        num_snapshots=args.snapshots,
-        num_shards=args.shards or DEFAULT_NUM_SHARDS,
-        rng=args.seed,
-    )
-    selected = session.select(args.k)
-    print(f"incremental seeds (k={args.k}): {selected}")
-    if not args.delta:
-        return 0
-    spec = json.loads(Path(args.delta).read_text())
-    delta = EdgeDelta.of(
-        added=[tuple(edge) for edge in spec.get("added", [])],
-        removed=[tuple(edge) for edge in spec.get("removed", [])],
-    )
-    outcome = session.apply_delta(delta)
-    result = session.reselect(args.k)
-    inv = outcome.invalidation
-    print(
-        f"delta applied: +{outcome.applied.num_added} -"
-        f"{outcome.applied.num_removed} edges; dirty shards "
-        f"{list(inv.dirty_shards)}/{inv.num_shards}, cache entries dropped: "
-        f"{inv.selection_dropped + inv.blocking_dropped + inv.shard_entries_dropped}"
-    )
-    print(
-        f"repaired seeds (k={args.k}): {list(result.seeds)} "
-        f"[depth={result.repair_depth} evals={result.evaluations} "
-        f"repaired={result.repaired} fallback={result.fallback}]"
-    )
-    return 0
+    The file holds ``{"added": [[u, v], ...], "removed": [[u, v], ...]}``
+    (either key may be omitted).  An unreadable, malformed or out-of-range
+    file exits with a one-line message.
+    """
+    try:
+        spec = json.loads(Path(path).read_text())
+        if not isinstance(spec, dict) or set(spec) - {"added", "removed"}:
+            raise GraphError('expected a JSON object with keys "added" and/or "removed"')
+        delta = EdgeDelta.of(
+            added=spec.get("added", ()), removed=spec.get("removed", ())
+        )
+        return graph.apply_delta(delta)
+    except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SystemExit(f"bad delta file {path}: {exc}") from exc
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -698,10 +614,8 @@ def _dispatch(args: argparse.Namespace, graph: DiGraph, executor: Executor) -> i
         return 0
 
     if args.command == "seeds":
-        if args.incremental:
-            return _seeds_incremental(args, graph)
         if args.delta:
-            raise SystemExit("--delta requires --incremental")
+            graph = _apply_delta_file(graph, args.delta)
         algo = _algorithm(args.algorithm, args.probability)
         selected = algo.select(graph, args.k, rng=args.seed)
         print(f"{algo.name} seeds (k={args.k}): {selected}")

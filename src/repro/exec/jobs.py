@@ -51,15 +51,10 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.reachability import all_reach_sizes
-from repro.cascade.snapshots import (
-    sample_snapshots,
-    sample_stable_snapshots,
-    stack_masks,
-)
+from repro.cascade.snapshots import sample_snapshots, stack_masks
 from repro.graphs.digraph import DiGraph
 from repro.graphs.store import GraphRef, resolve_graph
 from repro.utils.rng import as_rng
-from repro.utils.shards import DEFAULT_NUM_SHARDS
 
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
@@ -233,14 +228,6 @@ class SnapshotShardJob:
     warm-cache replay reproduces them bit for bit on any backend.  The
     parent can re-derive the same masks locally from the same seed
     (:meth:`SnapshotPool.masks` does exactly that).
-
-    With ``stable=True`` the job instead draws snapshots ``start ..
-    start + count`` of the per-edge-hash stream
-    (:func:`~repro.cascade.snapshots.sample_stable_snapshots`) keyed by
-    ``shard_seed`` — here the *pool-level* stable seed shared by every job
-    of the batch, with ``start`` offsets partitioning the snapshot range.
-    ``struct_shards`` fixes the structural (node-range) shard layout so
-    worker-side samples match the parent's splice layout bit for bit.
     """
 
     graph: DiGraph | GraphRef
@@ -248,9 +235,6 @@ class SnapshotShardJob:
     shard_seed: int
     count: int
     packed: bool = True
-    stable: bool = False
-    start: int = 0
-    struct_shards: int = DEFAULT_NUM_SHARDS
 
     @property
     def num_nodes(self) -> int | None:
@@ -258,22 +242,7 @@ class SnapshotShardJob:
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
         graph = resolve_graph(self.graph)
-        if self.stable:
-            masks = sample_stable_snapshots(
-                graph,
-                self.model,
-                self.count,
-                seed=self.shard_seed,
-                start=self.start,
-                packed=self.packed,
-                num_shards=self.struct_shards,
-            )
-        else:
-            masks = sample_snapshots(
-                graph,
-                self.model,
-                self.count,
-                as_rng(self.shard_seed),
-                packed=self.packed,
-            )
+        masks = sample_snapshots(
+            graph, self.model, self.count, as_rng(self.shard_seed), packed=self.packed
+        )
         return _reach_estimates(graph, masks)

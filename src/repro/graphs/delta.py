@@ -1,20 +1,21 @@
 """Edge deltas: patch an immutable CSR graph without rebuilding it.
 
-Serve-time graphs change — a follow edge appears, a retracted citation
-disappears — and the incremental layer (:mod:`repro.incremental`) needs the
-*patched* graph plus a precise account of what moved: which stable edge ids
-survived (and what they were renumbered to), which were dropped, which are
-new, and which nodes were touched.  :func:`merge_delta` produces all of that
-with vectorized CSR surgery instead of re-running the
-:class:`~repro.graphs.digraph.DiGraph` constructor's sort/dedup pipeline.
+Graphs change — a follow edge appears, a retracted citation disappears —
+and answering a query on the new version starts from the *patched* graph.
+:func:`merge_delta` produces it with vectorized CSR surgery instead of
+re-running the :class:`~repro.graphs.digraph.DiGraph` constructor's
+sort/dedup pipeline, together with an account of what moved: which stable
+edge ids survived (and what they were renumbered to), which were dropped
+and which are new.  ``repro seeds GRAPH --delta FILE`` and
+:meth:`repro.graphs.store.GraphStore.apply_delta` are built on it.
 
 **Bit-identity contract.**  The merged graph is bit-identical — every CSR
 array, the edge-id permutation, and therefore the fingerprint — to
 ``DiGraph(n, merged_edges)`` where ``merged_edges`` lists the surviving
 edges in stable-edge-id order followed by the effective additions in input
 order.  Property tests in ``tests/test_graphs_delta.py`` pin this for
-random graphs and random deltas; everything downstream (shard hashes,
-stable snapshot splicing, CELF repair) leans on it.
+random graphs and random deltas, so a query on the patched graph answers
+exactly as it would on a graph loaded from the merged edge list.
 
 Semantics:
 
@@ -31,7 +32,7 @@ Semantics:
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +43,11 @@ __all__ = ["AppliedDelta", "EdgeDelta", "merge_delta"]
 
 
 def _as_pairs(edges: Iterable[tuple[int, int]] | np.ndarray) -> tuple[tuple[int, int], ...]:
-    if isinstance(edges, np.ndarray):
-        if edges.size == 0:
-            return ()
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise GraphError("delta edges must be (src, dst) pairs")
+    """*edges* as integer pairs; anything that is not a 2-sequence is a GraphError."""
+    try:
         return tuple((int(u), int(v)) for u, v in edges)
-    return tuple((int(u), int(v)) for u, v in edges)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"delta edges must be (src, dst) pairs: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,7 @@ class AppliedDelta:
     ``kept_old_ids[i]`` / ``kept_new_ids[i]`` pair up a surviving edge's
     stable id in the parent and child graph; per-edge attribute arrays
     (live-edge masks, probabilities) migrate with
-    ``new_attr[kept_new_ids] = old_attr[kept_old_ids]``.  ``touched_nodes``
-    are the endpoints of every *effective* change — the input to
-    shard-scoped cache invalidation.
+    ``new_attr[kept_new_ids] = old_attr[kept_old_ids]``.
     """
 
     parent: DiGraph
@@ -108,7 +105,6 @@ class AppliedDelta:
     removed_edges: np.ndarray
     noop_added: int = 0
     noop_removed: int = 0
-    touched_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
     @property
     def num_added(self) -> int:
@@ -253,9 +249,6 @@ def merge_delta(graph: DiGraph, delta: EdgeDelta) -> AppliedDelta:
     in_edge_ids.setflags(write=False)
     merged._in_edge_ids = in_edge_ids
 
-    touched = np.unique(
-        np.concatenate([added.ravel(), removed_edges.ravel()])
-    ).astype(np.int64)
     return AppliedDelta(
         parent=graph,
         graph=merged,
@@ -268,5 +261,4 @@ def merge_delta(graph: DiGraph, delta: EdgeDelta) -> AppliedDelta:
         removed_edges=removed_edges,
         noop_added=noop_added,
         noop_removed=noop_removed,
-        touched_nodes=touched,
     )

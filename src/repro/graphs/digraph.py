@@ -50,7 +50,6 @@ class DiGraph:
         "_edge_ids",
         "_fingerprint",
         "_in_edge_ids",
-        "_shard_hashes",
     )
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]) -> None:
@@ -118,7 +117,6 @@ class DiGraph:
 
         self._fingerprint: int | None = None
         self._in_edge_ids: np.ndarray | None = None
-        self._shard_hashes: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -303,43 +301,6 @@ class DiGraph:
             frontier = next_frontier
         return visited
 
-    def reverse_reachable_from(
-        self,
-        sources: Sequence[int],
-        edge_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Boolean array marking nodes that can *reach* one of *sources*.
-
-        The in-CSR mirror of :meth:`reachable_from`: traverses edges
-        backwards, filtering by the same stable-edge-id *edge_mask* (boolean
-        or packed).  This is the blast-radius primitive of the incremental
-        layer — the nodes whose reach sets a changed edge can affect are
-        exactly the reverse-reachable set of its source endpoint.
-        """
-        visited = np.zeros(self._n, dtype=bool)
-        frontier: list[int] = []
-        for s in sources:
-            self._check_node(s)
-            if not visited[s]:
-                visited[s] = True
-                frontier.append(int(s))
-
-        indptr, indices = self._in_indptr, self._in_indices
-        eids = self.in_edge_ids if edge_mask is not None else None
-        while frontier:
-            next_frontier: list[int] = []
-            for u in frontier:
-                lo, hi = indptr[u], indptr[u + 1]
-                nbrs = indices[lo:hi]
-                if edge_mask is not None and eids is not None:
-                    nbrs = nbrs[lookup_bits(edge_mask, eids[lo:hi])]
-                for v in nbrs:
-                    if not visited[v]:
-                        visited[v] = True
-                        next_frontier.append(int(v))
-            frontier = next_frontier
-        return visited
-
     # ------------------------------------------------------------------ #
     # constructors / converters
     # ------------------------------------------------------------------ #
@@ -391,7 +352,6 @@ class DiGraph:
                 arr.setflags(write=False)
         graph._fingerprint = fingerprint
         graph._in_edge_ids = None
-        graph._shard_hashes = {}
         return graph
 
     def apply_delta(self, delta: "EdgeDelta") -> "DiGraph":

@@ -615,58 +615,6 @@ class UseSpanTiming(Rule):
         self.generic_visit(node)
 
 
-class NoWholeGraphInvalidation(Rule):
-    """RP017: dropping cache entries by whole-graph fingerprint is too blunt.
-
-    ``memo.invalidate(graph.fingerprint)`` outside the cache package throws
-    away every entry keyed to the graph — including the per-shard snapshot
-    samples whose reuse is the entire point of the incremental layer.  After
-    an edge delta, the sanctioned entry point is
-    :func:`repro.cache.invalidate_for_delta`: it drops the fingerprint-keyed
-    selection/blocking entries *and only the dirty shards'* samples, so
-    clean shards keep serving the patched graph through their unchanged
-    structural hash.  The cache package itself (where that helper and the
-    memo primitives live) is exempt.
-    """
-
-    code: ClassVar[str] = "RP017"
-    name: ClassVar[str] = "no-whole-graph-invalidation"
-    rationale: ClassVar[str] = (
-        "invalidating by whole-graph fingerprint drops shard-scoped cache "
-        "entries an edge delta did not dirty, defeating the warm-pool "
-        "splice the incremental layer depends on"
-    )
-    hint: ClassVar[str] = (
-        "call repro.cache.invalidate_for_delta(applied_delta) after graph "
-        "edits; it scopes the drop to the delta's dirty shards"
-    )
-
-    @classmethod
-    def applies_to(cls, module: tuple[str, ...]) -> bool:
-        return not module_matches(module, "cache")
-
-    @staticmethod
-    def _mentions_fingerprint(node: ast.expr) -> bool:
-        return any(
-            isinstance(sub, ast.Attribute) and sub.attr == "fingerprint"
-            for sub in ast.walk(node)
-        )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "invalidate"
-            and any(self._mentions_fingerprint(arg) for arg in node.args)
-        ):
-            self.report(
-                node,
-                "whole-graph fingerprint invalidation; use "
-                "repro.cache.invalidate_for_delta for shard-scoped drops",
-            )
-        self.generic_visit(node)
-
-
 ALL_RULES: tuple[type[Rule], ...] = (
     NoGlobalRandom,
     NoFloatEquality,
@@ -676,7 +624,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NoAdHocSimulationLoops,
     UseSharedSnapshotPools,
     UseSpanTiming,
-    NoWholeGraphInvalidation,
 )
 
 

@@ -31,6 +31,7 @@ from repro.core.getreal import get_real
 from repro.core.payoff import estimate_payoff_table
 from repro.core.strategy import StrategySpace
 from repro.exec.executor import Executor
+from repro.graphs.delta import EdgeDelta
 from repro.graphs.generators import erdos_renyi
 from repro.obs.journal import RunJournal, attached, read_journal
 from repro.obs.metrics import counter
@@ -74,15 +75,6 @@ class TestMemo:
         assert len(memo) == 0
         assert memo.nbytes == 0
         assert memo.get("a") is None
-
-    def test_invalidate_by_graph_fingerprint(self):
-        memo = Memo("t4")
-        memo.put((111, "x"), "graph-111")
-        memo.put((222, "x"), "graph-222")
-        dropped = memo.invalidate(111)
-        assert dropped == 1
-        assert memo.get((111, "x")) is None
-        assert memo.get((222, "x")) == "graph-222"
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +161,18 @@ class TestSelectionCache:
         b = selector.select(karate, 3, gen)
         assert a == first  # warm replay
         assert a != b
+
+    def test_patched_graph_never_hits_parent_entries(self, karate):
+        # Keys lead with the graph fingerprint, so an edge delta needs no
+        # invalidation: the patched graph's lookups miss the parent's entries.
+        selector = DegreeDiscount(0.1)
+        selector.select(karate, 3, np.random.default_rng(5))
+        patched = karate.apply_delta(EdgeDelta.of(added=[(0, 33)], removed=[(0, 1)]))
+        h0 = _HITS.value
+        selector.select(patched, 3, np.random.default_rng(5))
+        assert _HITS.value == h0
+        selector.select(karate, 3, np.random.default_rng(5))
+        assert _HITS.value == h0 + 1
 
     def test_no_caching_without_rng(self, karate):
         h0, m0 = _HITS.value, _MISSES.value

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.graphs.delta import EdgeDelta, merge_delta
 from repro.graphs.generators import karate_like_fixture
-from repro.graphs.loaders import save_edge_list
+from repro.graphs.loaders import load_edge_list, save_edge_list
+from repro.graphs.store import GraphStore
 
 
 @pytest.fixture
@@ -60,46 +62,59 @@ class TestSeedsCommand:
             main(["seeds", karate_file, "--algorithm", "nope"])
 
 
-class TestSeedsIncremental:
-    def _delta_file(self, tmp_path):
+class TestSeedsDelta:
+    DELTA = {"added": [[0, 5], [3, 9]], "removed": [[1, 2]]}
+
+    def _write(self, tmp_path, text):
         path = tmp_path / "delta.json"
-        path.write_text(json.dumps({"added": [[0, 5], [3, 9]], "removed": [[1, 2]]}))
+        path.write_text(text)
         return str(path)
 
-    def test_incremental_with_delta(self, karate_file, tmp_path, capsys):
-        journal = tmp_path / "run.jsonl"
-        assert main([
-            "seeds", karate_file, "--incremental", "--k", "3",
-            "--snapshots", "4", "--seed", "7",
-            "--delta", self._delta_file(tmp_path),
-            "--journal", str(journal),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "incremental seeds" in out
-        assert "repaired seeds" in out
-        start = json.loads(journal.read_text().splitlines()[0])
-        assert start["event"] == "run_start"
-        assert start["incremental"] is True
-        assert start["shards"] > 0
+    def test_delta_matches_patched_graph(self, karate_file, tmp_path, capsys):
+        # seeds --delta must answer exactly what seeds answers on the stored
+        # merge_delta graph: same algorithm, same seed, same output.  A graph
+        # store keeps the patched CSR (and its edge ids) bit for bit.
+        graph, _ = load_edge_list(karate_file)
+        patched = merge_delta(
+            graph,
+            EdgeDelta.of(added=self.DELTA["added"], removed=self.DELTA["removed"]),
+        ).graph
+        GraphStore(tmp_path / "store").save(patched, "patched")
+        args = ["--algorithm", "mgic", "--k", "3", "--seed", "7"]
 
-    def test_delta_requires_incremental(self, karate_file, tmp_path):
-        with pytest.raises(SystemExit, match="--incremental"):
-            main([
-                "seeds", karate_file, "--k", "3",
-                "--delta", self._delta_file(tmp_path),
-            ])
+        assert main(["seeds", str(tmp_path / "store" / "patched"), *args]) == 0
+        expected = capsys.readouterr().out
+        delta_file = self._write(tmp_path, json.dumps(self.DELTA))
+        assert main(["seeds", karate_file, *args, "--delta", delta_file]) == 0
+        assert capsys.readouterr().out == expected
+        assert expected.startswith("mgic seeds (k=3): ")
 
-    def test_kill_switch_wins_over_flag(
-        self, karate_file, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"added": [[1, 2, 3]]}', "pairs"),
+            ('{"removed": [[0]]}', "pairs"),
+            ('{"added": [[0, 34]]}', "endpoints"),
+            ('{"added": [[0, 1]', "delimiter"),
+            ('[[0, 1]]', "JSON object"),
+            ('{"add": [[0, 1]]}', "JSON object"),
+            (None, "No such file"),
+        ],
+        ids=["triple", "single", "out-of-range", "malformed", "not-object",
+             "unknown-key", "missing"],
+    )
+    def test_bad_delta_file_exits_with_message(
+        self, karate_file, tmp_path, capsys, text, message
     ):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "off")
-        assert main([
-            "seeds", karate_file, "--incremental", "--k", "3",
-            "--snapshots", "4", "--seed", "7",
-            "--delta", self._delta_file(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "repaired=False" in out
+        path = (
+            str(tmp_path / "missing.json") if text is None else self._write(tmp_path, text)
+        )
+        with pytest.raises(SystemExit, match=message) as info:
+            main(["seeds", karate_file, "--k", "3", "--delta", path])
+        assert str(info.value).startswith("bad delta file ")
+        assert "\n" not in str(info.value)
+        # The file is read before any selection runs, so nothing is printed.
+        assert capsys.readouterr().out == ""
 
 
 class TestOverlapCommand:

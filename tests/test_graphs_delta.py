@@ -1,22 +1,15 @@
 """Tests for repro.graphs.delta: merge_delta vs full rebuild, id maps,
-no-op semantics, store journaling, shard partitioning, and shard hashes."""
+no-op semantics, input validation, and store journaling."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.cache.keys import shard_hashes
 from repro.graphs.delta import AppliedDelta, EdgeDelta, merge_delta
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.store import GraphStore
 from repro.utils.rng import as_rng
-from repro.utils.shards import (
-    DEFAULT_NUM_SHARDS,
-    shard_bounds,
-    shard_of_nodes,
-    touched_shards,
-)
 
 
 def random_graph(rng, n=40):
@@ -66,6 +59,17 @@ class TestEdgeDelta:
         with pytest.raises(GraphError, match="pairs"):
             EdgeDelta.of(added=np.arange(6).reshape(2, 3))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(1, 2, 3)], [(1,)], [7], [None], [("a", "b")], 5, np.array([1, 2])],
+        ids=["triple", "single", "scalar", "none", "non-int", "not-iterable", "flat-array"],
+    )
+    def test_non_pair_entries_rejected(self, edges):
+        with pytest.raises(GraphError, match="pairs"):
+            EdgeDelta.of(added=edges)
+        with pytest.raises(GraphError, match="pairs"):
+            EdgeDelta.of(removed=edges)
+
 
 class TestMergeBitIdentity:
     """merge_delta's graph must be bit-identical to a constructor rebuild."""
@@ -96,10 +100,6 @@ class TestMergeBitIdentity:
         np.testing.assert_array_equal(
             applied.graph.reachable_from([0, 3], mask),
             expected.reachable_from([0, 3], mask),
-        )
-        np.testing.assert_array_equal(
-            applied.graph.reverse_reachable_from([1], mask),
-            expected.reverse_reachable_from([1], mask),
         )
 
     def test_attribute_migration_via_id_maps(self):
@@ -176,13 +176,14 @@ class TestNoopSemantics:
         applied = merge_delta(graph, EdgeDelta.of(added=[(7, 8)]))
         assert applied.graph.num_nodes == 9
 
-    def test_touched_nodes_cover_effective_changes_only(self):
+    def test_edge_lists_cover_effective_changes_only(self):
         graph = DiGraph(6, [(0, 1), (2, 3)])
         applied = merge_delta(
             graph,
             EdgeDelta.of(added=[(4, 5), (0, 1)], removed=[(2, 3), (1, 5)]),
         )
-        assert applied.touched_nodes.tolist() == [2, 3, 4, 5]
+        assert applied.added_edges.tolist() == [[4, 5]]
+        assert applied.removed_edges.tolist() == [[2, 3]]
 
 
 class TestReadOnlyCsr:
@@ -251,71 +252,3 @@ class TestGraphStoreDeltas:
 
     def test_empty_store_has_empty_log(self, tmp_path):
         assert GraphStore(tmp_path).delta_log() == []
-
-
-class TestShardPartition:
-    def test_bounds_cover_and_balance(self):
-        bounds = shard_bounds(103, 8)
-        assert bounds[0] == 0 and bounds[-1] == 103
-        sizes = np.diff(bounds)
-        assert sizes.max() - sizes.min() <= 1
-
-    def test_more_shards_than_nodes(self):
-        bounds = shard_bounds(3, 8)
-        assert bounds[-1] == 3
-        assert (np.diff(bounds) >= 0).all()
-
-    def test_shard_of_nodes_matches_bounds(self):
-        n, s = 57, 6
-        bounds = shard_bounds(n, s)
-        shards = shard_of_nodes(np.arange(n), n, s)
-        for i in range(s):
-            members = np.flatnonzero(shards == i)
-            if members.size:
-                assert members.min() >= bounds[i]
-                assert members.max() < bounds[i + 1]
-
-    def test_shard_of_nodes_rejects_out_of_range(self):
-        with pytest.raises(GraphError, match="node ids"):
-            shard_of_nodes(np.array([5]), 5, 2)
-
-    def test_touched_shards_sorted_distinct(self):
-        assert touched_shards(np.array([0, 1, 99, 0]), 100, 4) == (0, 3)
-
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(GraphError, match="positive"):
-            shard_bounds(10, 0)
-
-
-class TestShardHashes:
-    def test_clean_shards_hash_equal_across_versions(self):
-        """The position-independence property: a delta far from a shard
-        leaves that shard's hash byte-identical, even though global CSR
-        offsets and the edge-id permutation shifted."""
-        rng = as_rng(21)
-        graph = random_graph(rng, n=64)
-        child = merge_delta(
-            graph, EdgeDelta.of(added=[(1, 2)], removed=[(2, 1)])
-        ).graph
-        before = shard_hashes(graph)
-        after = shard_hashes(child)
-        dirty = set(touched_shards(np.array([1, 2]), graph.num_nodes, DEFAULT_NUM_SHARDS))
-        for s in range(DEFAULT_NUM_SHARDS):
-            if s not in dirty:
-                assert before[s] == after[s], f"clean shard {s} hash moved"
-
-    def test_dirty_shard_hash_changes(self):
-        graph = DiGraph(32, [(0, 1), (16, 17)])
-        child = graph.apply_delta(EdgeDelta.of(removed=[(0, 1)]))
-        before = shard_hashes(graph)
-        after = shard_hashes(child)
-        source_shard = int(shard_of_nodes(np.array([0]), 32, DEFAULT_NUM_SHARDS)[0])
-        assert before[source_shard] != after[source_shard]
-
-    def test_hashes_cached_on_graph(self):
-        graph = DiGraph(8, [(0, 1)])
-        assert shard_hashes(graph) is shard_hashes(graph)
-
-    def test_distinct_shard_counts_distinct_hashes(self):
-        graph = DiGraph(8, [(0, 1)])
-        assert shard_hashes(graph, 4) != shard_hashes(graph, 8)

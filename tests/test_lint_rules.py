@@ -27,7 +27,7 @@ class TestRuleCatalogue:
     def test_rules_with_stable_codes(self):
         assert [r.code for r in ALL_RULES] == [
             "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP008",
-            "RP009", "RP017",
+            "RP009",
         ]
 
     def test_every_rule_carries_metadata(self):
@@ -727,62 +727,5 @@ class TestRP009UseSpanTiming:
             """,
             "core/pipeline.py",
             select=["RP009"],
-        )
-        assert found == []
-
-
-class TestRP017NoWholeGraphInvalidation:
-    def test_flags_fingerprint_invalidate(self):
-        found = findings_for(
-            """
-            def drop(memo, graph):
-                memo.invalidate(graph.fingerprint)
-            """,
-            "core/refresh.py",
-            select=["RP017"],
-        )
-        assert codes(found) == ["RP017"]
-
-    def test_flags_nested_fingerprint_expression(self):
-        found = findings_for(
-            """
-            def drop(memo, applied):
-                memo.invalidate(int(applied.parent.fingerprint))
-            """,
-            "algorithms/refresh.py",
-            select=["RP017"],
-        )
-        assert codes(found) == ["RP017"]
-
-    def test_shard_hash_invalidation_is_silent(self):
-        found = findings_for(
-            """
-            def drop(memo, hashes, dirty):
-                for s in dirty:
-                    memo.invalidate(hashes[s])
-            """,
-            "core/refresh.py",
-            select=["RP017"],
-        )
-        assert found == []
-
-    def test_cache_package_exempt(self):
-        snippet = """
-            def drop(memo, graph):
-                memo.invalidate(graph.fingerprint)
-            """
-        assert findings_for(snippet, "cache/__init__.py", select=["RP017"]) == []
-        assert codes(
-            findings_for(snippet, "exec/refresh.py", select=["RP017"])
-        ) == ["RP017"]
-
-    def test_suppression_comment(self):
-        found = findings_for(
-            """
-            def drop(memo, graph):
-                memo.invalidate(graph.fingerprint)  # reprolint: disable=RP017
-            """,
-            "core/refresh.py",
-            select=["RP017"],
         )
         assert found == []
