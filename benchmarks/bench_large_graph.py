@@ -7,8 +7,9 @@ configuration model so it finishes in CI):
 1. generate a >= 1M-node graph, persist it into a :class:`GraphStore`,
    and reopen it memory-mapped;
 2. estimate a payoff-tensor cell set (two degree-class strategies, r = 2
-   groups, all four profile cells) on the **process** backend with
-   ``GraphRef`` payloads, under an attached journal;
+   groups, all four profile cells) on the **process** backend with jobs
+   built from the mapped graph, which pickles as its O(1) ``GraphRef``,
+   under an attached journal;
 3. assert from the journal that submit-side payloads stayed O(1) — the
    whole batch pickles in a few KB where raw CSR payloads would cost
    O(n+m) per job — and from the metrics that the snapshot pool stored
@@ -108,7 +109,7 @@ def test_large_graph_scale_out(report):
         ]
         jobs = [
             CompetitiveJob(
-                graph=ref,
+                graph=mapped,
                 model=MODEL,
                 seed_sets=(strategies[a], strategies[b]),
                 rounds=ROUNDS,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.executor import BACKEND_ENV_VAR, WORKERS_ENV_VAR
+from repro.config import RunConfig
 from repro.experiments.config import ExperimentConfig
 from repro.obs import (
     RunJournal,
@@ -92,8 +92,8 @@ def report():
             write_csv(rows, _RESULTS_DIR / f"{safe}.csv")
         payload = {
             "name": name,
-            "backend": os.environ.get(BACKEND_ENV_VAR, "").strip() or "serial",
-            "workers": int(os.environ.get(WORKERS_ENV_VAR) or 0) or None,
+            "backend": RunConfig.from_env().backend,
+            "workers": RunConfig.from_env().workers,
             "note": note,
             "rows": rows,
             # Full telemetry at emit time (cumulative over the bench run):

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, ClassVar
 import numpy as np
 
 from repro.cache import (
-    cache_enabled,
     params_token,
     rng_state,
     rng_token,
@@ -96,21 +95,20 @@ class SeedSelector(ABC):
         supplies shared live-edge masks and initial gains via
         :meth:`_select_pooled`; other algorithms ignore it.
 
-        When *rng* is provided (reproducible call) and the work-sharing
-        cache is enabled, the result is memoized on (graph fingerprint,
-        selector params, ``k``, RNG state, pool token).  A hit
-        returns the cached seeds and restores the post-selection RNG state
-        into the caller's generator, so warm runs are bit-identical to cold
-        ones.
+        When *rng* is provided (reproducible call), the result is memoized
+        on (graph fingerprint, selector params, ``k``, RNG state, pool
+        token).  A hit returns the cached seeds and restores the
+        post-selection RNG state into the caller's generator, so warm runs
+        are bit-identical to cold ones.
         """
         started = time.perf_counter()
         generator = as_rng(rng)
         use_pool = pool is not None and self.uses_snapshots
         # Seeding the pool draws (at most) one integer from the caller's
         # generator — unconditionally, so the RNG stream does not depend on
-        # whether the cache is enabled or warm.
+        # whether the cache is warm.
         pool_token = pool.token(generator) if use_pool and pool is not None else None
-        memo = selection_memo() if rng is not None and cache_enabled() else None
+        memo = selection_memo() if rng is not None else None
         key: Any = None
         if memo is not None:
             key = (

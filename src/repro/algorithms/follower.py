@@ -41,7 +41,6 @@ from repro.errors import SeedSelectionError
 from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import CompetitiveJob
 from repro.graphs.digraph import DiGraph
-from repro.graphs.store import maybe_ref
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int
 
@@ -107,7 +106,7 @@ class FollowerBestResponse(SeedSelector):
         Monte-Carlo noise.
         """
         return CompetitiveJob(
-            graph=maybe_ref(graph),
+            graph=graph,
             model=self.model,
             seed_sets=(tuple(self.rival_seeds), tuple(int(s) for s in seeds)),
             rounds=self.rounds,

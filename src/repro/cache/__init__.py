@@ -12,10 +12,10 @@ do.  This package memoizes those computations behind content-derived keys:
 
 Hits restore the exact post-computation RNG state into the caller's
 generator, so a warm cache is bit-identical to a cold one — downstream
-draws continue from the same stream position either way.  The whole layer
-is switched off with ``REPRO_CACHE=off``; see :mod:`repro.cache.memo` for
-the metrics (``cache.hits`` / ``cache.misses`` / ``cache.evictions`` /
-``cache.bytes``) and journal events.
+draws continue from the same stream position either way.  See
+:mod:`repro.cache.memo` for the metrics (``cache.hits`` /
+``cache.misses`` / ``cache.evictions`` / ``cache.bytes``) and journal
+events.
 
 Graph edits need no invalidation: every key leads with the graph
 fingerprint, and a patched graph (:meth:`repro.graphs.digraph.DiGraph.apply_delta`)
@@ -33,14 +33,12 @@ from repro.cache.keys import (
     rng_token,
     set_rng_state,
 )
-from repro.cache.memo import CACHE_ENV_VAR, Memo, cache_enabled
+from repro.cache.memo import Memo
 
 __all__ = [
-    "CACHE_ENV_VAR",
     "EXCLUDED_ATTRS",
     "Memo",
     "blocking_memo",
-    "cache_enabled",
     "clear_caches",
     "freeze",
     "params_token",

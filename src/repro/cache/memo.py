@@ -1,4 +1,4 @@
-"""Bounded memo stores with metrics, journal events, and an env kill-switch.
+"""Bounded memo stores with metrics and journal events.
 
 A :class:`Memo` is a thread-safe FIFO-bounded mapping from frozen keys
 (:mod:`repro.cache.keys`) to computed values.  Shared module-level instances
@@ -9,16 +9,12 @@ lookup lands in the ``cache.hits`` / ``cache.misses`` counters, evictions in
 events when a run journal is attached (the live monitor derives its hit
 rate from that stream).
 
-Caching is on by default and can be disabled globally with
-``REPRO_CACHE=off`` (also ``0`` / ``false`` / ``no``): callers consult
-:func:`cache_enabled` before touching a memo, so a disabled cache costs
-nothing and — because hits restore the exact post-computation RNG state —
-produces bit-identical results to a cold cache.
+Caching is always on: hits restore the exact post-computation RNG state,
+so a warm cache produces bit-identical results to a cold one.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any
@@ -26,13 +22,7 @@ from typing import Any
 from repro.obs.journal import current_journal
 from repro.obs.metrics import counter, gauge
 
-__all__ = ["CACHE_ENV_VAR", "Memo", "cache_enabled"]
-
-#: Environment variable that disables all work-sharing caches when set to a
-#: falsy value (``0`` / ``off`` / ``false`` / ``no``).
-CACHE_ENV_VAR = "REPRO_CACHE"
-
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
+__all__ = ["Memo"]
 
 _HITS = counter("cache.hits")
 _MISSES = counter("cache.misses")
@@ -41,12 +31,6 @@ _BYTES = gauge("cache.bytes")
 
 _ALL_MEMOS: list[Memo] = []
 _MEMOS_LOCK = threading.Lock()
-
-
-def cache_enabled() -> bool:
-    """Whether the work-sharing caches are active (``REPRO_CACHE`` gate)."""
-    raw = os.environ.get(CACHE_ENV_VAR, "").strip().lower()
-    return raw not in _DISABLED_VALUES
 
 
 def _update_bytes_gauge() -> None:

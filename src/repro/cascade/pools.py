@@ -13,23 +13,9 @@ group and memoizes, per ``(model, count)``:
 * the batched initial gains (:meth:`initial_gains`, shared between
   MixGreedy and CELFGreedy).
 
-Pools store masks as **packed bitsets** by default (one bit per edge — see
+Pools store masks as **packed bitsets** (one bit per edge — see
 :mod:`repro.utils.bitset`), so a resident pool costs m/8 bytes per snapshot
-instead of m; pass ``packed=False`` for the legacy boolean representation.
-Both hold exactly the same bits, and every oracle/gains result is
-bit-identical across the two.
-
-**Sharded generation.**  With ``shards > 1`` (or ``REPRO_SNAPSHOT_SHARDS``)
-the snapshot sample is split into contiguous shards, each derived from its
-own deterministic shard seed.  :meth:`initial_gains` then fans one
-:class:`~repro.exec.jobs.SnapshotShardJob` per shard through the executor —
-workers sample their shard locally, so neither graph nor masks cross the
-pickle boundary — while :meth:`masks` re-derives the identical shard
-samples parent-side from the same seeds.  Shard seeds depend only on the
-pool seed, the request key, and the shard index, never on the executor, so
-warm-cache replay stays deterministic on every backend.  ``shards=1`` (the
-default) uses the exact legacy single-stream sampling path, preserving
-historical mask content bit for bit.
+instead of m.
 
 **Randomization contract (Theorem 1).**  The paper's mixed-equilibrium
 argument needs identical strategies played by different groups to produce
@@ -45,7 +31,6 @@ samples.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
@@ -55,18 +40,15 @@ from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import SnapshotGainsJob, SnapshotShardJob
+from repro.exec.jobs import SnapshotGainsJob
 from repro.graphs.digraph import DiGraph
-from repro.graphs.store import maybe_ref
 from repro.obs.metrics import counter
 from repro.utils.bitset import packed_bytes
 from repro.utils.rng import RandomSource, as_rng
 
 __all__ = [
     "MASKS_PER_JOB",
-    "SHARDS_ENV_VAR",
     "SnapshotPool",
-    "shard_counts",
     "snapshot_initial_gains",
 ]
 
@@ -75,42 +57,9 @@ __all__ = [
 #: chunking — and therefore pooled estimates — never depends on the backend.
 MASKS_PER_JOB = 8
 
-#: Environment override for the default shard count of new pools.
-SHARDS_ENV_VAR = "REPRO_SNAPSHOT_SHARDS"
-
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
 _POOL_MASK_BYTES = counter("cascade.pool_mask_bytes")
-
-
-def shard_counts(count: int, shards: int) -> list[int]:
-    """Split *count* snapshots into *shards* contiguous shard sizes.
-
-    Every shard gets ``count // shards`` snapshots and the first
-    ``count % shards`` shards one extra, so the split depends only on the
-    two integers — never on the executor or worker count.  Shards beyond
-    *count* would be empty and are dropped.
-    """
-    if shards <= 0:
-        raise CascadeError(f"shard count must be positive, got {shards}")
-    base, extra = divmod(int(count), int(shards))
-    sizes = [base + (1 if s < extra else 0) for s in range(shards)]
-    return [size for size in sizes if size > 0]
-
-
-def _default_shards() -> int:
-    raw = os.environ.get(SHARDS_ENV_VAR)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError as exc:
-        raise CascadeError(
-            f"{SHARDS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    if shards <= 0:
-        raise CascadeError(f"{SHARDS_ENV_VAR} must be positive, got {shards}")
-    return shards
 
 
 def _pooled_means(
@@ -144,16 +93,12 @@ def snapshot_initial_gains(
 
     This is the expensive all-nodes reachability pass both MixGreedy and
     CELFGreedy start from; it lives here so a :class:`SnapshotPool` can
-    compute it once per ``(model, count)`` and serve every consumer.  The
-    graph payload is shrunk to a :class:`~repro.graphs.store.GraphRef`
-    when a default graph store is configured (see
-    :func:`repro.graphs.store.maybe_ref`).
+    compute it once per ``(model, count)`` and serve every consumer.
     """
     if not masks:
         raise CascadeError("at least one snapshot mask is required")
-    payload = maybe_ref(graph)
     jobs = [
-        SnapshotGainsJob(graph=payload, masks=tuple(masks[i : i + MASKS_PER_JOB]))
+        SnapshotGainsJob(graph=graph, masks=tuple(masks[i : i + MASKS_PER_JOB]))
         for i in range(0, len(masks), MASKS_PER_JOB)
     ]
     return _pooled_means(resolve_executor(executor).estimates(jobs))
@@ -162,19 +107,8 @@ def snapshot_initial_gains(
 class SnapshotPool:
     """Memoized live-edge sample shared by the strategies of one group."""
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        packed: bool = True,
-        shards: int | None = None,
-    ) -> None:
+    def __init__(self, graph: DiGraph) -> None:
         self.graph = graph
-        self.packed = bool(packed)
-        self.shards = _default_shards() if shards is None else int(shards)
-        if self.shards <= 0:
-            raise CascadeError(
-                f"shard count must be positive, got {self.shards}"
-            )
         self._seed: int | None = None
         self._masks: dict[tuple[object, int], list[np.ndarray]] = {}
         self._oracles: dict[tuple[object, int], SnapshotOracle] = {}
@@ -209,44 +143,17 @@ class SnapshotPool:
         )
         return int.from_bytes(digest.digest(), "big") >> 2
 
-    def _shard_seeds(self, key: tuple[object, int], count: int) -> list[tuple[int, int]]:
-        """Deterministic ``(seed, size)`` per shard of a ``count`` sample."""
-        return [
-            (self._child_seed((*key, "shard", s)), size)
-            for s, size in enumerate(shard_counts(count, self.shards))
-        ]
-
-    def _sample(self, model: CascadeModel, key: tuple[object, int], count: int) -> list[np.ndarray]:
-        if self.shards == 1:
-            # Exact legacy path: one stream seeded off the request key, so
-            # single-shard pools reproduce historical masks bit for bit.
-            return sample_snapshots(
-                self.graph,
-                model,
-                count,
-                as_rng(self._child_seed(key)),
-                packed=self.packed,
-            )
-        masks: list[np.ndarray] = []
-        for seed, size in self._shard_seeds(key, count):
-            masks.extend(
-                sample_snapshots(
-                    self.graph, model, size, as_rng(seed), packed=self.packed
-                )
-            )
-        return masks
-
     def masks(self, model: CascadeModel, count: int) -> list[np.ndarray]:
         """The shared live-edge masks for ``(model, count)``; sampled once.
 
-        Packed pools return packed bitsets; shard boundaries (if any) are
-        invisible here — the list is always the concatenation of shard
-        samples in shard order.
+        One stream seeded off the request key, returned as packed bitsets.
         """
         key = self._request_key(model, count)
         masks = self._masks.get(key)
         if masks is None:
-            masks = self._sample(model, key, count)
+            masks = sample_snapshots(
+                self.graph, model, count, as_rng(self._child_seed(key)), packed=True
+            )
             self._masks[key] = masks
             _POOL_SAMPLES.inc()
             _POOL_MASK_BYTES.inc(packed_bytes(masks))
@@ -271,41 +178,11 @@ class SnapshotPool:
     ) -> list[float]:
         """The shared batched NewGreedy gains for ``(model, count)``.
 
-        Single-shard pools chunk the parent-side masks through
-        :func:`snapshot_initial_gains`; sharded pools instead submit one
-        :class:`~repro.exec.jobs.SnapshotShardJob` per shard, so workers
-        sample their own masks and only the O(1) shard description is
-        pickled.  Reach sizes are integers, so pooling the per-shard
-        estimates reproduces the gains of the concatenated sample exactly.
+        Computed once from :meth:`masks` by :func:`snapshot_initial_gains`.
         """
         key = self._request_key(model, count)
         gains = self._gains.get(key)
         if gains is None:
-            if self.shards == 1:
-                gains = snapshot_initial_gains(
-                    self.graph, self.masks(model, count), executor
-                )
-            else:
-                gains = self._sharded_gains(model, key, count, executor)
+            gains = snapshot_initial_gains(self.graph, self.masks(model, count), executor)
             self._gains[key] = gains
         return gains
-
-    def _sharded_gains(
-        self,
-        model: CascadeModel,
-        key: tuple[object, int],
-        count: int,
-        executor: Executor | None,
-    ) -> list[float]:
-        payload = maybe_ref(self.graph)
-        jobs = [
-            SnapshotShardJob(
-                graph=payload,
-                model=model,
-                shard_seed=seed,
-                count=size,
-                packed=self.packed,
-            )
-            for seed, size in self._shard_seeds(key, count)
-        ]
-        return _pooled_means(resolve_executor(executor).estimates(jobs))

@@ -29,7 +29,6 @@ from repro.cascade.estimate import SpreadEstimate
 from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import CompetitiveJob, SpreadJob
 from repro.graphs.digraph import DiGraph
-from repro.graphs.store import maybe_ref
 from repro.lint import contracts
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter, histogram
@@ -62,7 +61,7 @@ def estimate_spread(
     """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations."""
     check_positive_int(rounds, "rounds")
     job = SpreadJob(
-        graph=maybe_ref(graph),
+        graph=graph,
         model=model,
         seeds=tuple(int(s) for s in seeds),
         rounds=rounds,
@@ -95,7 +94,7 @@ def estimate_competitive_spread(
     """
     check_positive_int(rounds, "rounds")
     job = CompetitiveJob(
-        graph=maybe_ref(graph),
+        graph=graph,
         model=model,
         seed_sets=tuple(tuple(int(s) for s in seeds) for seeds in seed_sets),
         rounds=rounds,

@@ -98,7 +98,9 @@ def _load_graph(target: str, scale: float | None, directed: bool) -> DiGraph:
     Graph-store entries (directories written by
     :class:`repro.graphs.store.GraphStore`) open as memory-mapped CSR
     arrays, so million-node graphs load in milliseconds without touching
-    ``--undirected`` (direction was fixed at ingest time).
+    ``--undirected`` (direction was fixed at ingest time), and their jobs
+    pickle as O(1) :class:`~repro.graphs.store.GraphRef` handles on the
+    process backend.
     """
     if target in DATASETS:
         return get_dataset(target, scale=scale)
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the reprolint static-analysis rules (per-file RP001-RP009; "
-        "--project adds the whole-program RP010-RP016)",
+        "--project adds the whole-program RP010-RP015)",
     )
     add_lint_arguments(lint)
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.cache import (
     blocking_memo,
-    cache_enabled,
     params_token,
     rng_state,
     rng_token,
@@ -37,7 +36,6 @@ from repro.errors import SeedSelectionError
 from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import CompetitiveJob
 from repro.graphs.digraph import DiGraph
-from repro.graphs.store import maybe_ref
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int
 
@@ -88,7 +86,7 @@ def _blocking_job(
         (rival, tuple(int(b) for b in blockers)) if blockers else (rival,)
     )
     return CompetitiveJob(
-        graph=maybe_ref(graph),
+        graph=graph,
         model=model,
         seed_sets=seed_sets,
         rounds=rounds,
@@ -134,7 +132,7 @@ def select_blockers(
             raise SeedSelectionError(f"rival seed {s} out of range")
 
     generator = as_rng(rng)
-    memo = blocking_memo() if rng is not None and cache_enabled() else None
+    memo = blocking_memo() if rng is not None else None
     key: Any = None
     if memo is not None:
         key = (

@@ -30,7 +30,7 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
 from repro.core.payoff import PayoffTable, estimate_payoff_table, resolve_symmetry
 from repro.core.strategy import MixedStrategy, StrategySpace
-from repro.exec.executor import Executor
+from repro.exec.executor import Executor, resolve_executor
 from repro.game.mixed import (
     regret_of_symmetric_mixture,
     symmetric_mixed_equilibrium,
@@ -38,6 +38,7 @@ from repro.game.mixed import (
 from repro.game.normal_form import NormalFormGame
 from repro.game.pure import is_pure_equilibrium
 from repro.graphs.digraph import DiGraph
+from repro.lint import contracts
 from repro.obs.journal import RunJournal, current_journal
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter
@@ -206,7 +207,8 @@ def get_real(
 
     When *journal* is given (or attached via
     :func:`repro.obs.attach_journal`), the run is journalled end to end:
-    ``run_start`` with the full parameterization, one
+    ``run_start`` with the full parameterization and the resolved
+    backend, workers, symmetry and contracts setting, one
     ``profile_start``/``profile_done`` pair per strategy profile,
     ``equilibrium_found`` with the recommendation, and ``run_end``.
     """
@@ -228,6 +230,7 @@ def get_real(
     )
     started = time.perf_counter()
     if sink is not None:
+        resolved_executor = resolve_executor(executor)
         sink.run_start(
             "get_real",
             graph_nodes=graph.num_nodes,
@@ -241,6 +244,9 @@ def get_real(
             tie_break=tie_break.value,
             claim_rule=claim_rule.value,
             symmetry=resolve_symmetry(symmetry),
+            backend=resolved_executor.backend_name,
+            workers=resolved_executor.workers,
+            contracts=contracts.enabled(),
         )
     try:
         # The run-level root span: every batch span (and, transitively,

@@ -48,7 +48,6 @@ generator in the same way.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
@@ -60,13 +59,13 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
 from repro.cascade.pools import SnapshotPool
 from repro.cascade.simulate import SpreadEstimate
+from repro.config import RunConfig
 from repro.core.strategy import StrategySpace
 from repro.errors import PayoffEstimationError
 from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import CompetitiveJob
 from repro.game.normal_form import NormalFormGame
 from repro.graphs.digraph import DiGraph
-from repro.graphs.store import maybe_ref
 from repro.lint import contracts
 from repro.obs.journal import RunJournal, current_journal
 from repro.obs.log import get_logger
@@ -81,16 +80,13 @@ _PROFILES = counter("payoff.profiles_estimated")
 _PROFILES_FILLED = counter("payoff.profiles_filled")
 _PROFILE_SECONDS = histogram("payoff.profile_seconds")
 
-#: Environment variable selecting the process-wide default symmetry mode.
-SYMMETRY_ENV_VAR = "REPRO_SYMMETRY"
-
 #: Known symmetry modes, in documentation order.
 SYMMETRY_MODES = ("full", "reduce")
 
 
 def resolve_symmetry(symmetry: str | None = None) -> str:
     """Resolve the symmetry mode: explicit arg > ``REPRO_SYMMETRY`` > full."""
-    resolved = symmetry or os.environ.get(SYMMETRY_ENV_VAR, "").strip() or "full"
+    resolved = symmetry or RunConfig.from_env().symmetry
     if resolved not in SYMMETRY_MODES:
         raise PayoffEstimationError(
             f"unknown symmetry mode {resolved!r}; known: {SYMMETRY_MODES}"
@@ -332,7 +328,6 @@ def estimate_payoff_table(
     # order.
     job_cells: list[tuple[int, tuple[int, ...]]] = []
     jobs: list[CompetitiveJob] = []
-    payload = maybe_ref(graph)  # O(1) GraphRef when REPRO_GRAPH_STORE is set
     for draw in range(seed_draws):
         seed_sets = all_seed_sets[draw]
         for profile, profile_rounds in simulated:
@@ -341,7 +336,7 @@ def estimate_payoff_table(
                 sink.profile_start(profile, labels)
             jobs.append(
                 CompetitiveJob(
-                    graph=payload,
+                    graph=graph,
                     model=model,
                     seed_sets=tuple(
                         tuple(int(s) for s in seed_sets[i][profile[i]])

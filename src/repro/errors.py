@@ -13,6 +13,10 @@ class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
 
 
+class ConfigError(ReproError):
+    """A ``REPRO_*`` environment variable holds a value it cannot take."""
+
+
 class GraphError(ReproError):
     """A graph is malformed or an operation received an invalid node/edge."""
 

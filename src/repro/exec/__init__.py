@@ -16,8 +16,6 @@ from repro.exec.backends import (
     make_backend,
 )
 from repro.exec.executor import (
-    BACKEND_ENV_VAR,
-    WORKERS_ENV_VAR,
     Executor,
     JobOutcome,
     build_executor,
@@ -34,8 +32,6 @@ from repro.exec.jobs import (
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "WORKERS_ENV_VAR",
     "CompetitiveJob",
     "Executor",
     "JobOutcome",

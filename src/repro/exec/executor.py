@@ -16,26 +16,25 @@ executor:
    journal events — and validates it under the opt-in
    ``REPRO_CONTRACTS`` invariants.
 
-The process-wide default executor is configured by the ``REPRO_BACKEND``
-(``serial``/``thread``/``process``) and ``REPRO_WORKERS`` environment
-variables; estimation entry points fall back to it whenever no explicit
-executor is passed.
+The process-wide default executor is configured by the ``backend`` and
+``workers`` of :class:`repro.config.RunConfig` (``REPRO_BACKEND`` /
+``REPRO_WORKERS``); estimation entry points fall back to it whenever no
+explicit executor is passed.
 """
 
 from __future__ import annotations
 
 import atexit
-import cProfile
 import itertools
 import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from collections.abc import Sequence
 
 from repro.cascade.estimate import SpreadEstimate
+from repro.config import RunConfig
 from repro.errors import ExecutionError
 from repro.exec.backends import (
     BACKENDS,
@@ -46,28 +45,11 @@ from repro.exec.backends import (
 )
 from repro.exec.jobs import SimulationJob
 from repro.lint import contracts
-from repro.obs.journal import RunJournal, current_journal
+from repro.obs.journal import current_journal
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter, get_registry, histogram
 from repro.obs.trace import current_trace_context, span
 from repro.utils.rng import RandomSource, as_rng, spawn_seed_sequences
-
-#: Environment variables configuring the process-wide default executor.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: ``REPRO_PROFILE=1`` wraps every batch in cProfile; ``REPRO_PROFILE_DIR``
-#: picks where the per-batch ``.prof`` dumps land (default ./repro-profiles).
-PROFILE_ENV_VAR = "REPRO_PROFILE"
-PROFILE_DIR_ENV_VAR = "REPRO_PROFILE_DIR"
-
-_PROFILE_OFF_VALUES = frozenset({"", "0", "false", "no", "off"})
-
-
-def profiling_enabled() -> bool:
-    """Whether the ``REPRO_PROFILE`` batch-profiling hook is active."""
-    raw = os.environ.get(PROFILE_ENV_VAR, "").strip().lower()
-    return raw not in _PROFILE_OFF_VALUES
 
 _LOG = get_logger("exec.executor")
 
@@ -177,7 +159,6 @@ class Executor:
         _BATCHES.inc()
         _JOBS_SUBMITTED.inc(len(jobs))
         registry = get_registry()
-        profiler = cProfile.Profile() if profiling_enabled() else None
         outcomes: list[JobOutcome | None] = [None] * len(jobs)
         worker_spans: list[dict[str, object]] = []
         with span(
@@ -194,29 +175,23 @@ class Executor:
                 (i, job, sequences[i], submitted, serialized, harvest)
                 for i, job in enumerate(jobs)
             ]
-            if profiler is not None:
-                profiler.enable()
-            try:
-                for (
-                    index,
-                    estimates,
-                    queue_wait,
-                    job_seconds,
-                    delta,
-                    span_records,
-                ) in self._backend.map_unordered(payloads):
-                    outcomes[index] = JobOutcome(
-                        index, estimates, queue_wait, job_seconds
-                    )
-                    _JOBS_COMPLETED.inc()
-                    _QUEUE_WAIT_SECONDS.observe(queue_wait)
-                    _JOB_SECONDS.observe(job_seconds)
-                    if harvest and delta is not None:
-                        registry.merge_delta(delta)
-                    worker_spans.extend(span_records)
-            finally:
-                if profiler is not None:
-                    profiler.disable()
+            for (
+                index,
+                estimates,
+                queue_wait,
+                job_seconds,
+                delta,
+                span_records,
+            ) in self._backend.map_unordered(payloads):
+                outcomes[index] = JobOutcome(
+                    index, estimates, queue_wait, job_seconds
+                )
+                _JOBS_COMPLETED.inc()
+                _QUEUE_WAIT_SECONDS.observe(queue_wait)
+                _JOB_SECONDS.observe(job_seconds)
+                if harvest and delta is not None:
+                    registry.merge_delta(delta)
+                worker_spans.extend(span_records)
             elapsed = time.monotonic() - submitted
         if sink is not None:
             # Replay journal-worthy spans collected inside workers (which
@@ -224,8 +199,6 @@ class Executor:
             # them under this batch's span.
             for record in worker_spans:
                 sink.emit("span", **record)
-        if profiler is not None:
-            self._dump_profile(profiler, batch_id, sink)
         _BATCH_SECONDS.observe(elapsed)
         missing = [i for i, outcome in enumerate(outcomes) if outcome is None]
         if missing:
@@ -256,33 +229,6 @@ class Executor:
             elapsed,
         )
         return completed
-
-    def _dump_profile(
-        self,
-        profiler: cProfile.Profile,
-        batch_id: int,
-        sink: RunJournal | None,
-    ) -> None:
-        """Write the batch's cProfile dump and journal a pointer to it.
-
-        Serial/thread backends profile the actual simulation work; the
-        process backend profiles only the submit/gather side (workers run
-        in other processes), which still surfaces pickling overheads.
-        """
-        directory = Path(
-            os.environ.get(PROFILE_DIR_ENV_VAR, "").strip() or "repro-profiles"
-        )
-        directory.mkdir(parents=True, exist_ok=True)
-        prof_path = directory / f"batch-{batch_id:05d}.prof"
-        profiler.dump_stats(str(prof_path))
-        _LOG.debug("batch %d profile dumped to %s", batch_id, prof_path)
-        if sink is not None:
-            sink.emit(
-                "profile",
-                batch_id=batch_id,
-                path=str(prof_path),
-                backend=self.backend_name,
-            )
 
     def estimates(
         self,
@@ -353,30 +299,21 @@ else:  # pragma: no cover - CPython always has the threading hook
 _DEFAULT: Executor | None = None
 
 
-def _env_workers() -> int | None:
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    value = int(raw)
-    if value < 1:
-        raise ExecutionError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
 def build_executor(
     backend: str | None = None, workers: int | None = None
 ) -> Executor:
-    """Build an executor from explicit settings with env-variable fallbacks.
+    """Build an executor from explicit settings with :class:`RunConfig` fallbacks.
 
     ``backend=None`` falls back to ``REPRO_BACKEND`` (default ``serial``);
     ``workers=None`` falls back to ``REPRO_WORKERS`` (default: CPU count).
     """
-    resolved = backend or os.environ.get(BACKEND_ENV_VAR, "").strip() or "serial"
+    config = RunConfig.from_env()
+    resolved = backend or config.backend
     if resolved not in BACKENDS:
         raise ExecutionError(
             f"unknown execution backend {resolved!r}; known: {sorted(BACKENDS)}"
         )
-    return Executor(resolved, workers if workers is not None else _env_workers())
+    return Executor(resolved, workers if workers is not None else config.workers)
 
 
 def default_executor() -> Executor:
@@ -387,8 +324,8 @@ def default_executor() -> Executor:
     and CI matrices can flip backends between calls.
     """
     global _DEFAULT
-    backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or "serial"
-    workers = _env_workers()
+    config = RunConfig.from_env()
+    backend, workers = config.backend, config.workers
     if (
         _DEFAULT is None
         or _DEFAULT.backend_name != backend

@@ -7,15 +7,12 @@ count) travels with it, and :meth:`~SimulationJob.run` produces a tuple of
 estimates.  Self-containment is what lets the same job object execute
 unchanged on the serial, thread, and process backends.
 
-**Graph payloads.**  Every job's ``graph`` field accepts either an
-in-memory :class:`~repro.graphs.digraph.DiGraph` or a
-:class:`~repro.graphs.store.GraphRef` — an O(1) handle to a stored,
-memory-mapped graph.  Jobs resolve the ref at the top of ``run`` through
-the per-process handle cache (:func:`repro.graphs.store.resolve_graph`),
-so on the process backend a ref-carrying payload pickles in hundreds of
-bytes where the raw CSR arrays would cost O(n+m) — the difference between
-hep-scale and wiki-Talk-scale batches.  Project-lint rule RP016 flags job
-classes whose graph fields do not admit refs.
+**Graph payloads.**  A job's ``graph`` is a
+:class:`~repro.graphs.digraph.DiGraph`.  One opened from a
+:class:`~repro.graphs.store.GraphStore` pickles as its O(1)
+:class:`~repro.graphs.store.GraphRef`, so on the process backend its jobs
+cost hundreds of bytes where the raw CSR arrays would cost O(n+m) — the
+difference between hep-scale and wiki-Talk-scale batches.
 
 Concrete jobs covering the σ(·) quantities of the paper:
 
@@ -24,10 +21,7 @@ Concrete jobs covering the σ(·) quantities of the paper:
 * :class:`CompetitiveJob` — the per-group spreads ``(σ1, .., σr)`` of a
   full seed-set profile under the competitive engine;
 * :class:`SnapshotGainsJob` — exact per-node reach sizes over a chunk of
-  pre-sampled live-edge masks;
-* :class:`SnapshotShardJob` — the sharded variant: samples its own shard
-  of live-edge masks worker-side from a deterministic shard seed, so the
-  masks never cross the pickle boundary at all.
+  pre-sampled live-edge masks.
 
 ``CompetitiveJob`` optionally runs under **common random numbers**
 (``crn_base``): round *i* replays the stream seeded
@@ -51,17 +45,12 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.reachability import all_reach_sizes
-from repro.cascade.snapshots import sample_snapshots, stack_masks
+from repro.cascade.snapshots import stack_masks
 from repro.graphs.digraph import DiGraph
-from repro.graphs.store import GraphRef, resolve_graph
 from repro.utils.rng import as_rng
 
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
-
-#: What a job's ``graph`` field holds: the graph itself, or an O(1) ref
-#: resolved worker-side.  Both expose ``num_nodes`` without I/O.
-GraphPayload = DiGraph | GraphRef
 
 
 @runtime_checkable
@@ -90,7 +79,7 @@ class SimulationJob(Protocol):
 class SpreadJob:
     """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations."""
 
-    graph: DiGraph | GraphRef
+    graph: DiGraph
     model: CascadeModel
     seeds: tuple[int, ...]
     rounds: int
@@ -100,10 +89,9 @@ class SpreadJob:
         return self.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        graph = resolve_graph(self.graph)
         values = np.empty(self.rounds, dtype=float)
         for i in range(self.rounds):
-            values[i] = self.model.spread_once(graph, self.seeds, generator)
+            values[i] = self.model.spread_once(self.graph, self.seeds, generator)
         return (SpreadEstimate.from_values(values),)
 
 
@@ -123,7 +111,7 @@ class CompetitiveJob:
     one-round batch on its own stream.
     """
 
-    graph: DiGraph | GraphRef
+    graph: DiGraph
     model: CascadeModel
     seed_sets: tuple[tuple[int, ...], ...]
     rounds: int
@@ -137,8 +125,7 @@ class CompetitiveJob:
         return self.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        graph = resolve_graph(self.graph)
-        engine = CompetitiveDiffusion(graph, self.model, self.tie_break, self.claim_rule)
+        engine = CompetitiveDiffusion(self.graph, self.model, self.tie_break, self.claim_rule)
         profile = [list(seeds) for seeds in self.seed_sets]
         if self.crn_base is None:
             values = engine.spreads(profile, self.rounds, generator)
@@ -195,11 +182,10 @@ class SnapshotGainsJob:
     :class:`~repro.cascade.pools.SnapshotPool`, which also memoizes the
     pooled result of this batch) so the snapshot sample is identical no
     matter which backend evaluates it.  Masks may be boolean-style or
-    packed bitsets; for payloads that avoid shipping masks entirely, see
-    :class:`SnapshotShardJob`.
+    packed bitsets.
     """
 
-    graph: DiGraph | GraphRef
+    graph: DiGraph
     masks: tuple[np.ndarray, ...]
 
     @property
@@ -207,42 +193,4 @@ class SnapshotGainsJob:
         return self.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        return _reach_estimates(resolve_graph(self.graph), self.masks)
-
-
-@dataclass(frozen=True)
-class SnapshotShardJob:
-    """Sample one shard of live-edge snapshots worker-side and score it.
-
-    The sharded counterpart of :class:`SnapshotGainsJob`: instead of
-    receiving pre-sampled masks (O(edges) per payload), the job carries
-    only a deterministic ``shard_seed`` and samples its *count* masks
-    inside the worker, then runs the same per-node reach-size DP.  With a
-    :class:`~repro.graphs.store.GraphRef` graph payload the whole job
-    pickles in O(1) regardless of graph size.
-
-    Determinism: ``shard_seed`` is derived by the
-    :class:`~repro.cascade.pools.SnapshotPool` from its identity seed and
-    the shard index alone — *not* from the executor's per-job stream — so
-    the sampled masks depend only on (pool seed, shard layout) and
-    warm-cache replay reproduces them bit for bit on any backend.  The
-    parent can re-derive the same masks locally from the same seed
-    (:meth:`SnapshotPool.masks` does exactly that).
-    """
-
-    graph: DiGraph | GraphRef
-    model: CascadeModel
-    shard_seed: int
-    count: int
-    packed: bool = True
-
-    @property
-    def num_nodes(self) -> int | None:
-        return self.graph.num_nodes
-
-    def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        graph = resolve_graph(self.graph)
-        masks = sample_snapshots(
-            graph, self.model, self.count, as_rng(self.shard_seed), packed=self.packed
-        )
-        return _reach_estimates(graph, masks)
+        return _reach_estimates(self.graph, self.masks)

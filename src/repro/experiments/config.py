@@ -16,22 +16,12 @@ variable                     meaning                                  default
 ``REPRO_BENCH_ICP``          IC edge probability                      0.05
 ===========================  =======================================  =======
 
-Execution is configured by the engine's own variables: ``REPRO_BACKEND``
-(``serial``/``thread``/``process``) and ``REPRO_WORKERS`` select the
-simulation backend all runners submit their batches to — results are
-bit-identical across those settings for a fixed seed.
-``REPRO_SYMMETRY`` (``full``/``reduce``) selects full-profile vs
-symmetric-reduced payoff estimation, and ``REPRO_CACHE=off`` disables the
-work-sharing selection/blocking caches (both in ``docs/execution.md``).
-
-Large-graph scale-out adds three more (see ``docs/architecture.md`` and
-the "large graphs" section of EXPERIMENTS.md): ``REPRO_GRAPH_STORE``
-points at a :class:`~repro.graphs.store.GraphStore` directory so job
-payloads carry O(1) ``GraphRef`` handles instead of CSR arrays;
-``REPRO_SNAPSHOT_SHARDS`` fans live-edge snapshot generation out across
-that many worker-side shards per pool; ``REPRO_DATA_DIR`` lets the
-``wiki`` dataset load the real SNAP wiki-Talk edge list instead of its
-synthetic surrogate.
+Execution is configured by the library's runtime switches
+(:class:`repro.config.RunConfig`): ``REPRO_BACKEND`` and ``REPRO_WORKERS``
+select the simulation backend all runners submit their batches to —
+results are bit-identical across those settings for a fixed seed — and
+``REPRO_SYMMETRY`` selects full-profile vs symmetric-reduced payoff
+estimation.
 """
 
 from __future__ import annotations
@@ -41,15 +31,11 @@ from dataclasses import dataclass, field
 
 from repro.algorithms import DegreeDiscount, MixGreedy, SingleDiscount
 from repro.cascade import CascadeModel, IndependentCascade, WeightedCascade
-from repro.core.payoff import SYMMETRY_ENV_VAR, resolve_symmetry
+from repro.config import RunConfig
+from repro.core.payoff import resolve_symmetry
 from repro.core.strategy import StrategySpace
 from repro.errors import ExperimentError
-from repro.exec.executor import (
-    BACKEND_ENV_VAR,
-    WORKERS_ENV_VAR,
-    Executor,
-    build_executor,
-)
+from repro.exec.executor import Executor, build_executor
 from repro.graphs.datasets import DATASETS
 from repro.graphs.digraph import DiGraph
 
@@ -57,11 +43,6 @@ from repro.graphs.digraph import DiGraph
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     return int(raw) if raw else default
-
-
-def _env_str(name: str, default: str) -> str:
-    raw = os.environ.get(name, "").strip()
-    return raw if raw else default
 
 
 def _env_float(name: str, default: float) -> float:
@@ -74,30 +55,6 @@ def _env_ks(name: str, default: tuple[int, ...]) -> tuple[int, ...]:
     if not raw:
         return default
     return tuple(int(part) for part in raw.split(","))
-
-
-def _env_workers() -> int | None:
-    """``REPRO_WORKERS``: unset/empty means auto, otherwise an int >= 1.
-
-    Rejecting zero and negatives here (instead of letting them reach the
-    executor) mirrors how ``resolve_symmetry`` fails fast
-    on bad environment values — previously ``REPRO_WORKERS=0`` silently
-    meant auto and ``-2`` passed straight through to the worker pool.
-    """
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ExperimentError(
-            f"{WORKERS_ENV_VAR} must be an integer >= 1 or unset, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ExperimentError(
-            f"{WORKERS_ENV_VAR} must be >= 1 or unset, got {value}"
-        )
-    return value
 
 
 @dataclass
@@ -119,15 +76,9 @@ class ExperimentConfig:
     ic_probability: float = field(
         default_factory=lambda: _env_float("REPRO_BENCH_ICP", 0.08)
     )
-    backend: str = field(
-        default_factory=lambda: _env_str(BACKEND_ENV_VAR, "serial")
-    )
-    workers: int | None = field(default_factory=_env_workers)
-    symmetry: str = field(
-        default_factory=lambda: resolve_symmetry(
-            _env_str(SYMMETRY_ENV_VAR, "full")
-        )
-    )
+    backend: str = field(default_factory=lambda: RunConfig.from_env().backend)
+    workers: int | None = field(default_factory=lambda: RunConfig.from_env().workers)
+    symmetry: str = field(default_factory=resolve_symmetry)
     _graph_cache: dict[str, DiGraph] = field(default_factory=dict, repr=False)
     _executor: Executor | None = field(default=None, repr=False)
 

@@ -3,13 +3,7 @@
 from repro.graphs.digraph import DiGraph
 from repro.graphs.delta import AppliedDelta, EdgeDelta, merge_delta
 from repro.graphs.loaders import load_edge_list, save_edge_list, stream_edge_array
-from repro.graphs.store import (
-    GraphRef,
-    GraphStore,
-    default_store,
-    maybe_ref,
-    resolve_graph,
-)
+from repro.graphs.store import GraphRef, GraphStore, resolve_graph
 from repro.graphs.generators import (
     barabasi_albert,
     community_powerlaw,
@@ -36,8 +30,6 @@ __all__ = [
     "GraphRef",
     "merge_delta",
     "GraphStore",
-    "default_store",
-    "maybe_ref",
     "resolve_graph",
     "load_edge_list",
     "save_edge_list",

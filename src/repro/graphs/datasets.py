@@ -14,24 +14,19 @@ paper-scale graphs are available with ``scale=1.0``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import community_powerlaw, copying_model
 from repro.graphs.loaders import stream_edge_array
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_fraction
-
-#: Directory holding real downloaded datasets (e.g. SNAP wiki-Talk.txt[.gz]).
-#: When set and the file is present, ``wiki`` loads the paper's actual graph
-#: at scale 1.0 instead of the synthetic surrogate.
-DATA_DIR_ENV_VAR = "REPRO_DATA_DIR"
 
 #: Accepted wiki-Talk filenames inside ``REPRO_DATA_DIR``, checked in order.
 _WIKI_FILENAMES = (
@@ -44,11 +39,11 @@ _WIKI_FILENAMES = (
 
 def real_wiki_path() -> Path | None:
     """The real SNAP wiki-Talk edge list under ``REPRO_DATA_DIR``, if any."""
-    root = os.environ.get(DATA_DIR_ENV_VAR, "").strip()
-    if not root:
+    root = RunConfig.from_env().data_dir
+    if root is None:
         return None
     for filename in _WIKI_FILENAMES:
-        candidate = Path(root) / filename
+        candidate = root / filename
         if candidate.is_file():
             return candidate
     return None

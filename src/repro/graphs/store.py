@@ -18,16 +18,13 @@ benchmarks at hep scale.  This module splits graph *storage* from graph
     ``np.searchsorted`` relabel, never a Python list of 5M tuples.
 
 :class:`GraphRef`
-    A picklable O(1) handle (path + fingerprint + counts) that stands in
-    for the graph inside job payloads.  Workers resolve it lazily through a
-    per-process handle cache (:func:`resolve_graph`), so the process
-    backend pickles ~200 bytes per job instead of the full CSR arrays, and
-    each worker maps the file once no matter how many jobs it runs.
-
-The ``REPRO_GRAPH_STORE`` environment variable names a default store
-directory; when set, :func:`maybe_ref` transparently converts graphs to
-refs at job-construction sites (persisting them on first use), which is how
-the CLI and the benchmarks opt whole pipelines into O(1) payloads.
+    A picklable O(1) handle (path + fingerprint + counts) to a stored graph.
+    Every graph :meth:`GraphStore.open` returns keeps its ref and pickles
+    as it, so on the process backend a job over a stored graph pickles
+    ~200 bytes instead of the CSR arrays.  Workers unpickle the ref
+    through a per-process handle cache, so each worker maps the file once
+    no matter how many jobs it runs.  In-memory graphs pickle their CSR
+    arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -50,16 +47,10 @@ if TYPE_CHECKING:
     from repro.graphs.delta import EdgeDelta
 
 __all__ = [
-    "STORE_ENV_VAR",
     "GraphRef",
     "GraphStore",
-    "default_store",
-    "maybe_ref",
     "resolve_graph",
 ]
-
-#: Environment variable naming the default on-disk graph store.
-STORE_ENV_VAR = "REPRO_GRAPH_STORE"
 
 #: meta.json layout version, bumped on any array-layout change.
 _FORMAT_VERSION = 1
@@ -123,7 +114,7 @@ def _cached_open(ref: GraphRef) -> DiGraph:
     # The mmap open happens outside the lock (it touches the filesystem);
     # a racing duplicate open is harmless — last writer wins, both views
     # alias the same on-disk pages.
-    graph = _open_graph_dir(Path(ref.path), expected_fingerprint=ref.fingerprint)
+    graph = _open_graph_dir(ref)
     with _HANDLE_LOCK:
         _HANDLES[key] = graph
     return graph
@@ -136,11 +127,7 @@ def clear_handle_cache() -> None:
 
 
 def resolve_graph(graph: DiGraph | GraphRef) -> DiGraph:
-    """*graph* itself, or the ref's cached mmap-backed graph.
-
-    This is the worker-side half of the O(1)-payload contract: jobs store
-    ``DiGraph | GraphRef`` and call this at the top of ``run``.
-    """
+    """*graph* itself, or the ref's cached mmap-backed graph."""
     if isinstance(graph, GraphRef):
         return graph.open()
     return graph
@@ -160,26 +147,44 @@ def _read_meta(directory: Path) -> dict[str, object]:
     return dict(meta)
 
 
-def _open_graph_dir(
-    directory: Path, expected_fingerprint: int | None = None
-) -> DiGraph:
+class _StoredGraph(DiGraph):
+    """A graph opened from a store: pickles as its O(1) :class:`GraphRef`.
+
+    Unpickling goes through the handle cache, so a worker maps each stored
+    graph once however many jobs carry it.
+    """
+
+    __slots__ = ("ref",)
+    ref: GraphRef
+
+    def __reduce__(self) -> tuple[object, tuple[GraphRef]]:
+        return (_cached_open, (self.ref,))
+
+
+def _open_graph_dir(ref: GraphRef) -> DiGraph:
+    directory = Path(ref.path)
     meta = _read_meta(directory)
     fingerprint = int(meta["fingerprint"])  # type: ignore[arg-type]
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+    if fingerprint != ref.fingerprint:
         raise GraphError(
             f"{directory}: stored fingerprint {fingerprint:#x} does not "
-            f"match the ref's {expected_fingerprint:#x}; the store entry "
+            f"match the ref's {ref.fingerprint:#x}; the store entry "
             "was overwritten since the ref was created"
         )
     arrays = [
         np.load(directory / f"{name}.npy", mmap_mode="r") for name in _ARRAY_NAMES
     ]
     _STORE_OPENS.inc()
-    return DiGraph._from_csr(
-        int(meta["num_nodes"]),  # type: ignore[arg-type]
-        *arrays,
-        fingerprint=fingerprint,
+    graph = cast(
+        _StoredGraph,
+        _StoredGraph._from_csr(
+            int(meta["num_nodes"]),  # type: ignore[arg-type]
+            *arrays,
+            fingerprint=fingerprint,
+        ),
     )
+    graph.ref = ref
+    return graph
 
 
 def is_store_entry(path: PathLike) -> bool:
@@ -361,31 +366,3 @@ class GraphStore:
         if not dense:
             np.save(Path(ref.path) / "labels.npy", labels)
         return ref
-
-
-def default_store() -> GraphStore | None:
-    """The store named by ``REPRO_GRAPH_STORE``, or ``None`` when unset."""
-    root = os.environ.get(STORE_ENV_VAR, "").strip()
-    if not root:
-        return None
-    return GraphStore(root)
-
-
-def maybe_ref(graph: DiGraph | GraphRef) -> DiGraph | GraphRef:
-    """Convert *graph* to a :class:`GraphRef` when a default store is set.
-
-    The opt-in switch for O(1) job payloads: with ``REPRO_GRAPH_STORE``
-    unset this is the identity, so small-graph pipelines keep their
-    zero-copy in-process payloads.  With it set, the graph is persisted
-    into the store (keyed by fingerprint, so repeated calls hit the same
-    entry) and the cheap ref travels instead.
-    """
-    if isinstance(graph, GraphRef):
-        return graph
-    store = default_store()
-    if store is None:
-        return graph
-    name = f"g{graph.fingerprint:016x}"
-    if name in store:
-        return store.ref(name)
-    return store.save(graph, name)

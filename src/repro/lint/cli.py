@@ -4,7 +4,7 @@ Two analysis modes share one argument surface:
 
 * **per-file** (default) — the RP001–RP009 AST rules, one file at a time;
 * **``--project``** — the whole-program engine: symbol table + call graph
-  over the package, RP010–RP016 dataflow rules, baseline ratchet.
+  over the package, RP010–RP015 dataflow rules, baseline ratchet.
 
 Exit codes: 0 — clean; 1 — findings (including parse errors and stale
 baseline entries); 2 — usage error (unknown rule code, missing path,
@@ -54,7 +54,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="whole-program analysis (RP010-RP016): symbol table + call "
+        help="whole-program analysis (RP010-RP015): symbol table + call "
         "graph over the package, baseline ratchet",
     )
     parser.add_argument(

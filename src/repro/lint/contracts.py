@@ -6,7 +6,7 @@ outside ``[0, 1]``, an ownership array that re-assigns a claimed node, a
 spread exceeding ``|V|``.  Any violation means the payoff tensor (and hence
 the equilibrium) is garbage, so contract failures raise immediately.
 
-Contracts are **off by default** (zero overhead beyond one dict lookup per
+Contracts are **off by default** (zero overhead beyond one config read per
 simulation) and enabled by setting ``REPRO_CONTRACTS=1`` in the
 environment — CI runs one tier-1 pass with them on.  Checks are vectorized
 and run once per simulation, not per node, so the enabled-mode overhead is
@@ -15,15 +15,11 @@ a few array comparisons per diffusion.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 import numpy as np
 
-#: Environment variable gating the contracts; truthy values: 1/true/on/yes.
-ENV_VAR = "REPRO_CONTRACTS"
-
-_FALSY = frozenset({"", "0", "false", "off", "no"})
+from repro.config import RunConfig
 
 
 class ContractViolation(AssertionError):
@@ -36,8 +32,8 @@ class ContractViolation(AssertionError):
 
 
 def enabled() -> bool:
-    """Whether runtime contracts are active (``REPRO_CONTRACTS`` truthy)."""
-    return os.environ.get(ENV_VAR, "").strip().lower() not in _FALSY
+    """Whether runtime contracts are active (``REPRO_CONTRACTS`` on)."""
+    return RunConfig.from_env().contracts
 
 
 def check_probabilities(values: object, name: str = "probabilities") -> None:

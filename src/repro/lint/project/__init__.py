@@ -10,7 +10,7 @@ and runs taint-style dataflow rules on top:
   (imports, re-exports, star imports, aliases, base-class method lookup);
 * :mod:`repro.lint.project.callgraph` — caller→callee edges, reachability,
   call-path traces for findings;
-* :mod:`repro.lint.project.rules` — RP010–RP016;
+* :mod:`repro.lint.project.rules` — RP010–RP015;
 * :mod:`repro.lint.project.baseline` — the checked-in ratchet that pins
   accepted findings while blocking new ones;
 * :mod:`repro.lint.project.engine` — the extract → aggregate → check driver

@@ -9,7 +9,7 @@ The pipeline has three stages:
 2. **aggregate** — the facts become a
    :class:`~repro.lint.project.symbols.SymbolTable` and a
    :class:`~repro.lint.project.callgraph.CallGraph` (single process, cheap);
-3. **check** — each RP010–RP016 rule inspects the aggregate and emits
+3. **check** — each RP010–RP015 rule inspects the aggregate and emits
    :class:`~repro.lint.project.rules.ProjectFinding` objects; line-scoped
    ``# reprolint: disable=RPxxx`` comments are honoured by the rules
    themselves (they carry per-module suppression maps).

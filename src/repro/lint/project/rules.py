@@ -1,4 +1,4 @@
-"""The RP010–RP016 whole-program rule catalogue.
+"""The RP010–RP015 whole-program rule catalogue.
 
 Unlike the per-file rules (RP001–RP009), these run over a :class:`Project`
 — symbol table plus approximate call graph — so they can see an ambient
@@ -627,58 +627,6 @@ class JournalSchemaConsistency(ProjectRule):
         return findings
 
 
-class GraphPayloadRefs(ProjectRule):
-    """RP016: job graph fields must admit ``GraphRef`` payloads.
-
-    On the process backend every job is pickled per submission; a ``graph``
-    field annotated as a raw ``DiGraph`` ships the full CSR arrays —
-    O(n+m) bytes per job, the dominant submit cost at million-node scale —
-    where a :class:`~repro.graphs.store.GraphRef` handle pickles in O(1)
-    and resolves worker-side through the per-process mmap cache.  A job
-    class whose graph-typed field does not admit refs forces every call
-    site back onto the O(n+m) path.
-    """
-
-    code: ClassVar[str] = "RP016"
-    name: ClassVar[str] = "graph-payload-refs"
-    rationale: ClassVar[str] = (
-        "a *Job field annotated with a raw DiGraph pickles the whole CSR "
-        "graph into every process-backend submission; annotating it "
-        "'DiGraph | GraphRef' lets call sites ship an O(1) mmap handle "
-        "instead"
-    )
-    hint: ClassVar[str] = (
-        "annotate the field 'DiGraph | GraphRef', resolve it at the top of "
-        "run() with repro.graphs.store.resolve_graph, and build payloads "
-        "through maybe_ref(graph); a job that genuinely requires an "
-        "in-memory graph carries a narrow '# reprolint: disable=RP016'"
-    )
-
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
-        for facts in project.modules.values():
-            for name, cls in facts.classes.items():
-                if not name.endswith("Job"):
-                    continue
-                for field_name, annotation in cls.field_annotations.items():
-                    if "DiGraph" not in annotation or "GraphRef" in annotation:
-                        continue
-                    if project.suppressed(facts, cls.lineno, self.code):
-                        continue
-                    findings.append(
-                        self.finding(
-                            facts,
-                            cls.lineno,
-                            f"job class {name} annotates field "
-                            f"{field_name!r} as {annotation!r}; a raw "
-                            "DiGraph payload pickles O(n+m) bytes per "
-                            "process-backend job — admit GraphRef "
-                            "('DiGraph | GraphRef')",
-                        )
-                    )
-        return findings
-
-
 PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     RngProvenance,
     NondeterminismSources,
@@ -686,7 +634,6 @@ PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     SharedStateMutation,
     ContractCoverage,
     JournalSchemaConsistency,
-    GraphPayloadRefs,
 )
 
 

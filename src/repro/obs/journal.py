@@ -7,7 +7,8 @@ progresses.  The event vocabulary mirrors Algorithm 1's phases:
 event                  emitted by / payload highlights
 =====================  ==========================================================
 ``run_start``          :func:`repro.core.getreal.get_real` (or the CLI) —
-                       graph size, strategy labels, ``r``/``k``/``rounds``
+                       graph size, strategy labels, ``r``/``k``/``rounds``,
+                       and the resolved backend/workers/symmetry/contracts
 ``profile_start``      :func:`repro.core.payoff.estimate_payoff_table`, first
                        time a profile is simulated
 ``profile_done``       same, once the profile's last seed draw finishes —
@@ -63,7 +64,6 @@ EVENT_TYPES = (
     "batch_start",
     "batch_done",
     "cache",
-    "profile",
 )
 
 

@@ -11,9 +11,9 @@ deterministically derives every stream below it via :func:`spawn_rngs`.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from repro.config import RunConfig
 
 RandomSource = int | np.random.Generator | np.random.SeedSequence | None
 """Anything convertible to a :class:`numpy.random.Generator`."""
@@ -29,12 +29,7 @@ def _entropy_rng() -> np.random.Generator:
     the fallback into an error so CI and benchmark runs cannot silently
     pick up nondeterministic streams.
     """
-    if os.environ.get("REPRO_REQUIRE_SEED", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    ):
+    if RunConfig.from_env().require_seed:
         raise ValueError(
             "rng=None requests ambient OS entropy, but REPRO_REQUIRE_SEED "
             "is set; pass an explicit int seed, SeedSequence, or Generator"

@@ -3,8 +3,8 @@
 Covers the :class:`~repro.cache.Memo` container, the content-derived keys,
 the ``SeedSelector.select`` memo (hits restore the post-selection RNG state,
 so warm runs are bit-identical to cold ones), the ``select_blockers`` memo,
-the ``REPRO_CACHE=off`` kill switch, and cross-backend determinism of the
-whole pooled + reduced + cached pipeline.
+and cross-backend determinism of the whole pooled + reduced + cached
+pipeline.
 """
 
 import numpy as np
@@ -14,9 +14,7 @@ from repro.algorithms.degree_discount import DegreeDiscount
 from repro.algorithms.greedy import MixGreedy
 from repro.algorithms.heuristics import RandomSeeds
 from repro.cache import (
-    CACHE_ENV_VAR,
     Memo,
-    cache_enabled,
     clear_caches,
     freeze,
     params_token,
@@ -41,9 +39,8 @@ _MISSES = counter("cache.misses")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches(monkeypatch):
+def _fresh_caches():
     """Isolate every test from cache state left by earlier tests."""
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     clear_caches()
     yield
     clear_caches()
@@ -88,14 +85,6 @@ class TestMemo:
         memo.get("k")
         assert _MISSES.value - m0 == 1
         assert _HITS.value - h0 == 1
-
-    def test_cache_enabled_env_switch(self, monkeypatch):
-        assert cache_enabled()
-        for off in ("0", "off", "false", "no", "OFF"):
-            monkeypatch.setenv(CACHE_ENV_VAR, off)
-            assert not cache_enabled()
-        monkeypatch.setenv(CACHE_ENV_VAR, "1")
-        assert cache_enabled()
 
 
 class TestKeys:
@@ -180,16 +169,6 @@ class TestSelectionCache:
         DegreeDiscount(0.1).select(karate, 3)
         assert _HITS.value == h0
         assert _MISSES.value == m0
-
-    def test_kill_switch_preserves_determinism(self, karate, monkeypatch):
-        selector = RandomSeeds()
-        baseline = selector.select(karate, 3, np.random.default_rng(3))
-        monkeypatch.setenv(CACHE_ENV_VAR, "off")
-        h0 = _HITS.value
-        off_a = selector.select(karate, 3, np.random.default_rng(3))
-        off_b = selector.select(karate, 3, np.random.default_rng(3))
-        assert off_a == off_b == baseline
-        assert _HITS.value == h0
 
     def test_pooled_selection_cache_replays_pool_token(self, karate):
         # A pooled snapshot selection must replay from cache with a fresh

@@ -13,7 +13,9 @@ from repro.core.getreal import (
     symmetrize,
 )
 from repro.core.strategy import MixedStrategy, StrategySpace
+from repro.exec.executor import Executor
 from repro.game.normal_form import NormalFormGame
+from repro.obs.journal import RunJournal, read_journal
 
 
 @pytest.fixture
@@ -185,3 +187,27 @@ class TestGetRealEndToEnd:
         b = get_real(karate, IndependentCascade(0.1), space, k=3, rounds=8, rng=6)
         assert np.allclose(a.mixture.probabilities, b.mixture.probabilities)
         assert a.kind == b.kind
+
+    def test_run_start_records_resolved_config(self, karate, space, tmp_path, monkeypatch):
+        # The explicit executor beats REPRO_BACKEND/REPRO_WORKERS; the
+        # switches without an explicit argument come from the environment.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_SYMMETRY", "reduce")
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path) as journal, Executor("thread", workers=2) as executor:
+            get_real(
+                karate,
+                IndependentCascade(0.1),
+                space,
+                k=3,
+                rounds=4,
+                rng=7,
+                journal=journal,
+                executor=executor,
+            )
+        (start,) = [e for e in read_journal(path) if e["event"] == "run_start"]
+        assert (start["backend"], start["workers"]) == ("thread", 2)
+        assert start["symmetry"] == "reduce"
+        assert start["contracts"] is True

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.ic import IndependentCascade
-from repro.errors import ExecutionError
+from repro.errors import ConfigError, ExecutionError
 from repro.exec import (
     BACKENDS,
     CompetitiveJob,
@@ -248,9 +248,12 @@ class TestEnvPlumbing:
             build_executor()
 
     def test_bad_env_workers_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ExecutionError):
-            build_executor("thread")
+        for raw in ("0", "-2", "abc"):
+            monkeypatch.setenv("REPRO_WORKERS", raw)
+            with pytest.raises(ConfigError, match="REPRO_WORKERS"):
+                build_executor("thread")
+            with pytest.raises(ConfigError, match="REPRO_WORKERS"):
+                default_executor()
 
     def test_default_executor_follows_env_changes(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -270,51 +273,3 @@ class TestEnvPlumbing:
         assert resolve_executor(ex) is ex
         assert resolve_executor(None) is default_executor()
 
-
-class TestBatchProfiling:
-    def test_profile_env_dumps_prof_and_journals_pointer(
-        self, random_graph, model, tmp_path, monkeypatch
-    ):
-        from repro.exec.executor import (
-            PROFILE_DIR_ENV_VAR,
-            PROFILE_ENV_VAR,
-            profiling_enabled,
-        )
-
-        prof_dir = tmp_path / "profiles"
-        monkeypatch.setenv(PROFILE_ENV_VAR, "1")
-        monkeypatch.setenv(PROFILE_DIR_ENV_VAR, str(prof_dir))
-        assert profiling_enabled()
-        journal_path = tmp_path / "run.jsonl"
-        journal = RunJournal(journal_path)
-        attach_journal(journal)
-        try:
-            with Executor("serial") as executor:
-                job = SpreadJob(
-                    graph=random_graph, model=model, seeds=(0,), rounds=3
-                )
-                executor.run([job], rng=0)
-            journal.close()
-        finally:
-            detach_journal(journal)
-        dumps = sorted(prof_dir.glob("batch-*.prof"))
-        assert len(dumps) == 1
-        import pstats
-
-        stats = pstats.Stats(str(dumps[0]))  # valid cProfile dump
-        assert stats.total_calls > 0
-        profile_events = [
-            e for e in read_journal(journal_path) if e["event"] == "profile"
-        ]
-        assert len(profile_events) == 1
-        assert profile_events[0]["path"] == str(dumps[0])
-        assert profile_events[0]["backend"] == "serial"
-
-    def test_profiling_off_by_default(self, monkeypatch):
-        from repro.exec.executor import PROFILE_ENV_VAR, profiling_enabled
-
-        for value in ("", "0", "false", "no", "off"):
-            monkeypatch.setenv(PROFILE_ENV_VAR, value)
-            assert not profiling_enabled()
-        monkeypatch.delenv(PROFILE_ENV_VAR)
-        assert not profiling_enabled()

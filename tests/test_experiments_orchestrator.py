@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.orchestrator import MatrixSpec, run_matrix
 from repro.experiments.scenarios import (
@@ -265,7 +265,7 @@ class TestWorkersEnv:
     @pytest.mark.parametrize("raw", ["0", "-2", "abc"])
     def test_invalid_workers_env_raises(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_WORKERS", raw)
-        with pytest.raises(ExperimentError, match="REPRO_WORKERS"):
+        with pytest.raises(ConfigError, match="REPRO_WORKERS"):
             ExperimentConfig()
 
     def test_valid_workers_env_parsed(self, monkeypatch):

@@ -4,26 +4,24 @@ from __future__ import annotations
 
 import gzip
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
 from repro.exec.executor import Executor
-from repro.exec.jobs import SnapshotShardJob, SpreadJob
+from repro.exec.jobs import SpreadJob
 from repro.cascade.ic import IndependentCascade
-from repro.cascade.pools import SnapshotPool, shard_counts
+from repro.cascade.pools import SnapshotPool
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.loaders import load_edge_list, stream_edge_array
 from repro.graphs.store import (
-    STORE_ENV_VAR,
     GraphRef,
     GraphStore,
     clear_handle_cache,
-    default_store,
     is_store_entry,
-    maybe_ref,
     resolve_graph,
 )
 from repro.utils.bitset import is_packed, unpack_bits
@@ -96,6 +94,13 @@ class TestSaveOpenRoundTrip:
         )
         with pytest.raises(GraphError, match="fingerprint"):
             tampered.open()
+        # A pickled store-opened graph whose entry was rewritten since: the
+        # unpickling worker (fresh handle cache) must refuse the new bytes.
+        blob = pickle.dumps(store.open("karate"))
+        clear_handle_cache()
+        store.save(erdos_renyi(20, 40, rng=1), "karate")
+        with pytest.raises(GraphError, match=f"{re.escape(ref.path)}.*fingerprint"):
+            pickle.loads(blob)
 
     def test_is_store_entry(self, tmp_path, karate):
         store = GraphStore(tmp_path)
@@ -126,30 +131,36 @@ class TestGraphRefPayloads:
 
     def test_spread_job_runs_from_ref(self, tmp_path, karate):
         store = GraphStore(tmp_path)
-        ref = store.save(karate, "karate")
+        store.save(karate, "karate")
         model = IndependentCascade(0.1)
         direct = SpreadJob(graph=karate, model=model, seeds=(0, 1), rounds=5)
-        via_ref = SpreadJob(graph=ref, model=model, seeds=(0, 1), rounds=5)
+        via_ref = pickle.loads(
+            pickle.dumps(
+                SpreadJob(graph=store.open("karate"), model=model, seeds=(0, 1), rounds=5)
+            )
+        )
         with Executor("serial") as executor:
             a = executor.estimates([direct], rng=11)
             b = executor.estimates([via_ref], rng=11)
         assert a[0][0].mean == b[0][0].mean
 
-    def test_maybe_ref_identity_without_env(self, karate, monkeypatch):
-        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
-        assert default_store() is None
-        assert maybe_ref(karate) is karate
+    def test_in_memory_graph_pickles_as_csr(self, karate):
+        restored = pickle.loads(pickle.dumps(karate))
+        assert type(restored) is DiGraph
+        assert restored.fingerprint == karate.fingerprint
+        assert not isinstance(restored.out_indices, np.memmap)
 
-    def test_maybe_ref_persists_with_env(self, tmp_path, karate, monkeypatch):
-        monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path))
-        ref = maybe_ref(karate)
-        assert isinstance(ref, GraphRef)
-        assert ref.fingerprint == karate.fingerprint
-        # second call reuses the stored entry
-        again = maybe_ref(karate)
-        assert again.path == ref.path
-        # a ref passes through untouched
-        assert maybe_ref(ref) is ref
+    def test_store_opened_graph_pickles_as_ref(self, tmp_path):
+        graph = erdos_renyi(500, 3000, rng=3)
+        store = GraphStore(tmp_path)
+        store.save(graph, "er")
+        opened = store.open("er")
+        payload = pickle.dumps(opened, protocol=pickle.HIGHEST_PROTOCOL)
+        # O(1): the ref, not the arrays, regardless of graph size
+        assert len(payload) < 1024
+        assert len(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)) > 10_000
+        # unpickling in the same process hits the handle cache
+        assert pickle.loads(payload) is opened
 
 
 class TestIngestEdgeList:
@@ -223,12 +234,6 @@ class TestLoaderVectorization:
 
 
 class TestShardedPools:
-    def test_shard_counts_split(self):
-        assert shard_counts(10, 4) == [3, 3, 2, 2]
-        assert shard_counts(3, 8) == [1, 1, 1]
-        with pytest.raises(Exception):
-            shard_counts(5, 0)
-
     def test_single_shard_masks_match_legacy_bool_sample(self, karate):
         from repro.cascade.snapshots import sample_snapshots
         from repro.utils.rng import as_rng
@@ -244,54 +249,6 @@ class TestShardedPools:
             np.testing.assert_array_equal(
                 unpack_bits(packed, karate.num_edges), expected
             )
-
-    def test_sharded_masks_deterministic_and_complete(self, karate):
-        model = IndependentCascade(0.1)
-        one = SnapshotPool(karate, shards=3)
-        two = SnapshotPool(karate, shards=3)
-        one.token(7)
-        two.token(7)
-        a = one.masks(model, 10)
-        b = two.masks(model, 10)
-        assert len(a) == len(b) == 10
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_sharded_gains_match_single_shard(self, karate):
-        model = IndependentCascade(0.1)
-        flat = SnapshotPool(karate, shards=1)
-        sharded = SnapshotPool(karate, shards=4)
-        flat.token(5)
-        sharded.token(5)
-        # shard layouts differ, so compare against gains computed directly
-        # from each pool's own masks — pooling must be exact either way
-        from repro.cascade.pools import snapshot_initial_gains
-
-        for pool in (flat, sharded):
-            gains = pool.initial_gains(model, 8)
-            direct = snapshot_initial_gains(karate, pool.masks(model, 8))
-            assert gains == pytest.approx(direct)
-
-    def test_shard_job_matches_parent_side_masks(self, karate):
-        model = IndependentCascade(0.2)
-        pool = SnapshotPool(karate, shards=2)
-        pool.token(9)
-        key = pool._request_key(model, 6)
-        (seed0, size0), _ = pool._shard_seeds(key, 6)
-        job = SnapshotShardJob(
-            graph=karate, model=model, shard_seed=seed0, count=size0
-        )
-        estimates = job.run(np.random.default_rng(0))
-        assert len(estimates) == karate.num_nodes
-        assert all(e.samples == size0 for e in estimates)
-
-    def test_env_shards_override(self, karate, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_SHARDS", "3")
-        pool = SnapshotPool(karate)
-        assert pool.shards == 3
-        monkeypatch.setenv("REPRO_SNAPSHOT_SHARDS", "bogus")
-        with pytest.raises(Exception):
-            SnapshotPool(karate)
 
 
 class TestPayloadMetric:
@@ -313,10 +270,10 @@ class TestPayloadMetric:
         from repro.obs.journal import RunJournal, attached, read_journal
 
         store = GraphStore(tmp_path / "store")
-        ref = store.save(karate, "karate")
+        store.save(karate, "karate")
         model = IndependentCascade(0.1)
         raw = SpreadJob(graph=karate, model=model, seeds=(0,), rounds=1)
-        slim = SpreadJob(graph=ref, model=model, seeds=(0,), rounds=1)
+        slim = SpreadJob(graph=store.open("karate"), model=model, seeds=(0,), rounds=1)
         path = tmp_path / "j.jsonl"
         with RunJournal(path) as journal, attached(journal):
             with Executor("process", workers=2) as executor:

@@ -31,6 +31,7 @@ from repro.cascade.competitive import (
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
+from repro.config import CONTRACTS_ENV_VAR
 from repro.core.payoff import estimate_payoff_table
 from repro.core.strategy import StrategySpace
 from repro.exec import Executor
@@ -276,7 +277,7 @@ class TestBatchedTelemetry:
         metrics.reset()
 
     def test_counters_match_per_round_outcomes(self, monkeypatch):
-        monkeypatch.setenv(contracts.ENV_VAR, "1")  # so the claims are kept
+        monkeypatch.setenv(CONTRACTS_ENV_VAR, "1")  # so the claims are kept
         graph = erdos_renyi(60, 240, rng=4)
         recorded = []
         real = competitive.run_competitive_cascades
@@ -327,7 +328,7 @@ class TestBatchedContracts:
     """With contracts on, every simulation of a batch is checked."""
 
     def test_checks_run_per_simulation(self, monkeypatch):
-        monkeypatch.setenv(contracts.ENV_VAR, "1")
+        monkeypatch.setenv(CONTRACTS_ENV_VAR, "1")
         calls = {"ownership": 0, "spreads": 0}
         real_ownership, real_spreads = contracts.check_ownership, contracts.check_spreads
 
@@ -348,7 +349,7 @@ class TestBatchedContracts:
     def test_reclaimed_initiator_is_caught(self, monkeypatch):
         # A sweep that re-claimed an initiator for another group must fail
         # the ownership contract of the simulation it happened in.
-        monkeypatch.setenv(contracts.ENV_VAR, "1")
+        monkeypatch.setenv(CONTRACTS_ENV_VAR, "1")
         real = competitive.run_competitive_cascades
 
         def corrupt(graph, probs, initiators, claim_rule, generator, claims=None):

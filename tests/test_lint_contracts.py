@@ -6,8 +6,8 @@ import pytest
 from repro.cascade.competitive import CompetitiveDiffusion
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.simulate import estimate_competitive_spread, estimate_spread
+from repro.config import CONTRACTS_ENV_VAR
 from repro.graphs.generators import karate_like_fixture
-from repro.lint import contracts
 from repro.lint.contracts import (
     ContractViolation,
     check_ownership,
@@ -20,12 +20,12 @@ from repro.lint.contracts import (
 
 @pytest.fixture
 def contracts_on(monkeypatch):
-    monkeypatch.setenv(contracts.ENV_VAR, "1")
+    monkeypatch.setenv(CONTRACTS_ENV_VAR, "1")
 
 
 @pytest.fixture
 def contracts_off(monkeypatch):
-    monkeypatch.delenv(contracts.ENV_VAR, raising=False)
+    monkeypatch.delenv(CONTRACTS_ENV_VAR, raising=False)
 
 
 class TestEnabledGate:
@@ -34,12 +34,12 @@ class TestEnabledGate:
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", "TRUE"])
     def test_truthy_values(self, monkeypatch, value):
-        monkeypatch.setenv(contracts.ENV_VAR, value)
+        monkeypatch.setenv(CONTRACTS_ENV_VAR, value)
         assert enabled()
 
     @pytest.mark.parametrize("value", ["", "0", "false", "off", "no", " "])
     def test_falsy_values(self, monkeypatch, value):
-        monkeypatch.setenv(contracts.ENV_VAR, value)
+        monkeypatch.setenv(CONTRACTS_ENV_VAR, value)
         assert not enabled()
 
 

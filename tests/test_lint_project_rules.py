@@ -1,10 +1,9 @@
-"""True-positive and true-negative fixtures for each project rule RP010-RP016."""
+"""True-positive and true-negative fixtures for each project rule RP010-RP015."""
 
 from repro.lint.project.callgraph import CallGraph
 from repro.lint.project.facts import extract_facts
 from repro.lint.project.rules import (
     ContractCoverage,
-    GraphPayloadRefs,
     JournalSchemaConsistency,
     NondeterminismSources,
     PickleSafety,
@@ -564,62 +563,3 @@ class TestRP015JournalSchemaConsistency:
         )
         assert JournalSchemaConsistency().check(project) == []
 
-
-class TestRP016GraphPayloadRefs:
-    def test_raw_digraph_field_flagged(self):
-        project = build_project(
-            {
-                "pkg.jobs": (
-                    "class SpreadJob:\n"
-                    "    graph: DiGraph\n"
-                    "    rounds: int\n"
-                    "    def run(self, generator):\n"
-                    "        return 1\n"
-                )
-            }
-        )
-        findings = GraphPayloadRefs().check(project)
-        assert len(findings) == 1
-        assert findings[0].code == "RP016"
-        assert "graph" in findings[0].message
-        assert "GraphRef" in findings[0].message
-
-    def test_ref_admitting_field_is_clean(self):
-        project = build_project(
-            {
-                "pkg.jobs": (
-                    "class SpreadJob:\n"
-                    "    graph: DiGraph | GraphRef\n"
-                    "    rounds: int\n"
-                    "    def run(self, generator):\n"
-                    "        return 1\n"
-                )
-            }
-        )
-        assert GraphPayloadRefs().check(project) == []
-
-    def test_non_job_class_ignored(self):
-        project = build_project(
-            {
-                "pkg.mod": (
-                    "class SpreadOracle:\n"
-                    "    graph: DiGraph\n"
-                    "    def spread(self):\n"
-                    "        return 1\n"
-                )
-            }
-        )
-        assert GraphPayloadRefs().check(project) == []
-
-    def test_suppression_honoured(self):
-        project = build_project(
-            {
-                "pkg.jobs": (
-                    "class LocalJob:  # reprolint: disable=RP016\n"
-                    "    graph: DiGraph\n"
-                    "    def run(self, generator):\n"
-                    "        return 1\n"
-                )
-            }
-        )
-        assert GraphPayloadRefs().check(project) == []

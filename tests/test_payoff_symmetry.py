@@ -13,8 +13,8 @@ import pytest
 from repro.algorithms.degree_discount import DegreeDiscount
 from repro.algorithms.heuristics import HighDegree, RandomSeeds
 from repro.cascade.ic import IndependentCascade
+from repro.config import SYMMETRY_ENV_VAR
 from repro.core.payoff import (
-    SYMMETRY_ENV_VAR,
     SYMMETRY_MODES,
     canonical_profile,
     estimate_payoff_table,

@@ -144,7 +144,7 @@ class TestGainsInputChecks:
             snapshot_initial_gains(karate, masks, "serial")
 
     def test_pool_gains_reject_non_executor(self, karate):
-        pool = SnapshotPool(karate, shards=2)
+        pool = SnapshotPool(karate)
         pool.token(np.random.default_rng(2))
         with pytest.raises(TypeError, match="int"):
             pool.initial_gains(IndependentCascade(0.1), 4, 3)

@@ -2,8 +2,9 @@
 
 Builds a ~100k-node graph, persists it into a memory-mapped
 :class:`~repro.graphs.store.GraphStore`, then runs a payoff cell batch on
-the **process** backend with ``GraphRef`` payloads and asserts the two
-scale-out invariants:
+the **process** backend with jobs built from the mmap-opened graph — which
+pickles as its O(1) ``GraphRef`` — and asserts the two scale-out
+invariants:
 
 * **O(1) payloads** — every submitted job pickles in under
   ``MAX_PAYLOAD_PER_JOB`` bytes, regardless of graph size (the journal's
@@ -75,9 +76,9 @@ def main() -> int:
         mapped = ref.open()
 
         jobs = [
-            SpreadJob(graph=ref, model=model, seeds=seeds, rounds=ROUNDS),
+            SpreadJob(graph=mapped, model=model, seeds=seeds, rounds=ROUNDS),
             CompetitiveJob(
-                graph=ref,
+                graph=mapped,
                 model=model,
                 seed_sets=(seeds, tuple(range(K, 2 * K))),
                 rounds=ROUNDS,
