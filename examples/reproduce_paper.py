@@ -1,143 +1,66 @@
-"""Regenerate every table and figure of the paper from the command line.
+"""Regenerate the paper's tables and figures through the matrix orchestrator.
 
-A thin CLI over :mod:`repro.experiments` — the same runners the benchmark
-suite uses.  Scale knobs come from the REPRO_BENCH_* environment variables
-(see EXPERIMENTS.md); at the defaults the full set takes a few minutes.
+Each artifact is a matrix spec under ``benchmarks/matrices/``; this loop
+runs them with :func:`repro.experiments.run_matrix`, exactly as
+``python -m repro experiments run --matrix benchmarks/matrices/<name>.json``
+does.  The specs pin the reproduction scale; all of them take a few
+minutes.  A cell whose measurement breaks the paper's claim fails, and
+the script exits non-zero.
 
 Usage:
-    python examples/reproduce_paper.py             # everything
-    python examples/reproduce_paper.py table3 fig8 # selected experiments
-    python examples/reproduce_paper.py fig8 --journal=run.jsonl --log-level=info
+    python examples/reproduce_paper.py                  # every table and figure
+    python examples/reproduce_paper.py table3 fig8      # selected artifacts
+    python examples/reproduce_paper.py fig8 --output=results/paper
 """
 
 import sys
+from pathlib import Path
 
-from repro.obs import RunJournal, attached, configure_logging
-from repro.experiments import (
-    ExperimentConfig,
-    coefficient_rows,
-    jaccard_rows,
-    mixed_vs_random_rows,
-    profile_rows,
-    response_time_rows,
-    spread_rows,
-    table3_rows,
-)
+from repro.experiments import MatrixSpec, run_matrix
 from repro.utils.tables import format_table
 
+MATRICES = Path(__file__).resolve().parents[1] / "benchmarks" / "matrices"
 
-def run_table3(config: ExperimentConfig) -> None:
-    print(format_table(table3_rows(config), title="Table 3 - datasets"))
-
-
-def run_fig3(config: ExperimentConfig) -> None:
-    rows = jaccard_rows(config, "ic")
-    print(format_table(rows, title="Figure 3 - Jaccard overlap (IC)"))
-
-
-def run_fig4(config: ExperimentConfig) -> None:
-    rows = jaccard_rows(config, "wc")
-    print(format_table(rows, title="Figure 4 - Jaccard overlap (WC)"))
-
-
-def run_fig5(config: ExperimentConfig) -> None:
-    for model_kind in ("ic", "wc"):
-        rows = spread_rows(config, "hep", model_kind)
-        print(format_table(rows, title=f"Figure 5 - spread (hep, {model_kind})"))
-
-
-def run_fig6(config: ExperimentConfig) -> None:
-    for model_kind in ("ic", "wc"):
-        rows = spread_rows(config, "phy", model_kind)
-        print(format_table(rows, title=f"Figure 6 - spread (phy, {model_kind})"))
-
-
-def run_fig7(config: ExperimentConfig) -> None:
-    for model_kind in ("ic", "wc"):
-        rows = spread_rows(config, "wiki", model_kind)
-        print(format_table(rows, title=f"Figure 7 - spread (wiki, {model_kind})"))
-
-
-def run_fig8(config: ExperimentConfig) -> None:
-    rows = mixed_vs_random_rows(config)
-    print(format_table(rows, title="Figure 8 - mixed vs random (hep, wc)"))
-
-
-def run_fig9(config: ExperimentConfig) -> None:
-    rows = profile_rows(config)
-    print(format_table(rows, title="Figure 9 - profile spreads (hep, wc)"))
-
-
-def run_table4(config: ExperimentConfig) -> None:
-    rows = response_time_rows(config)
-    print(format_table(rows, title="Table 4 - NE search response time"))
-
-
-def run_fig10(config: ExperimentConfig) -> None:
-    for dataset in ("hep", "phy", "wiki"):
-        for model_kind in ("ic", "wc"):
-            rows = coefficient_rows(config, dataset, model_kind)
-            print(
-                format_table(
-                    rows,
-                    title=f"Figure 10 - coefficients ({dataset}, {model_kind})",
-                )
-            )
-
-
-EXPERIMENTS = {
-    "table3": run_table3,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "fig8": run_fig8,
-    "fig9": run_fig9,
-    "table4": run_table4,
-    "fig10": run_fig10,
+PAPER = {
+    "table3": "Table 3 - datasets",
+    "fig3": "Figure 3 - Jaccard overlap (IC)",
+    "fig4": "Figure 4 - Jaccard overlap (WC)",
+    "fig5": "Figure 5 - competitive spread (hep)",
+    "fig6": "Figure 6 - competitive spread (phy)",
+    "fig7": "Figure 7 - competitive spread (wiki)",
+    "fig8": "Figure 8 - mixed vs random (hep, wc)",
+    "fig9": "Figure 9 - profile spreads (hep, wc)",
+    "table4": "Table 4 - NE search response time",
+    "fig10": "Figure 10 - coefficients",
 }
 
 
 def main(argv: list[str]) -> int:
-    # Observability flags (--journal=PATH, --log-level=LEVEL) are parsed by
-    # hand so plain experiment names keep their historical behavior.
-    journal_path: str | None = None
-    log_level: str | None = None
+    output = None
     requested = []
     for arg in argv:
-        if arg.startswith("--journal="):
-            journal_path = arg.split("=", 1)[1]
-        elif arg.startswith("--log-level="):
-            log_level = arg.split("=", 1)[1]
+        if arg.startswith("--output="):
+            output = Path(arg.split("=", 1)[1])
         else:
             requested.append(arg)
-    requested = requested or list(EXPERIMENTS)
-    unknown = [name for name in requested if name not in EXPERIMENTS]
+    requested = requested or list(PAPER)
+    unknown = [name for name in requested if name not in PAPER]
     if unknown:
         print(f"unknown experiment(s): {unknown}")
-        print(f"available: {', '.join(EXPERIMENTS)}")
+        print(f"available: {', '.join(PAPER)}")
         return 2
-    if log_level:
-        configure_logging(log_level)
-    config = ExperimentConfig()
-    print(
-        f"config: nodes<={config.nodes_budget}, rounds={config.rounds}, "
-        f"snapshots={config.snapshots}, ks={config.ks}, "
-        f"ic_p={config.ic_probability}\n"
-    )
-
-    def run_all() -> None:
-        for name in requested:
-            EXPERIMENTS[name](config)
-            print()
-
-    if journal_path:
-        with RunJournal(journal_path) as journal, attached(journal):
-            run_all()
-    else:
-        run_all()
-    return 0
+    failed = 0
+    for name in requested:
+        spec = MatrixSpec.from_file(MATRICES / f"{name}.json")
+        result = run_matrix(
+            spec,
+            output_dir=None if output is None else output / name,
+            append=False,
+        )
+        print(format_table(result.results_rows, title=PAPER[name]))
+        print()
+        failed += len(result.failed)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ It is implemented here for two reasons:
 * as the strongest possible baseline — a follower with perfect information
   upper-bounds what any realistic strategy can achieve, so the gap to the
   GetReal equilibrium quantifies the *value of the information the paper
-  argues one cannot have* (see ``benchmarks/bench_ext_follower.py``);
+  argues one cannot have* (see the ``follower_information`` scenario,
+  ``benchmarks/matrices/ext_follower.json``);
 * as the building block for best-response dynamics over seed sets.
 
 The greedy step uses lazy (CELF-style) evaluation of competitive marginal

@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_run.add_argument(
         "--no-append", action="store_true",
-        help="skip appending the run's entry to the spec's trajectory file",
+        help="skip appending the run's entry to the spec's trajectory file "
+        "(specs without a 'trajectory' never append)",
     )
     exp_run.add_argument(
         "--log-level", default="warning",
@@ -523,7 +524,9 @@ def _run_experiments(args: argparse.Namespace) -> int:
         try:
             spec = MatrixSpec.from_file(args.matrix)
             result = run_matrix(
-                spec, output_dir=args.output, append=not args.no_append
+                spec,
+                output_dir=args.output,
+                append=not args.no_append and spec.trajectory is not None,
             )
         except (ExperimentError, TrajectoryError) as exc:
             raise SystemExit(str(exc)) from exc

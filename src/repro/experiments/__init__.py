@@ -1,16 +1,21 @@
-"""Experiment harness: configuration, runners, orchestrator, and gates.
+"""Experiment harness: the scenario-matrix orchestrator and its gate.
 
-* :mod:`repro.experiments.config` / :mod:`repro.experiments.runners` —
-  the per-table/figure reproduction runners;
 * :mod:`repro.experiments.orchestrator` — the declarative scenario-matrix
-  runner behind ``python -m repro experiments run``;
-* :mod:`repro.experiments.scenarios` — the scenario plugin registry;
+  runner behind ``python -m repro experiments run``, the one way to
+  regenerate a paper artifact (specs under ``benchmarks/matrices/``);
+* :mod:`repro.experiments.scenarios` — the scenario plugin registry and
+  the built-in GetReal scenarios;
+* :mod:`repro.experiments.figures` — the paper's tables and figures;
+* :mod:`repro.experiments.extensions` — ablations and extensions;
+* :mod:`repro.experiments.config` — the per-cell configuration;
 * :mod:`repro.experiments.trajectory` — the atomic ``BENCH_*.json``
   trajectory store;
 * :mod:`repro.experiments.gate` — the trajectory regression gate behind
   ``python -m repro experiments gate``.
 """
 
+# Importing the plugin modules registers their scenarios.
+from repro.experiments import extensions, figures  # noqa: F401
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.gate import (
     GateFinding,
@@ -24,16 +29,6 @@ from repro.experiments.orchestrator import (
     MatrixSpec,
     run_matrix,
 )
-from repro.experiments.runners import (
-    coefficient_rows,
-    jaccard_rows,
-    mixed_vs_random_rows,
-    profile_rows,
-    response_time_rows,
-    sensitivity_rows,
-    spread_rows,
-    table3_rows,
-)
 from repro.experiments.scenarios import (
     ScenarioCell,
     get_scenario,
@@ -44,14 +39,6 @@ from repro.experiments.trajectory import TrajectoryStore, append_trajectory
 
 __all__ = [
     "ExperimentConfig",
-    "table3_rows",
-    "jaccard_rows",
-    "spread_rows",
-    "mixed_vs_random_rows",
-    "profile_rows",
-    "response_time_rows",
-    "sensitivity_rows",
-    "coefficient_rows",
     "MatrixSpec",
     "MatrixRunResult",
     "CellResult",

@@ -11,9 +11,9 @@ Comparison rules (applied recursively over the two entries' shared keys):
 
 * ``{"mean": m, "stderr": s}`` objects are Monte-Carlo estimates — the
   gate fails when ``|m_base - m_cand|`` exceeds ``sigmas`` pooled standard
-  errors (default 3.0, matching the bench suite's equivalence checks).
-  When both stderrs are zero the values must match bit-for-bit: the
-  runners promise bit-identical results for a fixed seed;
+  errors (default 3.0, matching the ``payoff_speedup`` scenario's
+  equivalence check).  When both stderrs are zero the values must match
+  bit-for-bit: scenarios promise bit-identical results for a fixed seed;
 * numeric keys ending in ``speedup`` are higher-is-better ratios — the
   gate fails when the candidate drops below ``baseline * (1 - tolerance)``
   (default tolerance 0.2);
@@ -26,11 +26,11 @@ Comparison rules (applied recursively over the two entries' shared keys):
 * other bare numbers (byte counts, row counts, ...) are contextual and
   ignored.
 
-Entries are only compared when *comparable*: configuration-bearing keys
-(``matrix``/``scenario``/``config``/``nodes``/``rounds``/``k``/``kernel``/
-``seed``/``dataset``) that appear in both entries must be equal, so a
-scale change (e.g. a smoke run after a full-scale run) starts a new
-comparison lineage instead of producing nonsense findings.
+Entries are only compared when *comparable*: their ``matrix``,
+``scenario`` and ``config`` must be equal (an absent key counts as a
+value), so a scale change (e.g. a smoke run after a full-scale run) or an
+entry of another format starts a new comparison lineage instead of
+producing nonsense findings.
 """
 
 from __future__ import annotations
@@ -55,33 +55,16 @@ _SKIP_KEYS = frozenset(
         "config",
         "error",
         "seed",
-        "dataset",
-        "kernel",
         "backend",
         "symmetry",
-        "nodes",
         "edges",
-        "k",
-        "ks",
-        "rounds",
         "snapshots",
         "samples",
     }
 )
 
 #: Keys that must match for two entries to be comparable at all.
-_CONTEXT_KEYS = (
-    "matrix",
-    "scenario",
-    "config",
-    "dataset",
-    "kernel",
-    "seed",
-    "nodes",
-    "rounds",
-    "k",
-    "ks",
-)
+_CONTEXT_KEYS = ("matrix", "scenario", "config")
 
 #: Tolerated float fuzz when pooled stderr is exactly zero.
 _EXACT_ATOL = 1e-9
@@ -165,12 +148,8 @@ class GateReport:
 def entries_comparable(
     baseline: Mapping[str, Any], candidate: Mapping[str, Any]
 ) -> bool:
-    """Whether two entries share every context key they both carry."""
-    return all(
-        baseline[key] == candidate[key]
-        for key in _CONTEXT_KEYS
-        if key in baseline and key in candidate
-    )
+    """Whether two entries ran the same matrix, scenario and config."""
+    return all(baseline.get(key) == candidate.get(key) for key in _CONTEXT_KEYS)
 
 
 def select_baseline(

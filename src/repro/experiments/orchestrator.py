@@ -1,12 +1,16 @@
 """Declarative scenario-matrix orchestrator.
 
+The one way to run experiments: every table, figure, ablation and extension
+of the reproduction is a matrix spec under ``benchmarks/matrices/``.
 Turns a JSON *matrix spec* — the cross product dataset × model ×
 backend × symmetry × k, plus pinned scale knobs — into scenario cells,
 runs each cell's registered scenario (:mod:`repro.experiments.scenarios`)
-through the batched :class:`~repro.exec.executor.Executor`, journals every
-cell as a span in a JSONL run journal, writes a manifest, and appends one
-schema-validated entry to the spec's ``BENCH_*`` trajectory through the
-atomic :class:`~repro.experiments.trajectory.TrajectoryStore`.
+through the batched :class:`~repro.exec.executor.Executor`, applies the
+scenario's check to the cell's metrics, journals every cell as a span in
+a JSONL run journal, writes a manifest (with every cell's metrics), and —
+when the spec names a ``trajectory`` — appends one schema-validated entry
+to that ``BENCH_*`` file through the atomic
+:class:`~repro.experiments.trajectory.TrajectoryStore`.
 
 A spec file looks like::
 
@@ -23,14 +27,14 @@ A spec file looks like::
     }
 
 Scale knobs present in the spec (``nodes``/``rounds``/``snapshots``/
-``seed``/``ic_probability``/``workers``) override the ``REPRO_BENCH_*``
-environment so a checked-in spec reproduces bit-identically wherever it
-runs; omitted knobs fall back to the environment-driven defaults of
-:class:`~repro.experiments.config.ExperimentConfig`.
+``seed``/``ic_probability``/``workers``) override the constant defaults
+of :class:`~repro.experiments.config.ExperimentConfig`; the checked-in
+specs pin all of them, so they reproduce bit-identically wherever they run.
 
-Cells never abort the campaign: a scenario that raises is recorded as a
-failed cell in the manifest (and as ``status: "failed"`` in the trajectory
-entry) and the run carries on — the CLI exits non-zero at the end.
+Cells never abort the campaign: a scenario that raises, or whose check
+rejects its metrics, is recorded as a failed cell in the manifest (and as
+``status: "failed"`` in the trajectory entry) and the run carries on — the
+CLI exits non-zero at the end.
 
 ``python -m repro experiments run|gate|list`` is the command-line surface;
 the regression gate lives in :mod:`repro.experiments.gate`.
@@ -50,10 +54,11 @@ from repro.core.payoff import resolve_symmetry
 from repro.errors import ExperimentError
 from repro.exec.backends import BACKENDS
 from repro.exec.executor import Executor, build_executor
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import MODEL_KINDS, ExperimentConfig
 from repro.experiments.scenarios import (
     ScenarioCell,
     get_scenario,
+    lookup,
 )
 from repro.experiments.trajectory import TrajectoryStore
 from repro.graphs.datasets import DATASETS
@@ -67,10 +72,6 @@ from repro.utils.timing import Stopwatch
 _LOG = get_logger("experiments.orchestrator")
 _CELLS_RUN = counter("experiments.cells_run")
 _CELLS_FAILED = counter("experiments.cells_failed")
-
-#: Model kinds :meth:`ExperimentConfig.model` accepts.
-_MODEL_KINDS = ("ic", "wc")
-
 
 def _utc_timestamp() -> str:
     # Trajectory entries record *when* a benchmark ran — the timestamp is
@@ -156,9 +157,9 @@ class MatrixSpec:
                 )
         models = tuple(str(m) for m in axis("models", ("ic",)))
         for model in models:
-            if model not in _MODEL_KINDS:
+            if model not in MODEL_KINDS:
                 raise ExperimentError(
-                    f"{source}: unknown model {model!r}; known: {_MODEL_KINDS}"
+                    f"{source}: unknown model {model!r}; known: {MODEL_KINDS}"
                 )
         backends = tuple(str(b) for b in axis("backends", ("serial",)))
         for backend in backends:
@@ -319,7 +320,8 @@ def run_matrix(
         ``<output_dir>/journal.jsonl`` when an output directory is given).
     append:
         Append the run's entry to the spec's trajectory store (requires
-        ``spec.trajectory``); disable for gate-only fresh runs.
+        ``spec.trajectory``); disable for gate-only fresh runs.  The CLI
+        appends only for specs that name a trajectory.
     """
     cells = spec.expand()
     out = Path(output_dir) if output_dir is not None else None
@@ -341,6 +343,7 @@ def run_matrix(
             )
         with total_watch:
             _run_cells(spec, cells, results, journal)
+        _apply_matrix_check(spec, results)
         if journal is not None:
             journal.run_end(
                 status="ok" if all(r.ok for r in results) else "error",
@@ -394,7 +397,7 @@ def _run_cells(
     journal: RunJournal | None,
 ) -> None:
     """Execute every cell, sharing graphs and per-backend executors."""
-    scenario_fn = get_scenario(spec.scenario)
+    scenario_fn, _, check, _ = lookup(spec.scenario)
     overrides = spec.config_overrides()
     graph_cache: dict[str, DiGraph] = {}
     executors: dict[str, Executor] = {}
@@ -403,7 +406,6 @@ def _run_cells(
             config = ExperimentConfig(
                 backend=cell.backend,
                 symmetry=cell.symmetry,
-                ks=(cell.k,),
                 **overrides,
             )
             if spec.workers is not None:
@@ -420,6 +422,7 @@ def _run_cells(
             config._executor = executors[cell.backend]
             _CELLS_RUN.inc()
             watch = Stopwatch()
+            metrics: dict[str, Any] | None = None
             journal_scope = (
                 attached(journal) if journal is not None else _null_scope()
             )
@@ -431,16 +434,20 @@ def _run_cells(
                     matrix=spec.name,
                     scenario=spec.scenario,
                 ), watch:
-                    metrics = scenario_fn(cell, config)
+                    metrics = dict(scenario_fn(cell, config))
+                if check is not None:
+                    check(metrics)
             except Exception as exc:  # cell failures must not kill the run
                 _CELLS_FAILED.inc()
                 error = f"{type(exc).__name__}: {exc}"
                 _LOG.warning("cell %s failed: %s", cell.cell_id, error)
+                # A failed check keeps the metrics it rejected.
                 results.append(
                     CellResult(
                         cell=cell,
                         status="failed",
                         seconds=watch.elapsed,
+                        metrics=metrics,
                         error=error,
                     )
                 )
@@ -450,12 +457,29 @@ def _run_cells(
                     cell=cell,
                     status="ok",
                     seconds=watch.elapsed,
-                    metrics=dict(metrics),
+                    metrics=metrics,
                 )
             )
     finally:
         for executor in executors.values():
             executor.close()
+
+
+def _apply_matrix_check(spec: MatrixSpec, results: list[CellResult]) -> None:
+    """Fail every ok cell when the run violates the scenario's matrix check."""
+    matrix_check = lookup(spec.scenario).matrix_check
+    ok = [r for r in results if r.ok]
+    if matrix_check is None or not ok:
+        return
+    try:
+        matrix_check([(r.cell, r.metrics or {}) for r in ok])
+    except Exception as exc:
+        error = f"matrix check: {type(exc).__name__}: {exc}"
+        _LOG.warning("matrix %s failed its check: %s", spec.name, error)
+        _CELLS_FAILED.inc(len(ok))
+        for result in ok:
+            result.status = "failed"
+            result.error = error
 
 
 class _null_scope:
@@ -513,29 +537,43 @@ def _manifest(
                 "status": result.status,
                 "seconds": round(result.seconds, 3),
                 **({"error": result.error} if result.error else {}),
+                **({"metrics": result.metrics} if result.metrics else {}),
             }
             for result in results
         },
     }
 
 
+def _flatten(metrics: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
+    """Nested metrics as ``{"a/b": leaf}``; estimates are leaves."""
+    flat: dict[str, Any] = {}
+    for key, value in metrics.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, Mapping) and "mean" not in value:
+            flat.update(_flatten(value, f"{name}/"))
+        else:
+            flat[name] = value
+    return flat
+
+
 def _result_rows(results: Sequence[CellResult]) -> list[dict[str, Any]]:
-    """Flat per-cell rows for the CLI table / ``cells.txt``."""
+    """One row per cell metric for the CLI table / ``cells.txt``."""
     rows: list[dict[str, Any]] = []
     for result in results:
-        row: dict[str, Any] = {
-            "cell": result.cell.cell_id,
-            "status": result.status,
-            "seconds": round(result.seconds, 3),
-        }
-        for key, value in (result.metrics or {}).items():
-            if isinstance(value, Mapping) and "mean" in value:
-                row[key] = round(float(value["mean"]), 3)
-            elif isinstance(value, float):
-                row[key] = round(value, 4)
-            else:
-                row[key] = value
+        metrics: dict[str, Any] = {"seconds": round(result.seconds, 3)}
+        metrics.update(_flatten(result.metrics or {}))
         if result.error:
-            row["error"] = result.error
-        rows.append(row)
+            metrics["error"] = result.error
+        for key, value in metrics.items():
+            row: dict[str, Any] = {
+                "cell": result.cell.cell_id,
+                "status": result.status,
+                "metric": key,
+                "value": value,
+                "stderr": "",
+            }
+            if isinstance(value, Mapping):
+                row["value"] = float(value["mean"])
+                row["stderr"] = float(value["stderr"])
+            rows.append(row)
     return rows

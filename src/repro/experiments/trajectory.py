@@ -22,8 +22,7 @@ module is the single replacement:
 
 The regression gate (:mod:`repro.experiments.gate`) and the orchestrator
 (:mod:`repro.experiments.orchestrator`) read and append exclusively through
-this store, as do ``benchmarks/bench_payoff_sharing.py`` and
-``benchmarks/bench_large_graph.py``.
+this store.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -19,9 +18,6 @@ from repro.lint import contracts
 from repro.utils.rng import as_rng
 
 SRC = Path(repro.__file__).resolve().parent
-
-#: The harness module may read the environment, for REPRO_BENCH_* knobs only.
-BENCH_KNOBS_MODULE = SRC / "experiments" / "config.py"
 
 
 def _reads_environment(tree: ast.AST) -> list[int]:
@@ -45,23 +41,11 @@ class TestEnvironmentOwnership:
     def test_only_config_reads_the_environment(self):
         offenders = []
         for path in sorted(SRC.rglob("*.py")):
-            if path in (SRC / "config.py", BENCH_KNOBS_MODULE):
+            if path == SRC / "config.py":
                 continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
             offenders += [f"{path.relative_to(SRC)}:{line}" for line in _reads_environment(tree)]
         assert offenders == []
-
-    def test_bench_knobs_module_reads_only_bench_variables(self):
-        tree = ast.parse(BENCH_KNOBS_MODULE.read_text(encoding="utf-8"))
-        names = {
-            node.value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and re.fullmatch(r"REPRO_[A-Z_]+", node.value)
-        }
-        assert names
-        assert all(name.startswith("REPRO_BENCH_") for name in names)
 
 
 class TestRunConfig:

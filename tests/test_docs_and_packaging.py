@@ -74,12 +74,9 @@ class TestDocumentationFiles:
 
     def test_design_references_existing_benchmarks(self):
         text = (REPO_ROOT / "DESIGN.md").read_text()
-        bench_dir = REPO_ROOT / "benchmarks"
-        for line in text.splitlines():
-            if "benchmarks/bench_" in line:
-                for token in line.split("`"):
-                    if token.startswith("benchmarks/bench_"):
-                        assert (REPO_ROOT / token).exists(), token
+        for token in text.split("`"):
+            if token.startswith("benchmarks/") and " " not in token:
+                assert (REPO_ROOT / token).exists(), token
 
     def test_readme_examples_exist(self):
         text = (REPO_ROOT / "README.md").read_text()
@@ -90,30 +87,54 @@ class TestDocumentationFiles:
                         assert (REPO_ROOT / token).exists(), token
 
 
-class TestBenchmarkCoverage:
-    """Every table and figure of the paper has a benchmark file."""
+MATRICES = REPO_ROOT / "benchmarks" / "matrices"
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "bench_table3_datasets.py",
-            "bench_fig3_jaccard_ic.py",
-            "bench_fig4_jaccard_wc.py",
-            "bench_fig5_hep_spread.py",
-            "bench_fig6_phy_spread.py",
-            "bench_fig7_wiki_spread.py",
-            "bench_fig8_mixed_vs_random.py",
-            "bench_fig9_mixed_profiles.py",
-            "bench_table4_response_time.py",
-            "bench_fig10_coefficients.py",
-        ],
-    )
-    def test_paper_experiment_bench_exists(self, name):
-        assert (REPO_ROOT / "benchmarks" / name).exists()
+#: The paper's evaluation artifacts (Section 6), one matrix spec each.
+PAPER_ARTIFACTS = [
+    "table3", "table4", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+]
+
+
+class TestBenchmarkCoverage:
+    """Every table and figure of the paper has a matrix spec, and its
+    scenario is registered; ``benchmarks/`` holds specs, not scripts."""
+
+    @pytest.mark.parametrize("artifact", PAPER_ARTIFACTS)
+    def test_paper_experiment_bench_exists(self, artifact):
+        from repro.experiments import MatrixSpec, get_scenario
+
+        # from_file validates every axis and that the scenario is registered
+        spec = MatrixSpec.from_file(MATRICES / f"{artifact}.json")
+        assert spec.name == artifact
+        assert callable(get_scenario(spec.scenario))
+        assert spec.trajectory is None
 
     def test_ablation_and_extension_benches_exist(self):
-        bench_dir = REPO_ROOT / "benchmarks"
-        ablations = list(bench_dir.glob("bench_ablation_*.py"))
-        extensions = list(bench_dir.glob("bench_ext_*.py"))
+        from repro.experiments import MatrixSpec
+
+        ablations = sorted(MATRICES.glob("ablation_*.json"))
+        extensions = sorted(MATRICES.glob("ext_*.json"))
         assert len(ablations) >= 4
         assert len(extensions) >= 6
+        for path in ablations + extensions:
+            assert MatrixSpec.from_file(path).name == path.stem
+
+    def test_specs_pin_the_reproduction_scale(self):
+        from repro.experiments import MatrixSpec
+
+        for path in sorted(MATRICES.glob("*.json")):
+            if path.stem in ("smoke", "payoff_sharing"):
+                continue
+            spec = MatrixSpec.from_file(path)
+            pinned = (spec.nodes, spec.rounds, spec.snapshots, spec.seed)
+            assert pinned == (1200, 20, 120, 2015), path.name
+            assert spec.ic_probability == 0.08, path.name
+
+    def test_table3_covers_the_papers_networks(self):
+        from repro.experiments import MatrixSpec
+
+        spec = MatrixSpec.from_file(MATRICES / "table3.json")
+        assert spec.datasets == ("hep", "phy", "wiki")
+
+    def test_benchmarks_holds_no_scripts(self):
+        assert not list((REPO_ROOT / "benchmarks").rglob("*.py"))

@@ -1,7 +1,7 @@
 """Smoke tests: the example scripts run to completion.
 
 Only the fast examples run under pytest (the heavier ones are exercised
-manually / by the benchmark suite); each is invoked as a subprocess so
+manually or through their matrix specs); each is invoked as a subprocess so
 import side effects and ``__main__`` guards are covered too.
 """
 
@@ -77,18 +77,8 @@ class TestExampleScripts:
             capture_output=True,
             text=True,
             timeout=120,
-            env=_env(
-                {
-                    "REPRO_BENCH_NODES": "300",
-                    "REPRO_BENCH_ROUNDS": "3",
-                    "REPRO_BENCH_SNAPSHOTS": "5",
-                    "REPRO_BENCH_KS": "3",
-                    "PATH": os.environ.get(
-                        "PATH", "/usr/bin:/bin:/usr/local/bin"
-                    ),
-                    "HOME": os.environ.get("HOME", "/root"),
-                }
-            ),
+            env=_env(),
         )
         assert result.returncode == 0, result.stderr
         assert "Table 3" in result.stdout
+        assert "wiki/ic/serial/full/k10" in result.stdout

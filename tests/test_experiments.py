@@ -1,34 +1,49 @@
-"""Tests for the experiment harness (config + runners) at tiny scale."""
+"""Tests for the experiment configuration and the paper's scenarios at tiny scale."""
+
+from functools import lru_cache
 
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runners import (
-    coefficient_rows,
-    jaccard_rows,
-    mixed_vs_random_rows,
-    profile_rows,
-    response_time_rows,
-    spread_rows,
-    table3_rows,
-)
+from repro.experiments.orchestrator import MatrixSpec, run_matrix
+
+#: Tiny pinned scale shared by every run in this module.
+SCALE = {"nodes": 350, "rounds": 4, "snapshots": 6, "seed": 1, "ic_probability": 0.05}
+
+
+@lru_cache(maxsize=None)
+def cells(scenario, datasets=("hep",), models=("ic",), ks=(5, 10)):
+    """``{cell_id: metrics}`` of one tiny matrix run (cached per module)."""
+    spec = MatrixSpec.from_dict(
+        {
+            "name": f"tiny-{scenario}",
+            "scenario": scenario,
+            "datasets": list(datasets),
+            "models": list(models),
+            "ks": list(ks),
+            **SCALE,
+        }
+    )
+    result = run_matrix(spec, append=False)
+    # A check may reject a tiny-scale cell, but the scenario must finish.
+    assert all(r.metrics is not None for r in result.results), result.results
+    return {r.cell.cell_id: r.metrics for r in result.results}
 
 
 @pytest.fixture(scope="module")
 def config() -> ExperimentConfig:
     return ExperimentConfig(
-        nodes_budget=350, rounds=4, snapshots=6, ks=(5, 10), seed=1, ic_probability=0.05
+        nodes_budget=350, rounds=4, snapshots=6, seed=1, ic_probability=0.05
     )
 
 
 class TestConfig:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_NODES", "999")
-        monkeypatch.setenv("REPRO_BENCH_KS", "3,7")
+    def test_defaults_are_the_pinned_reproduction_scale(self):
+        # The scale lives in the matrix specs; the constants are their values.
         cfg = ExperimentConfig()
-        assert cfg.nodes_budget == 999
-        assert cfg.ks == (3, 7)
+        assert (cfg.nodes_budget, cfg.rounds, cfg.snapshots) == (1200, 20, 120)
+        assert (cfg.seed, cfg.ic_probability) == (2015, 0.08)
 
     def test_scale_for_caps_at_one(self, config):
         assert config.scale_for("hep") == pytest.approx(350 / 15_233)
@@ -45,6 +60,7 @@ class TestConfig:
     def test_models(self, config):
         assert config.model("ic").name == "ic"
         assert config.model("wc").name == "wc"
+        assert config.model("lt").name == "lt"
         with pytest.raises(ExperimentError):
             config.model("lt-ish")
 
@@ -54,116 +70,107 @@ class TestConfig:
 
 
 class TestTable3:
-    def test_rows(self, config):
-        rows = table3_rows(config)
-        assert [r["network"] for r in rows] == ["hep", "phy", "wiki"]
-        assert rows[0]["paper_nodes"] == 15_233
-        assert all(r["bench_nodes"] > 0 for r in rows)
+    def test_rows(self):
+        rows = cells("datasets", datasets=("hep", "phy", "wiki"), ks=(5,))
+        assert [cid.split("/")[0] for cid in rows] == ["hep", "phy", "wiki"]
+        assert rows["hep/ic/serial/full/k5"]["paper_nodes"] == 15_233
+        assert all(r["surrogate_nodes"] > 0 for r in rows.values())
 
 
 class TestJaccard:
-    def test_row_structure(self, config):
-        rows = jaccard_rows(config, "ic", datasets=("hep",), repeats=2)
-        # 3 pairs x 2 ks.
-        assert len(rows) == 6
-        assert all(0.0 <= r["jaccard"] <= 1.0 for r in rows)
+    def test_row_structure(self):
+        rows = cells("jaccard_overlap")
+        # 2 ks, 3 pairs each.
+        assert len(rows) == 2
+        for metrics in rows.values():
+            pairs = {"phi2-phi2", "phi2-phi1", "phi1-phi1"}
+            assert pairs <= set(metrics)
+            assert all(0.0 <= metrics[p]["mean"] <= 1.0 for p in pairs)
+            assert (metrics["phi1"], metrics["phi2"]) == ("mgic", "ddic")
 
-    def test_same_algorithm_pairs_overlap_most(self, config):
-        rows = jaccard_rows(config, "wc", datasets=("hep",), repeats=3)
-        by_pair: dict[str, list[float]] = {}
-        for r in rows:
-            by_pair.setdefault(r["pair"], []).append(r["jaccard"])
-        mean = {p: sum(v) / len(v) for p, v in by_pair.items()}
+    def test_same_algorithm_pairs_overlap_most(self):
+        rows = cells("jaccard_overlap", models=("wc",))
+        same = sum(m["phi2-phi2"]["mean"] for m in rows.values())
+        cross = sum(m["phi2-phi1"]["mean"] for m in rows.values())
         # Deterministic-ish heuristic pair overlaps more than cross pair.
-        assert mean["sdwc-sdwc"] >= mean["sdwc-mgwc"]
+        assert same >= cross
 
 
 class TestSpreadRows:
-    def test_structure(self, config):
-        rows = spread_rows(config, "hep", "ic")
-        # 2 panels x 2 ks x (2 competitive + 2 singleton curves).
-        assert len(rows) == 16
-        panels = {r["panel"] for r in rows}
-        assert panels == {"p2=mgic", "p2=ddic"}
-        curves = {r["curve"] for r in rows}
-        assert curves == {"mgic", "ddic", "s-mgic", "s-ddic"}
+    def test_structure(self):
+        rows = cells("spread_panels")
+        # 2 panels x 2 curves competitive, plus 2 singleton baselines.
+        assert len(rows) == 2
+        for metrics in rows.values():
+            for panel in ("vs_phi1", "vs_phi2", "single"):
+                assert set(metrics[panel]) == {"phi1", "phi2"}
+                assert set(metrics["base"][panel]) == {"phi1", "phi2"}
+        assert rows["hep/ic/serial/full/k10"]["base_k"] == 10
+        assert rows["hep/ic/serial/full/k5"]["base_k"] == 5
 
-    def test_singleton_upper_bounds_competitive(self, config):
+    def test_singleton_upper_bounds_competitive(self):
         """s-φ (no competition) should not be dramatically below the
         competitive spread of the same strategy."""
-        rows = spread_rows(config, "hep", "wc")
-        for k in config.ks:
-            single = next(
-                r["spread"]
-                for r in rows
-                if r["panel"] == "p2=mgwc" and r["k"] == k and r["curve"] == "s-mgwc"
-            )
-            comp = next(
-                r["spread"]
-                for r in rows
-                if r["panel"] == "p2=mgwc" and r["k"] == k and r["curve"] == "mgwc"
-            )
+        for metrics in cells("spread_panels", models=("wc",)).values():
+            single = metrics["single"]["phi1"]["mean"]
+            comp = metrics["vs_phi1"]["phi1"]["mean"]
             assert comp <= single * 1.3 + 5
 
 
 class TestMixedVsRandom:
-    def test_structure(self, config):
-        rows = mixed_vs_random_rows(
-            config, dataset="hep", model_kind="wc", simulation_rounds=4
-        )
-        assert len(rows) == 4  # 2 strategies x 2 ks
-        assert {r["strategy"] for r in rows} == {"mixed", "random"}
-        assert all(r["spread_p1"] >= 0 for r in rows)
+    def test_structure(self):
+        rows = cells("mixed_vs_random", models=("wc",))
+        assert len(rows) == 2
+        for metrics in rows.values():
+            assert metrics["mixed"]["p1"]["mean"] >= 0
+            assert metrics["random"]["p1"]["mean"] >= 0
+            assert 0.0 <= metrics["rho_phi1"]["mean"] <= 1.0
 
 
 class TestProfileRows:
-    def test_structure(self, config):
-        rows = profile_rows(config, dataset="hep", model_kind="wc")
-        # per k: 4 pure profiles + 1 mixed row.
-        assert len(rows) == 2 * 5
-        mixed = [r for r in rows if r["profile"] == "mixed"]
-        assert len(mixed) == 2
+    def test_structure(self):
+        rows = cells("profile_spreads", models=("wc",))
+        # per k: 4 pure profiles + the mixed expectation.
+        for metrics in rows.values():
+            assert len(metrics) == 5
+            assert "mixed" in metrics
 
-    def test_mixed_within_pure_envelope(self, config):
+    def test_mixed_within_pure_envelope(self):
         """The mixed expectation is a convex combination of the pure-profile
         payoffs, so it must lie inside their min/max envelope."""
-        rows = profile_rows(config, dataset="hep", model_kind="wc")
-        for k in config.ks:
-            pure = [
-                r["spread_p1"]
-                for r in rows
-                if r["k"] == k and r["profile"] != "mixed"
-            ]
-            mixed = next(
-                r["spread_p1"] for r in rows if r["k"] == k and r["profile"] == "mixed"
-            )
+        for metrics in cells("profile_spreads", models=("wc",)).values():
+            pure = [v["p1"]["mean"] for key, v in metrics.items() if key != "mixed"]
+            mixed = metrics["mixed"]["p1"]["mean"]
             assert min(pure) - 1e-9 <= mixed <= max(pure) + 1e-9
 
 
 class TestResponseTime:
-    def test_structure(self, config):
-        rows = response_time_rows(config, datasets=("hep",), repeats=2)
+    def test_structure(self):
+        rows = cells("ne_response_time", models=("ic", "wc"), ks=(5,))
         # 2 models x 2 orders.
-        assert len(rows) == 4
-        assert {r["r=z"] for r in rows} == {2, 3}
-        assert all(r["ne_seconds"] >= 0 for r in rows)
-        assert all(r["kind"] in {"pure", "mixed"} for r in rows)
+        assert len(rows) == 2
+        for metrics in rows.values():
+            assert set(metrics) == {"r2", "r3"}
+            assert all(metrics[r]["ne_s"] >= 0 for r in metrics)
+            assert all(metrics[r]["kind"] in {"pure", "mixed"} for r in metrics)
+        assert rows["hep/ic/serial/full/k5"]["r2"]["paper_s"] == 0.022
 
-    def test_subsecond_ne_search(self, config):
+    def test_subsecond_ne_search(self):
         """Table 4's headline: NE search is sub-second at r=z<=3."""
-        rows = response_time_rows(config, datasets=("hep",), repeats=2)
-        assert all(r["ne_seconds"] < 1.0 for r in rows)
+        for metrics in cells("ne_response_time", models=("ic", "wc"), ks=(5,)).values():
+            assert all(row["ne_s"] < 1.0 for row in metrics.values())
 
 
 class TestCoefficients:
-    def test_structure(self, config):
-        rows = coefficient_rows(config, "hep", "wc")
+    def test_structure(self):
+        rows = cells("coefficients", models=("wc",))
         assert len(rows) == 2
-        assert {"gamma", "lambda", "alpha+beta"} <= set(rows[0])
+        assert {"gamma", "lambda", "alpha+beta"} <= set(
+            rows["hep/wc/serial/full/k5"]
+        )
 
-    def test_values_in_plausible_ranges(self, config):
-        rows = coefficient_rows(config, "hep", "wc")
-        for r in rows:
+    def test_values_in_plausible_ranges(self):
+        for r in cells("coefficients", models=("wc",)).values():
             assert 0.3 <= r["lambda"] <= 1.3
             assert 0.3 <= r["gamma"] <= 1.3
             assert 0.7 <= r["alpha+beta"] <= 2.2

@@ -181,6 +181,29 @@ class TestBaselineSelection:
         baseline = select_baseline(history, entry(timestamp="t3"))
         assert baseline["timestamp"] == "t2"
 
+    def test_entry_of_another_format_is_not_a_baseline(self, tmp_path):
+        """An entry sharing no context key with the candidate is not its twin."""
+        legacy = {
+            "timestamp": "t0",
+            "dataset": "hep",
+            "nodes": 1200,
+            "rounds": 100,
+            "k": 10,
+            "seed": 58,
+            "r3": {"full_s": 0.5, "reduce_s": 0.1, "speedup": 5.0},
+            "r2": {"full_s": 0.14, "reduce_s": 0.07, "speedup": 2.0},
+            "sweep": {"cold_s": 0.6, "warm_s": 0.02, "cache_hits": 6},
+        }
+        assert not entries_comparable(legacy, entry())
+        assert not entries_comparable(entry(), legacy)
+        store = TrajectoryStore(tmp_path / "BENCH_mixed.json")
+        store.append(legacy)
+        store.append(entry())
+        report = gate_trajectory(store.path)
+        assert report.passed
+        assert report.skipped_reason is not None
+        assert report.findings == []
+
     def test_no_comparable_baseline_returns_none(self):
         history = [entry(timestamp="t0", matrix="other")]
         assert select_baseline(history, entry()) is None

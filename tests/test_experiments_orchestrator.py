@@ -10,6 +10,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.orchestrator import MatrixSpec, run_matrix
 from repro.experiments.scenarios import (
     _SCENARIOS,
+    Scenario,
     get_scenario,
     registered_scenarios,
     scenario,
@@ -69,7 +70,7 @@ class TestMatrixSpec:
             ({"name": ""}, "needs a 'name'"),
             ({"typo_key": 1}, "unknown matrix spec keys"),
             ({"datasets": ["nope"]}, "unknown dataset"),
-            ({"models": ["lt"]}, "unknown model"),
+            ({"models": ["sir"]}, "unknown model"),
             ({"backends": ["gpu"]}, "unknown backend"),
             ({"scenario": "nope"}, "unknown scenario"),
             ({"ks": [0]}, "must be >= 1"),
@@ -172,7 +173,7 @@ class TestRunMatrix:
         def boom(cell, config):
             raise ValueError("scenario exploded")
 
-        monkeypatch.setitem(_SCENARIOS, "_boom", (boom, "always fails"))
+        monkeypatch.setitem(_SCENARIOS, "_boom", Scenario(boom, "always fails"))
         spec = spec_with(tmp_path, scenario="_boom")
         result = run_matrix(spec, output_dir=tmp_path / "out")
         assert not result.ok
@@ -195,6 +196,50 @@ class TestRunMatrix:
         spec = MatrixSpec.from_dict(SPEC)
         with pytest.raises(ExperimentError, match="no 'trajectory'"):
             run_matrix(spec)
+
+    def test_failed_check_fails_the_cell_and_keeps_its_metrics(self, tmp_path, monkeypatch):
+        def reject(metrics):
+            raise ExperimentError(f"x = {metrics['x']} is too small")
+
+        monkeypatch.setitem(
+            _SCENARIOS, "_rejected", Scenario(lambda cell, config: {"x": 1.0}, "checked", reject)
+        )
+        result = run_matrix(spec_with(tmp_path, scenario="_rejected"))
+        (cell_result,) = result.results
+        assert cell_result.status == "failed"
+        assert cell_result.error == "ExperimentError: x = 1.0 is too small"
+        assert cell_result.metrics == {"x": 1.0}
+        cell = result.entry["cells"]["hep/ic/serial/full/k3"]
+        assert cell["status"] == "failed" and cell["metrics"] == {"x": 1.0}
+
+    def test_failed_matrix_check_fails_every_ok_cell(self, tmp_path, monkeypatch):
+        seen = []
+
+        def reject(cells):
+            seen.extend(cell.cell_id for cell, _ in cells)
+            raise ExperimentError("figure-wide claim broken")
+
+        monkeypatch.setitem(
+            _SCENARIOS,
+            "_figure",
+            Scenario(lambda cell, config: {"x": 1.0}, "checked", matrix_check=reject),
+        )
+        result = run_matrix(spec_with(tmp_path, scenario="_figure", ks=[2, 3]))
+        assert seen == ["hep/ic/serial/full/k2", "hep/ic/serial/full/k3"]
+        assert [r.status for r in result.results] == ["failed", "failed"]
+        assert all("figure-wide claim broken" in r.error for r in result.results)
+        assert all(c["status"] == "failed" for c in result.entry["cells"].values())
+
+    def test_passing_check_keeps_the_cell_ok(self, tmp_path, monkeypatch):
+        checked = []
+        monkeypatch.setitem(
+            _SCENARIOS,
+            "_accepted",
+            Scenario(lambda cell, config: {"x": 2.0}, "checked", checked.append),
+        )
+        result = run_matrix(spec_with(tmp_path, scenario="_accepted"))
+        assert result.ok
+        assert checked == [{"x": 2.0}]
 
 
 class TestCli:
@@ -246,13 +291,23 @@ class TestCli:
         def boom(cell, config):
             raise RuntimeError("nope")
 
-        monkeypatch.setitem(_SCENARIOS, "_cli_boom", (boom, "always fails"))
+        monkeypatch.setitem(_SCENARIOS, "_cli_boom", Scenario(boom, "always fails"))
         path = self.write_spec(tmp_path, scenario="_cli_boom")
         code = main(
             ["experiments", "run", "--matrix", str(path), "--output", str(tmp_path / "r")]
         )
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_run_without_trajectory_succeeds_without_appending(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(SPEC))
+        out = tmp_path / "results"
+        assert main(["experiments", "run", "--matrix", str(path), "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert "p1_spread" in manifest["cells"]["hep/ic/serial/full/k3"]["metrics"]
+        assert not list(tmp_path.glob("BENCH_*.json"))
 
     def test_bad_spec_exits_with_error(self, tmp_path):
         path = tmp_path / "bad.json"

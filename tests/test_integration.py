@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.experiments import ExperimentConfig
 
 
 class TestPublicApi:
@@ -126,10 +125,12 @@ class TestSeedsSerializeThroughEdgeLists:
 
 class TestExperimentConfigIntegration:
     def test_tiny_sweep_runs_clean(self):
-        from repro.experiments.runners import jaccard_rows, spread_rows
+        from repro.experiments import MatrixSpec, run_matrix
 
-        config = ExperimentConfig(
-            nodes_budget=250, rounds=3, snapshots=5, ks=(3,), seed=0
-        )
-        assert jaccard_rows(config, "ic", datasets=("hep",), repeats=2)
-        assert spread_rows(config, "hep", "ic")
+        for name in ("jaccard_overlap", "spread_panels"):
+            spec = MatrixSpec.from_dict(
+                {"name": "tiny", "scenario": name, "ks": [3],
+                 "nodes": 250, "rounds": 3, "snapshots": 5, "seed": 0}
+            )
+            (cell,) = run_matrix(spec, append=False).results
+            assert cell.metrics
