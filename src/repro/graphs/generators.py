@@ -231,37 +231,45 @@ def copying_model(
     probability *copy_probability*, otherwise points at a uniform existing
     node.  In-degree follows a power law with exponent controlled by the
     copy probability — the regime of talk-page graphs like wiki-Talk.
+
+    A clique on the first ``out_edges + 1`` nodes boots the process, so
+    every node's out-list holds exactly *out_edges* entries (copied and
+    uniform targets are always lower-numbered, never the node itself).  The
+    out-lists are therefore one ``(n, out_edges)`` table, a copied entry is
+    a pointer to an entry of its prototype's row, and pointer jumping
+    resolves every copy chain at once.  Duplicate entries collapse into one
+    arc.
     """
     n = check_positive_int(num_nodes, "num_nodes")
     c = check_positive_int(out_edges, "out_edges")
     beta = check_probability(copy_probability, "copy_probability")
     generator = as_rng(rng)
-    if n < 2:
-        return DiGraph(n, [])
-
-    out_lists: list[list[int]] = [[] for _ in range(n)]
-    # Seed clique among the first c+1 nodes so prototypes have out-edges.
     boot = min(c + 1, n)
-    for u in range(boot):
-        for v in range(boot):
-            if u != v:
-                out_lists[u].append(v)
+    clique = np.arange(boot - 1)[None, :]
+    clique = clique + (clique >= np.arange(boot)[:, None])
+    if n == boot:
+        src = np.repeat(np.arange(boot, dtype=np.int64), boot - 1)
+        return DiGraph(n, np.column_stack([src, clique.ravel()]))
 
-    edges: list[tuple[int, int]] = [
-        (u, v) for u in range(boot) for v in out_lists[u]
-    ]
-    for v in range(boot, n):
-        prototype = int(generator.integers(0, v))
-        proto_out = out_lists[prototype]
-        for _ in range(c):
-            if proto_out and generator.random() < beta:
-                target = int(proto_out[generator.integers(0, len(proto_out))])
-            else:
-                target = int(generator.integers(0, v))
-            if target != v:
-                out_lists[v].append(target)
-                edges.append((v, target))
-    return DiGraph(n, edges)
+    v = np.arange(boot, n, dtype=np.int64)
+    proto = generator.integers(0, v)
+    copied = generator.random((v.size, c)) < beta
+    slot = generator.integers(0, c, size=(v.size, c))
+    uniform = generator.integers(0, v[:, None], size=(v.size, c))
+
+    # Entry (u, j) of the table is flat index u*c + j.  A root holds its
+    # target; a copied entry points at (proto, slot) until resolved.
+    targets = np.concatenate([clique.ravel(), uniform.ravel()])
+    ptr = np.arange(n * c, dtype=np.int64)
+    tail = ptr[boot * c:].reshape(-1, c)
+    np.copyto(tail, proto[:, None] * c + slot, where=copied)
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            break
+        ptr = jumped
+    src = np.repeat(np.arange(n, dtype=np.int64), c)
+    return DiGraph(n, np.column_stack([src, targets[ptr]]))
 
 
 def watts_strogatz(

@@ -44,7 +44,7 @@ class TestSurrogates:
     def test_wiki_directed_and_sparse(self):
         g = wiki(scale=0.0005)
         assert g.num_nodes >= 500
-        # Talk-graph density: about 2 arcs per node.
+        # Talk-graph density: about 1.6 arcs per node.
         assert g.num_edges < 3 * g.num_nodes
 
     def test_deterministic_across_calls(self):
@@ -55,6 +55,16 @@ class TestSurrogates:
     def test_custom_rng_changes_graph(self):
         a = hep(scale=0.02)
         b = hep(scale=0.02, rng=777)
+        assert sorted(a.edges()) != sorted(b.edges())
+
+    def test_wiki_deterministic_across_calls(self):
+        a = wiki(scale=0.001)
+        b = wiki(scale=0.001)
+        assert sorted(a.edges()) == sorted(b.edges())
+
+    def test_wiki_custom_rng_changes_graph(self):
+        a = wiki(scale=0.001)
+        b = wiki(scale=0.001, rng=777)
         assert sorted(a.edges()) != sorted(b.edges())
 
     def test_scale_validated(self):

@@ -148,8 +148,8 @@ class TestCopyingModel:
 
     def test_out_edges_bounded(self):
         g = copying_model(300, out_edges=3, rng=2)
-        # Beyond the bootstrap clique, each node adds at most 3 out-edges.
-        assert g.out_degrees()[10:].max() <= 3
+        # Boot clique included, no node has more than 3 out-edges.
+        assert g.out_degrees().max() <= 3
 
     def test_tiny_graph(self):
         g = copying_model(1, rng=0)
@@ -159,6 +159,46 @@ class TestCopyingModel:
     def test_copy_probability_validated(self):
         with pytest.raises(ValueError):
             copying_model(10, copy_probability=1.5)
+
+    def test_arcs_past_boot_clique_point_to_lower_nodes(self):
+        g = copying_model(2000, out_edges=3, copy_probability=0.75, rng=4)
+        src, dst = g.edge_array()
+        past_boot = src >= 4
+        assert np.all(dst[past_boot] < src[past_boot])
+
+    @pytest.mark.parametrize("n, out_edges", [(3, 5), (4, 3)])
+    def test_small_n_is_the_boot_clique_without_padding(self, n, out_edges):
+        g = copying_model(n, out_edges=out_edges, rng=0)
+        assert sorted(g.edges()) == [(u, v) for u in range(n) for v in range(n) if u != v]
+
+    def test_full_copying_resolves_into_the_boot_clique(self):
+        # Every copy chain ends at a root; with no uniform draws the only
+        # roots are the clique's entries.
+        g = copying_model(500, out_edges=2, copy_probability=1.0, rng=6)
+        _, dst = g.edge_array()
+        assert dst.max() < 3
+
+    def test_no_copying_is_uniform_over_lower_nodes(self):
+        g = copying_model(3000, out_edges=1, copy_probability=0.0, rng=7)
+        # Node v's single arc is uniform on [0, v): about half land below v/2.
+        src, dst = g.edge_array()
+        tail = src >= 2
+        frac = np.mean(dst[tail] < src[tail] / 2)
+        assert 0.45 < frac < 0.55
+
+    @pytest.mark.parametrize("seed", [2394385, 11, 12])
+    def test_wiki_default_shape_matches_old_generator(self, seed):
+        # Statistics of the per-node loop generator at the wiki default
+        # (wiki(scale=0.05), seed 2394385): 192,593 arcs, in-degree-0
+        # fraction 0.668, top-1% in-degree share 0.46.
+        n = 119_719
+        g = copying_model(n, out_edges=2, copy_probability=0.75, rng=seed)
+        assert g.num_nodes == n
+        assert abs(g.num_edges - 192_593) <= 0.01 * 192_593
+        in_deg = g.in_degrees()
+        assert abs(np.mean(in_deg == 0) - 0.668) <= 0.005
+        top = np.sort(in_deg)[::-1][: n // 100].sum() / in_deg.sum()
+        assert abs(top - 0.46) <= 0.02
 
 
 class TestWattsStrogatz:
