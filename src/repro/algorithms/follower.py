@@ -40,7 +40,7 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
 from repro.errors import SeedSelectionError
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import CompetitiveJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int
@@ -106,11 +106,14 @@ class FollowerBestResponse(SeedSelector):
         this, greedy comparisons at feasible round counts are dominated by
         Monte-Carlo noise.
         """
+        cell = ProfileCell(
+            seed_sets=(tuple(self.rival_seeds), tuple(int(s) for s in seeds)),
+            rounds=self.rounds,
+        )
         return CompetitiveJob(
             graph=graph,
             model=self.model,
-            seed_sets=(tuple(self.rival_seeds), tuple(int(s) for s in seeds)),
-            rounds=self.rounds,
+            cells=(cell,),
             tie_break=self.tie_break,
             claim_rule=self.claim_rule,
             crn_base=crn_base,

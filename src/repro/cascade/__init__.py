@@ -15,6 +15,7 @@ from repro.cascade.competitive import (
     ClaimRule,
     CompetitiveDiffusion,
     CompetitiveOutcome,
+    SeedIncidence,
     TieBreakRule,
     assign_initiators,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "ClaimRule",
     "CompetitiveDiffusion",
     "CompetitiveOutcome",
+    "SeedIncidence",
     "TieBreakRule",
     "assign_initiators",
     "SnapshotOracle",

@@ -25,10 +25,14 @@ variant) run through the cascade path; :class:`LinearThreshold` runs through
 a threshold path where a node is claimed in proportion to each group's share
 of the accumulated in-neighbour weight.
 
-The inner loops live in :mod:`repro.cascade.kernels`.  :meth:`~CompetitiveDiffusion.run`
-returns one diffusion's full per-node outcome; :meth:`~CompetitiveDiffusion.spreads`
-returns only the per-group spreads of many diffusions and runs the cascade
-path's rounds as one batched frontier sweep.
+Seed collisions are resolved over arrays: :class:`SeedIncidence` builds a
+profile's seed → selecting-groups incidence once and draws every round's
+contested-seed winners as one ``(rounds, seeds)`` array.  The inner loops
+live in :mod:`repro.cascade.kernels`.  :meth:`~CompetitiveDiffusion.run`
+returns one diffusion's full per-node outcome;
+:meth:`~CompetitiveDiffusion.sweep` returns only the per-group spreads of
+many diffusions, of one or more profiles each drawing from its own
+stream, and runs the cascade path's rounds as one batched frontier sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from repro.cascade.kernels import (
     ClaimRule,
     run_competitive_cascades,
     run_competitive_threshold,
+    sorted_unique,
 )
 from repro.cascade.lt import LinearThreshold
 from repro.errors import CascadeError
@@ -161,58 +166,108 @@ class CompetitiveOutcome:
         return out
 
 
+class SeedIncidence:
+    """A profile's seed → selecting-groups incidence, built once per profile.
+
+    Implements the bitmap construction of Section 3.2 over arrays: a seed
+    selected only by group *i* always initiates for *i*; a seed selected by
+    groups ``{j1..js, i}`` initiates for exactly one of them, drawn per
+    round (uniformly under the paper's rule).  The incidence is fixed for a
+    profile, so only the contested seeds' winners are drawn, all rounds at
+    once (:meth:`draw`).  Duplicate seeds within a group count once; an
+    out-of-range seed raises :class:`~repro.errors.CascadeError`.
+    """
+
+    def __init__(
+        self,
+        num_nodes: int,
+        seed_sets: Sequence[Sequence[int]],
+        tie_break: TieBreakRule = TieBreakRule.UNIFORM,
+    ) -> None:
+        r = len(seed_sets)
+        if r == 0:
+            raise CascadeError("at least one seed set is required")
+        self.num_nodes = num_nodes
+        self.num_groups = r
+        sizes = [len(seeds) for seeds in seed_sets]
+        nodes = np.fromiter(
+            (int(s) for seeds in seed_sets for s in seeds), dtype=np.int64, count=sum(sizes)
+        )
+        bad = (nodes < 0) | (nodes >= num_nodes)
+        if bad.any():
+            raise CascadeError(
+                f"seed {int(nodes[bad][0])} out of range [0, {num_nodes})"
+            )
+        # Distinct (node, group) pairs, node-major with groups ascending.
+        pairs = sorted_unique(nodes * r + np.arange(r, dtype=np.int64).repeat(sizes))
+        node, group = pairs // r, pairs % r
+        head = np.ones(node.size, dtype=bool)
+        np.not_equal(node[1:], node[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        selectors = np.diff(np.append(starts, node.size))
+        alone = selectors == 1
+        self.exclusive_nodes = node[starts[alone]]
+        self.exclusive_groups = group[starts[alone]]
+        self.contested_nodes = node[starts[~alone]]
+        # A (contested, width) table of selecting groups and the cumulative
+        # tie-break weights over them; padding repeats the last cumulative
+        # weight, so an inverse-CDF point never lands on it.
+        starts, selectors = starts[~alone], selectors[~alone]
+        width = int(selectors.max()) if selectors.size else 0
+        column = np.arange(width, dtype=np.int64)
+        real = column < selectors[:, None]
+        at = np.where(real, starts[:, None] + column, 0)
+        self._groups = np.where(real, group[at], 0)
+        weights = real.astype(float)
+        if tie_break is TieBreakRule.PROPORTIONAL:
+            exclusive = np.bincount(self.exclusive_groups, minlength=r).astype(float)
+            share = np.where(real, exclusive[self._groups], 0.0)
+            # Where no selecting group holds an exclusive seed, stay uniform.
+            some = share.sum(axis=1) > 0
+            weights[some] = share[some]
+        self._cum = np.cumsum(weights, axis=1)
+
+    def draw(
+        self, rounds: int, generator: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Initiators of *rounds* simulations as flat ``(rows, nodes, groups)``.
+
+        Row-major: simulation *i*'s initiators are the entries whose row is
+        *i*.  One uniform per (round, contested seed) picks its winner by
+        inverse CDF over the tie-break weights; exclusive seeds draw
+        nothing.
+        """
+        contested = self.contested_nodes.size
+        winners = np.empty((rounds, contested), dtype=np.int64)
+        if contested:
+            total = self._cum[:, -1]
+            points = generator.random((rounds, contested)) * total
+            pick = (points[:, :, None] >= self._cum).sum(axis=2)
+            winners = self._groups[np.arange(contested), pick]
+            _SEED_COLLISIONS.inc(rounds * contested)
+        nodes = np.concatenate([self.exclusive_nodes, self.contested_nodes])
+        groups = np.concatenate(
+            [np.broadcast_to(self.exclusive_groups, (rounds, self.exclusive_nodes.size)), winners],
+            axis=1,
+        )
+        rows = np.arange(rounds, dtype=np.int64).repeat(nodes.size)
+        return rows, np.tile(nodes, rounds), groups.ravel()
+
+
 def assign_initiators(
     num_nodes: int,
     seed_sets: Sequence[Sequence[int]],
     tie_break: TieBreakRule = TieBreakRule.UNIFORM,
     rng: RandomSource = None,
 ) -> list[list[int]]:
-    """Resolve seed collisions: map overlapping seed sets to disjoint initiator sets.
+    """Resolve seed collisions once: overlapping seed sets to disjoint initiator sets.
 
-    Implements the bitmap construction of Section 3.2: a seed selected only
-    by group *i* always initiates for *i*; a seed selected by groups
-    ``{j1..js, i}`` initiates for exactly one of them (uniformly under the
-    paper's rule).
+    One round of :meth:`SeedIncidence.draw`, as per-group node lists.
     """
-    generator = as_rng(rng)
-    r = len(seed_sets)
-    if r == 0:
+    if not seed_sets:
         return []
-
-    selectors: dict[int, list[int]] = {}
-    for i, seeds in enumerate(seed_sets):
-        for s in seeds:
-            if not 0 <= s < num_nodes:
-                raise CascadeError(f"seed {s} out of range [0, {num_nodes})")
-            groups = selectors.setdefault(int(s), [])
-            if i not in groups:
-                groups.append(i)
-
-    if tie_break is TieBreakRule.PROPORTIONAL:
-        exclusive = np.zeros(r, dtype=float)
-        for groups in selectors.values():
-            if len(groups) == 1:
-                exclusive[groups[0]] += 1.0
-    initiators: list[list[int]] = [[] for _ in range(r)]
-    contested = 0
-    for node, groups in selectors.items():
-        if len(groups) == 1:
-            winner = groups[0]
-        elif tie_break is TieBreakRule.UNIFORM:
-            contested += 1
-            winner = groups[int(generator.integers(0, len(groups)))]
-        else:
-            contested += 1
-            weights = np.array([exclusive[g] for g in groups])
-            if weights.sum() == 0:
-                winner = groups[int(generator.integers(0, len(groups)))]
-            else:
-                weights = weights / weights.sum()
-                winner = groups[int(generator.choice(len(groups), p=weights))]
-        initiators[winner].append(node)
-    if contested:
-        _SEED_COLLISIONS.inc(contested)
-    return initiators
+    _, nodes, groups = SeedIncidence(num_nodes, seed_sets, tie_break).draw(1, as_rng(rng))
+    return [nodes[groups == j].tolist() for j in range(len(seed_sets))]
 
 
 class CompetitiveDiffusion:
@@ -249,14 +304,11 @@ class CompetitiveDiffusion:
             self._edge_probs = self.model.edge_probabilities(self.graph)
         return self._edge_probs
 
-    def _prepare(self, seed_sets: Sequence[Sequence[int]]) -> np.ndarray | None:
-        """Validate *seed_sets*; the cascade path's edge probabilities.
+    def _prepare(self) -> np.ndarray | None:
+        """The cascade path's edge probabilities; ``None`` means the threshold path.
 
-        ``None`` means the threshold path.  Probabilities are checked when
-        contracts are enabled.
+        Probabilities are checked when contracts are enabled.
         """
-        if not seed_sets:
-            raise CascadeError("at least one seed set is required")
         if isinstance(self.model, LinearThreshold):
             return None
         probs = self._probs()
@@ -264,16 +316,25 @@ class CompetitiveDiffusion:
             contracts.check_probabilities(probs, "edge probabilities")
         return probs
 
+    def incidence(self, seed_sets: Sequence[Sequence[int]]) -> SeedIncidence:
+        """The seed → selecting-groups incidence of one profile under this engine."""
+        return SeedIncidence(self.graph.num_nodes, seed_sets, self.tie_break)
+
     def run(
         self,
         seed_sets: Sequence[Sequence[int]],
         rng: RandomSource = None,
     ) -> CompetitiveOutcome:
         """Run one competitive diffusion; returns the per-node ownership."""
-        generator = as_rng(rng)
-        probs = self._prepare(seed_sets)
-        n = self.graph.num_nodes
-        initiators = assign_initiators(n, seed_sets, self.tie_break, generator)
+        return self._run_one(self.incidence(seed_sets), as_rng(rng))
+
+    def _run_one(
+        self, incidence: SeedIncidence, generator: np.random.Generator
+    ) -> CompetitiveOutcome:
+        probs = self._prepare()
+        n, r = self.graph.num_nodes, incidence.num_groups
+        rows, nodes, groups = incidence.draw(1, generator)
+        initiators = [nodes[groups == j].tolist() for j in range(r)]
         if probs is None:
             owner, rounds, when = run_competitive_threshold(
                 self.graph, initiators, self.claim_rule, generator
@@ -281,13 +342,21 @@ class CompetitiveDiffusion:
         else:
             claims: list[tuple[np.ndarray, np.ndarray]] = []
             _, steps = run_competitive_cascades(
-                self.graph, probs, [initiators], self.claim_rule, generator, claims
+                self.graph,
+                probs,
+                rows,
+                nodes,
+                groups,
+                r,
+                [(1, generator)],
+                self.claim_rule,
+                claims,
             )
             owner = np.full(n, -1, dtype=np.int64)
             when = np.zeros(n, dtype=np.int64)
-            for wave, (keys, groups) in enumerate(claims):
-                owner[keys] = groups
-                when[keys] = wave
+            for wave, (wave_keys, wave_groups) in enumerate(claims):
+                owner[wave_keys] = wave_groups
+                when[wave_keys] = wave
             rounds = int(steps[0])
         outcome = CompetitiveOutcome(owner, initiators, rounds, when)
         owners = [owner] if contracts.enabled() else None
@@ -302,39 +371,72 @@ class CompetitiveDiffusion:
     ) -> np.ndarray:
         """Per-group spreads of *rounds* independent diffusions, ``(rounds, r)``.
 
-        Each diffusion re-resolves seed collisions.  The cascade path draws
-        every round's initiators first and then runs all rounds as one
-        batched sweep (:func:`~repro.cascade.kernels.run_competitive_cascades`);
-        the LT path runs :meth:`run` once per round.
+        Each diffusion re-resolves seed collisions; see :meth:`sweep`.
         """
-        generator = as_rng(rng)
-        probs = self._prepare(seed_sets)
+        return self.sweep([(self.incidence(seed_sets), rounds, as_rng(rng))])
+
+    def sweep(
+        self, streams: Sequence[tuple[SeedIncidence, int, np.random.Generator]]
+    ) -> np.ndarray:
+        """Per-group spreads of many diffusions, ``(Σ rounds, r)``, stream-major.
+
+        Each stream ``(incidence, rounds, generator)`` runs *rounds*
+        diffusions of one profile and draws all of their variates, contested
+        initiators first, from its own *generator*.  On the cascade path
+        every stream's rounds run as one frontier sweep
+        (:func:`~repro.cascade.kernels.run_competitive_cascades`), so a
+        stream's spreads do not depend on the streams it is swept with; the
+        LT path runs :meth:`run` once per round.  All streams must have the
+        same number of groups.
+        """
+        if not streams:
+            raise CascadeError("at least one stream is required")
+        r = streams[0][0].num_groups
+        if any(incidence.num_groups != r for incidence, _, _ in streams):
+            raise CascadeError("every swept profile must have the same number of groups")
+        probs = self._prepare()
         if probs is None:
-            return np.array(
-                [self.run(seed_sets, generator).spreads() for _ in range(rounds)],
-                dtype=np.int64,
-            ).reshape(rounds, len(seed_sets))
-        n = self.graph.num_nodes
-        initiators = [
-            assign_initiators(n, seed_sets, self.tie_break, generator)
-            for _ in range(rounds)
-        ]
+            rows = [
+                self._run_one(incidence, generator).spreads()
+                for incidence, rounds, generator in streams
+                for _ in range(rounds)
+            ]
+            return np.array(rows, dtype=np.int64).reshape(len(rows), r)
+        rows, nodes, groups = [], [], []
+        offset = 0
+        for incidence, rounds, generator in streams:
+            stream_rows, stream_nodes, stream_groups = incidence.draw(rounds, generator)
+            rows.append(stream_rows + offset)
+            nodes.append(stream_nodes)
+            groups.append(stream_groups)
+            offset += rounds
         claims: list[tuple[np.ndarray, np.ndarray]] | None = (
             [] if contracts.enabled() else None
         )
         spreads, steps = run_competitive_cascades(
-            self.graph, probs, initiators, self.claim_rule, generator, claims
+            self.graph,
+            probs,
+            np.concatenate(rows),
+            np.concatenate(nodes),
+            np.concatenate(groups),
+            r,
+            [(rounds, generator) for _, rounds, generator in streams],
+            self.claim_rule,
+            claims,
         )
-        owners = None if claims is None else _owners_from_claims(claims, rounds, n)
-        self._record(spreads, steps, owners, initiators)
+        if claims is None:
+            self._record(spreads, steps, None, None)
+        else:
+            owners, initiators = _outcomes_from_claims(claims, offset, self.graph.num_nodes, r)
+            self._record(spreads, steps, owners, initiators)
         return spreads
 
     def _record(
         self,
         spreads: np.ndarray,
         steps: np.ndarray,
-        owners: Iterable[np.ndarray] | None,
-        initiators: Sequence[Sequence[Sequence[int]]],
+        owners: Sequence[np.ndarray] | None,
+        initiators: Sequence[Sequence[Sequence[int]]] | None,
     ) -> None:
         """Metrics for a ``(rounds, r)`` batch of simulations.
 
@@ -368,23 +470,31 @@ class CompetitiveDiffusion:
             )
 
 
-def _owners_from_claims(
-    claims: list[tuple[np.ndarray, np.ndarray]], rounds: int, num_nodes: int
-) -> Iterator[np.ndarray]:
-    """Each simulation's owner array, rebuilt from a batched sweep's claims.
+def _outcomes_from_claims(
+    claims: list[tuple[np.ndarray, np.ndarray]], rounds: int, num_nodes: int, r: int
+) -> tuple[list[np.ndarray], list[list[list[int]]]]:
+    """Each simulation's owner array and initiators, rebuilt from a sweep's claims.
 
     Claims are concatenated in wave order and stably sorted by simulation,
     so a node claimed twice (a broken sweep) ends up with its later group,
-    which the ownership contract then catches.
+    which the ownership contract then catches.  The first wave holds the
+    initiators.
     """
     empty = np.empty(0, dtype=np.int64)
+    first_keys, first_groups = claims[0] if claims else (empty, empty)
     keys = np.concatenate([empty, *(k for k, _ in claims)])
     groups = np.concatenate([empty, *(g for _, g in claims)])
     order = np.argsort(keys // num_nodes, kind="stable")
     keys, groups = keys[order], groups[order]
     bounds = np.searchsorted(keys // num_nodes, np.arange(rounds + 1))
+    first_rows = first_keys // num_nodes
+    owners, initiators = [], []
     for i in range(rounds):
         owner = np.full(num_nodes, -1, dtype=np.int64)
         lo, hi = bounds[i], bounds[i + 1]
         owner[keys[lo:hi] - i * num_nodes] = groups[lo:hi]
-        yield owner
+        owners.append(owner)
+        mine = first_rows == i
+        nodes, mine_groups = first_keys[mine] - i * num_nodes, first_groups[mine]
+        initiators.append([nodes[mine_groups == j].tolist() for j in range(r)])
+    return owners, initiators

@@ -9,31 +9,41 @@ activation plus PROPORTIONAL / WINNER_TAKE_ALL claims for the whole step in
 one vectorized pass.
 
 The competitive IC/WC kernel (:func:`run_competitive_cascades`) goes one
-step further and runs *all* of a job's simulations as one sweep over flat
-``round * n + node`` keys, the pattern the snapshot sweeps
-(:func:`sweep_live`, :func:`new_reach_counts`) use over ``snapshot * n +
-node`` keys: a simulation whose cascade dies early drops out of the
-frontier while the others keep expanding.  Its claimed-node state is one
-packed bitset of ``rounds * n`` bits, and per-simulation spreads come from
-a ``bincount`` over the claimed keys, so a job costs what its cascades
-touch rather than ``rounds * n``.  The LT and single-group paths run one
-simulation per call.
+step further and runs *many* simulations as one sweep over flat ``row * n
++ node`` keys, the pattern the snapshot sweeps (:func:`sweep_live`,
+:func:`new_reach_counts`) use over ``snapshot * n + node`` keys: a
+simulation whose cascade dies early drops out of the frontier while the
+others keep expanding.  The caller hands it every row's initiators as
+``(row, node, group)`` arrays; a whole payoff job — several profile cells,
+each with its own rounds and its own random stream — is one call.  Its
+claimed-node state is one packed bitset of ``rows * n`` bits, and
+per-simulation spreads come from a ``bincount`` over the claimed keys, so a
+job costs what its cascades touch rather than ``rows * n``.  A wave that
+would expand more attempts than the out-CSR arrays hold int64 values runs
+in consecutive chunks of whole streams, so the temporaries of a many-row
+sweep stay on the order of the graph's CSR.  Single-group cascades of the
+default cascade process run through the same sweep
+(:func:`cascade_spreads`, and :func:`simulate_cascade` for one active-node
+mask).  The LT paths run one simulation per call.
 
-**Determinism contract.**  Every random variate comes from the caller's
+**Determinism contract.**  Every random variate comes from a caller's
 :class:`numpy.random.Generator`, so for a fixed master seed every kernel is
 bit-identical to itself across backends and worker counts (the
-SeedSequence discipline of :mod:`repro.exec`).  The python reference walks
-in ``tests/reference_kernels.py`` consume randomness in a different order,
-so the kernels are *statistically* equivalent to them — per-node
-activation and claim probabilities match exactly, only the sample paths
-differ — which ``tests/test_kernel_equivalence.py`` checks.
+SeedSequence discipline of :mod:`repro.exec`).  In the competitive sweep
+each run of rows draws from its own generator, in key order, and only for
+its own keys, and a target's attempts are grouped by a stable sort, so a
+row's survival products and results do not depend on which other rows
+share the sweep.  The python reference walks in
+``tests/reference_kernels.py`` consume randomness in a different order, so
+the kernels are *statistically* equivalent to them — per-node activation
+and claim probabilities match exactly, only the sample paths differ —
+which ``tests/test_kernel_equivalence.py`` checks.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -116,8 +126,10 @@ def _frontier_edges(
 def _segments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group a flat attempt list by target: ``(order, segment starts, uniques)``.
 
-    ``targets[order]`` is sorted (stably, so each segment keeps frontier
-    order); segment *s* starts at ``starts[s]`` and belongs to ``uniques[s]``.
+    ``targets[order]`` is sorted; segment *s* starts at ``starts[s]`` and
+    belongs to ``uniques[s]``.  The sort is stable, so a segment keeps its
+    attempts in frontier order and the survival product over them does not
+    depend on the other keys in the sweep.
     """
     order = np.argsort(targets, kind="stable")
     t_sorted = targets[order]
@@ -129,21 +141,17 @@ def _segments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _claim_batch(
-    weights: np.ndarray,
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
+    weights: np.ndarray, claim_rule: ClaimRule, draws: np.ndarray
 ) -> np.ndarray:
     """Pick the claiming group of every row of a ``(nodes, groups)`` weight matrix.
 
-    One uniform draw per node resolves the claim: inverse-CDF over the
-    per-node weight rows for PROPORTIONAL (group *j* with probability
+    One uniform draw per node (*draws*) resolves the claim: inverse-CDF over
+    the per-node weight rows for PROPORTIONAL (group *j* with probability
     ``w_j / Σw``), an index into the tied-maximum set for WINNER_TAKE_ALL
     (the most attempts wins, ties uniform).
     """
-    m = weights.shape[0]
-    if m == 0:
+    if weights.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    draws = generator.random(m)
     if claim_rule is ClaimRule.PROPORTIONAL:
         cum = np.cumsum(weights, axis=1)
         points = draws * cum[:, -1]
@@ -155,26 +163,21 @@ def _claim_batch(
     return np.asarray((wins > pick[:, None]).argmax(axis=1), dtype=np.int64)
 
 
-def _initiator_keys(
-    num_nodes: int, initiators_per_round: Sequence[Sequence[Sequence[int]]], r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``round * n + node`` keys of every initiator, plus their groups."""
-    rounds = len(initiators_per_round)
-    sizes = np.array(
-        [[len(nodes) for nodes in groups] for groups in initiators_per_round],
-        dtype=np.int64,
-    ).reshape(rounds, r)
-    nodes = np.fromiter(
-        chain.from_iterable(chain.from_iterable(initiators_per_round)),
-        dtype=np.int64,
-        count=int(sizes.sum()),
-    )
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
-        bad = nodes[(nodes < 0) | (nodes >= num_nodes)][0]
-        raise CascadeError(f"initiator {int(bad)} out of range [0, {num_nodes})")
-    rows = np.arange(rounds, dtype=np.int64).repeat(sizes.sum(axis=1))
-    groups = np.tile(np.arange(r, dtype=np.int64), rounds).repeat(sizes.ravel())
-    return rows * num_nodes + nodes, groups
+def _stream_uniforms(
+    keys: np.ndarray, heads: np.ndarray, generators: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """One uniform per sorted key, each drawn from the stream owning its row.
+
+    Stream *s* owns the keys in ``[heads[s], heads[s + 1])``; it draws as
+    many variates as it owns keys, in key order, and nothing when it owns
+    none.  A stream's variates therefore depend on its own keys only, not
+    on which other streams share the sweep.
+    """
+    out = np.empty(keys.size)
+    bounds = np.searchsorted(keys, heads)
+    for s in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+        generators[s].random(out=out[bounds[s] : bounds[s + 1]])
+    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -185,70 +188,156 @@ def _initiator_keys(
 def run_competitive_cascades(
     graph: DiGraph,
     probs: np.ndarray,
-    initiators_per_round: Sequence[Sequence[Sequence[int]]],
+    rows: np.ndarray,
+    nodes: np.ndarray,
+    groups: np.ndarray,
+    num_groups: int,
+    streams: Sequence[tuple[int, np.random.Generator]],
     claim_rule: ClaimRule,
-    generator: np.random.Generator,
     claims: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All of a job's competitive cascades as one frontier sweep.
+    """Many competitive cascades as one frontier sweep.
 
-    Simulation *i* diffuses from the disjoint initiator sets
-    ``initiators_per_round[i]`` (one per group).  A node is activated with
+    Simulation *i* is row *i* of a flat ``i * n + node`` key space: its
+    initiators are the *nodes* whose *rows* entry is *i*, with their
+    *groups* (each node at most once per row).  A node is activated with
     the combined probability ``1 - Π(1 - p_e)`` over all attempting edges
     and claimed per *claim_rule* (Section 3.2); once claimed it never
-    switches groups.  The simulations share one frontier of flat
-    ``i * n + node`` keys and one packed claimed-bitset of ``rounds * n``
-    bits, and draw their variates from *generator* in key order.
+    switches groups.  All rows share one frontier and one packed
+    claimed-bitset of ``rows * n`` bits.
 
-    Returns ``(spreads, steps)``: the ``(rounds, r)`` claimed-node counts
-    per simulation and group, and each simulation's number of diffusion
-    steps (its last step claims nothing; 0 when it had no initiators).
-    When *claims* is given, every wave's claimed ``(keys, groups)`` is
-    appended to it, the initiators first, so a caller can rebuild per-node
-    ownership and activation steps.
+    *streams* splits the rows into consecutive runs ``(rows, generator)``:
+    every activation and claim variate of a run's rows comes from its own
+    generator, in key order, so a run's results do not depend on which
+    other runs share the sweep.  With one group no claim is drawn.  A
+    wave with more attempts than ``out_csr_bytes(graph) // 8`` is expanded
+    in chunks of whole runs (:func:`_stream_chunks`), which changes no
+    result.  A node or row out of range raises
+    :class:`~repro.errors.CascadeError`.
+
+    Returns ``(spreads, steps)``: the ``(rows, num_groups)`` claimed-node
+    counts per simulation and group, and each simulation's number of
+    diffusion steps (its last step claims nothing; 0 when it had no
+    initiators).  When *claims* is given, every wave's claimed flat
+    ``(keys, groups)`` is appended to it, the initiators first, so a caller
+    can rebuild per-node ownership and activation steps.
     """
     n = graph.num_nodes
-    rounds = len(initiators_per_round)
-    r = len(initiators_per_round[0]) if rounds else 0
-    keys, groups = _initiator_keys(n, initiators_per_round, r)
+    r = num_groups
+    # Stream s owns the keys in [heads[s], heads[s + 1]).
+    heads = np.zeros(len(streams) + 1, dtype=np.int64)
+    np.cumsum([rows for rows, _ in streams], out=heads[1:])
+    rounds = int(heads[-1])
+    heads *= n
+    generators = [generator for _, generator in streams]
+    rows = np.asarray(rows, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    bad = (nodes < 0) | (nodes >= n)
+    if bad.any():
+        raise CascadeError(f"initiator {int(nodes[bad][0])} out of range [0, {n})")
+    bad = (rows < 0) | (rows >= rounds)
+    if bad.any():
+        raise CascadeError(f"initiator row {int(rows[bad][0])} out of range [0, {rounds})")
+    keys = rows * n + nodes
+    order = np.argsort(keys)
+    keys, groups = keys[order], np.asarray(groups, dtype=np.int64)[order]
     claimed = packed_zeros(rounds * n)
     set_bits(claimed, keys)
     rows = keys // n
     spreads = np.bincount(rows * r + groups, minlength=rounds * r)
     last = np.full(rounds, -1, dtype=np.int64)
     last[rows] = 0
+    # A wave expands at most about this many attempts at once: its
+    # temporaries then stay on the order of the out-CSR arrays.
+    limit = max(1, out_csr_bytes(graph) // 8)
 
     wave = 0
     while keys.size:
         if claims is not None:
             claims.append((keys, groups))
         wave += 1
-        targets, eids, degs = _frontier_edges(graph, keys - rows * n)
-        targets += (rows * n).repeat(degs)
-        live = ~lookup_bits(claimed, targets)
-        targets, eids = targets[live], eids[live]
-        if targets.size == 0:
-            break
-        attackers = groups.repeat(degs)[live]
-        # Segment the flat attempt list by target key: per-group attempt
-        # counts via bincount over (segment, group) keys, survival
-        # Π(1 - p_e) via reduceat.
-        order, starts, uniq = _segments(targets)
-        survive = np.multiply.reduceat(1.0 - probs[eids[order]], starts)
-        slots = np.zeros(targets.size, dtype=np.int64)
-        slots[starts[1:]] = 1
-        counts = np.bincount(
-            slots.cumsum() * r + attackers[order], minlength=uniq.size * r
-        ).reshape(uniq.size, r)
-        activated = generator.random(uniq.size) < 1.0 - survive
-        keys = uniq[activated]
-        groups = _claim_batch(counts[activated].astype(float), claim_rule, generator)
+        parts = [
+            _wave(graph, probs, keys[lo:hi], groups[lo:hi], r, heads, generators, claimed,
+                  claim_rule)
+            for lo, hi in _stream_chunks(graph, keys, heads, limit)
+        ]
+        keys = np.concatenate([part_keys for part_keys, _ in parts])
+        groups = np.concatenate([part_groups for _, part_groups in parts])
         set_bits(claimed, keys)
         rows = keys // n
         spreads += np.bincount(rows * r + groups, minlength=rounds * r)
         last[rows] = wave
         _FRONTIER_SIZE.observe(float(keys.size))
     return spreads.reshape(rounds, r), last + 1
+
+
+def out_csr_bytes(graph: DiGraph) -> int:
+    """Bytes of the out-CSR arrays (indptr, indices, edge ids) every sweep reads."""
+    return graph.out_indptr.nbytes + graph.out_indices.nbytes + graph.edge_ids.nbytes
+
+
+def _stream_chunks(
+    graph: DiGraph, keys: np.ndarray, heads: np.ndarray, limit: int
+) -> list[tuple[int, int]]:
+    """Split a sorted frontier at stream boundaries into runs of about *limit* attempts.
+
+    A stream starts a new run when the attempts before it cross a multiple
+    of *limit*, so a run exceeds *limit* by at most its last stream.
+    Streams never share keys or draws, so the split changes no result.
+    """
+    nodes = keys % graph.num_nodes
+    degs = graph.out_indptr[nodes + 1] - graph.out_indptr[nodes]
+    before = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(degs, out=before[1:])
+    if before[-1] <= limit:
+        return [(0, keys.size)]
+    firsts = np.searchsorted(keys, heads[:-1])
+    window = before[firsts] // limit
+    cuts = firsts[1:][window[1:] != window[:-1]].tolist()
+    bounds = [0, *cuts, keys.size]
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def _wave(
+    graph: DiGraph,
+    probs: np.ndarray,
+    keys: np.ndarray,
+    groups: np.ndarray,
+    r: int,
+    heads: np.ndarray,
+    generators: Sequence[np.random.Generator],
+    claimed: np.ndarray,
+    claim_rule: ClaimRule,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One diffusion step of sorted frontier *keys*: the ``(keys, groups)`` it claims."""
+    offsets = keys // graph.num_nodes * graph.num_nodes
+    targets, eids, degs = _frontier_edges(graph, keys - offsets)
+    targets += offsets.repeat(degs)
+    live = ~lookup_bits(claimed, targets)
+    targets, eids = targets[live], eids[live]
+    if targets.size == 0:
+        return targets, targets
+    # Segment the flat attempt list by target key: survival Π(1 - p_e)
+    # via reduceat and, with several groups, the activated targets'
+    # per-group attempt counts via bincount over (target, group) slots.
+    order, starts, uniq = _segments(targets)
+    survive = np.multiply.reduceat(1.0 - probs[eids[order]], starts)
+    draws = _stream_uniforms(uniq, heads, generators)
+    activated = np.flatnonzero(draws < 1.0 - survive)
+    claimed_keys = uniq[activated]
+    if r == 1:
+        return claimed_keys, np.zeros(claimed_keys.size, dtype=np.int64)
+    sizes = np.diff(starts, append=targets.size)[activated]
+    attempts = order[segment_ranges(starts[activated], sizes)]
+    attackers = groups.repeat(degs)[live][attempts]
+    slots = np.arange(claimed_keys.size, dtype=np.int64).repeat(sizes) * r
+    counts = np.bincount(slots + attackers, minlength=claimed_keys.size * r)
+    claimed_groups = _claim_batch(
+        counts.reshape(claimed_keys.size, r).astype(float),
+        claim_rule,
+        _stream_uniforms(claimed_keys, heads, generators),
+    )
+    return claimed_keys, claimed_groups
 
 
 # ---------------------------------------------------------------------- #
@@ -293,7 +382,9 @@ def run_competitive_threshold(
             touched = sorted_unique(targets)
             crossed = pressure[touched].sum(axis=1) >= thresholds[touched]
             new_nodes = touched[crossed]
-            winners = _claim_batch(pressure[new_nodes], claim_rule, generator)
+            winners = _claim_batch(
+                pressure[new_nodes], claim_rule, generator.random(new_nodes.size)
+            )
             owner[new_nodes] = winners
             when[new_nodes] = rounds
             frontier = new_nodes
@@ -324,22 +415,54 @@ def simulate_cascade(
     seeds: Sequence[int],
     generator: np.random.Generator,
 ) -> np.ndarray:
-    """One single-group cascade from *seeds*; returns the active-node mask."""
+    """One single-group cascade from *seeds*; returns the active-node mask.
+
+    A one-row :func:`run_competitive_cascades` whose claims mark the mask.
+    """
+    nodes = _seed_frontier(graph.num_nodes, seeds)
+    claims: list[tuple[np.ndarray, np.ndarray]] = []
+    run_competitive_cascades(
+        graph,
+        probs,
+        np.zeros(nodes.size, dtype=np.int64),
+        nodes,
+        np.zeros(nodes.size, dtype=np.int64),
+        1,
+        [(1, generator)],
+        ClaimRule.PROPORTIONAL,
+        claims,
+    )
     active = np.zeros(graph.num_nodes, dtype=bool)
-    frontier = _seed_frontier(graph.num_nodes, seeds)
-    active[frontier] = True
-    while frontier.size:
-        targets, eids, _ = _frontier_edges(graph, frontier)
-        live = ~active[targets]
-        targets, eids = targets[live], eids[live]
-        if targets.size == 0:
-            break
-        order, starts, uniq = _segments(targets)
-        survive = np.multiply.reduceat(1.0 - probs[eids[order]], starts)
-        hits = generator.random(uniq.size) < 1.0 - survive
-        frontier = uniq[hits]
-        active[frontier] = True
+    for keys, _ in claims:
+        active[keys] = True
     return active
+
+
+def cascade_spreads(
+    graph: DiGraph,
+    probs: np.ndarray,
+    seeds: Sequence[int],
+    rounds: int,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """Spreads of *rounds* single-group cascades from *seeds* as one sweep.
+
+    The one-group case of :func:`run_competitive_cascades`: every row starts
+    from the distinct *seeds*, and no claim is drawn.  Returns a
+    ``(rounds,)`` integer array.
+    """
+    nodes = _seed_frontier(graph.num_nodes, seeds)
+    spreads, _ = run_competitive_cascades(
+        graph,
+        probs,
+        np.arange(rounds, dtype=np.int64).repeat(nodes.size),
+        np.tile(nodes, rounds),
+        np.zeros(rounds * nodes.size, dtype=np.int64),
+        1,
+        [(rounds, generator)],
+        ClaimRule.PROPORTIONAL,
+    )
+    return spreads[:, 0]
 
 
 def simulate_threshold(

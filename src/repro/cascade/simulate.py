@@ -27,7 +27,7 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import CompetitiveJob, SpreadJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.digraph import DiGraph
 from repro.lint import contracts
 from repro.obs.log import get_logger
@@ -37,7 +37,6 @@ from repro.utils.validation import check_positive_int
 
 _LOG = get_logger("cascade.simulate")
 
-_SINGLE_SIMULATIONS = counter("cascade.simulations")
 _SPREAD_CALLS = counter("estimate.spread_calls")
 _COMPETITIVE_CALLS = counter("estimate.competitive_calls")
 _SPREAD_SECONDS = histogram("estimate.spread_seconds")
@@ -69,7 +68,6 @@ def estimate_spread(
     started = time.perf_counter()
     (estimate,) = resolve_executor(executor).estimates([job], rng=rng)[0]
     _SPREAD_CALLS.inc()
-    _SINGLE_SIMULATIONS.inc(rounds)
     _SPREAD_SECONDS.observe(time.perf_counter() - started)  # reprolint: disable=RP009
     if contracts.enabled():
         contracts.check_spread_estimate(estimate.mean, graph.num_nodes)
@@ -93,11 +91,14 @@ def estimate_competitive_spread(
     paper's expectation over both sources of randomness.
     """
     check_positive_int(rounds, "rounds")
+    cell = ProfileCell(
+        seed_sets=tuple(tuple(int(s) for s in seeds) for seeds in seed_sets),
+        rounds=rounds,
+    )
     job = CompetitiveJob(
         graph=graph,
         model=model,
-        seed_sets=tuple(tuple(int(s) for s in seeds) for seeds in seed_sets),
-        rounds=rounds,
+        cells=(cell,),
         tie_break=tie_break,
         claim_rule=claim_rule,
     )

@@ -34,7 +34,7 @@ from repro.cache import (
 from repro.cascade.base import CascadeModel
 from repro.errors import SeedSelectionError
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import CompetitiveJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int
@@ -88,8 +88,7 @@ def _blocking_job(
     return CompetitiveJob(
         graph=graph,
         model=model,
-        seed_sets=seed_sets,
-        rounds=rounds,
+        cells=(ProfileCell(seed_sets=seed_sets, rounds=rounds),),
         crn_base=crn_base,
         crn_step=BLOCKING_CRN_STEP,
     )

@@ -36,13 +36,17 @@ semantics:
 
 All profile simulations are independent, so they are fanned out as **one
 batch** through the execution engine: seed sets are drawn sequentially up
-front (they consume the caller's generator), then one
-:class:`~repro.exec.jobs.CompetitiveJob` per (draw, profile) cell is
-submitted and the per-draw estimates are pooled exactly via
-:meth:`SpreadEstimate.__add__`.  Results are bit-identical across
-backends and worker counts for a fixed master seed; phase 1 is identical
-in both symmetry modes, so full and reduce runs consume the caller's
-generator in the same way.
+front (they consume the caller's generator), then every (draw, profile)
+*cell* gets its own spawned stream, and the cells are packed into
+:class:`~repro.exec.jobs.CompetitiveJob` objects (:func:`pack_cells`: about
+one job per worker, each job's claimed bitset capped at the graph's
+out-CSR bytes).  Each job runs all of its cells as one frontier sweep.  A
+cell draws every variate from its own stream, so the table is
+bit-identical however the cells are packed, on every backend and at any
+worker count, for a fixed master seed.  The per-draw estimates are pooled
+exactly via :meth:`SpreadEstimate.__add__`.  Phase 1 is identical in both
+symmetry modes, so full and reduce runs consume the caller's generator in
+the same way.
 """
 
 from __future__ import annotations
@@ -57,20 +61,21 @@ import numpy as np
 
 from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
+from repro.cascade.kernels import out_csr_bytes
 from repro.cascade.pools import SnapshotPool
 from repro.cascade.simulate import SpreadEstimate
 from repro.config import RunConfig
 from repro.core.strategy import StrategySpace
 from repro.errors import PayoffEstimationError
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import CompetitiveJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.game.normal_form import NormalFormGame
 from repro.graphs.digraph import DiGraph
 from repro.lint import contracts
 from repro.obs.journal import RunJournal, current_journal
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter, histogram
-from repro.utils.rng import RandomSource, as_rng
+from repro.utils.rng import RandomSource, as_rng, spawn_seed_sequences
 from repro.utils.validation import check_positive_int
 
 _LOG = get_logger("core.payoff")
@@ -172,6 +177,31 @@ def _split_rounds(total: int, parts: int) -> list[int]:
     return [base + (1 if draw < remainder else 0) for draw in range(parts)]
 
 
+def pack_cells(rounds: Sequence[int], graph: DiGraph, workers: int) -> list[list[int]]:
+    """Pack consecutive payoff cells into jobs; returns each job's cell indices.
+
+    *rounds* are the cells' round counts.  Cells are spread over *workers*
+    jobs by rounds: a job takes cells until it reaches its share of the
+    total.  A job's claimed bitset (Σ rounds·n bits) is capped at the bytes
+    of the graph's out-CSR arrays (indptr, indices and edge ids), which
+    every job reads anyway, so a large graph's cells go into more, smaller
+    jobs; a cell over the cap runs alone.  Packing never changes a result:
+    every cell draws from its own stream.
+    """
+    cap = 8 * out_csr_bytes(graph) // max(graph.num_nodes, 1)
+    share = sum(rounds) / max(workers, 1)
+    packs: list[list[int]] = []
+    load = 0
+    for i, cell_rounds in enumerate(rounds):
+        if packs and load < share and load + cell_rounds <= cap:
+            packs[-1].append(i)
+            load += cell_rounds
+        else:
+            packs.append([i])
+            load = cell_rounds
+    return packs
+
+
 @dataclass(frozen=True)
 class PayoffTable:
     """Estimated Σ(Ψr, Φr) with sampling metadata.
@@ -257,7 +287,8 @@ def estimate_payoff_table(
     sorted-multiset profiles are simulated, with per-profile budgets from
     :func:`symmetric_profile_plan`, and the remaining cells are filled by
     player permutation — see the module docstring.  All cells are submitted
-    to *executor* (or the env-configured default) as a single batch.
+    to *executor* (or the env-configured default) as a single batch of
+    packed jobs (:func:`pack_cells`).
 
     Phase 1 (seed selection) is identical in both modes: every strategy of
     every group draws its seed set per draw, against a per-(draw, group)
@@ -266,8 +297,10 @@ def estimate_payoff_table(
     When *journal* is given (or a journal is attached via
     :func:`repro.obs.attach_journal`), a ``profile_start`` event is
     emitted when each simulated profile is first submitted and a
-    ``profile_done`` event — per-player mean/stderr plus summed per-job
-    wall-clock duration — once its estimates are pooled.
+    ``profile_done`` event — per-player mean/stderr plus its wall-clock
+    duration — once its estimates are pooled.  A job holding several cells
+    splits its seconds over them by their share of its rounds, and a
+    profile's duration sums its cells' shares.
     """
     r = check_positive_int(num_groups, "num_groups")
     check_positive_int(k, "k")
@@ -324,45 +357,61 @@ def estimate_payoff_table(
             )
         all_seed_sets.append(draw_sets)
 
-    # Phase 2: one job per (draw, simulated profile) cell, in deterministic
-    # order.
-    job_cells: list[tuple[int, tuple[int, ...]]] = []
-    jobs: list[CompetitiveJob] = []
+    # Phase 2: one cell per (draw, simulated profile), in deterministic
+    # order, each drawing from its own spawned stream; the cells are packed
+    # into jobs, so the packing changes no result.
+    cell_keys: list[tuple[int, tuple[int, ...]]] = []
+    cells: list[ProfileCell] = []
+    streams = iter(spawn_seed_sequences(generator, seed_draws * len(simulated)))
     for draw in range(seed_draws):
         seed_sets = all_seed_sets[draw]
         for profile, profile_rounds in simulated:
             if sink is not None and draw == 0:
                 labels = [space[a].name for a in profile]
                 sink.profile_start(profile, labels)
-            jobs.append(
-                CompetitiveJob(
-                    graph=graph,
-                    model=model,
+            cells.append(
+                ProfileCell(
                     seed_sets=tuple(
                         tuple(int(s) for s in seed_sets[i][profile[i]])
                         for i in range(r)
                     ),
                     rounds=_split_rounds(profile_rounds, seed_draws)[draw],
-                    tie_break=tie_break,
-                    claim_rule=claim_rule,
+                    seed=next(streams),
                 )
             )
-            job_cells.append((draw, profile))
-    outcomes = resolve_executor(executor).run(jobs, rng=generator)
+            cell_keys.append((draw, profile))
+    runner = resolve_executor(executor)
+    packs = pack_cells([cell.rounds for cell in cells], graph, runner.workers)
+    jobs = [
+        CompetitiveJob(
+            graph=graph,
+            model=model,
+            cells=tuple(cells[i] for i in pack),
+            tie_break=tie_break,
+            claim_rule=claim_rule,
+        )
+        for pack in packs
+    ]
+    outcomes = runner.run(jobs, rng=generator)
 
     # Phase 3: pool the per-draw estimates per profile (exact — pooling
-    # via ``__add__`` equals estimating from the concatenated samples).
+    # via ``__add__`` equals estimating from the concatenated samples).  A
+    # job's seconds are split over its cells by their share of its rounds.
     accumulated: dict[tuple[int, ...], list[SpreadEstimate]] = {}
     durations: dict[tuple[int, ...], float] = {}
-    for (_draw, profile), outcome in zip(job_cells, outcomes):
-        ests = outcome.estimates
-        durations[profile] = durations.get(profile, 0.0) + outcome.job_seconds
-        if profile in accumulated:
-            accumulated[profile] = [
-                prev + new for prev, new in zip(accumulated[profile], ests)
-            ]
-        else:
-            accumulated[profile] = list(ests)
+    for pack, outcome in zip(packs, outcomes):
+        pack_rounds = sum(cells[i].rounds for i in pack)
+        for slot, i in enumerate(pack):
+            _draw, profile = cell_keys[i]
+            ests = outcome.estimates[slot * r : (slot + 1) * r]
+            share = outcome.job_seconds * cells[i].rounds / pack_rounds
+            durations[profile] = durations.get(profile, 0.0) + share
+            if profile in accumulated:
+                accumulated[profile] = [
+                    prev + new for prev, new in zip(accumulated[profile], ests)
+                ]
+            else:
+                accumulated[profile] = list(ests)
 
     for profile, _profile_rounds in simulated:
         pooled = accumulated[profile]

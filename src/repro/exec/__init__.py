@@ -1,8 +1,9 @@
 """Pluggable batched execution engine for Monte-Carlo simulation.
 
 Public surface: the :class:`Executor` facade, the job types it schedules
-(:class:`SpreadJob`, :class:`CompetitiveJob`, anything satisfying the
-:class:`SimulationJob` protocol), the three backends, and the env-driven
+(:class:`SpreadJob`, :class:`CompetitiveJob` with its :class:`ProfileCell`,
+anything satisfying the :class:`SimulationJob` protocol), the three
+backends, and the env-driven
 default-executor plumbing.  See ``docs/execution.md`` for the design and
 the SeedSequence-spawn determinism scheme.
 """
@@ -25,6 +26,7 @@ from repro.exec.executor import (
 )
 from repro.exec.jobs import (
     CompetitiveJob,
+    ProfileCell,
     SimulationJob,
     SnapshotGainsJob,
     SpreadJob,
@@ -36,6 +38,7 @@ __all__ = [
     "Executor",
     "JobOutcome",
     "ProcessBackend",
+    "ProfileCell",
     "SerialBackend",
     "SimulationBackend",
     "SimulationJob",

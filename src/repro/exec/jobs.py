@@ -18,16 +18,20 @@ Concrete jobs covering the σ(·) quantities of the paper:
 
 * :class:`SpreadJob` — the non-competitive spread ``σ0(S)`` of one seed
   set (a 1-tuple of estimates);
-* :class:`CompetitiveJob` — the per-group spreads ``(σ1, .., σr)`` of a
-  full seed-set profile under the competitive engine;
+* :class:`CompetitiveJob` — the per-group spreads ``(σ1, .., σr)`` of one
+  or more profile cells (:class:`ProfileCell`) under the competitive
+  engine, cell-major;
 * :class:`SnapshotGainsJob` — exact per-node reach sizes over a chunk of
   pre-sampled live-edge masks.
 
-``CompetitiveJob`` optionally runs under **common random numbers**
-(``crn_base``): round *i* replays the stream seeded
-``crn_base + crn_step·i`` instead of drawing from the job's spawned
-generator, so candidate comparisons inside greedy loops (follower best
-response, blocker selection) are paired across jobs.
+A cell of a ``CompetitiveJob`` may carry its **own stream** (``seed``):
+it then draws every variate from it, so its estimates do not depend on
+how cells are packed into jobs or on the job's spawned generator.  Under
+**common random numbers** (``crn_base``) round *i* of every cell draws
+from the stream seeded ``crn_base + crn_step·i`` instead, so candidate
+comparisons inside greedy loops (follower best response, blocker
+selection) are paired across jobs.  Either way all of a job's rounds run
+as one frontier sweep (:meth:`CompetitiveDiffusion.sweep`).
 
 Other modules may define their own job types — anything satisfying the
 :class:`SimulationJob` protocol (and picklable, for the process backend)
@@ -44,10 +48,14 @@ import numpy as np
 from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
+from repro.cascade.kernels import cascade_spreads
 from repro.cascade.reachability import all_reach_sizes
 from repro.cascade.snapshots import stack_masks
 from repro.graphs.digraph import DiGraph
+from repro.obs.metrics import counter
 from repro.utils.rng import as_rng
+
+_SIMULATIONS = counter("cascade.simulations")
 
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
@@ -77,7 +85,13 @@ class SimulationJob(Protocol):
 
 @dataclass(frozen=True)
 class SpreadJob:
-    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations."""
+    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations.
+
+    Models running the default cascade process (IC, WC) run all rounds as
+    one single-group frontier sweep (:func:`~repro.cascade.kernels.cascade_spreads`);
+    a model with its own ``simulate`` (LT, IC-N, general threshold) runs one
+    simulation per round.
+    """
 
     graph: DiGraph
     model: CascadeModel
@@ -89,32 +103,51 @@ class SpreadJob:
         return self.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        values = np.empty(self.rounds, dtype=float)
-        for i in range(self.rounds):
-            values[i] = self.model.spread_once(self.graph, self.seeds, generator)
-        return (SpreadEstimate.from_values(values),)
+        if type(self.model).simulate is CascadeModel.simulate:
+            probs = self.model.edge_probabilities(self.graph)
+            values = cascade_spreads(self.graph, probs, self.seeds, self.rounds, generator)
+        else:
+            values = np.array(
+                [
+                    self.model.spread_once(self.graph, self.seeds, generator)
+                    for _ in range(self.rounds)
+                ]
+            )
+        _SIMULATIONS.inc(self.rounds)
+        return (SpreadEstimate.from_values(values.astype(float)),)
+
+
+@dataclass(frozen=True)
+class ProfileCell:
+    """One profile's simulations: its seed sets, its rounds and its stream.
+
+    ``seed`` seeds the cell's own generator; ``None`` draws from the job's
+    spawned generator instead.
+    """
+
+    seed_sets: tuple[tuple[int, ...], ...]
+    rounds: int
+    seed: np.random.SeedSequence | int | None = None
 
 
 @dataclass(frozen=True)
 class CompetitiveJob:
-    """Estimate per-group competitive spreads for one seed-set profile.
+    """Estimate per-group competitive spreads for one or more profile cells.
 
-    Each of the *rounds* simulations independently re-resolves seed
+    Each of a cell's ``rounds`` simulations independently re-resolves seed
     collisions (initiator assignment) and re-runs the diffusion, matching
-    the paper's expectation over both sources of randomness.  On the
-    cascade path all rounds run as one batched frontier sweep
-    (:meth:`CompetitiveDiffusion.spreads`).
+    the paper's expectation over both sources of randomness.  All cells
+    run as one sweep (:meth:`CompetitiveDiffusion.sweep`), and :meth:`run`
+    returns ``r`` estimates per cell, cell-major.
 
-    When ``crn_base`` is set, round *i* draws from a fresh stream seeded
-    ``(crn_base + crn_step·i) mod 2^63-1`` — the common-random-numbers
-    pairing used by the greedy candidate loops — so each round is a
-    one-round batch on its own stream.
+    When ``crn_base`` is set, round *i* of every cell draws from a fresh
+    stream seeded ``(crn_base + crn_step·i) mod 2^63-1`` — the
+    common-random-numbers pairing used by the greedy candidate loops.
     """
 
     graph: DiGraph
     model: CascadeModel
-    seed_sets: tuple[tuple[int, ...], ...]
-    rounds: int
+    cells: tuple[ProfileCell, ...]
     tie_break: TieBreakRule = TieBreakRule.UNIFORM
     claim_rule: ClaimRule = ClaimRule.PROPORTIONAL
     crn_base: int | None = None
@@ -126,19 +159,27 @@ class CompetitiveJob:
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
         engine = CompetitiveDiffusion(self.graph, self.model, self.tie_break, self.claim_rule)
-        profile = [list(seeds) for seeds in self.seed_sets]
-        if self.crn_base is None:
-            values = engine.spreads(profile, self.rounds, generator)
-        else:
-            streams = (
-                as_rng((self.crn_base + self.crn_step * i) % _SEED_MODULUS)
-                for i in range(self.rounds)
+        streams = []
+        for cell in self.cells:
+            incidence = engine.incidence(cell.seed_sets)
+            if self.crn_base is not None:
+                streams.extend(
+                    (incidence, 1, as_rng((self.crn_base + self.crn_step * i) % _SEED_MODULUS))
+                    for i in range(cell.rounds)
+                )
+            else:
+                own = generator if cell.seed is None else as_rng(cell.seed)
+                streams.append((incidence, cell.rounds, own))
+        values = engine.sweep(streams).astype(float)
+        estimates: list[SpreadEstimate] = []
+        start = 0
+        for cell in self.cells:
+            block = values[start : start + cell.rounds]
+            start += cell.rounds
+            estimates.extend(
+                SpreadEstimate.from_values(block[:, j]) for j in range(block.shape[1])
             )
-            values = np.concatenate([engine.spreads(profile, 1, s) for s in streams])
-        values = values.astype(float)
-        return tuple(
-            SpreadEstimate.from_values(values[:, j]) for j in range(len(profile))
-        )
+        return tuple(estimates)
 
 
 def _reach_estimates(

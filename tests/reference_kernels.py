@@ -14,9 +14,52 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.cascade.competitive import TieBreakRule
 from repro.cascade.kernels import ClaimRule
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
+
+
+def assign_initiators(
+    num_nodes: int,
+    seed_sets: Sequence[Sequence[int]],
+    tie_break: TieBreakRule,
+    generator: np.random.Generator,
+) -> list[list[int]]:
+    """Resolve seed collisions of one round, seed by seed (Section 3.2).
+
+    A seed selected only by group *i* initiates for *i*; a seed selected by
+    several groups initiates for exactly one of them: uniformly, or under
+    PROPORTIONAL weighted by each selecting group's count of uncontested
+    seeds (uniformly when those weights are all zero).
+    """
+    r = len(seed_sets)
+    selectors: dict[int, list[int]] = {}
+    for i, seeds in enumerate(seed_sets):
+        for s in seeds:
+            if not 0 <= s < num_nodes:
+                raise CascadeError(f"seed {s} out of range [0, {num_nodes})")
+            groups = selectors.setdefault(int(s), [])
+            if i not in groups:
+                groups.append(i)
+
+    exclusive = np.zeros(r, dtype=float)
+    for groups in selectors.values():
+        if len(groups) == 1:
+            exclusive[groups[0]] += 1.0
+    initiators: list[list[int]] = [[] for _ in range(r)]
+    for node, groups in selectors.items():
+        if len(groups) == 1:
+            winner = groups[0]
+        else:
+            weights = np.array([exclusive[g] for g in groups])
+            if tie_break is TieBreakRule.UNIFORM or weights.sum() == 0:
+                winner = groups[int(generator.integers(0, len(groups)))]
+            else:
+                weights = weights / weights.sum()
+                winner = groups[int(generator.choice(len(groups), p=weights))]
+        initiators[winner].append(node)
+    return initiators
 
 
 def claim_group(

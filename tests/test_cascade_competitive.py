@@ -7,6 +7,7 @@ from repro.cascade.competitive import (
     ClaimRule,
     CompetitiveDiffusion,
     CompetitiveOutcome,
+    SeedIncidence,
     TieBreakRule,
     assign_initiators,
 )
@@ -16,6 +17,7 @@ from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import as_rng
+from tests import reference_kernels
 
 
 class TestAssignInitiators:
@@ -312,3 +314,85 @@ class TestThresholdPath:
                 claims[outcome.owner[2]] += 1
         assert claims.sum() == 2000  # threshold <= 1 always crossed
         assert claims[0] / claims.sum() == pytest.approx(0.5, abs=0.05)
+
+
+class TestArrayInitiatorsMatchReference:
+    """The array draw (:class:`SeedIncidence`) against the dict-walk oracle."""
+
+    ROUNDS = 4000
+
+    def _array_frequencies(self, seed_sets, tie_break, seed):
+        """How often each (seed, group) pair initiates, over one array draw."""
+        _, nodes, groups = SeedIncidence(34, seed_sets, tie_break).draw(self.ROUNDS, as_rng(seed))
+        pairs, counts = np.unique(np.stack([nodes, groups]), axis=1, return_counts=True)
+        return {(int(v), int(g)): c / self.ROUNDS for (v, g), c in zip(pairs.T, counts)}
+
+    def _reference_frequencies(self, seed_sets, tie_break, seed):
+        rng = as_rng(seed)
+        wins: dict[tuple[int, int], float] = {}
+        for _ in range(self.ROUNDS):
+            for g, nodes in enumerate(
+                reference_kernels.assign_initiators(34, seed_sets, tie_break, rng)
+            ):
+                for v in nodes:
+                    wins[(v, g)] = wins.get((v, g), 0.0) + 1.0 / self.ROUNDS
+        return wins
+
+    def _assert_frequencies_match(self, seed_sets, tie_break):
+        array = self._array_frequencies(seed_sets, tie_break, 5)
+        reference = self._reference_frequencies(seed_sets, tie_break, 6)
+        assert set(array) == set(reference)
+        for pair, p in reference.items():
+            # Two independent binomial frequencies: 4.5 pooled standard errors.
+            bound = 4.5 * np.sqrt(2 * p * (1 - p) / self.ROUNDS) + 1e-12
+            assert abs(array[pair] - p) <= bound, (pair, array[pair], p)
+        return array
+
+    @pytest.mark.parametrize("tie_break", list(TieBreakRule), ids=lambda t: t.value)
+    def test_exclusive_seeds_always_win(self, tie_break):
+        array = self._assert_frequencies_match([[0, 1, 2, 9], [5, 9]], tie_break)
+        for pair in [(0, 0), (1, 0), (2, 0), (5, 1)]:
+            assert array[pair] == 1.0
+
+    def test_uniform_three_way_contest(self):
+        array = self._assert_frequencies_match([[4, 1], [4, 2], [4]], TieBreakRule.UNIFORM)
+        for group in range(3):
+            assert array[(4, group)] == pytest.approx(1 / 3, abs=0.03)
+
+    def test_proportional_weights(self):
+        # Exclusive counts 2, 1, 3: the contested seed 9 goes 2:1:3.
+        array = self._assert_frequencies_match(
+            [[0, 1, 9], [2, 9], [9, 3, 4, 5]], TieBreakRule.PROPORTIONAL
+        )
+        for group, share in enumerate([2 / 6, 1 / 6, 3 / 6]):
+            assert array[(9, group)] == pytest.approx(share, abs=0.03)
+
+    def test_proportional_zero_weight_never_wins(self):
+        # Group 1 holds no exclusive seed, so group 0 takes seed 4 every round.
+        array = self._assert_frequencies_match([[4, 1], [4]], TieBreakRule.PROPORTIONAL)
+        assert array == {(1, 0): 1.0, (4, 0): 1.0}
+
+    def test_proportional_all_zero_weights_fall_back_to_uniform(self):
+        array = self._assert_frequencies_match([[4], [4], [7]], TieBreakRule.PROPORTIONAL)
+        assert (4, 2) not in array
+        assert array[(4, 0)] == pytest.approx(0.5, abs=0.03)
+
+    @pytest.mark.parametrize("tie_break", list(TieBreakRule), ids=lambda t: t.value)
+    def test_duplicate_seeds_within_a_group_count_once(self, tie_break):
+        array = self._assert_frequencies_match([[0, 0, 1], [1, 1, 3]], tie_break)
+        assert array[(1, 0)] == pytest.approx(0.5, abs=0.03)
+
+    @pytest.mark.parametrize("bad", [34, 99, -1])
+    def test_out_of_range_seed_rejected_like_reference(self, bad):
+        with pytest.raises(CascadeError, match="out of range"):
+            SeedIncidence(34, [[0], [bad]])
+        with pytest.raises(CascadeError, match="out of range"):
+            reference_kernels.assign_initiators(34, [[0], [bad]], TieBreakRule.UNIFORM, as_rng(0))
+
+    def test_draw_is_one_array_per_call(self):
+        incidence = SeedIncidence(34, [[0, 1, 2], [1, 2, 3]])
+        rows, nodes, groups = incidence.draw(5, as_rng(1))
+        assert rows.shape == nodes.shape == groups.shape == (5 * 4,)
+        # Row i holds simulation i's initiators: each seed exactly once.
+        for row in range(5):
+            assert sorted(nodes[rows == row].tolist()) == [0, 1, 2, 3]

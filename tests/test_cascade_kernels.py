@@ -29,6 +29,29 @@ from tests import reference_kernels
 from tests.reference_kernels import claim_group
 
 
+def _sweep(graph, probs, initiators_per_round, claim_rule, generator, claims=None):
+    """The batched kernel on per-round initiator lists, as one stream."""
+    triples = [
+        (i, v, j)
+        for i, sets in enumerate(initiators_per_round)
+        for j, nodes in enumerate(sets)
+        for v in nodes
+    ]
+    rows, nodes, groups = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    r = len(initiators_per_round[0]) if initiators_per_round else 0
+    return run_competitive_cascades(
+        graph,
+        probs,
+        rows,
+        nodes,
+        groups,
+        r,
+        [(len(initiators_per_round), generator)],
+        claim_rule,
+        claims,
+    )
+
+
 class TestClaimGroup:
     def test_proportional_degenerate_weight_is_deterministic(self, rng):
         weights = np.array([0.0, 5.0, 0.0])
@@ -232,7 +255,7 @@ class TestBatchedCompetitiveCascades:
         probs = IndependentCascade(0.3).edge_probabilities(karate)
         gen = as_rng(5)
         initiators = assign_initiators(karate.num_nodes, [[0, 1], [33, 32]], rng=gen)
-        spreads, steps = run_competitive_cascades(
+        spreads, steps = _sweep(
             karate, probs, [initiators], ClaimRule.PROPORTIONAL, gen
         )
         np.testing.assert_array_equal(spreads[0], outcome.spreads())
@@ -242,7 +265,7 @@ class TestBatchedCompetitiveCascades:
         # p = 1 on a path: every round claims the whole tail of its seed.
         probs = np.ones(path_graph.num_edges)
         initiators = [[[0], []], [[], [2]], [[4], [1]]]
-        spreads, steps = run_competitive_cascades(
+        spreads, steps = _sweep(
             path_graph, probs, initiators, ClaimRule.PROPORTIONAL, as_rng(1)
         )
         assert spreads.tolist() == [[5, 0], [0, 3], [1, 3]]
@@ -252,7 +275,7 @@ class TestBatchedCompetitiveCascades:
     def test_claims_record_every_wave(self, path_graph):
         probs = np.ones(path_graph.num_edges)
         claims: list[tuple[np.ndarray, np.ndarray]] = []
-        run_competitive_cascades(
+        _sweep(
             path_graph, probs, [[[0]], [[3]]], ClaimRule.PROPORTIONAL, as_rng(2), claims
         )
         n = path_graph.num_nodes
@@ -262,7 +285,7 @@ class TestBatchedCompetitiveCascades:
 
     def test_no_rounds(self, karate):
         probs = np.full(karate.num_edges, 0.5)
-        spreads, steps = run_competitive_cascades(
+        spreads, steps = _sweep(
             karate, probs, [], ClaimRule.PROPORTIONAL, as_rng(3)
         )
         assert spreads.shape == (0, 0) and steps.shape == (0,)
@@ -270,8 +293,27 @@ class TestBatchedCompetitiveCascades:
     def test_initiator_out_of_range(self, karate):
         probs = np.full(karate.num_edges, 0.5)
         with pytest.raises(CascadeError, match="initiator 99 out of range"):
-            run_competitive_cascades(
+            _sweep(
                 karate, probs, [[[0], [99]]], ClaimRule.PROPORTIONAL, as_rng(4)
+            )
+        # A node past n in an early row is not read as a node of a later row.
+        n = karate.num_nodes
+        with pytest.raises(CascadeError, match=f"initiator {n + 1} out of range"):
+            _sweep(
+                karate, probs, [[[0], [n + 1]], [[2], [3]]], ClaimRule.PROPORTIONAL, as_rng(4)
+            )
+        with pytest.raises(CascadeError, match="initiator -1 out of range"):
+            _sweep(karate, probs, [[[1], [-1]], [[2], [3]]], ClaimRule.PROPORTIONAL, as_rng(4))
+        with pytest.raises(CascadeError, match="initiator row 2 out of range"):
+            run_competitive_cascades(
+                karate,
+                probs,
+                np.array([0, 2]),
+                np.array([0, 1]),
+                np.array([0, 1]),
+                2,
+                [(2, as_rng(4))],
+                ClaimRule.PROPORTIONAL,
             )
 
     def test_claimed_state_is_a_bitset(self, karate, monkeypatch):
@@ -287,10 +329,44 @@ class TestBatchedCompetitiveCascades:
 
         monkeypatch.setattr(kernels, "packed_zeros", spy)
         probs = np.full(karate.num_edges, 0.2)
-        run_competitive_cascades(
+        _sweep(
             karate, probs, [[[0], [33]]] * 7, ClaimRule.PROPORTIONAL, as_rng(5)
         )
         assert sizes == [7 * karate.num_nodes]
+
+
+class TestChunkedWaves:
+    """A wave split into chunks of whole streams gives the one-pass result."""
+
+    def test_chunks_change_no_result(self, monkeypatch):
+        from repro.cascade import kernels
+        from repro.cascade.wc import WeightedCascade
+        from repro.graphs.generators import erdos_renyi
+
+        engine = CompetitiveDiffusion(erdos_renyi(80, 400, rng=11), WeightedCascade())
+
+        def streams():
+            return [
+                (engine.incidence([[0, 1], [2, 3]]), 30, as_rng(1)),
+                (engine.incidence([[4], [4, 5]]), 20, as_rng(2)),
+                (engine.incidence([[6, 7], [8]]), 25, as_rng(3)),
+            ]
+
+        chunks = []
+        real = kernels._wave
+
+        def spy(*args):
+            chunks.append(args[2].size)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "_wave", spy)
+        whole = engine.sweep(streams())
+        one_pass = len(chunks)
+        # A one-attempt limit: every stream of every wave is its own chunk.
+        monkeypatch.setattr(kernels, "out_csr_bytes", lambda graph: 8)
+        chunked = engine.sweep(streams())
+        np.testing.assert_array_equal(whole, chunked)
+        assert len(chunks) - one_pass > one_pass
 
 
 class TestKernelInstrumentation:

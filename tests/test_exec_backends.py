@@ -13,6 +13,7 @@ from repro.exec import (
     CompetitiveJob,
     Executor,
     ProcessBackend,
+    ProfileCell,
     SerialBackend,
     SimulationJob,
     SnapshotGainsJob,
@@ -87,8 +88,7 @@ class TestJobs:
         job = CompetitiveJob(
             graph=random_graph,
             model=model,
-            seed_sets=((0,), (1,), (2,)),
-            rounds=5,
+            cells=(ProfileCell(seed_sets=((0,), (1,), (2,)), rounds=5),),
         )
         ests = job.run(as_rng(3))
         assert len(ests) == 3
@@ -98,8 +98,7 @@ class TestJobs:
         job = CompetitiveJob(
             graph=random_graph,
             model=model,
-            seed_sets=((0, 1), (2, 3)),
-            rounds=4,
+            cells=(ProfileCell(seed_sets=((0, 1), (2, 3)), rounds=4),),
             crn_base=123456,
         )
         assert job.run(as_rng(1)) == job.run(as_rng(999))

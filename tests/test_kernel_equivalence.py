@@ -23,19 +23,16 @@ import pytest
 
 from repro.algorithms import DegreeDiscount, RandomSeeds
 from repro.cascade import competitive
-from repro.cascade.competitive import (
-    ClaimRule,
-    CompetitiveDiffusion,
-    assign_initiators,
-)
+from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
+from repro.cascade.simulate import estimate_spread
 from repro.config import CONTRACTS_ENV_VAR
 from repro.core.payoff import estimate_payoff_table
 from repro.core.strategy import StrategySpace
 from repro.exec import Executor
-from repro.exec.jobs import CompetitiveJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi, karate_like_fixture
 from repro.lint import contracts
@@ -79,7 +76,9 @@ def _reference_spreads(
     """``(rounds, r)`` spreads from the python reference walks."""
     rows = []
     for _ in range(rounds):
-        initiators = assign_initiators(graph.num_nodes, profile, rng=rng)
+        initiators = reference_kernels.assign_initiators(
+            graph.num_nodes, profile, TieBreakRule.UNIFORM, rng
+        )
         if isinstance(model, LinearThreshold):
             owner, _, _ = reference_kernels.competitive_threshold(
                 graph, initiators, claim_rule, rng
@@ -160,6 +159,68 @@ class TestBatchedKernelEquivalence:
             _assert_within_pooled_stderr(reference[:, group], batched[:, group])
 
 
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_spread_job_agrees_with_reference(graph_name, model_name):
+    # IC/WC run one single-group sweep; LT keeps one simulation per round.
+    graph, seeds = GRAPHS[graph_name]
+    model = MODELS[model_name]
+    rng = as_rng(2016)
+    if isinstance(model, LinearThreshold):
+        reference = [
+            reference_kernels.simulate_threshold(graph, seeds, rng).sum() for _ in range(300)
+        ]
+    else:
+        probs = model.edge_probabilities(graph)
+        reference = [
+            reference_kernels.simulate_cascade(graph, probs, seeds, rng).sum()
+            for _ in range(300)
+        ]
+    job = SpreadJob(graph=graph, model=model, seeds=tuple(seeds), rounds=300)
+    (estimate,) = job.run(as_rng(2017))
+    stderr = np.std(reference, ddof=1) / math.sqrt(300)
+    assert abs(estimate.mean - np.mean(reference)) <= 3 * math.hypot(stderr, estimate.stderr)
+
+
+@pytest.mark.parametrize("claim_rule", list(ClaimRule), ids=lambda c: c.value)
+@pytest.mark.parametrize("model_name", ["ic", "wc"])
+class TestPackedSweepEquivalence:
+    """Several cells in one sweep, each against the per-simulation reference."""
+
+    GRAPH = erdos_renyi(80, 400, rng=11)
+    PROFILES = ([[0, 1], [2, 3]], [[0, 1, 5], [0, 1, 9]], [[4], [4, 7]])
+    ROUNDS = (300, 200, 250)
+
+    def _streams(self, engine, seed):
+        return [
+            (engine.incidence(profile), rounds, as_rng(seed + i))
+            for i, (profile, rounds) in enumerate(zip(self.PROFILES, self.ROUNDS))
+        ]
+
+    def test_each_cell_matches_reference(self, model_name, claim_rule):
+        model = MODELS[model_name]
+        engine = CompetitiveDiffusion(self.GRAPH, model, claim_rule=claim_rule)
+        packed = engine.sweep(self._streams(engine, 30))
+        start = 0
+        for i, (profile, rounds) in enumerate(zip(self.PROFILES, self.ROUNDS)):
+            block = packed[start : start + rounds]
+            start += rounds
+            reference = _reference_spreads(
+                self.GRAPH, model, profile, rounds, as_rng(40 + i), claim_rule
+            )
+            for group in range(2):
+                _assert_within_pooled_stderr(reference[:, group], block[:, group])
+
+    def test_cells_are_independent_of_packing(self, model_name, claim_rule):
+        model = MODELS[model_name]
+        engine = CompetitiveDiffusion(self.GRAPH, model, claim_rule=claim_rule)
+        packed = engine.sweep(self._streams(engine, 30))
+        alone = np.concatenate(
+            [engine.sweep([stream]) for stream in self._streams(engine, 30)]
+        )
+        np.testing.assert_array_equal(packed, alone)
+
+
 class TestNumpyKernelDeterminism:
     """The kernels must be bit-identical to themselves for a fixed seed."""
 
@@ -232,8 +293,7 @@ class TestCompetitiveJobBackends:
             CompetitiveJob(
                 graph=self.GRAPH,
                 model=model,
-                seed_sets=((0, 1, 2), (2, 3, 4)),
-                rounds=9,
+                cells=(ProfileCell(seed_sets=((0, 1, 2), (2, 3, 4)), rounds=9),),
                 crn_base=crn_base,
             )
             for model in (IndependentCascade(0.15), WeightedCascade(), LinearThreshold())
@@ -258,8 +318,7 @@ def test_crn_rounds_replay_their_streams():
     job = CompetitiveJob(
         graph=erdos_renyi(70, 300, rng=9),
         model=IndependentCascade(0.15),
-        seed_sets=((0, 1, 2), (2, 3, 4)),
-        rounds=9,
+        cells=(ProfileCell(seed_sets=((0, 1, 2), (2, 3, 4)), rounds=9),),
         crn_base=12345,
     )
     first = job.run(as_rng(1))
@@ -282,8 +341,9 @@ class TestBatchedTelemetry:
         recorded = []
         real = competitive.run_competitive_cascades
 
-        def spy(graph_, probs, initiators, claim_rule, generator, claims=None):
-            result = real(graph_, probs, initiators, claim_rule, generator, claims)
+        def spy(*args):
+            result = real(*args)
+            claims = args[-1]
             recorded.append((result, claims))
             return result
 
@@ -311,6 +371,11 @@ class TestBatchedTelemetry:
             assert hist["min"] == spreads[:, group].min()
             assert hist["max"] == spreads[:, group].max()
             assert hist["std"] == pytest.approx(spreads[:, group].std())
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    def test_estimate_spread_counts_each_simulation_once(self, model_name):
+        estimate_spread(GRAPHS["karate"][0], MODELS[model_name], [0, 33], rounds=12, rng=5)
+        assert metrics.snapshot()["counters"]["cascade.simulations"] == 12
 
     def test_histograms_merge_like_single_observations(self):
         graph = erdos_renyi(60, 240, rng=4)
@@ -352,8 +417,9 @@ class TestBatchedContracts:
         monkeypatch.setenv(CONTRACTS_ENV_VAR, "1")
         real = competitive.run_competitive_cascades
 
-        def corrupt(graph, probs, initiators, claim_rule, generator, claims=None):
-            result = real(graph, probs, initiators, claim_rule, generator, claims)
+        def corrupt(*args):
+            result = real(*args)
+            claims = args[-1]
             keys, groups = claims[0]
             claims.append((keys[-1:], 1 - groups[-1:]))
             return result

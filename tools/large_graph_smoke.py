@@ -42,7 +42,7 @@ from repro.algorithms.greedy import run_celf
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.pools import SnapshotPool
 from repro.exec import Executor
-from repro.exec.jobs import CompetitiveJob, SpreadJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.generators import powerlaw_configuration
 from repro.graphs.store import GraphStore, clear_handle_cache
 from repro.obs.journal import RunJournal, attached, read_journal
@@ -113,8 +113,7 @@ def main(argv: list[str] | None = None) -> int:
             CompetitiveJob(
                 graph=mapped,
                 model=model,
-                seed_sets=(strategies[a], strategies[b]),
-                rounds=ROUNDS,
+                cells=(ProfileCell(seed_sets=(strategies[a], strategies[b]), rounds=ROUNDS),),
             )
             for a, b in cells
         ]
