@@ -11,9 +11,10 @@ get overlapping but not identical seed sets, which is exactly the behaviour
 the paper's Theorem 1 footnote relies on.
 
 The NewGreedy step dominates the cost and is embarrassingly parallel per
-snapshot, so it is fanned out through the execution engine as a batch of
-:class:`~repro.exec.jobs.SnapshotGainsJob` chunks (fixed chunk size, so the
-split — and therefore the result — never depends on the worker count).
+snapshot, so it is fanned out through the execution engine as one
+:class:`~repro.exec.jobs.SnapshotGainsJob` per worker.  Each returns the
+integer reach totals of its masks, and the parent divides their sum once,
+so the gains are exact and never depend on the worker count.
 The CELF refinement stays in-process; its lazy re-evaluations run as
 doubling batches of candidates, one oracle sweep per batch.
 
@@ -96,8 +97,7 @@ def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[i
     when a pick is accepted.  The heap then replays one-at-a-time CELF
     exactly — a batch value is pushed only when its node reaches the top
     within the same pick, and the rest are dropped at the pick — so picks,
-    pick gains and the heap match the unbatched loop bit for bit even where
-    a pooled initial gain sits an ulp off its exact ``count / snapshots``.
+    pick gains and the heap match the unbatched loop bit for bit.
     """
     heap: list[tuple[float, int, int]] = [
         (-gain, v, 0) for v, gain in enumerate(gains)

@@ -36,52 +36,23 @@ import numpy as np
 
 from repro.cache import params_token
 from repro.cascade.base import CascadeModel
-from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import SnapshotGainsJob
+from repro.exec.jobs import MASKS_PER_CHUNK, SnapshotGainsJob
 from repro.graphs.digraph import DiGraph
 from repro.obs.metrics import counter
 from repro.utils.bitset import packed_bytes
 from repro.utils.rng import RandomSource, as_rng
 
 __all__ = [
-    "MASKS_PER_JOB",
     "SnapshotPool",
     "snapshot_initial_gains",
 ]
 
-#: Snapshots per gains job: small enough to parallelize, big enough to
-#: amortize per-job overhead.  Fixed (not derived from the worker count) so
-#: chunking — and therefore pooled estimates — never depends on the backend.
-MASKS_PER_JOB = 8
-
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
 _POOL_MASK_BYTES = counter("cascade.pool_mask_bytes")
-
-
-def _pooled_means(
-    per_chunk: list[tuple[SpreadEstimate, ...]],
-) -> list[float]:
-    """Per-node means of chunk estimates pooled in chunk order.
-
-    Applies the mean formula of :meth:`SpreadEstimate.__add__` to whole
-    arrays, left to right over the chunks, so the result is bit-identical
-    to folding the estimates one node at a time — without building the
-    pooled objects.
-    """
-    mean = np.array([est.mean for est in per_chunk[0]], dtype=float)
-    samples = np.array([est.samples for est in per_chunk[0]], dtype=np.int64)
-    for chunk in per_chunk[1:]:
-        other_mean = np.array([est.mean for est in chunk], dtype=float)
-        other_samples = np.array([est.samples for est in chunk], dtype=np.int64)
-        total = samples + other_samples
-        mean = (mean * samples + other_mean * other_samples) / total
-        samples = total
-    means: list[float] = mean.tolist()
-    return means
 
 
 def snapshot_initial_gains(
@@ -89,19 +60,29 @@ def snapshot_initial_gains(
     masks: list[np.ndarray],
     executor: Executor | None = None,
 ) -> list[float]:
-    """Batched per-node NewGreedy gains over *masks* (one chunk per job).
+    """Batched per-node NewGreedy gains over *masks*: one job per worker.
 
     This is the expensive all-nodes reachability pass both MixGreedy and
     CELFGreedy start from; it lives here so a :class:`SnapshotPool` can
-    compute it once per ``(model, count)`` and serve every consumer.
+    compute it once per ``(model, count)`` and serve every consumer.  The
+    masks are split into ``min(workers, chunks)`` contiguous runs of whole
+    :data:`~repro.exec.jobs.MASKS_PER_CHUNK`-mask chunks; the jobs' integer
+    reach totals are summed and divided once, so the gains are exact and
+    identical on every backend at any worker count.
     """
     if not masks:
         raise CascadeError("at least one snapshot mask is required")
+    executor = resolve_executor(executor)
+    chunks = -(-len(masks) // MASKS_PER_CHUNK)
+    parts = min(executor.workers, chunks)
+    bounds = [MASKS_PER_CHUNK * (chunks * i // parts) for i in range(parts + 1)]
     jobs = [
-        SnapshotGainsJob(graph=graph, masks=tuple(masks[i : i + MASKS_PER_JOB]))
-        for i in range(0, len(masks), MASKS_PER_JOB)
+        SnapshotGainsJob(graph=graph, masks=tuple(masks[start:stop]))
+        for start, stop in zip(bounds, bounds[1:])
     ]
-    return _pooled_means(resolve_executor(executor).estimates(jobs))
+    totals = np.sum([result.totals for (result,) in executor.estimates(jobs)], axis=0)
+    gains: list[float] = (totals / len(masks)).tolist()
+    return gains
 
 
 class SnapshotPool:

@@ -27,6 +27,7 @@ from repro.exec.executor import (
 from repro.exec.jobs import (
     CompetitiveJob,
     ProfileCell,
+    ReachTotals,
     SimulationJob,
     SnapshotGainsJob,
     SpreadJob,
@@ -39,6 +40,7 @@ __all__ = [
     "JobOutcome",
     "ProcessBackend",
     "ProfileCell",
+    "ReachTotals",
     "SerialBackend",
     "SimulationBackend",
     "SimulationJob",

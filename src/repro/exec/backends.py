@@ -39,9 +39,8 @@ import numpy as np
 
 from typing import Any
 
-from repro.cascade.estimate import SpreadEstimate
 from repro.errors import ExecutionError
-from repro.exec.jobs import SimulationJob
+from repro.exec.jobs import JobResult, SimulationJob
 from repro.obs.metrics import MetricsState, delta_state, get_registry
 from repro.obs.trace import collect_spans, span, trace_scope
 from repro.utils.rng import as_rng
@@ -50,7 +49,7 @@ from repro.utils.rng import as_rng
 #:  serialized trace context or None, harvest-worker-metrics flag).
 JobPayload = tuple[
     int,
-    SimulationJob,
+    SimulationJob[JobResult],
     np.random.SeedSequence,
     float,
     dict[str, str] | None,
@@ -61,7 +60,7 @@ JobPayload = tuple[
 #:  worker metrics delta or None, journal-worthy span records).
 JobRecord = tuple[
     int,
-    tuple[SpreadEstimate, ...],
+    tuple[JobResult, ...],
     float,
     float,
     MetricsState | None,

@@ -31,9 +31,9 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
+from typing import Generic, TypeVar, cast
 from collections.abc import Sequence
 
-from repro.cascade.estimate import SpreadEstimate
 from repro.config import RunConfig
 from repro.errors import ExecutionError
 from repro.exec.backends import (
@@ -43,7 +43,7 @@ from repro.exec.backends import (
     SimulationBackend,
     make_backend,
 )
-from repro.exec.jobs import SimulationJob
+from repro.exec.jobs import JobResult, SimulationJob
 from repro.lint import contracts
 from repro.obs.journal import current_journal
 from repro.obs.log import get_logger
@@ -67,13 +67,15 @@ _JOB_PAYLOAD_BYTES = histogram("exec.job_payload_bytes")
 
 _BATCH_IDS = itertools.count()
 
+ResultT = TypeVar("ResultT", bound=JobResult)
+
 
 @dataclass(frozen=True)
-class JobOutcome:
+class JobOutcome(Generic[ResultT]):
     """One job's results plus its scheduling telemetry."""
 
     index: int
-    estimates: tuple[SpreadEstimate, ...]
+    estimates: tuple[ResultT, ...]
     queue_wait_seconds: float
     job_seconds: float
 
@@ -114,9 +116,9 @@ class Executor:
 
     def run(
         self,
-        jobs: Sequence[SimulationJob],
+        jobs: Sequence[SimulationJob[ResultT]],
         rng: RandomSource = None,
-    ) -> list[JobOutcome]:
+    ) -> list[JobOutcome[ResultT]]:
         """Execute *jobs* as one batch; outcomes are ordered like *jobs*.
 
         Exactly one entropy value is drawn from *rng* per batch (advancing
@@ -159,7 +161,7 @@ class Executor:
         _BATCHES.inc()
         _JOBS_SUBMITTED.inc(len(jobs))
         registry = get_registry()
-        outcomes: list[JobOutcome | None] = [None] * len(jobs)
+        outcomes: list[JobOutcome[ResultT] | None] = [None] * len(jobs)
         worker_spans: list[dict[str, object]] = []
         with span(
             "exec.batch",
@@ -183,8 +185,9 @@ class Executor:
                 delta,
                 span_records,
             ) in self._backend.map_unordered(payloads):
+                # Backends return each job's own results, by job index.
                 outcomes[index] = JobOutcome(
-                    index, estimates, queue_wait, job_seconds
+                    index, cast(tuple[ResultT, ...], estimates), queue_wait, job_seconds
                 )
                 _JOBS_COMPLETED.inc()
                 _QUEUE_WAIT_SECONDS.observe(queue_wait)
@@ -206,7 +209,7 @@ class Executor:
                 f"backend {self.backend_name!r} dropped jobs {missing} of "
                 f"batch {batch_id}"
             )
-        completed: list[JobOutcome] = [o for o in outcomes if o is not None]
+        completed: list[JobOutcome[ResultT]] = [o for o in outcomes if o is not None]
         if contracts.enabled():
             contracts.check_batch(
                 [outcome.estimates for outcome in completed],
@@ -232,10 +235,10 @@ class Executor:
 
     def estimates(
         self,
-        jobs: Sequence[SimulationJob],
+        jobs: Sequence[SimulationJob[ResultT]],
         rng: RandomSource = None,
-    ) -> list[tuple[SpreadEstimate, ...]]:
-        """Convenience wrapper: the per-job estimate tuples of :meth:`run`."""
+    ) -> list[tuple[ResultT, ...]]:
+        """Convenience wrapper: the per-job result tuples of :meth:`run`."""
         return [outcome.estimates for outcome in self.run(jobs, rng=rng)]
 
     def close(self) -> None:

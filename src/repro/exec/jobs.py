@@ -4,8 +4,9 @@ A *job* is a self-contained, picklable description of a batch-able piece of
 Monte-Carlo work: everything it needs (graph, model, seed sets, round
 count) travels with it, and :meth:`~SimulationJob.run` produces a tuple of
 :class:`~repro.cascade.estimate.SpreadEstimate` — one per quantity the job
-estimates.  Self-containment is what lets the same job object execute
-unchanged on the serial, thread, and process backends.
+estimates — or a gains job's one :class:`ReachTotals`.  Self-containment
+is what lets the same job object execute unchanged on the serial, thread,
+and process backends.
 
 **Graph payloads.**  A job's ``graph`` is a
 :class:`~repro.graphs.digraph.DiGraph`.  One opened from a
@@ -21,8 +22,8 @@ Concrete jobs covering the σ(·) quantities of the paper:
 * :class:`CompetitiveJob` — the per-group spreads ``(σ1, .., σr)`` of one
   or more profile cells (:class:`ProfileCell`) under the competitive
   engine, cell-major;
-* :class:`SnapshotGainsJob` — exact per-node reach sizes over a chunk of
-  pre-sampled live-edge masks.
+* :class:`SnapshotGainsJob` — exact per-node reach-size totals
+  (:class:`ReachTotals`) over a run of pre-sampled live-edge masks.
 
 A cell of a ``CompetitiveJob`` may carry its **own stream** (``seed``):
 it then draws every variate from it, so its estimates do not depend on
@@ -41,7 +42,7 @@ can be submitted to an :class:`~repro.exec.executor.Executor`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -60,20 +61,47 @@ _SIMULATIONS = counter("cascade.simulations")
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
 
+#: Snapshots per reach DP in a :class:`SnapshotGainsJob`: bounds the DP's
+#: block-diagonal arrays; results never depend on it.
+MASKS_PER_CHUNK = 8
+
+
+@dataclass(frozen=True, eq=False)
+class ReachTotals:
+    """Per-node reach-size totals over ``samples`` live-edge snapshots.
+
+    ``totals[v]`` is the sum of ``|R_s(v)|`` over the snapshots, an
+    integer, so totals from any split of a sample add up exactly; ``mean``
+    is the per-node average the runtime contracts bound element-wise.
+    """
+
+    totals: np.ndarray
+    samples: int
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.totals / self.samples
+
+
+#: Result of a :class:`SimulationJob`: estimates, or a gains job's totals.
+JobResult = SpreadEstimate | ReachTotals
+ResultT_co = TypeVar("ResultT_co", bound=JobResult, covariant=True)
+
 
 @runtime_checkable
-class SimulationJob(Protocol):
+class SimulationJob(Protocol[ResultT_co]):
     """Anything the execution engine can schedule.
 
     ``run`` receives a dedicated :class:`numpy.random.Generator` (spawned
     from the batch's root seed sequence — see
     :func:`repro.utils.rng.spawn_seed_sequences`) and returns one
-    :class:`SpreadEstimate` per estimated quantity.  ``num_nodes`` bounds
-    every estimate for the opt-in runtime contracts; return ``None`` when
-    no graph-derived bound applies.
+    :class:`SpreadEstimate` per estimated quantity, or one
+    :class:`ReachTotals`.  ``num_nodes`` bounds every estimate's mean (each
+    element of an array mean) for the opt-in runtime contracts; return
+    ``None`` when no graph-derived bound applies.
     """
 
-    def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
+    def run(self, generator: np.random.Generator) -> tuple[ResultT_co, ...]:
         """Execute the job using *generator* for all randomness."""
         ...
 
@@ -182,48 +210,24 @@ class CompetitiveJob:
         return tuple(estimates)
 
 
-def _reach_estimates(
-    graph: DiGraph, masks: tuple[np.ndarray, ...] | list[np.ndarray]
-) -> tuple[SpreadEstimate, ...]:
-    """Per-node reach-size estimates over *masks* (samples = len(masks)).
-
-    One block-diagonal reach DP over the stacked masks gives the
-    ``(masks, nodes)`` reach-size matrix, and one axis-0 reduction gives
-    the means and standard deviations of all nodes.  Reach sizes are
-    integers, so every mean equals the per-node ``from_values`` mean
-    exactly.
-    """
-    values = all_reach_sizes(graph, stack_masks(masks, graph.num_edges)).astype(float)
-    samples = values.shape[0]
-    means = values.mean(axis=0).tolist()
-    stds = (
-        values.std(axis=0, ddof=1).tolist() if samples > 1 else [0.0] * len(means)
-    )
-    return tuple(
-        SpreadEstimate(mean=mean, std=std, samples=samples)
-        for mean, std in zip(means, stds)
-    )
-
-
 @dataclass(frozen=True)
 class SnapshotGainsJob:
-    """Exact per-node reach sizes over a chunk of live-edge snapshots.
+    """Per-node reach-size totals over a run of live-edge snapshots.
 
     Used by the snapshot-greedy algorithms (MixGreedy / CELF) to fan the
-    NewGreedy step out across workers: each job evaluates its chunk of
-    masks with one block-diagonal SCC-condensation DP and returns one
-    estimate **per node** (samples = masks in the chunk).  Pooling the chunk means with
-    the mean formula of :meth:`SpreadEstimate.__add__` (the parent applies
-    it to whole arrays) recovers the average reach over the full snapshot
-    sample; reach sizes are integers, so the pooled means are exact
-    regardless of how masks were chunked.
+    NewGreedy step out across workers: the job runs the block-diagonal
+    SCC-condensation DP over its masks :data:`MASKS_PER_CHUNK` at a time
+    and sums each chunk's ``(masks, nodes)`` size matrix into one
+    ``int64`` :class:`ReachTotals` (samples = its masks).  The chunk bounds
+    the DP's memory only: totals are integers, so the parent's sum over
+    jobs divided by the snapshot count is exact however masks are split.
 
     The job draws no randomness — masks are sampled by the caller (a
     private ``select`` call or a shared per-group
     :class:`~repro.cascade.pools.SnapshotPool`, which also memoizes the
-    pooled result of this batch) so the snapshot sample is identical no
-    matter which backend evaluates it.  Masks may be boolean-style or
-    packed bitsets.
+    gains of this batch) so the snapshot sample is identical no matter
+    which backend evaluates it.  Masks may be boolean-style or packed
+    bitsets.
     """
 
     graph: DiGraph
@@ -233,5 +237,11 @@ class SnapshotGainsJob:
     def num_nodes(self) -> int | None:
         return self.graph.num_nodes
 
-    def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        return _reach_estimates(self.graph, self.masks)
+    def run(self, generator: np.random.Generator) -> tuple[ReachTotals]:
+        totals = np.zeros(self.graph.num_nodes, dtype=np.int64)
+        for start in range(0, len(self.masks), MASKS_PER_CHUNK):
+            chunk = stack_masks(
+                self.masks[start : start + MASKS_PER_CHUNK], self.graph.num_edges
+            )
+            totals += all_reach_sizes(self.graph, chunk).sum(axis=0)
+        return (ReachTotals(totals=totals, samples=len(self.masks)),)

@@ -254,6 +254,8 @@ def spread_panels(cell: ScenarioCell, config: Any) -> dict[str, Any]:
     ``single`` holds the non-competitive baselines s-φ1 / s-φ2, and
     ``base`` the same curves for the first ``min(k, BASE_K)`` seeds of the
     same draws (selectors are prefix-consistent), for the growth check.
+    At ``k <= BASE_K`` those are the k-panels themselves: a second estimate
+    of the same seeds would only test Monte-Carlo noise.
     """
     model = config.model(cell.model)
     space = config.strategy_space(cell.model)
@@ -262,12 +264,10 @@ def spread_panels(cell: ScenarioCell, config: Any) -> dict[str, Any]:
     seeds = _role_seeds(space, graph, cell.k, rng)
     metrics = _spread_panels(config, graph, model, seeds, cell.k, rng)
     base_k = min(cell.k, BASE_K)
-    return {
-        **_labels(space),
-        **metrics,
-        "base_k": base_k,
-        "base": _spread_panels(config, graph, model, seeds, base_k, rng),
-    }
+    base = metrics if base_k == cell.k else _spread_panels(
+        config, graph, model, seeds, base_k, rng
+    )
+    return {**_labels(space), **metrics, "base_k": base_k, "base": base}
 
 
 # ---------------------------------------------------------------------- #

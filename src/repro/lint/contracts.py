@@ -106,7 +106,8 @@ def check_batch(
 
     * the backend returned exactly one result per submitted job;
     * every estimate of every job is finite and, when the job carries a
-      graph bound, its mean lies in ``[0, |V|]`` — a garbage worker result
+      graph bound, its mean lies in ``[0, |V|]``, element-wise for an
+      array mean (a gains job's per-node reach) — a garbage worker result
       (truncated pickle, mismatched stream) corrupts the payoff tensor as
       surely as a broken model does.
     """
@@ -117,14 +118,16 @@ def check_batch(
         )
     for job_index, (estimates, bound) in enumerate(zip(results, num_nodes)):
         for estimate in estimates:
-            mean = float(getattr(estimate, "mean", float("nan")))
-            if not np.isfinite(mean):
+            mean = np.asarray(getattr(estimate, "mean", np.nan), dtype=float)
+            if not np.isfinite(mean).all():
                 raise ContractViolation(
                     f"{name}: job {job_index} produced a non-finite mean"
                 )
-            if mean < 0.0 or (bound is not None and mean > bound):
+            high = np.inf if bound is None else bound
+            outside = mean[(mean < 0.0) | (mean > high)]
+            if outside.size:
                 raise ContractViolation(
-                    f"{name}: job {job_index} mean {mean} outside "
+                    f"{name}: job {job_index} mean {outside[0]} outside "
                     f"[0, {bound}]"
                 )
 

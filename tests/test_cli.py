@@ -276,7 +276,7 @@ class TestObsCommands:
         ) == 0
         samples = parse_prometheus_text(capsys.readouterr().out)
         assert samples["repro_exec_batches_total"] == 3.0
-        assert samples["repro_exec_jobs_completed_total"] == 27.0
+        assert samples["repro_exec_jobs_completed_total"] == 3.0
 
     def test_obs_export_json(self, capsys):
         assert main(

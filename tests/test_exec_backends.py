@@ -14,6 +14,7 @@ from repro.exec import (
     Executor,
     ProcessBackend,
     ProfileCell,
+    ReachTotals,
     SerialBackend,
     SimulationJob,
     SnapshotGainsJob,
@@ -107,14 +108,15 @@ class TestJobs:
         from repro.cascade.reachability import all_reach_sizes
         from repro.cascade.snapshots import sample_snapshots
 
-        masks = sample_snapshots(random_graph, model, 3, as_rng(11))
+        masks = sample_snapshots(random_graph, model, 11, as_rng(11))
         job = SnapshotGainsJob(graph=random_graph, masks=tuple(masks))
-        ests = job.run(as_rng(0))
-        assert len(ests) == random_graph.num_nodes
-        expected = np.mean(
-            [all_reach_sizes(random_graph, m) for m in masks], axis=0
-        )
-        assert [e.mean for e in ests] == pytest.approx(expected.tolist())
+        (result,) = job.run(as_rng(0))
+        assert isinstance(result, ReachTotals)
+        assert result.samples == 11
+        assert result.totals.dtype == np.int64
+        expected = np.sum([all_reach_sizes(random_graph, m) for m in masks], axis=0)
+        assert np.array_equal(result.totals, expected)
+        assert np.array_equal(result.mean, expected / 11)
 
 
 class TestBackends:
@@ -220,6 +222,35 @@ class TestExecutor:
 
         with pytest.raises(ContractViolation):
             Executor("serial").run([LyingJob()], rng=1)
+
+    @pytest.mark.parametrize(
+        "corrupt", ["nan", "negative", "above_bound"], ids=str
+    )
+    def test_contracts_reject_garbage_gains_totals(
+        self, random_graph, model, monkeypatch, corrupt
+    ):
+        from repro.cascade.snapshots import sample_snapshots
+        from repro.lint.contracts import ContractViolation
+
+        masks = tuple(sample_snapshots(random_graph, model, 4, as_rng(3)))
+        n = random_graph.num_nodes
+
+        class CorruptGainsJob(SnapshotGainsJob):
+            def run(self, generator):
+                (result,) = super().run(generator)
+                totals = result.totals.astype(float)
+                totals[5] = {"nan": np.nan, "negative": -1.0, "above_bound": n * 4 + 1}[
+                    corrupt
+                ]
+                return (ReachTotals(totals=totals, samples=result.samples),)
+
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+        job = SnapshotGainsJob(graph=random_graph, masks=masks)
+        Executor("serial").run([job], rng=1)  # the honest job passes
+        with pytest.raises(ContractViolation, match="job 0"):
+            Executor("serial").run(
+                [CorruptGainsJob(graph=random_graph, masks=masks)], rng=1
+            )
 
 
 class TestEnvPlumbing:

@@ -17,8 +17,11 @@ from repro.algorithms.greedy import CELFGreedy, MixGreedy
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.kernels import reachable_mask, reachable_mask_batch
 from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
-from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
+from repro.cascade.reachability import all_reach_sizes
+from repro.cascade.snapshots import SnapshotOracle, sample_snapshots, stack_masks
 from repro.errors import CascadeError
+from repro.exec import Executor
+from repro.exec.jobs import MASKS_PER_CHUNK
 from repro.obs.metrics import counter
 
 _POOL_SAMPLES = counter("cascade.pool_samples")
@@ -135,6 +138,49 @@ class TestPooledSelection:
         masks = pool.masks(model, 10)
         direct = snapshot_initial_gains(karate, masks)
         assert pool.initial_gains(model, 10) == direct
+
+
+_GAINS_EXECUTORS = [
+    ("serial", 1),
+    ("thread", 1),
+    ("thread", 2),
+    ("thread", 3),
+    ("process", 1),
+    ("process", 2),
+    ("process", 3),
+]
+
+
+class TestGainsExactness:
+    """Gains are the stack's integer reach totals divided once, on any backend.
+
+    A gains job returns the reach totals of its masks, so the split into
+    one job per worker cannot move a bit: every backend and worker count
+    must equal ``all_reach_sizes(stack).sum(0) / len(masks)`` exactly.
+    """
+
+    @pytest.fixture(
+        scope="class", params=_GAINS_EXECUTORS, ids=lambda p: f"{p[0]}-{p[1]}"
+    )
+    def executor(self, request):
+        with Executor(*request.param) as executor:
+            yield executor
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 50])
+    def test_gains_equal_exact_reach_totals(self, random_graph, executor, count):
+        masks = sample_snapshots(
+            random_graph, IndependentCascade(0.2), count, rng=count, packed=True
+        )
+        stack = stack_masks(masks, random_graph.num_edges)
+        expected = all_reach_sizes(random_graph, stack).sum(0) / len(masks)
+        submitted = counter("exec.jobs_submitted").value
+        gains = snapshot_initial_gains(random_graph, masks, executor)
+        assert gains == expected.tolist()
+        # One job per worker, each a run of whole 8-mask chunks.
+        chunks = -(-count // MASKS_PER_CHUNK)
+        assert counter("exec.jobs_submitted").value - submitted == min(
+            executor.workers, chunks
+        )
 
 
 class TestGainsInputChecks:

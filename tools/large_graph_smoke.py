@@ -21,7 +21,11 @@ pickles as its O(1) ``GraphRef``.  It asserts the scale-out invariants:
   selection work on the mapped graph — the block-diagonal reach DP behind
   ``pool.initial_gains`` over ``GAINS_SNAPSHOTS`` snapshots and CELF up to
   its second pick, the first that needs the batched oracle sweep — on a
-  serial executor, so their memory counts in this process's peak.
+  serial executor, so their memory counts in this process's peak;
+* **exact parallel gains** — gains over two 8-mask chunks on a 2-worker
+  **process** executor are one batch of one job per worker, each
+  pickling as its ``GraphRef`` plus its share of the packed masks (O(1)
+  beyond the masks), and equal the serial gains bit for bit.
 
 Run from the repo root::
 
@@ -40,9 +44,9 @@ import numpy as np
 
 from repro.algorithms.greedy import run_celf
 from repro.cascade.ic import IndependentCascade
-from repro.cascade.pools import SnapshotPool
+from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
 from repro.exec import Executor
-from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
+from repro.exec.jobs import MASKS_PER_CHUNK, CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.generators import powerlaw_configuration
 from repro.graphs.store import GraphStore, clear_handle_cache
 from repro.obs.journal import RunJournal, attached, read_journal
@@ -60,6 +64,7 @@ MASK_SNAPSHOTS = 4
 MAX_PAYLOAD_PER_JOB = 8192
 MAX_RSS_MB = 512
 GAINS_SNAPSHOTS = 8
+GAINS_WORKERS = 2
 
 
 def peak_rss_mb() -> float:
@@ -150,6 +155,32 @@ def main(argv: list[str] | None = None) -> int:
             MASK_SNAPSHOTS * num_words(num_edges) * 8
         ), f"pool mask bytes {counted} are not the packed footprint"
 
+        # One 8-mask chunk per worker, so the batch can fan out.
+        gains_masks = pool.masks(model, GAINS_WORKERS * MASKS_PER_CHUNK)
+        with Executor("serial") as serial:
+            serial_gains = snapshot_initial_gains(mapped, gains_masks, serial)
+        gains_journal = Path(tmp) / "gains.jsonl"
+        with RunJournal(gains_journal) as journal, attached(journal):
+            with Executor("process", workers=GAINS_WORKERS) as executor:
+                parallel = snapshot_initial_gains(mapped, gains_masks, executor)
+        assert parallel == serial_gains, "process-backend gains differ from serial"
+        del parallel, serial_gains  # 2n Python floats, out of the peak below
+        (event,) = [
+            e for e in read_journal(gains_journal) if e["event"] == "batch_start"
+        ]
+        assert event["jobs"] == GAINS_WORKERS, (
+            f"gains batch has {event['jobs']} jobs, not one per worker"
+        )
+        # Beyond its share of the packed masks, a job carries O(1) bytes.
+        gains_overhead = (
+            event["payload_bytes"] - packed_bytes(gains_masks)
+        ) / event["jobs"]
+        assert gains_overhead <= MAX_PAYLOAD_PER_JOB, (
+            f"gains payload {gains_overhead:.0f}B/job beyond its masks exceeds "
+            f"the O(1) ceiling {MAX_PAYLOAD_PER_JOB}B (CSR would be "
+            f"{csr_bytes}B)"
+        )
+
         with Executor("serial") as serial:
             gains = pool.initial_gains(model, GAINS_SNAPSHOTS, serial)
         assert len(gains) == mapped.num_nodes and min(gains) >= 1.0
@@ -165,6 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(CSR {csr_bytes}B), packed pool masks ({counted}B for "
         f"{MASK_SNAPSHOTS} snapshots vs {MASK_SNAPSHOTS * num_edges}B "
         f"boolean), {GAINS_SNAPSHOTS}-snapshot gains + CELF picks {picks}, "
+        f"{GAINS_WORKERS}-worker process gains identical to serial "
+        f"({gains_overhead:.0f}B/job beyond masks), "
         f"peak RSS {rss:.0f}MiB <= {MAX_RSS_MB}MiB"
     )
     return 0
