@@ -18,8 +18,8 @@ snapshots never meet and every step below runs once for the whole stack:
 * block nodes without a live edge reach only themselves and stay out of
   the DP, so its per-component arrays scale with the live edges rather
   than with ``snapshots * n``;
-* SCC labels come from one :func:`scipy.sparse.csgraph.connected_components`
-  call (``connection="strong"``) over the union graph;
+* SCC labels come from one :func:`strong_components` call over the union
+  graph: a numpy trim + forward-backward colouring (below);
 * condensation edges are the unique ``(label[src], label[dst])`` keys;
 * the union condensation is processed in sink-first Kahn levels, so the
   number of levels is the deepest snapshot's depth, not the sum over
@@ -31,13 +31,24 @@ snapshots never meet and every step below runs once for the whole stack:
 Masks may be boolean-style or packed bitsets (:mod:`repro.utils.bitset`);
 results are identical either way.  Reach sizes are integers, so the result
 is exact whatever the processing order.
+
+:func:`strong_components` is the trim + colouring SCC of Orzan and of Hong
+et al. (SC'13) as whole-array numpy steps.  Live-edge graphs are mostly
+acyclic with small SCCs, so a few sweeps that drop every arc whose tail has
+no in-arc or whose head has no out-arc leave a core of ~10-15% of the
+nodes.  On the core, under scrambled ids, every node takes the largest id
+that reaches it (max-propagation with pointer jumping: whatever reaches
+``colour[v]`` reaches *v*); a node whose colour is its own id roots its
+colour class, and its SCC is the part of the class that reaches it back.
+Resolved SCCs leave the graph and the colouring repeats.  A graph the
+colouring does not settle within a bounded number of sweeps (a long path
+inside a large SCC) is finished by an iterative Tarjan, so the worst case
+stays linear.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.cascade.kernels import live_edge_pairs, segment_ranges, sorted_unique
 from repro.graphs.digraph import DiGraph
@@ -70,15 +81,7 @@ def _reach_sizes(graph: DiGraph, masks: np.ndarray | None) -> np.ndarray:
     active[src] = True
     active[dst] = True
     src, dst = np.cumsum(active)[np.stack([src, dst])] - 1
-    num_active = int(active.sum())
-    live_graph = csr_matrix(
-        (np.ones(src.size, dtype=np.int8), (src, dst)),
-        shape=(num_active, num_active),
-    )
-    num_comps, labels = connected_components(
-        live_graph, directed=True, connection="strong"
-    )
-    label = np.asarray(labels, dtype=np.int64)
+    num_comps, label = strong_components(int(active.sum()), src, dst)
     members = np.bincount(label, minlength=num_comps)
 
     # Condensation DAG: unique cross-component edges, parent-major.
@@ -86,12 +89,12 @@ def _reach_sizes(graph: DiGraph, masks: np.ndarray | None) -> np.ndarray:
     cross = cs != cd
     keys = sorted_unique(cs[cross] * num_comps + cd[cross])
     parent, child = keys // num_comps, keys % num_comps
-    # Edges grouped by parent (keys are parent-major already) and by child.
-    parent_ptr = np.searchsorted(parent, np.arange(num_comps + 1))
-    by_child = np.argsort(child, kind="stable")
-    child_ptr = np.searchsorted(child[by_child], np.arange(num_comps + 1))
-    parents_of = parent[by_child]
-    pending = np.diff(parent_ptr)  # children not yet processed
+    # Edges grouped by parent (keys are parent-major already) and by child;
+    # the order of a child's parents does not matter, so no stable sort.
+    pending = np.bincount(parent, minlength=num_comps)  # children not yet done
+    parent_ptr = _offsets(pending)
+    child_ptr = _offsets(np.bincount(child, minlength=num_comps))
+    parents_of = parent[np.argsort(child)]
 
     # Reach lists live in one growing buffer; a component's list is
     # buffer[start : start + length].  Sinks reach only themselves.
@@ -141,3 +144,193 @@ def _reach_sizes(graph: DiGraph, masks: np.ndarray | None) -> np.ndarray:
     sizes = np.ones(total, dtype=np.int64)
     sizes[active] = comp_sizes[label]
     return sizes.reshape(snapshots, n)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of per-row *counts*."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def strong_components(
+    num_nodes: int, src: np.ndarray, dst: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Strongly connected components of the digraph with arcs ``src[i] -> dst[i]``.
+
+    Returns ``(count, labels)`` with ``labels[v]`` in ``[0, count)``; the
+    numbering is deterministic but otherwise arbitrary.  Self-loops and
+    parallel arcs are allowed.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    loops = src == dst
+    src, dst = _trim(num_nodes, src[~loops], dst[~loops])
+    root = np.arange(num_nodes)
+    if src.size:
+        in_core = np.zeros(num_nodes, dtype=bool)
+        in_core[src] = True
+        in_core[dst] = True
+        core = np.flatnonzero(in_core)
+        # The colouring runs on scrambled ids, so that no id order the
+        # caller's numbering happens to follow along a path slows it down.
+        node_of = core[_scrambled_order(core.size)]
+        scrambled = np.empty(num_nodes, dtype=np.int64)
+        scrambled[node_of] = np.arange(core.size)
+        roots = _colour_roots(core.size, scrambled[src], scrambled[dst])
+        root[core] = node_of[roots][scrambled[core]]
+    is_root = np.zeros(num_nodes, dtype=bool)
+    is_root[root] = True
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
+
+
+def _trim(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop arcs that lie on no cycle, while a sweep still drops many.
+
+    An arc whose tail has no in-arc or whose head has no out-arc is on no
+    cycle.  Each sweep costs the remaining arcs, so sweeping stops once one
+    keeps more than 7/8 of them: a long path would otherwise lose one arc
+    per end per sweep, and the colouring resolves what is left anyway.
+    """
+    has_in = np.zeros(num_nodes, dtype=bool)
+    has_out = np.zeros(num_nodes, dtype=bool)
+    while src.size:
+        has_in[:] = False
+        has_in[dst] = True
+        has_out[:] = False
+        has_out[src] = True
+        keep = has_in[src] & has_out[dst]
+        kept = int(np.count_nonzero(keep))
+        if kept == keep.size:
+            break
+        src, dst = src[keep], dst[keep]
+        if 8 * kept > 7 * keep.size:
+            break
+    return src, dst
+
+
+def _scrambled_order(count: int) -> np.ndarray:
+    """A fixed pseudo-random permutation of ``range(count)`` (splitmix64 keys)."""
+    key = np.arange(count, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    key = (key ^ (key >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    key = (key ^ (key >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return np.argsort(key ^ (key >> np.uint64(31)))
+
+
+#: Colouring passes, and sweeps per max-propagation, before
+#: :func:`_colour_roots` hands the rest of the graph to Tarjan.  Live-edge
+#: graphs need ~4 passes of ~5 sweeps; scrambled ids keep a chain of SCCs
+#: or a long cycle to ~log(n) of each.
+_MAX_PASSES = 32
+_MAX_SWEEPS = 64
+
+
+def _colour_roots(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each node's SCC root, its largest id, by forward-backward colouring.
+
+    ``colour[v]`` is the largest id that reaches *v*; the node whose colour
+    is its own id roots its colour class, and its SCC is the part of the
+    class that reaches it back, i.e. whose largest in-class descendant is
+    the root.  Resolved SCCs leave the graph and the colouring repeats.  A
+    graph that outlasts :data:`_MAX_PASSES` or :data:`_MAX_SWEEPS` is
+    finished by :func:`_tarjan_roots`, so the worst case stays linear.
+    """
+    ids = np.arange(num_nodes)
+    root = ids.copy()
+    live = np.ones(num_nodes, dtype=bool)
+    for _ in range(_MAX_PASSES):
+        if not src.size:
+            return root
+        class_root = _class_roots(ids, src, dst)
+        if class_root is None:
+            break
+        found = (class_root >= 0) & live
+        root[found] = class_root[found]
+        live &= ~found
+        keep = ~(found[src] | found[dst])
+        src, dst = src[keep], dst[keep]
+    nodes = np.flatnonzero(live)
+    local = np.cumsum(live) - 1
+    root[nodes] = nodes[_tarjan_roots(nodes.size, local[src], local[dst])]
+    return root
+
+
+def _class_roots(ids: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+    """One colouring pass: the colour of each node in its class root's SCC, else -1."""
+    colour = _max_reach(ids, src, dst)
+    if colour is None:
+        return None
+    inside = colour[src] == colour[dst]
+    back = _max_reach(ids, dst[inside], src[inside])
+    if back is None:
+        return None
+    return np.where(back == colour, colour, -1)
+
+
+def _max_reach(ids: np.ndarray, tail: np.ndarray, head: np.ndarray) -> np.ndarray | None:
+    """``label[v]``: the largest id with a path to *v* along ``tail -> head`` arcs.
+
+    Max-propagation with pointer jumping (whatever reaches ``label[v]``
+    reaches *v*); ``None`` if it has not settled after :data:`_MAX_SWEEPS`.
+    """
+    label = ids
+    for _ in range(_MAX_SWEEPS):
+        grown = label.copy()
+        np.maximum.at(grown, head, label[tail])
+        grown = grown[grown]
+        if np.array_equal(grown, label):
+            return label
+        label = grown
+    return None
+
+
+def _tarjan_roots(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each node's SCC root, its largest id, by iterative Tarjan: linear time."""
+    order = np.argsort(src, kind="stable")
+    heads = dst[order].tolist()
+    ptr = _offsets(np.bincount(src, minlength=num_nodes)).tolist()
+    index = [-1] * num_nodes
+    low = [0] * num_nodes
+    on_stack = [False] * num_nodes
+    root = list(range(num_nodes))
+    stack: list[int] = []
+    visited = 0
+    for start in range(num_nodes):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = visited
+        visited += 1
+        stack.append(start)
+        on_stack[start] = True
+        work = [(start, ptr[start])]
+        while work:
+            v, pos = work[-1]
+            end = ptr[v + 1]
+            while pos < end:
+                w = heads[pos]
+                pos += 1
+                if index[w] < 0:
+                    work[-1] = (v, pos)
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, ptr[w]))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    top = len(stack) - 1
+                    while stack[top] != v:
+                        top -= 1
+                    members = stack[top:]
+                    del stack[top:]
+                    biggest = max(members)
+                    for w in members:
+                        on_stack[w] = False
+                        root[w] = biggest
+    return np.asarray(root, dtype=np.int64)

@@ -23,12 +23,6 @@ from repro.game.support_enum import support_enumeration
 from repro.game.lemke_howson import lemke_howson
 from repro.game.replicator import replicator_dynamics
 from repro.game.fictitious_play import fictitious_play
-from repro.game.zero_sum import minimax_strategy, security_levels, solve_zero_sum
-from repro.game.correlated import (
-    correlated_equilibrium,
-    expected_payoffs,
-    is_correlated_equilibrium,
-)
 from repro.game.potential import (
     is_potential_game,
     potential_function,
@@ -49,12 +43,6 @@ __all__ = [
     "lemke_howson",
     "replicator_dynamics",
     "fictitious_play",
-    "minimax_strategy",
-    "security_levels",
-    "solve_zero_sum",
-    "correlated_equilibrium",
-    "is_correlated_equilibrium",
-    "expected_payoffs",
     "is_potential_game",
     "potential_function",
     "potential_maximizer",

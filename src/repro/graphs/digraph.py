@@ -2,8 +2,8 @@
 
 The cascade simulators in :mod:`repro.cascade` spend almost all of their time
 iterating over out-neighbourhoods, so the graph is stored as two flat numpy
-arrays per direction (``indptr``/``indices``), the same layout used by
-``scipy.sparse.csr_matrix``.  Nodes are dense integers ``0..n-1``; callers
+arrays per direction (``indptr``/``indices``), the standard CSR layout of
+sparse-matrix libraries.  Nodes are dense integers ``0..n-1``; callers
 with string-labelled data relabel at load time (:mod:`repro.graphs.loaders`
 does this automatically).
 

@@ -5,7 +5,8 @@ kernel in :mod:`repro.cascade.kernels`, written to be audited line by line
 against Section 3.2 of the paper.  The production kernels are vectorized
 and consume randomness in a different order, so they are compared with
 these walks statistically (``tests/test_kernel_equivalence.py``), never
-bit for bit.
+bit for bit.  :func:`tarjan_components` is the textbook oracle for the
+numpy SCC of :mod:`repro.cascade.reachability` (``tests/test_cascade_scc.py``).
 """
 
 from __future__ import annotations
@@ -228,3 +229,45 @@ def simulate_threshold(
                     next_frontier.append(int(v))
         frontier = next_frontier
     return active
+
+
+def tarjan_components(num_nodes: int, arcs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Strongly connected components by Tarjan's recursive algorithm (1972).
+
+    Returns every component as a sorted node list, in the order Tarjan
+    completes them (reverse topological).  Recursion depth is the longest
+    DFS path, so this is for small graphs only.
+    """
+    successors: list[list[int]] = [[] for _ in range(num_nodes)]
+    for u, v in arcs:
+        successors[u].append(v)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[list[int]] = []
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in successors[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            component = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                component.append(w)
+                if w == v:
+                    break
+            components.append(sorted(component))
+
+    for v in range(num_nodes):
+        if v not in index:
+            visit(v)
+    return components

@@ -1,5 +1,7 @@
 """Tests for symmetric mixed-equilibrium computation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,86 @@ class TestRegret:
 
     def test_off_equilibrium_regret_positive(self):
         assert regret_of_symmetric_mixture(hawk_dove(), np.array([1.0, 0.0])) > 0
+
+
+def count_game(z: int, r: int, payoff) -> NormalFormGame:
+    """Symmetric r-player game from ``payoff(action, rival action counts)``."""
+    tensor = np.zeros((z,) * r + (r,))
+    for profile in itertools.product(range(z), repeat=r):
+        for i in range(r):
+            rivals = profile[:i] + profile[i + 1 :]
+            counts = tuple(rivals.count(a) for a in range(z))
+            tensor[profile + (i,)] = payoff(profile[i], counts)
+    return NormalFormGame(tensor)
+
+
+def two_action(r: int, u0, u1) -> NormalFormGame:
+    """Actions 0/1 pay ``u0[m]``/``u1[m]`` when m rivals play action 0."""
+    return count_game(2, r, lambda a, counts: (u0, u1)[a][counts[0]])
+
+
+RPS_ISH = [[0.0, -1.0, 2.0], [2.0, 0.0, -1.0], [-1.0, 3.0, 0.0]]
+
+
+def crowded_rps(action, counts):
+    crowding = 0.5 if counts[action] == 2 else 0.0
+    return sum(RPS_ISH[action][b] * counts[b] for b in range(3)) - crowding
+
+
+def bimatrix(rows) -> NormalFormGame:
+    return NormalFormGame.from_bimatrix(np.array(rows, dtype=float))
+
+
+#: Equilibria computed with the scipy-based solvers (brentq / fsolve) the
+#: numpy root finders replaced; both must agree to 1e-9.
+PINNED = {
+    "z2r2_hawk_dove": (hawk_dove, [0.5, 0.5]),
+    "z2r2_equation3": (
+        lambda: bimatrix([[0.52 * 120, 0.60 * 120], [0.65 * 100, 0.55 * 100]]),
+        [0.8673469387755104, 0.1326530612244896],
+    ),
+    "z2r2_prisoners_dilemma": (lambda: bimatrix([[3.0, 0.0], [5.0, 1.0]]), [0.0, 1.0]),
+    "z2r2_coordination": (lambda: bimatrix([[2.0, 0.0], [0.0, 1.0]]), [1.0, 0.0]),
+    "z2r3_volunteers": (lambda: volunteers_dilemma(3), [0.2928932188134525, 0.7071067811865475]),
+    "z2r3_counts": (
+        lambda: two_action(3, [3.0, 1.5, 0.4], [1.0, 2.2, 2.9]),
+        [0.39658344136445084, 0.6034165586355491],
+    ),
+    "z2r4_volunteers": (lambda: volunteers_dilemma(4), [0.20629947401590057, 0.7937005259840995]),
+    # The gap 1 - 12ρ + 30ρ² - 20ρ³ crosses zero at 0.113, 0.5 and 0.887.
+    "z2r4_three_crossings": (
+        lambda: two_action(4, [1.0, -3.0, 3.0, -1.0], [0.0, 0.0, 0.0, 0.0]),
+        [0.5, 0.5],
+    ),
+    "z2r4_counts": (
+        lambda: two_action(4, [5.0, 3.1, 2.0, 0.7], [1.2, 2.0, 2.6, 3.3]),
+        [0.5560610594418244, 0.4439389405581756],
+    ),
+    "z3r2_rps": (rock_paper_scissors, [1 / 3, 1 / 3, 1 / 3]),
+    "z3r2_rps_ish": (
+        lambda: bimatrix(RPS_ISH),
+        [0.38461538461538464, 0.2692307692307692, 0.34615384615384615],
+    ),
+    "z3r2_two_action_support": (
+        lambda: bimatrix([[0.0, 3.0, 5.0], [1.0, 2.0, 5.0], [-1.0, -1.0, -2.0]]),
+        [0.5, 0.5, 0.0],
+    ),
+    "z3r3_crowded_rps": (
+        lambda: count_game(3, 3, crowded_rps),
+        [0.38128056294905327, 0.26883022262065365, 0.3498892144302931],
+    ),
+    "degenerate_z2_constant": (lambda: bimatrix(np.ones((2, 2))), [1.0, 0.0]),
+    "degenerate_z3_constant": (lambda: bimatrix(np.ones((3, 3))), [1 / 3, 1 / 3, 1 / 3]),
+    "corner_z2_gap_zero_at_one": (lambda: bimatrix([[1.0, 0.0], [1.0, 2.0]]), [1.0, 0.0]),
+    "corner_z2_gap_zero_at_zero": (lambda: bimatrix([[0.0, 1.0], [1.0, 1.0]]), [0.0, 1.0]),
+}
+
+
+class TestPinnedEquilibria:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_pinned_value(self, name):
+        make, expected = PINNED[name]
+        game = make()
+        assert game.is_symmetric()
+        mixture = symmetric_mixed_equilibrium(game)
+        np.testing.assert_allclose(mixture, expected, rtol=0, atol=1e-9)

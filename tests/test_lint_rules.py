@@ -178,7 +178,7 @@ class TestRP002NoFloatEquality:
             def exact(a):
                 return a == 1.0  # reprolint: disable=RP002
             """,
-            "game/zero_sum.py",
+            "game/mixed.py",
             select=["RP002"],
         )
         assert found == []
