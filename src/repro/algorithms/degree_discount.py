@@ -7,21 +7,20 @@ discounted degree
 
 where ``d_v`` is *v*'s degree, ``t_v`` the number of already-selected seeds
 among its neighbours and ``p`` the IC edge probability; repeatedly picks the
-node with the highest ``dd_v``.  Designed for IC with uniform small *p*, but
-usable as a degree-style heuristic under any model.
+node with the highest ``dd_v`` (the shared kernel of
+:mod:`repro.algorithms.discount`).  Designed for IC with uniform small *p*,
+but usable as a degree-style heuristic under any model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import SeedSelector
-from repro.graphs.digraph import DiGraph
-from repro.utils.rng import RandomSource, as_rng
+from repro.algorithms.discount import DiscountSelector
 from repro.utils.validation import check_probability
 
 
-class DegreeDiscount(SeedSelector):
+class DegreeDiscount(DiscountSelector):
     """DegreeDiscountIC with random tie-breaking among equal scores."""
 
     name = "ddic"
@@ -29,32 +28,8 @@ class DegreeDiscount(SeedSelector):
     def __init__(self, probability: float = 0.01) -> None:
         self.probability = check_probability(probability, "probability")
 
-    def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
-        k = self._check_budget(graph, k)
-        generator = as_rng(rng)
-        n = graph.num_nodes
-        p = self.probability
-
-        degree = graph.out_degrees().astype(float)
-        dd = degree.copy()
-        t = np.zeros(n)
-        selected = np.zeros(n, dtype=bool)
-        # Random jitter breaks ties between equal discounted degrees, so the
-        # heuristic is randomized the way the paper's footnote assumes.
-        jitter = generator.random(n) * 1e-9
-
-        seeds: list[int] = []
-        for _ in range(k):
-            masked = np.where(selected, -np.inf, dd + jitter)
-            u = int(np.argmax(masked))
-            selected[u] = True
-            seeds.append(u)
-            for v in graph.out_neighbors(u):
-                if selected[v]:
-                    continue
-                t[v] += 1.0
-                dd[v] = degree[v] - 2.0 * t[v] - (degree[v] - t[v]) * t[v] * p
-        return seeds
+    def score(self, degree: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return degree - 2.0 * t - (degree - t) * t * self.probability
 
     def __repr__(self) -> str:
         return f"DegreeDiscount(p={self.probability})"

@@ -10,22 +10,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import SeedSelector
+from repro.algorithms.discount import DiscountSelector
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_fraction, check_positive_int
 
 
-class HighDegree(SeedSelector):
-    """Top-*k* nodes by out-degree, ties broken randomly."""
+class HighDegree(DiscountSelector):
+    """Top-*k* nodes by out-degree, ties broken randomly.
+
+    The zero-discount rule of the discount kernel: a pick lowers no score,
+    so the picks are the *k* highest ``degree + jitter`` in descending
+    order, lowest index first on ties.
+    """
 
     name = "degree"
 
-    def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
-        k = self._check_budget(graph, k)
-        generator = as_rng(rng)
-        scores = graph.out_degrees().astype(float) + generator.random(graph.num_nodes) * 1e-9
-        order = np.argsort(-scores, kind="stable")
-        return [int(v) for v in order[:k]]
+    def score(self, degree: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return degree
 
 
 class RandomSeeds(SeedSelector):

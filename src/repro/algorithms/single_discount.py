@@ -2,7 +2,8 @@
 
 The ``sdwc`` strategy of the paper: repeatedly pick the node with the
 highest remaining degree, discounting each neighbour's degree by one for
-every selected seed adjacent to it.  Model-agnostic (the paper pairs it with
+every selected seed adjacent to it (the shared kernel of
+:mod:`repro.algorithms.discount`).  Model-agnostic (the paper pairs it with
 the weighted-cascade experiments).
 """
 
@@ -10,32 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import SeedSelector
-from repro.graphs.digraph import DiGraph
-from repro.utils.rng import RandomSource, as_rng
+from repro.algorithms.discount import DiscountSelector
 
 
-class SingleDiscount(SeedSelector):
+class SingleDiscount(DiscountSelector):
     """SingleDiscount with random tie-breaking among equal degrees."""
 
     name = "sdwc"
 
-    def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
-        k = self._check_budget(graph, k)
-        generator = as_rng(rng)
-        n = graph.num_nodes
-
-        remaining = graph.out_degrees().astype(float)
-        selected = np.zeros(n, dtype=bool)
-        jitter = generator.random(n) * 1e-9
-
-        seeds: list[int] = []
-        for _ in range(k):
-            masked = np.where(selected, -np.inf, remaining + jitter)
-            u = int(np.argmax(masked))
-            selected[u] = True
-            seeds.append(u)
-            for v in graph.out_neighbors(u):
-                if not selected[v]:
-                    remaining[v] -= 1.0
-        return seeds
+    def score(self, degree: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return degree - t

@@ -88,6 +88,16 @@ class TestHighDegree:
         top3 = sorted(degrees, reverse=True)[:3]
         assert sorted((degrees[s] for s in seeds), reverse=True) == top3
 
+    def test_picks_equal_stable_argsort_order(self, karate):
+        # Repeated argmax and a stable descending sort both put the lowest
+        # index first among equal scores, so the picks are the sort's prefix.
+        from tests.reference_selection import high_degree_by_argsort
+
+        for rng in range(20):
+            assert HighDegree()._select(karate, 34, rng) == high_degree_by_argsort(
+                karate, 34, rng
+            )
+
     def test_random_tiebreak_varies(self):
         # A graph of equal-degree nodes: different rngs, different picks.
         g = DiGraph.from_undirected(8, [(i, (i + 1) % 8) for i in range(8)])
