@@ -7,7 +7,7 @@ performance, and reports the equilibrium over all five.  A weak strategy
 (random seeding) is included deliberately: the equilibrium must assign it
 zero weight.
 
-Run:  python examples/strategy_tournament.py     (~2-3 minutes)
+Run:  python examples/strategy_tournament.py     (~1 second)
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ def main() -> None:
     space = repro.StrategySpace(
         [
             repro.MixGreedy(model, num_snapshots=60),
-            repro.RISGreedy(model, num_samples=1200),
+            repro.HighDegree(),
             repro.SingleDiscount(),
             repro.PageRankSeeds(),
             repro.RandomSeeds(),

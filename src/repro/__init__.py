@@ -46,7 +46,6 @@ from repro.graphs import (
 from repro.cascade import (
     ClaimRule,
     CompetitiveDiffusion,
-    GeneralThreshold,
     IndependentCascade,
     LinearThreshold,
     SpreadEstimate,
@@ -62,14 +61,12 @@ from repro.algorithms import (
     MixGreedy,
     PageRankSeeds,
     RandomSeeds,
-    RISGreedy,
     SeedSelector,
     SingleDiscount,
     get_algorithm,
 )
 from repro.game import (
     NormalFormGame,
-    fictitious_play,
     lemke_howson,
     pure_nash_equilibria,
     replicator_dynamics,
@@ -103,7 +100,6 @@ from repro.core import (
     estimate_payoff_table,
     get_real,
     jaccard,
-    save_result,
     select_blockers,
     solve_strategy_game,
 )
@@ -142,7 +138,6 @@ __all__ = [
     "IndependentCascade",
     "WeightedCascade",
     "LinearThreshold",
-    "GeneralThreshold",
     "CompetitiveDiffusion",
     "TieBreakRule",
     "ClaimRule",
@@ -158,7 +153,6 @@ __all__ = [
     "HighDegree",
     "PageRankSeeds",
     "RandomSeeds",
-    "RISGreedy",
     "get_algorithm",
     # observability
     "configure_logging",
@@ -177,7 +171,6 @@ __all__ = [
     "support_enumeration",
     "lemke_howson",
     "replicator_dynamics",
-    "fictitious_play",
     # core
     "StrategySpace",
     "MixedStrategy",
@@ -196,5 +189,4 @@ __all__ = [
     "select_blockers",
     "EfficiencyReport",
     "efficiency_report",
-    "save_result",
 ]

@@ -19,7 +19,6 @@ from repro.algorithms.greedy import CELFGreedy, MixGreedy
 from repro.algorithms.degree_discount import DegreeDiscount
 from repro.algorithms.single_discount import SingleDiscount
 from repro.algorithms.heuristics import HighDegree, PageRankSeeds, RandomSeeds
-from repro.algorithms.ris import RISGreedy
 from repro.algorithms.follower import FollowerBestResponse
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "HighDegree",
     "PageRankSeeds",
     "RandomSeeds",
-    "RISGreedy",
     "FollowerBestResponse",
 ]
 
@@ -62,16 +60,6 @@ def _register_defaults() -> None:
     register_algorithm(
         "celfwc",
         lambda num_snapshots=100: CELFGreedy(WeightedCascade(), num_snapshots),
-    )
-    register_algorithm(
-        "risic",
-        lambda probability=0.01, num_samples=2000: RISGreedy(
-            IndependentCascade(probability), num_samples
-        ),
-    )
-    register_algorithm(
-        "riswc",
-        lambda num_samples=2000: RISGreedy(WeightedCascade(), num_samples),
     )
     register_algorithm("ddic", DegreeDiscount)
     register_algorithm("sdwc", SingleDiscount)

@@ -4,13 +4,6 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.wc import WeightedCascade
 from repro.cascade.lt import LinearThreshold
-from repro.cascade.general_threshold import (
-    GeneralThreshold,
-    independent_activation,
-    linear_activation,
-    majority_activation,
-)
-from repro.cascade.icn import NegativeAwareCascade
 from repro.cascade.competitive import (
     ClaimRule,
     CompetitiveDiffusion,
@@ -31,11 +24,6 @@ __all__ = [
     "IndependentCascade",
     "WeightedCascade",
     "LinearThreshold",
-    "GeneralThreshold",
-    "NegativeAwareCascade",
-    "linear_activation",
-    "independent_activation",
-    "majority_activation",
     "ClaimRule",
     "CompetitiveDiffusion",
     "CompetitiveOutcome",

@@ -4,7 +4,6 @@ from repro.core.strategy import MixedStrategy, StrategySpace
 from repro.core.payoff import PayoffTable, estimate_payoff_table
 from repro.core.metrics import (
     CoefficientEstimates,
-    coefficient_sweep,
     estimate_coefficients,
     estimate_coefficients_from_seeds,
     jaccard,
@@ -27,13 +26,6 @@ from repro.core.analysis import (
 )
 from repro.core.blocking import BlockingResult, select_blockers
 from repro.core.best_response import BestResponseOutcome, best_response_dynamics
-from repro.core.reporting import (
-    load_payoff_table,
-    payoff_table_from_dict,
-    payoff_table_to_dict,
-    result_to_dict,
-    save_result,
-)
 
 __all__ = [
     "MixedStrategy",
@@ -41,7 +33,6 @@ __all__ = [
     "PayoffTable",
     "estimate_payoff_table",
     "CoefficientEstimates",
-    "coefficient_sweep",
     "estimate_coefficients",
     "estimate_coefficients_from_seeds",
     "jaccard",
@@ -64,9 +55,4 @@ __all__ = [
     "select_blockers",
     "BestResponseOutcome",
     "best_response_dynamics",
-    "payoff_table_to_dict",
-    "payoff_table_from_dict",
-    "result_to_dict",
-    "save_result",
-    "load_payoff_table",
 ]

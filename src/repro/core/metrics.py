@@ -132,46 +132,6 @@ def estimate_coefficients(
     )
 
 
-def coefficient_sweep(
-    graph: DiGraph,
-    model: CascadeModel,
-    phi1: SeedSelector,
-    phi2: SeedSelector,
-    ks: Sequence[int],
-    rounds: int = 30,
-    rng: RandomSource = None,
-) -> list[tuple[int, CoefficientEstimates]]:
-    """Coefficients for every budget in *ks* from one seed draw at ``max(ks)``.
-
-    Exploits the prefix-consistency contract of seed selectors (the first
-    ``k`` seeds of a ``k_max`` run are the ``k``-budget answer), so the
-    expensive greedy selection runs once per strategy instead of once per
-    budget — the same trick the paper's figures rely on when sweeping k.
-    """
-    if not ks:
-        return []
-    generator = as_rng(rng)
-    k_max = max(ks)
-    s1_a = phi1.select(graph, k_max, generator)
-    s1_b = phi1.select(graph, k_max, generator)
-    s2_a = phi2.select(graph, k_max, generator)
-    s2_b = phi2.select(graph, k_max, generator)
-    results = []
-    for k in ks:
-        coeff = estimate_coefficients_from_seeds(
-            graph,
-            model,
-            s1_a[:k],
-            s1_b[:k],
-            s2_a[:k],
-            s2_b[:k],
-            rounds,
-            generator,
-        )
-        results.append((k, coeff))
-    return results
-
-
 def estimate_coefficients_from_seeds(
     graph: DiGraph,
     model: CascadeModel,

@@ -117,8 +117,7 @@ class SpreadJob:
 
     Models running the default cascade process (IC, WC) run all rounds as
     one single-group frontier sweep (:func:`~repro.cascade.kernels.cascade_spreads`);
-    a model with its own ``simulate`` (LT, IC-N, general threshold) runs one
-    simulation per round.
+    a model with its own ``simulate`` (LT) runs one simulation per round.
     """
 
     graph: DiGraph

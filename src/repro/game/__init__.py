@@ -22,12 +22,6 @@ from repro.game.mixed import (
 from repro.game.support_enum import support_enumeration
 from repro.game.lemke_howson import lemke_howson
 from repro.game.replicator import replicator_dynamics
-from repro.game.fictitious_play import fictitious_play
-from repro.game.potential import (
-    is_potential_game,
-    potential_function,
-    potential_maximizer,
-)
 
 __all__ = [
     "NormalFormGame",
@@ -42,8 +36,4 @@ __all__ = [
     "support_enumeration",
     "lemke_howson",
     "replicator_dynamics",
-    "fictitious_play",
-    "is_potential_game",
-    "potential_function",
-    "potential_maximizer",
 ]

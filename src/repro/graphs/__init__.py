@@ -11,7 +11,6 @@ from repro.graphs.generators import (
     erdos_renyi,
     karate_like_fixture,
     powerlaw_configuration,
-    watts_strogatz,
 )
 from repro.graphs.datasets import DatasetSpec, hep, phy, wiki, get_dataset, DATASETS
 from repro.graphs.stats import (
@@ -40,7 +39,6 @@ __all__ = [
     "erdos_renyi",
     "karate_like_fixture",
     "powerlaw_configuration",
-    "watts_strogatz",
     "DatasetSpec",
     "hep",
     "phy",

@@ -272,47 +272,6 @@ def copying_model(
     return DiGraph(n, np.column_stack([src, targets[ptr]]))
 
 
-def watts_strogatz(
-    num_nodes: int,
-    neighbours: int = 4,
-    rewire_probability: float = 0.1,
-    rng: RandomSource = None,
-) -> DiGraph:
-    """Watts–Strogatz small world, symmetrized to a DiGraph.
-
-    Start from a ring lattice where each node connects to its
-    *neighbours* nearest nodes (must be even), then rewire each edge's far
-    endpoint with probability *rewire_probability*.  High clustering, low
-    diameter — a useful test substrate whose degree distribution is the
-    opposite extreme of the power-law surrogates.
-    """
-    n = check_positive_int(num_nodes, "num_nodes")
-    k = check_positive_int(neighbours, "neighbours")
-    if k % 2 != 0:
-        raise GraphError(f"neighbours must be even, got {k}")
-    if k >= n:
-        raise GraphError(f"neighbours={k} must be < num_nodes={n}")
-    beta = check_probability(rewire_probability, "rewire_probability")
-    generator = as_rng(rng)
-
-    chosen: set[tuple[int, int]] = set()
-    for u in range(n):
-        for offset in range(1, k // 2 + 1):
-            v = (u + offset) % n
-            if generator.random() < beta:
-                # Rewire to a uniform non-self, non-duplicate target.
-                for _ in range(8):  # a few attempts, then keep the lattice edge
-                    w = int(generator.integers(0, n))
-                    key = (u, w) if u < w else (w, u)
-                    if w != u and key not in chosen:
-                        v = w
-                        break
-            key = (u, v) if u < v else (v, u)
-            chosen.add(key)
-    edges = list(chosen)
-    return DiGraph.from_undirected(n, edges)
-
-
 def erdos_renyi(
     num_nodes: int,
     num_edges: int,

@@ -1,7 +1,9 @@
 """Meta tests: documentation, packaging, and public-API hygiene."""
 
+import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,140 @@ class TestDocumentationFiles:
                 for token in line.replace("`", " ").split():
                     if token.startswith("examples/") and token.endswith(".py"):
                         assert (REPO_ROOT / token).exists(), token
+
+
+def _resolve(package: str, dotted: str) -> object:
+    """``package.dotted`` as an object: attributes first, then submodules."""
+    obj = importlib.import_module(package)
+    path = package
+    for part in dotted.split("."):
+        path = f"{path}.{part}"
+        if not hasattr(obj, part):
+            importlib.import_module(path)  # ModuleNotFoundError if neither
+        obj = getattr(obj, part)
+    return obj
+
+
+def _api_table_names() -> list[tuple[str, str]]:
+    """``(package, name)`` for every backticked name in the first column of
+    docs/api.md's tables; a strategy's registry names are left out."""
+    pairs = []
+    package = None
+    for line in (REPO_ROOT / "docs" / "api.md").read_text().splitlines():
+        if line.startswith("## "):
+            match = re.search(r"\(`(repro[\w.]*)`\)", line)
+            package = match.group(1) if match else None
+        elif line.startswith("|") and package is not None:
+            first = line.split("|")[1]
+            first = re.sub(r"\((`[a-z]+`/?)+\)", "", first)
+            for token in re.findall(r"`([^`]+)`", first):
+                pairs.append((package, re.sub(r"\(.*\)$", "", token)))
+    return pairs
+
+
+#: Flags whose value is a strategy name (or a comma-separated list of them).
+STRATEGY_FLAG = re.compile(
+    r"--(?:strategies|algorithm|first|second|rival)[ =]([a-z][a-z0-9_,]*)"
+)
+
+
+class TestApiReferenceMatchesPackage:
+    """docs/api.md lists only names the package has, and the docs give the
+    CLI only strategy names the registry knows."""
+
+    def test_table_names_resolve_in_their_package(self):
+        pairs = _api_table_names()
+        assert len({package for package, _ in pairs}) >= 6
+        missing = []
+        for package, name in pairs:
+            try:
+                if name.startswith("repro."):
+                    importlib.import_module(name)
+                else:
+                    _resolve(package, name)
+            except (AttributeError, ImportError):
+                missing.append(f"{package}: {name}")
+        assert not missing, missing
+
+    def test_registry_names_in_api_tables_are_registered(self):
+        from repro.algorithms import registered_algorithms
+
+        text = (REPO_ROOT / "docs" / "api.md").read_text()
+        groups = re.findall(r"\(((?:`[a-z]+`/?)+)\)", text)
+        names = {name for group in groups for name in re.findall(r"`(\w+)`", group)}
+        assert names, "api.md lists no registry names"
+        assert names <= set(registered_algorithms()), names - set(registered_algorithms())
+
+    def test_cli_strategy_names_in_docs_are_registered(self):
+        from repro.algorithms import registered_algorithms
+
+        registered = set(registered_algorithms())
+        paths = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        used = {}
+        for path in paths:
+            for match in STRATEGY_FLAG.finditer(path.read_text()):
+                for name in match.group(1).split(","):
+                    used.setdefault(name, path.name)
+        assert used, "no --strategies/--algorithm example found"
+        unknown = {name: where for name, where in used.items() if name not in registered}
+        assert not unknown, unknown
+
+
+def _repro_references(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """``(package, dotted name, line)`` for every name an example takes from
+    :mod:`repro`: ``from repro... import x`` and ``repro.a.b`` chains."""
+    aliases = {}
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    # ``import repro.x`` binds ``repro``; ``as y`` binds ``repro.x``.
+                    aliases[alias.asname or "repro"] = alias.name if alias.asname else "repro"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            for alias in node.names:
+                refs.append((node.module, alias.name, node.lineno))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = []
+        inner = node
+        while isinstance(inner, ast.Attribute):
+            chain.append(inner.attr)
+            inner = inner.value
+        if isinstance(inner, ast.Name) and inner.id in aliases:
+            refs.append((aliases[inner.id], ".".join(reversed(chain)), node.lineno))
+    return refs
+
+
+class TestExamplesUseLiveNames:
+    """Every ``repro`` name an example uses exists, so an example that no
+    smoke test runs cannot fall behind a deleted or renamed name."""
+
+    @pytest.mark.parametrize(
+        "script", sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
+    )
+    def test_example_names_resolve(self, script):
+        tree = ast.parse((REPO_ROOT / "examples" / script).read_text())
+        refs = _repro_references(tree)
+        assert refs, f"{script} uses nothing from repro"
+        missing = []
+        for package, name, line in refs:
+            try:
+                _resolve(package, name)
+            except (AttributeError, ImportError):
+                missing.append(f"line {line}: {package}.{name}")
+        assert not missing, missing
+
+    def test_scan_catches_a_dead_name(self):
+        tree = ast.parse(
+            "import repro\nfrom repro.game import gone_solver\nrepro.GoneSelector()\n"
+        )
+        refs = _repro_references(tree)
+        assert ("repro.game", "gone_solver", 2) in refs
+        assert ("repro", "GoneSelector", 3) in refs
+        with pytest.raises(ImportError):
+            _resolve("repro", "GoneSelector")
 
 
 MATRICES = REPO_ROOT / "benchmarks" / "matrices"

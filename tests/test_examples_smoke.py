@@ -60,6 +60,12 @@ class TestExampleScripts:
         assert "equilibrium type" in result.stdout
         assert "seeds to target" in result.stdout
 
+    def test_strategy_tournament_runs(self):
+        result = _run("strategy_tournament.py")
+        assert result.returncode == 0, result.stderr
+        assert "tournament standings" in result.stdout
+        assert "weight on random seeding: 0.0000" in result.stdout
+
     def test_reproduce_paper_rejects_unknown(self):
         result = subprocess.run(
             [sys.executable, str(EXAMPLES / "reproduce_paper.py"), "fig99"],

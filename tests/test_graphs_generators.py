@@ -201,56 +201,6 @@ class TestCopyingModel:
         assert abs(top - 0.46) <= 0.02
 
 
-class TestWattsStrogatz:
-    def test_counts(self):
-        from repro.graphs.generators import watts_strogatz
-
-        g = watts_strogatz(100, neighbours=4, rewire_probability=0.0, rng=0)
-        assert g.num_nodes == 100
-        # Pure lattice: exactly n*k/2 undirected edges, both directions.
-        assert g.num_edges == 2 * (100 * 4 // 2)
-
-    def test_lattice_structure_without_rewiring(self):
-        from repro.graphs.generators import watts_strogatz
-
-        g = watts_strogatz(10, neighbours=2, rewire_probability=0.0, rng=1)
-        for u in range(10):
-            assert g.has_edge(u, (u + 1) % 10)
-
-    def test_rewiring_changes_edges(self):
-        from repro.graphs.generators import watts_strogatz
-
-        lattice = watts_strogatz(60, 4, 0.0, rng=2)
-        rewired = watts_strogatz(60, 4, 0.5, rng=2)
-        assert sorted(lattice.edges()) != sorted(rewired.edges())
-
-    def test_high_clustering_at_low_rewire(self):
-        from repro.graphs.generators import watts_strogatz
-        from repro.graphs.stats import clustering_coefficient
-
-        g = watts_strogatz(200, 6, 0.05, rng=3)
-        assert clustering_coefficient(g, samples=100, rng=4) > 0.3
-
-    def test_odd_neighbours_rejected(self):
-        from repro.graphs.generators import watts_strogatz
-
-        with pytest.raises(GraphError, match="even"):
-            watts_strogatz(20, 3)
-
-    def test_neighbours_bounded(self):
-        from repro.graphs.generators import watts_strogatz
-
-        with pytest.raises(GraphError, match="must be <"):
-            watts_strogatz(4, 4)
-
-    def test_deterministic(self):
-        from repro.graphs.generators import watts_strogatz
-
-        a = watts_strogatz(50, 4, 0.2, rng=9)
-        b = watts_strogatz(50, 4, 0.2, rng=9)
-        assert sorted(a.edges()) == sorted(b.edges())
-
-
 class TestErdosRenyi:
     def test_exact_edge_count(self):
         g = erdos_renyi(50, 200, rng=0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cascade.competitive import CompetitiveDiffusion
-from repro.cascade.general_threshold import GeneralThreshold
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
@@ -17,7 +16,6 @@ MODELS = [
     IndependentCascade(0.3),
     WeightedCascade(),
     LinearThreshold(),
-    GeneralThreshold(),
 ]
 
 
