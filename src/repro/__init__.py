@@ -29,7 +29,6 @@ from repro.errors import (
 )
 from repro.graphs import (
     DiGraph,
-    barabasi_albert,
     community_powerlaw,
     copying_model,
     erdos_renyi,
@@ -121,7 +120,6 @@ __all__ = [
     "JournalError",
     # graphs
     "DiGraph",
-    "barabasi_albert",
     "community_powerlaw",
     "copying_model",
     "erdos_renyi",

@@ -27,8 +27,7 @@ estimate, so their spreads agree within noise).
 When a shared :class:`~repro.cascade.pools.SnapshotPool` is passed to
 ``select`` (the payoff estimator creates one per ``(draw, group)``), both
 algorithms draw their masks, oracle, and initial gains from the pool via
-``_select_pooled`` instead of resampling privately — the work-sharing path
-reprolint rule RP008 steers strategy code towards.
+``_select_pooled`` instead of resampling privately.
 """
 
 from __future__ import annotations
@@ -159,7 +158,7 @@ class _SnapshotGreedyBase(SeedSelector):
         # A private, freshly sampled pool is semantically required here:
         # without a shared pool each select call must stay independently
         # randomized (the Theorem 1 footnote behaviour).
-        masks = sample_snapshots(  # reprolint: disable=RP008
+        masks = sample_snapshots(
             graph, self.model, self.num_snapshots, generator
         )
         oracle = SnapshotOracle(graph, masks)

@@ -54,7 +54,7 @@ from repro.cascade.kernels import (
 from repro.cascade.lt import LinearThreshold
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
-from repro.lint import contracts
+from repro import contracts
 from repro.obs.metrics import Histogram, counter, histogram
 from repro.utils.rng import RandomSource, as_rng
 

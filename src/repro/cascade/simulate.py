@@ -29,7 +29,7 @@ from repro.cascade.estimate import SpreadEstimate
 from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.digraph import DiGraph
-from repro.lint import contracts
+from repro import contracts
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter, histogram
 from repro.utils.rng import RandomSource

@@ -74,8 +74,6 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.loaders import load_edge_list
 from repro.graphs.store import GraphStore, is_store_entry
 from repro.graphs.stats import summarize
-from repro.lint.cli import add_lint_arguments
-from repro.lint.cli import run as lint_run
 from repro.obs import (
     RunJournal,
     attach_journal,
@@ -389,21 +387,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="also expand and print this matrix spec's cells",
     )
 
-    lint = sub.add_parser(
+    # Listed for --help only: main() hands `lint` to repro.lint.cli before
+    # parsing, so the linter is imported only when it runs.
+    sub.add_parser(
         "lint",
-        help="run the reprolint static-analysis rules (per-file RP001-RP009; "
-        "--project adds the whole-program RP010-RP015)",
+        help="run the reprolint static-analysis rules (see 'repro lint --help')",
     )
-    add_lint_arguments(lint)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
 
-    if args.command == "lint":
-        return lint_run(args)
+        return lint_main(argv[1:])
+
+    args = build_parser().parse_args(argv)
 
     if args.command == "journal":
         try:

@@ -38,7 +38,7 @@ from repro.game.mixed import (
 from repro.game.normal_form import NormalFormGame
 from repro.game.pure import is_pure_equilibrium
 from repro.graphs.digraph import DiGraph
-from repro.lint import contracts
+from repro import contracts
 from repro.obs.journal import RunJournal, current_journal
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter

@@ -71,7 +71,7 @@ from repro.exec.executor import Executor, resolve_executor
 from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.game.normal_form import NormalFormGame
 from repro.graphs.digraph import DiGraph
-from repro.lint import contracts
+from repro import contracts
 from repro.obs.journal import RunJournal, current_journal
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter, histogram

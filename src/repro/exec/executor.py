@@ -44,7 +44,7 @@ from repro.exec.backends import (
     make_backend,
 )
 from repro.exec.jobs import JobResult, SimulationJob
-from repro.lint import contracts
+from repro import contracts
 from repro.obs.journal import current_journal
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter, get_registry, histogram

@@ -5,7 +5,6 @@ from repro.graphs.delta import AppliedDelta, EdgeDelta, merge_delta
 from repro.graphs.loaders import load_edge_list, save_edge_list, stream_edge_array
 from repro.graphs.store import GraphRef, GraphStore, resolve_graph
 from repro.graphs.generators import (
-    barabasi_albert,
     community_powerlaw,
     copying_model,
     erdos_renyi,
@@ -33,7 +32,6 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
     "stream_edge_array",
-    "barabasi_albert",
     "community_powerlaw",
     "copying_model",
     "erdos_renyi",

@@ -9,8 +9,7 @@ environment has no network access, so :mod:`repro.graphs.datasets` builds
   the collaboration surrogates (undirected, symmetrized);
 * :func:`copying_model` — Kleinberg-style copying model used for the
   wiki-Talk surrogate (directed, extreme in-degree skew);
-* :func:`barabasi_albert` and :func:`erdos_renyi` — standard baselines used
-  in tests and ablations;
+* :func:`erdos_renyi` — the uniform random baseline used in tests;
 * :func:`karate_like_fixture` — a small deterministic graph for unit tests.
 
 All generators take the library-wide ``rng`` argument (seed / Generator /
@@ -185,37 +184,6 @@ def community_powerlaw(
     edges = np.array(sorted(chosen), dtype=np.int64)
     both = np.vstack([edges, edges[:, ::-1]])
     return DiGraph(n, both)
-
-
-def barabasi_albert(
-    num_nodes: int,
-    edges_per_node: int,
-    rng: RandomSource = None,
-) -> DiGraph:
-    """Barabási–Albert preferential attachment, symmetrized to a DiGraph."""
-    n = check_positive_int(num_nodes, "num_nodes")
-    m = check_positive_int(edges_per_node, "edges_per_node")
-    if m >= n:
-        raise GraphError(f"edges_per_node={m} must be < num_nodes={n}")
-    generator = as_rng(rng)
-
-    # Repeated-nodes implementation: the target list holds one entry per
-    # edge endpoint, so sampling uniformly from it is preferential.
-    targets = list(range(m))
-    repeated: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for v in range(m, n):
-        for t in targets:
-            edges.append((v, t))
-        repeated.extend(targets)
-        repeated.extend([v] * m)
-        idx = generator.integers(0, len(repeated), size=m)
-        targets = list({int(repeated[i]) for i in idx})
-        while len(targets) < m:
-            extra = int(repeated[generator.integers(0, len(repeated))])
-            if extra not in targets:
-                targets.append(extra)
-    return DiGraph.from_undirected(n, edges)
 
 
 def copying_model(

@@ -11,12 +11,13 @@ mechanically:
 * :mod:`repro.lint.rules` — the per-file AST rules;
 * :mod:`repro.lint.engine` — file discovery, suppression handling
   (``# reprolint: disable=RPxxx``), and human/JSON rendering;
-* :mod:`repro.lint.cli` — the ``python -m repro lint`` / ``tools/reprolint``
-  front end;
-* :mod:`repro.lint.contracts` — opt-in runtime contracts
-  (``REPRO_CONTRACTS=1``) asserting cascade invariants during simulation.
+* :mod:`repro.lint.project` — the whole-program rules over a symbol table
+  and call graph of the package;
+* :mod:`repro.lint.cli` — ``python -m repro lint``, one pass running both.
 
-See ``docs/static-analysis.md`` for the full rule catalogue with examples.
+Nothing on the query path imports this package; the runtime invariant
+checks live in :mod:`repro.contracts`.  See ``docs/static-analysis.md``
+for the rule catalogue with examples.
 """
 
 from repro.lint.base import Finding, Rule

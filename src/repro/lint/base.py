@@ -17,7 +17,11 @@ from typing import ClassVar
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a source location."""
+    """One rule violation at a source location.
+
+    ``trace`` is the entry→site call path of a whole-program finding whose
+    evidence crosses modules; per-file findings leave it empty.
+    """
 
     path: str
     line: int
@@ -25,14 +29,16 @@ class Finding:
     code: str
     message: str
     hint: str
+    trace: str = ""
 
     def render(self) -> str:
         """``path:line:col: CODE message`` — the human-readable form."""
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+        base = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+        return f"{base}\n    via: {self.trace}" if self.trace else base
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready representation (stable key set; see docs)."""
-        return {
+        out: dict[str, object] = {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -40,6 +46,9 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
+        if self.trace:
+            out["trace"] = self.trace
+        return out
 
 
 class Rule(ast.NodeVisitor):

@@ -9,7 +9,7 @@ directory name.
 Suppression: a line carrying ``# reprolint: disable=RP001`` silences those
 codes on that line; ``# reprolint: disable=RP001,RP004`` silences several;
 a bare ``# reprolint: disable`` silences every rule on the line.  A finding
-is anchored at the statement that produced it (for RP005, the ``def`` line).
+is anchored at the statement that produced it.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _select_rules(
     ignore: Sequence[str] | None,
 ) -> list[type[Rule]]:
     rules = list(ALL_RULES)
-    if select:
+    if select is not None:
         wanted = set(select)
         unknown = wanted - {r.code for r in ALL_RULES}
         if unknown:

@@ -1,4 +1,4 @@
-"""reprolint v2: whole-program determinism & concurrency analysis.
+"""Whole-program determinism & concurrency analysis.
 
 Where :mod:`repro.lint.rules` checks one file at a time, this package builds
 a symbol table and approximate call graph over the entire ``repro`` package
@@ -10,53 +10,31 @@ and runs taint-style dataflow rules on top:
   (imports, re-exports, star imports, aliases, base-class method lookup);
 * :mod:`repro.lint.project.callgraph` — caller→callee edges, reachability,
   call-path traces for findings;
-* :mod:`repro.lint.project.rules` — RP010–RP015;
-* :mod:`repro.lint.project.baseline` — the checked-in ratchet that pins
-  accepted findings while blocking new ones;
+* :mod:`repro.lint.project.rules` — RP010–RP013 and RP015;
 * :mod:`repro.lint.project.engine` — the extract → aggregate → check driver
-  behind ``python -m repro lint --project``.
+  behind the project half of ``python -m repro lint``.
 """
 
-from repro.lint.project.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.project.callgraph import CallGraph, render_trace
 from repro.lint.project.engine import (
     ProjectReport,
     analyze_project,
-    extract_project,
     module_name_for,
 )
 from repro.lint.project.facts import ModuleFacts, extract_facts
-from repro.lint.project.rules import (
-    PROJECT_RULES,
-    Project,
-    ProjectFinding,
-    ProjectRule,
-    project_rule_by_code,
-)
+from repro.lint.project.rules import PROJECT_RULES, Project, ProjectRule
 from repro.lint.project.symbols import SymbolTable
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "PROJECT_RULES",
     "CallGraph",
     "ModuleFacts",
     "Project",
-    "ProjectFinding",
     "ProjectReport",
     "ProjectRule",
     "SymbolTable",
     "analyze_project",
-    "apply_baseline",
     "extract_facts",
-    "extract_project",
-    "load_baseline",
     "module_name_for",
-    "project_rule_by_code",
     "render_trace",
-    "write_baseline",
 ]

@@ -12,7 +12,7 @@ interpreted through the :class:`~repro.lint.project.symbols.SymbolTable`:
 * ``obj.meth(...)`` with an unknown receiver — conservatively linked to
   **every** project class that defines ``meth`` (over-approximate, which is
   the right bias for determinism analysis: a spurious edge can only add a
-  finding that the baseline or a suppression then documents).
+  finding that a suppression then documents).
 
 The graph is cycle-tolerant: reachability is a plain BFS with a visited set,
 and :meth:`CallGraph.trace` rebuilds one shortest entry→target call path for

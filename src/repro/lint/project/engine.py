@@ -9,14 +9,13 @@ The pipeline has three stages:
 2. **aggregate** — the facts become a
    :class:`~repro.lint.project.symbols.SymbolTable` and a
    :class:`~repro.lint.project.callgraph.CallGraph` (single process, cheap);
-3. **check** — each RP010–RP015 rule inspects the aggregate and emits
-   :class:`~repro.lint.project.rules.ProjectFinding` objects; line-scoped
+3. **check** — each project rule inspects the aggregate and emits
+   :class:`~repro.lint.base.Finding` objects; line-scoped
    ``# reprolint: disable=RPxxx`` comments are honoured by the rules
    themselves (they carry per-module suppression maps).
 
 Files that fail to parse are **never silently skipped**: each produces an
-``RP999`` finding and still participates as an (empty) module, so the CLI
-exits nonzero with a diagnostic.
+``RP999`` finding and still participates as an (empty) module.
 """
 
 from __future__ import annotations
@@ -31,12 +30,7 @@ from repro.lint.base import Finding
 from repro.lint.engine import PARSE_ERROR_CODE, iter_python_files
 from repro.lint.project.callgraph import CallGraph
 from repro.lint.project.facts import ModuleFacts, extract_facts
-from repro.lint.project.rules import (
-    PROJECT_RULES,
-    Project,
-    ProjectFinding,
-    ProjectRule,
-)
+from repro.lint.project.rules import PROJECT_RULES, Project, ProjectRule
 from repro.lint.project.symbols import SymbolTable
 
 #: Below this file count the pool start-up dominates; extract serially.
@@ -71,12 +65,11 @@ def _extract_one(payload: tuple[str, str, str]) -> ModuleFacts:
 
 @dataclass
 class ProjectReport:
-    """Outcome of one whole-program analysis run (pre-baseline)."""
+    """Outcome of one whole-program analysis run."""
 
     findings: list[Finding] = field(default_factory=list)
     parse_errors: list[Finding] = field(default_factory=list)
     modules_analyzed: int = 0
-    package: str = ""
 
     @property
     def all_findings(self) -> list[Finding]:
@@ -87,14 +80,9 @@ class ProjectReport:
 def _select_project_rules(
     select: Sequence[str] | None, ignore: Sequence[str] | None
 ) -> list[type[ProjectRule]]:
-    known = {r.code for r in PROJECT_RULES}
     rules = list(PROJECT_RULES)
-    if select:
-        wanted = {c for c in select if c in known}
-        # codes addressing per-file rules are simply absent here; only codes
-        # unknown to *both* catalogues are a usage error, which the CLI
-        # validates before calling in.
-        rules = [r for r in rules if r.code in wanted]
+    if select is not None:
+        rules = [r for r in rules if r.code in set(select)]
     if ignore:
         rules = [r for r in rules if r.code not in set(ignore)]
     return rules
@@ -105,12 +93,13 @@ def default_jobs() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def extract_project(
-    root: Path, package: str | None = None, jobs: int | None = None
-) -> dict[str, ModuleFacts]:
-    """Stage 1: per-file facts for every module under *root*."""
-    root = Path(root)
-    package = package or root.name
+def extract_project(root: Path, jobs: int | None = None) -> dict[str, ModuleFacts]:
+    """Stage 1: per-file facts for every module under *root*.
+
+    Module names are rooted at the directory's name (``src/repro`` →
+    ``repro.*``).
+    """
+    package = root.name
     files = list(iter_python_files([root]))
     payloads = [
         (str(f), module_name_for(f, root, package), str(f)) for f in files
@@ -133,20 +122,17 @@ def extract_project(
 
 def analyze_project(
     root: Path | str,
-    package: str | None = None,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
     jobs: int | None = None,
 ) -> ProjectReport:
     """Run the full whole-program analysis over the package at *root*."""
-    root = Path(root)
-    package = package or root.name
-    modules = extract_project(root, package=package, jobs=jobs)
-    report = ProjectReport(modules_analyzed=len(modules), package=package)
+    modules = extract_project(Path(root), jobs=jobs)
+    report = ProjectReport(modules_analyzed=len(modules))
     for facts in modules.values():
         if facts.parse_error is not None:
             report.parse_errors.append(
-                ProjectFinding(
+                Finding(
                     path=facts.path,
                     line=facts.parse_error_line,
                     col=1,

@@ -6,7 +6,7 @@ parsed exactly once (possibly in a worker process) and reduced to a
 cross-module rules need: definitions, imports, call sites, and the
 rule-specific "interesting events" (ambient RNG construction, wall-clock
 reads, ``id()`` keying, unordered-set iteration, shared-state mutation,
-contract calls, journal emit/read sites, job constructions).  Facts pickle
+journal emit/read sites, job constructions).  Facts pickle
 cheaply, so the extraction fans out over a process pool and the single-
 process aggregation step stays small.
 
@@ -78,7 +78,6 @@ UNPICKLABLE_CTORS = frozenset(
 GENERATOR_CTORS = frozenset(
     {
         "as_rng",
-        "spawn_rngs",
         "default_rng",
         "np.random.default_rng",
         "numpy.random.default_rng",
@@ -196,9 +195,6 @@ class FunctionFacts:
     name: str
     lineno: int
     class_name: str | None = None
-    is_abstract: bool = False
-    is_trivial: bool = False
-    delegates_to: str | None = None  # "meth" when body is `return self.meth(...)`
     params: tuple[str, ...] = ()
     param_types: dict[str, str] = field(default_factory=dict)
     local_types: dict[str, str] = field(default_factory=dict)
@@ -208,7 +204,6 @@ class FunctionFacts:
     id_keys: list[IdKeySite] = field(default_factory=list)
     set_iters: list[SetIterSite] = field(default_factory=list)
     mutations: list[MutationSite] = field(default_factory=list)
-    contract_calls: list[CallSite] = field(default_factory=list)
     emits: list[EmitSite] = field(default_factory=list)
     reads: list[ReadSite] = field(default_factory=list)
     job_ctors: list[JobCtorSite] = field(default_factory=list)
@@ -245,68 +240,6 @@ class ModuleFacts:
 
 
 _MUTABLE_CTORS = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict"})
-
-
-def _is_abstract(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for decorator in node.decorator_list:
-        name = dotted_name(decorator)
-        if name is not None and name.split(".")[-1] in (
-            "abstractmethod",
-            "abstractproperty",
-        ):
-            return True
-    return False
-
-
-def _body_shape(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> tuple[bool, str | None]:
-    """(is_trivial, delegates_to) from the statement body.
-
-    *Trivial* bodies — docstring-only, ``pass``, ``...``, or a bare
-    ``raise NotImplementedError`` — and single-statement
-    ``return self.meth(...)`` delegators carry no logic of their own, so
-    rules comparing sibling implementations (RP014) skip them.
-    """
-    body = list(node.body)
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        body = body[1:]  # drop the docstring
-    if not body:
-        return True, None
-    if len(body) != 1:
-        return False, None
-    stmt = body[0]
-    if isinstance(stmt, ast.Pass):
-        return True, None
-    if (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and stmt.value.value is Ellipsis
-    ):
-        return True, None
-    if isinstance(stmt, ast.Raise):
-        exc = stmt.exc
-        name = (
-            dotted_name(exc.func)
-            if isinstance(exc, ast.Call)
-            else dotted_name(exc)
-            if exc is not None
-            else None
-        )
-        if name is not None and name.split(".")[-1] == "NotImplementedError":
-            return True, None
-    if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call):
-        callee = dotted_name(stmt.value.func)
-        if callee is not None:
-            parts = callee.split(".")
-            if len(parts) == 2 and parts[0] == "self":
-                return False, parts[1]
-    return False, None
 
 
 def _is_mutable_literal(node: ast.expr) -> str | None:
@@ -413,15 +346,11 @@ class _Extractor(ast.NodeVisitor):
             params.append(arg.arg)
             if arg.annotation is not None:
                 param_types[arg.arg] = ast.unparse(arg.annotation)
-        is_trivial, delegates_to = _body_shape(node)
         fn = FunctionFacts(
             qualname=qual,
             name=node.name,
             lineno=node.lineno,
             class_name=cls.name if cls is not None else None,
-            is_abstract=_is_abstract(node),
-            is_trivial=is_trivial,
-            delegates_to=delegates_to,
             params=tuple(params),
             param_types=param_types,
         )
@@ -619,11 +548,6 @@ class _Extractor(ast.NodeVisitor):
             if fn is not None:
                 fn.calls.append(CallSite(name, node.lineno))
                 parts = name.split(".")
-                # Candidate contract calls; RP014 resolves them through the
-                # symbol table and keeps only the ones landing in a module
-                # actually named "contracts".
-                if parts[-1].startswith("check_"):
-                    fn.contract_calls.append(CallSite(name, node.lineno))
                 if name in WALL_CLOCK_CALLS or (
                     len(parts) >= 2
                     and parts[-2] in ("time", "datetime", "date")

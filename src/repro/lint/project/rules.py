@@ -1,6 +1,6 @@
-"""The RP010–RP015 whole-program rule catalogue.
+"""The whole-program rule catalogue: RP010–RP013 and RP015.
 
-Unlike the per-file rules (RP001–RP009), these run over a :class:`Project`
+Unlike the per-file rules (RP001–RP004, RP009), these run over a :class:`Project`
 — symbol table plus approximate call graph — so they can see an ambient
 ``default_rng()`` three call hops below a job, an unpicklable closure
 captured into a process-backend payload, or a journal reader whose expected
@@ -9,8 +9,8 @@ entry→site call path) when the evidence is cross-module.
 
 The dataflow model is deliberately over-approximate (unknown-receiver calls
 fan out to every same-named method; see ``docs/static-analysis.md`` for the
-full list of approximations).  The baseline ratchet and line-scoped
-suppressions absorb accepted findings, so the rules can stay sound-biased.
+full list of approximations).  Line-scoped suppressions record accepted
+findings, so the rules can stay sound-biased.
 """
 
 from __future__ import annotations
@@ -35,25 +35,6 @@ KEY_BUILDER_NAMES = frozenset(
 #: Dataclass field annotations that cannot (or must not) cross a process
 #: boundary inside a job payload.
 UNPICKLABLE_ANNOTATIONS = ("Generator", "Lock", "RLock", "IO", "TextIO", "BinaryIO")
-
-
-@dataclass(frozen=True, order=True)
-class ProjectFinding(Finding):
-    """A :class:`Finding` with an optional cross-module call-path trace."""
-
-    trace: str = ""
-
-    def as_dict(self) -> dict[str, object]:
-        out = super().as_dict()
-        if self.trace:
-            out["trace"] = self.trace
-        return out
-
-    def render(self) -> str:
-        base = super().render()
-        if self.trace:
-            return f"{base}\n    via: {self.trace}"
-        return base
 
 
 @dataclass
@@ -130,7 +111,7 @@ class ProjectRule:
     rationale: ClassVar[str] = ""
     hint: ClassVar[str] = ""
 
-    def check(self, project: Project) -> list[ProjectFinding]:
+    def check(self, project: Project) -> list[Finding]:
         raise NotImplementedError
 
     def finding(
@@ -140,8 +121,8 @@ class ProjectRule:
         message: str,
         trace: str = "",
         col: int = 1,
-    ) -> ProjectFinding:
-        return ProjectFinding(
+    ) -> Finding:
+        return Finding(
             path=facts.path,
             line=line,
             col=col,
@@ -178,8 +159,8 @@ class RngProvenance(ProjectRule):
         "'# reprolint: disable=RP010' and a comment citing the decision"
     )
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         entries = project.determinism_entries()
         parents = project.callgraph.reachable_from(entries)
         for facts, fn, symbol_id in project.symbols.iter_functions():
@@ -263,8 +244,8 @@ class NondeterminismSources(ProjectRule):
             stack.extend(reverse.get(current, ()))
         return forward | backward
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         sensitive = self._sensitive_ids(project)
         for facts, fn, symbol_id in project.symbols.iter_functions():
             for id_site in fn.id_keys:
@@ -335,8 +316,8 @@ class PickleSafety(ProjectRule):
         "generator": "a live numpy Generator",
     }
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         for facts, fn, _symbol_id in project.symbols.iter_functions():
             for ctor in fn.job_ctors:
                 for arg in ctor.args:
@@ -395,8 +376,8 @@ class SharedStateMutation(ProjectRule):
         "need no lock"
     )
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         entries = project.job_run_entries()
         parents = project.callgraph.reachable_from(entries)
         for facts, fn, symbol_id in project.symbols.iter_functions():
@@ -418,147 +399,6 @@ class SharedStateMutation(ProjectRule):
                         f"{site.target!r} in {fn.qualname}, reachable from "
                         "a thread-backend job",
                         trace=trace,
-                    )
-                )
-        return findings
-
-
-class ContractCoverage(ProjectRule):
-    """RP014: sibling implementations carry the same runtime contracts.
-
-    When one overload path — one subclass override, or the python half of a
-    python/numpy kernel pair — validates with ``REPRO_CONTRACTS`` checks
-    and its sibling does not, enabling contracts in CI only half-verifies
-    the invariant: the unchecked path can corrupt the payoff tensor while
-    the matrix stays green.
-    """
-
-    code: ClassVar[str] = "RP014"
-    name: ClassVar[str] = "contract-coverage"
-    rationale: ClassVar[str] = (
-        "REPRO_CONTRACTS checks present on one overload path but absent "
-        "from a sibling leave the sibling unverified while CI reports the "
-        "invariant as covered"
-    )
-    hint: ClassVar[str] = (
-        "add the same contracts.check_* call (behind contracts.enabled()) "
-        "to the sibling path, or hoist the check into the shared caller"
-    )
-
-    _KERNEL_SUFFIXES: ClassVar[tuple[str, str]] = ("_python", "_numpy")
-
-    @staticmethod
-    def _is_contract_call(project: Project, module: str, callee: str) -> bool:
-        """Whether a recorded ``check_*`` call lands in a contracts module.
-
-        Resolution through the symbol table distinguishes
-        ``contracts.check_spread`` from an unrelated ``check_positive_int``
-        imported from a validation helper.
-        """
-        resolved = project.symbols.resolve(module, callee)
-        if resolved is None:
-            # unresolved (e.g. external) calls count only when the written
-            # qualifier names a contracts module explicitly
-            return "contracts" in callee.split(".")[:-1]
-        return resolved.partition(":")[0].split(".")[-1] == "contracts"
-
-    def _calls_contracts(self, project: Project, symbol_id: str) -> bool:
-        fn = project.symbols.function(symbol_id)
-        if fn is None:
-            return False
-        module = symbol_id.partition(":")[0]
-        return any(
-            self._is_contract_call(project, module, call.callee)
-            for call in fn.contract_calls
-        )
-
-    def _has_contracts(self, project: Project, symbol_id: str) -> bool:
-        if self._calls_contracts(project, symbol_id):
-            return True
-        return any(
-            self._calls_contracts(project, callee)
-            for callee in sorted(project.callgraph.edges.get(symbol_id, ()))
-        )
-
-    @staticmethod
-    def _is_concrete(project: Project, member: str) -> bool:
-        """Family members with real logic of their own.
-
-        Abstract declarations, docstring/``pass``/``NotImplementedError``
-        stubs, and one-line ``return self.meth(...)`` delegators have
-        nothing to validate, so they neither need contracts nor count as a
-        covered sibling.
-        """
-        fn = project.symbols.function(member)
-        return (
-            fn is not None
-            and not fn.is_abstract
-            and not fn.is_trivial
-            and fn.delegates_to is None
-        )
-
-    def _families(self, project: Project) -> list[list[str]]:
-        families: list[list[str]] = []
-        # (a) same-named overrides below a common analyzed base class
-        for facts in project.modules.values():
-            for name, cls in facts.classes.items():
-                base_id = f"{facts.module}:{name}"
-                subclasses = project.symbols.subclasses_of(base_id)
-                if not subclasses:
-                    continue
-                for method in cls.methods:
-                    if method.startswith("__"):
-                        continue
-                    members = [f"{facts.module}:{name}.{method}"]
-                    for sub_id in subclasses:
-                        sub_module, _, sub_name = sub_id.partition(":")
-                        sub_facts = project.modules[sub_module]
-                        qual = f"{sub_name}.{method}"
-                        if qual in sub_facts.functions:
-                            members.append(f"{sub_module}:{qual}")
-                    if len(members) > 1:
-                        families.append(members)
-        # (b) python/numpy kernel pairs in one module
-        for facts in project.modules.values():
-            by_stem: dict[str, list[str]] = {}
-            for qual, fn in facts.functions.items():
-                for suffix in self._KERNEL_SUFFIXES:
-                    if fn.name.endswith(suffix):
-                        stem = fn.name[: -len(suffix)]
-                        by_stem.setdefault(stem, []).append(
-                            f"{facts.module}:{qual}"
-                        )
-            families.extend(m for m in by_stem.values() if len(m) > 1)
-        return families
-
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
-        reported: set[str] = set()
-        for family in self._families(project):
-            concrete = [m for m in family if self._is_concrete(project, m)]
-            if len(concrete) < 2:
-                continue
-            covered = [m for m in concrete if self._has_contracts(project, m)]
-            if not covered or len(covered) == len(concrete):
-                continue
-            exemplar = covered[0]
-            for member in concrete:
-                if member in covered or member in reported:
-                    continue
-                fn = project.symbols.function(member)
-                module = member.partition(":")[0]
-                facts = project.modules[module]
-                if fn is None:
-                    continue
-                if project.suppressed(facts, fn.lineno, self.code):
-                    continue
-                reported.add(member)
-                findings.append(
-                    self.finding(
-                        facts,
-                        fn.lineno,
-                        f"{fn.qualname} lacks the REPRO_CONTRACTS checks its "
-                        f"sibling path {exemplar} performs",
                     )
                 )
         return findings
@@ -587,7 +427,7 @@ class JournalSchemaConsistency(ProjectRule):
         "'# reprolint: disable=RP015' at the reader"
     )
 
-    def check(self, project: Project) -> list[ProjectFinding]:
+    def check(self, project: Project) -> list[Finding]:
         writers: dict[str, set[str]] = {}
         open_events: set[str] = set()
         writer_sites: dict[str, list[str]] = {}
@@ -601,7 +441,7 @@ class JournalSchemaConsistency(ProjectRule):
                     open_events.add(emit.event)
         if not writers:
             return []
-        findings: list[ProjectFinding] = []
+        findings: list[Finding] = []
         for facts, fn, _symbol_id in project.symbols.iter_functions():
             for read in fn.reads:
                 if read.event not in writers:
@@ -632,17 +472,6 @@ PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     NondeterminismSources,
     PickleSafety,
     SharedStateMutation,
-    ContractCoverage,
     JournalSchemaConsistency,
 )
 
-
-def project_rule_by_code(code: str) -> type[ProjectRule]:
-    """Look up a project rule class by its ``RPxxx`` code."""
-    for rule in PROJECT_RULES:
-        if rule.code == code:
-            return rule
-    raise KeyError(
-        f"unknown project rule code {code!r}; known: "
-        f"{', '.join(r.code for r in PROJECT_RULES)}"
-    )

@@ -65,14 +65,6 @@ class SymbolTable:
         """The :class:`Symbol` for a global id, or None."""
         return self._symbols.get(symbol_id)
 
-    def function(self, symbol_id: str) -> FunctionFacts | None:
-        """The facts of the function behind *symbol_id*, or None."""
-        module, _, qual = symbol_id.partition(":")
-        facts = self.modules.get(module)
-        if facts is None:
-            return None
-        return facts.functions.get(qual)
-
     def class_facts(self, symbol_id: str) -> ClassFacts | None:
         """The facts of the class behind *symbol_id*, or None."""
         module, _, qual = symbol_id.partition(":")
@@ -210,11 +202,3 @@ class SymbolTable:
                     out.append(candidate)
         return out
 
-    def classes_with_method(self, method: str) -> list[str]:
-        """Ids of classes that define *method* directly."""
-        out: list[str] = []
-        for facts in self.modules.values():
-            for name, cls in facts.classes.items():
-                if method in cls.methods:
-                    out.append(f"{facts.module}:{name}")
-        return out

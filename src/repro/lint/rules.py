@@ -1,4 +1,4 @@
-"""The RP001–RP009 rule catalogue.
+"""The per-file rule catalogue: RP001–RP004 and RP009.
 
 Each rule is scoped to the packages where its invariant is load-bearing
 (see :meth:`~repro.lint.base.Rule.applies_to`); scoping is by path parts so
@@ -319,219 +319,6 @@ class CacheMetricHandles(Rule):
         self.generic_visit(node)
 
 
-class PublicAPIAnnotations(Rule):
-    """RP005: public functions in the estimation stack are fully annotated.
-
-    ``core/``, ``game/``, and ``cascade/`` form the numerical core whose
-    types (Generator vs seed, ndarray vs list) are exactly where silent
-    corruption enters; full annotations keep ``mypy --strict`` meaningful
-    there and make the rng-injection discipline visible in every signature.
-    """
-
-    code: ClassVar[str] = "RP005"
-    name: ClassVar[str] = "public-api-annotations"
-    rationale: ClassVar[str] = (
-        "the numerical core's contracts (Generator vs seed, ndarray shapes) "
-        "must be machine-checkable; unannotated APIs rot silently"
-    )
-    hint: ClassVar[str] = (
-        "annotate every parameter and the return type; run "
-        "'mypy --strict' (see pyproject [tool.mypy]) to verify"
-    )
-
-    @classmethod
-    def applies_to(cls, module: tuple[str, ...]) -> bool:
-        return module_matches(module, "core", "game", "cascade")
-
-    def __init__(self, path: str, module: tuple[str, ...]):
-        super().__init__(path, module)
-        self._class_stack: list[str] = []
-        self._function_depth = 0
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._function_depth:
-            return  # classes defined inside functions are not public API
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    @staticmethod
-    def _is_public_name(name: str) -> bool:
-        if name.startswith("__") and name.endswith("__"):
-            return True  # dunders are API: __init__, __add__, __len__, ...
-        return not name.startswith("_")
-
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if self._function_depth:
-            return  # nested helpers are implementation detail
-        enclosing_private = any(name.startswith("_") for name in self._class_stack)
-        if self._is_public_name(node.name) and not enclosing_private:
-            missing: list[str] = []
-            for arg in iter_arguments(node.args):
-                if arg.arg in ("self", "cls"):
-                    continue
-                if arg.annotation is None:
-                    missing.append(arg.arg)
-            if node.returns is None:
-                missing.append("return")
-            if missing:
-                self.report(
-                    node,
-                    f"public function {node.name!r} missing type annotations "
-                    f"for: {', '.join(missing)}",
-                )
-        self._function_depth += 1
-        self.generic_visit(node)
-        self._function_depth -= 1
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-
-class NoAdHocSimulationLoops(Rule):
-    """RP006: Monte-Carlo repetition belongs to the execution engine.
-
-    A hand-rolled loop over ``model.spread_once(...)`` or
-    ``CompetitiveDiffusion(...).run(...)`` pins its simulations to one
-    thread, draws from whatever generator happens to be in scope (so the
-    result depends on call order, not just the master seed), and is
-    invisible to the batch instrumentation.  Only the execution engine's
-    job types (``repro/exec/``) and the thin estimation wrappers in
-    ``cascade/simulate.py`` may run simulations directly.
-    """
-
-    code: ClassVar[str] = "RP006"
-    name: ClassVar[str] = "no-adhoc-simulation-loops"
-    rationale: ClassVar[str] = (
-        "ad-hoc simulation loops bypass the batched executor: they cannot "
-        "be parallelized, escape the batch metrics/journal, and break the "
-        "one-entropy-draw-per-batch determinism scheme"
-    )
-    hint: ClassVar[str] = (
-        "describe the repetition as SpreadJob/CompetitiveJob objects and "
-        "submit one batch via repro.exec.Executor (estimate_spread / "
-        "estimate_competitive_spread wrap the single-job case)"
-    )
-
-    @classmethod
-    def applies_to(cls, module: tuple[str, ...]) -> bool:
-        if "exec" in module[:-1]:
-            return False
-        return module[-2:] != ("cascade", "simulate.py")
-
-    def __init__(self, path: str, module: tuple[str, ...]):
-        super().__init__(path, module)
-        self._loop_depth = 0
-        self._engine_names: set[str] = set()
-
-    @staticmethod
-    def _is_engine_ctor(node: ast.expr) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        name = dotted_name(node.func)
-        return name is not None and name.split(".")[-1] == "CompetitiveDiffusion"
-
-    def _record_engine(self, target: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            self._engine_names.add(target.id)
-        elif isinstance(target, ast.Attribute):
-            self._engine_names.add(target.attr)  # self.engine = ...
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._is_engine_ctor(node.value):
-            for target in node.targets:
-                self._record_engine(target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None and self._is_engine_ctor(node.value):
-            self._record_engine(node.target)
-        self.generic_visit(node)
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
-    visit_ListComp = _visit_loop
-    visit_SetComp = _visit_loop
-    visit_DictComp = _visit_loop
-    visit_GeneratorExp = _visit_loop
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if self._loop_depth > 0 and isinstance(func, ast.Attribute):
-            if func.attr == "spread_once":
-                self.report(
-                    node, "simulation loop over spread_once(...) outside the engine"
-                )
-            elif func.attr == "run":
-                owner: str | None = None
-                if isinstance(func.value, ast.Name):
-                    owner = func.value.id
-                elif isinstance(func.value, ast.Attribute):
-                    owner = func.value.attr
-                if owner in self._engine_names or self._is_engine_ctor(func.value):
-                    self.report(
-                        node,
-                        "simulation loop over CompetitiveDiffusion.run(...) "
-                        "outside the engine",
-                    )
-        self.generic_visit(node)
-
-
-class UseSharedSnapshotPools(Rule):
-    """RP008: strategies acquire live-edge pools via the shared-pool API.
-
-    A direct ``sample_snapshots(...)`` call inside an algorithm module
-    creates a private live-edge sample: it repeats the dominant selection
-    cost once per strategy instead of once per group, and the sample is
-    invisible to the work-sharing layer (no pool token, so the selection
-    cache cannot key on it).  Snapshot-consuming strategies should declare
-    ``uses_snapshots = True`` and take their masks, oracle, and initial
-    gains from the :class:`repro.cascade.pools.SnapshotPool` passed to
-    ``_select_pooled``.  Where an independently randomized private sample
-    is semantically required (the no-pool fallback path preserving the
-    Theorem 1 footnote behaviour), carry an explicit suppression.
-    """
-
-    code: ClassVar[str] = "RP008"
-    name: ClassVar[str] = "use-shared-snapshot-pools"
-    rationale: ClassVar[str] = (
-        "private snapshot sampling in strategy code repeats the dominant "
-        "selection cost per strategy and hides the sample from the "
-        "work-sharing layer (pools, selection cache)"
-    )
-    hint: ClassVar[str] = (
-        "implement _select_pooled and read masks/oracle/initial gains from "
-        "the shared SnapshotPool; suppress with "
-        "'# reprolint: disable=RP008' only where an independent private "
-        "sample is semantically required"
-    )
-
-    @classmethod
-    def applies_to(cls, module: tuple[str, ...]) -> bool:
-        return module_matches(module, "algorithms")
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name: str | None = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "sample_snapshots":
-            self.report(
-                node,
-                "direct sample_snapshots(...) call in a strategy module; "
-                "use the shared SnapshotPool API",
-            )
-        self.generic_visit(node)
-
-
 class UseSpanTiming(Rule):
     """RP009: ad-hoc ``perf_counter()`` pairs bypass the tracing layer.
 
@@ -620,9 +407,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NoFloatEquality,
     NoGraphMutation,
     CacheMetricHandles,
-    PublicAPIAnnotations,
-    NoAdHocSimulationLoops,
-    UseSharedSnapshotPools,
     UseSpanTiming,
 )
 

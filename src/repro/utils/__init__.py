@@ -1,26 +1,22 @@
 """Shared utilities: RNG handling, timing, validation, and table rendering."""
 
-from repro.utils.rng import RandomSource, as_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
+from repro.utils.rng import RandomSource, as_rng
+from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_fraction,
     check_positive_int,
     check_probability,
 )
-from repro.utils.tables import format_table, write_csv
-from repro.utils.charts import ascii_chart, series_from_rows
+from repro.utils.tables import format_table
+from repro.utils.charts import ascii_chart
 
 __all__ = [
     "RandomSource",
     "as_rng",
-    "spawn_rngs",
     "Stopwatch",
-    "timed",
     "check_fraction",
     "check_positive_int",
     "check_probability",
     "format_table",
-    "write_csv",
     "ascii_chart",
-    "series_from_rows",
 ]

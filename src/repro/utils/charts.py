@@ -63,19 +63,3 @@ def ascii_chart(
     )
     lines.append(" " * 12 + legend)
     return "\n".join(lines)
-
-
-def series_from_rows(
-    rows: Sequence[Mapping[str, object]],
-    x_key: str,
-    y_key: str,
-    group_key: str,
-) -> dict[str, list[tuple[float, float]]]:
-    """Group row dicts into the series mapping :func:`ascii_chart` expects."""
-    out: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        name = str(row[group_key])
-        out.setdefault(name, []).append((float(row[x_key]), float(row[y_key])))
-    for pts in out.values():
-        pts.sort()
-    return out

@@ -6,7 +6,8 @@ estimation) accepts a ``rng`` argument of type :data:`RandomSource` — either
 an integer seed, ``None`` (fresh OS entropy), or an existing
 :class:`numpy.random.Generator`.  Normalizing through :func:`as_rng` keeps
 experiments reproducible end to end: a single seed at the top level
-deterministically derives every stream below it via :func:`spawn_rngs`.
+deterministically derives every stream below it via
+:func:`spawn_seed_sequences`.
 """
 
 from __future__ import annotations
@@ -64,19 +65,6 @@ def as_rng(rng: RandomSource = None) -> np.random.Generator:
         "rng must be None, an int seed, a SeedSequence, or a numpy "
         f"Generator, got {type(rng).__name__}"
     )
-
-
-def spawn_rngs(rng: RandomSource, count: int) -> list[np.random.Generator]:
-    """Derive *count* independent child generators from *rng*.
-
-    The children are statistically independent streams (via
-    :meth:`numpy.random.Generator.spawn`), so parallel or repeated
-    sub-experiments never share state with each other or with the parent.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = as_rng(rng)
-    return list(parent.spawn(count))
 
 
 def spawn_seed_sequences(rng: RandomSource, count: int) -> list[np.random.SeedSequence]:

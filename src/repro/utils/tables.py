@@ -7,8 +7,6 @@ comparable with the published tables and figure series.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from collections.abc import Mapping, Sequence
 
 
@@ -57,27 +55,3 @@ def format_table(
             "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
         )
     return "\n".join(lines)
-
-
-def write_csv(
-    rows: Sequence[Mapping[str, object]],
-    path: str | Path,
-    columns: Sequence[str] | None = None,
-) -> None:
-    """Write row dicts as CSV (header + one line per row).
-
-    *columns* fixes the column order; by default the union of all row keys
-    in first-seen order is used.  Missing cells are left empty.
-    """
-    path = Path(path)
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(columns), extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({col: row.get(col, "") for col in columns})

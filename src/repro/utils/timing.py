@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Iterator
 
 
 @dataclass
@@ -50,21 +48,3 @@ class Stopwatch:
         if not self.laps:
             raise RuntimeError("no laps recorded")
         return self.elapsed / len(self.laps)
-
-
-@contextmanager
-def timed() -> Iterator[Stopwatch]:
-    """Context manager yielding a single-lap :class:`Stopwatch`.
-
-    >>> with timed() as watch:
-    ...     _ = [i * i for i in range(10)]
-    >>> watch.elapsed >= 0.0
-    True
-    """
-    watch = Stopwatch()
-    watch.start()
-    try:
-        yield watch
-    finally:
-        if watch._started_at is not None:
-            watch.stop()

@@ -1,4 +1,4 @@
-"""Report which scipy modules a fresh GetReal process loads.
+"""Report which scipy and linter modules a fresh GetReal process loads.
 
 Run in a fresh interpreter, this imports :mod:`repro`, answers two small
 GetReal queries on the hep surrogate (MixGreedy vs DegreeDiscount, two
@@ -6,6 +6,7 @@ groups) and prints one JSON object:
 
 * ``parent`` -- the ``scipy*`` modules in this process's ``sys.modules``
   after the import and after both queries;
+* ``lint`` -- the ``repro.lint*`` modules loaded by ``import repro``;
 * ``workers`` -- the ``scipy*`` modules each process-pool worker reports
   through a probe job run after the pooled query;
 * ``kinds`` -- the equilibrium kind of the serial and the pooled query.
@@ -24,9 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def loaded(package: str) -> list[str]:
+    """The loaded modules of *package*, sorted."""
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
+
 def scipy_modules() -> list[str]:
     """The loaded modules of the scipy package, sorted."""
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return loaded("scipy")
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,7 @@ def main() -> dict[str, object]:
     from repro.exec import Executor
 
     after_import = scipy_modules()
+    lint_after_import = loaded("repro.lint")
     graph = repro.hep(scale=0.02)
     model = repro.IndependentCascade(0.05)
     kinds = []
@@ -62,6 +69,7 @@ def main() -> dict[str, object]:
                 workers = [int(outcome.estimates[0].totals[0]) for outcome in probes]
     return {
         "parent": sorted(set(after_import) | set(scipy_modules())),
+        "lint": lint_after_import,
         "workers": workers,
         "kinds": kinds,
     }

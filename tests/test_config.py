@@ -14,7 +14,7 @@ from repro.config import (
     RunConfig,
 )
 from repro.errors import ConfigError
-from repro.lint import contracts
+from repro import contracts
 from repro.utils.rng import as_rng
 
 SRC = Path(repro.__file__).resolve().parent

@@ -231,6 +231,19 @@ PAPER_ARTIFACTS = [
 ]
 
 
+class TestRuleDocsMatchCatalogue:
+    """docs/static-analysis.md documents exactly the rules ``--list-rules`` prints."""
+
+    def test_rule_headings_equal_listed_codes(self):
+        from repro.lint.cli import list_rules
+
+        text = (REPO_ROOT / "docs" / "static-analysis.md").read_text(encoding="utf-8")
+        documented = re.findall(r"^(?:### |\*\*)(RP\d{3})\b", text, flags=re.MULTILINE)
+        listed = re.findall(r"^(RP\d{3}) ", list_rules(), flags=re.MULTILINE)
+        assert sorted(documented) == sorted(listed)
+        assert len(documented) == len(set(documented))
+
+
 class TestBenchmarkCoverage:
     """Every table and figure of the paper has a matrix spec, and its
     scenario is registered; ``benchmarks/`` holds specs, not scripts."""

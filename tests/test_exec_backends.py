@@ -218,7 +218,7 @@ class TestExecutor:
                 )
 
         monkeypatch.setenv("REPRO_CONTRACTS", "1")
-        from repro.lint.contracts import ContractViolation
+        from repro.contracts import ContractViolation
 
         with pytest.raises(ContractViolation):
             Executor("serial").run([LyingJob()], rng=1)
@@ -230,7 +230,7 @@ class TestExecutor:
         self, random_graph, model, monkeypatch, corrupt
     ):
         from repro.cascade.snapshots import sample_snapshots
-        from repro.lint.contracts import ContractViolation
+        from repro.contracts import ContractViolation
 
         masks = tuple(sample_snapshots(random_graph, model, 4, as_rng(3)))
         n = random_graph.num_nodes

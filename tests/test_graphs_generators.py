@@ -6,7 +6,6 @@ import pytest
 from repro.errors import GraphError
 from repro.graphs.generators import (
     _powerlaw_degrees,
-    barabasi_albert,
     copying_model,
     erdos_renyi,
     karate_like_fixture,
@@ -112,28 +111,6 @@ class TestCommunityPowerlaw:
 
         g = community_powerlaw(300, 900, num_communities=3, rng=6)
         assert g.num_nodes == 300
-
-
-class TestBarabasiAlbert:
-    def test_counts(self):
-        g = barabasi_albert(100, 3, rng=0)
-        assert g.num_nodes == 100
-        # (n - m) * m undirected edges, both directions.
-        assert g.num_edges == 2 * (100 - 3) * 3
-
-    def test_preferential_attachment_skew(self):
-        g = barabasi_albert(500, 2, rng=1)
-        degrees = g.out_degrees()
-        assert degrees.max() > 4 * degrees.mean()
-
-    def test_m_ge_n_rejected(self):
-        with pytest.raises(GraphError, match="must be <"):
-            barabasi_albert(3, 3)
-
-    def test_deterministic(self):
-        a = barabasi_albert(50, 2, rng=9)
-        b = barabasi_albert(50, 2, rng=9)
-        assert sorted(a.edges()) == sorted(b.edges())
 
 
 class TestCopyingModel:

@@ -1,4 +1,5 @@
-"""A fresh GetReal process loads no scipy, in the parent or in a pool worker."""
+"""A fresh GetReal process loads no scipy, in the parent or in a pool worker,
+and ``import repro`` loads no part of the linter."""
 
 from __future__ import annotations
 
@@ -8,10 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_getreal_queries_load_no_scipy():
+@pytest.fixture(scope="module")
+def report() -> dict[str, object]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "import_footprint.py")],
@@ -21,8 +25,18 @@ def test_getreal_queries_load_no_scipy():
         timeout=300,
         check=True,
     )
-    report = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_getreal_queries_load_no_scipy(report):
     # The serial query runs MixGreedy and solves for a mixed equilibrium.
     assert report["kinds"] == ["mixed", "mixed"]
     assert report["parent"] == []
     assert report["workers"] and set(report["workers"]) == {0}
+
+
+def test_import_repro_loads_no_lint_module(report):
+    # The runtime contracts live in repro.contracts, so nothing on the
+    # import path of the library, the bench child or a pool worker pulls
+    # in the linter.
+    assert report["lint"] == []

@@ -35,8 +35,8 @@ from repro.exec import Executor
 from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi, karate_like_fixture
-from repro.lint import contracts
-from repro.lint.contracts import ContractViolation
+from repro import contracts
+from repro.contracts import ContractViolation
 from repro.obs import metrics
 from repro.utils.rng import as_rng
 from tests import reference_kernels

@@ -1,4 +1,4 @@
-"""Tests for the opt-in runtime contracts (repro.lint.contracts)."""
+"""Tests for the opt-in runtime contracts (repro.contracts)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.cascade.ic import IndependentCascade
 from repro.cascade.simulate import estimate_competitive_spread, estimate_spread
 from repro.config import CONTRACTS_ENV_VAR
 from repro.graphs.generators import karate_like_fixture
-from repro.lint.contracts import (
+from repro.contracts import (
     ContractViolation,
     check_ownership,
     check_probabilities,

@@ -1,25 +1,11 @@
-"""Engine, CLI, baseline-ratchet, and SARIF tests for the project analyzer."""
+"""Engine and CLI tests for the project analyzer."""
 
 import json
-import subprocess
 from pathlib import Path
 
-import pytest
-
-from repro.lint.cli import changed_files
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import PARSE_ERROR_CODE
-from repro.lint.project import (
-    analyze_project,
-    apply_baseline,
-    load_baseline,
-    module_name_for,
-    write_baseline,
-)
-from repro.lint.project.baseline import BASELINE_VERSION
-from repro.lint.project.rules import PROJECT_RULES, ProjectFinding
-from repro.lint.rules import ALL_RULES
-from repro.lint.sarif import SARIF_VERSION, sarif_document
+from repro.lint.project import analyze_project, module_name_for
 
 
 def make_package(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -112,90 +98,30 @@ class TestAnalyzeProject:
         assert not analyze_project(root, jobs=1, ignore=["RP010"]).findings
 
 
-class TestBaselineRatchet:
-    def _finding(self, message: str) -> ProjectFinding:
-        return ProjectFinding(
-            path="src/x.py", line=3, col=1, code="RP010", message=message, hint=""
-        )
+class TestProjectCli:
+    def test_clean_package_exits_zero(self, tmp_path, capsys):
+        root = make_package(tmp_path, {"ok.py": "def fn():\n    return 1\n"})
+        assert lint_main([str(root)]) == 0
+        assert "no findings" in capsys.readouterr().out
 
-    def test_round_trip(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        findings = [self._finding("a"), self._finding("a"), self._finding("b")]
-        write_baseline(target, findings)
-        document = json.loads(target.read_text(encoding="utf-8"))
-        assert document["version"] == BASELINE_VERSION
-        baseline = load_baseline(target)
-        assert baseline[("src/x.py", "RP010", "a")] == 2
-        assert baseline[("src/x.py", "RP010", "b")] == 1
+    def test_findings_exit_one(self, tmp_path, capsys):
+        root = make_package(tmp_path, {"bad.py": VIOLATION})
+        assert lint_main([str(root)]) == 1
+        assert "RP010" in capsys.readouterr().out
 
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
+    def test_parse_error_exits_one(self, tmp_path, capsys):
+        root = make_package(tmp_path, {"broken.py": "def broken(:\n"})
+        assert lint_main([str(root)]) == 1
+        assert PARSE_ERROR_CODE in capsys.readouterr().out
 
-    def test_malformed_file_raises(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="malformed baseline"):
-            load_baseline(target)
+    def test_parse_error_reported_once(self, tmp_path, capsys):
+        """Both passes read the broken file; only one RP999 is printed."""
+        root = make_package(tmp_path, {"broken.py": "def broken(:\n"})
+        assert lint_main(["--format", "json", str(root)]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["summary"]["by_code"] == {PARSE_ERROR_CODE: 1}
 
-    def test_new_finding_not_accepted(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        write_baseline(target, [self._finding("old")])
-        baseline = load_baseline(target)
-        new, accepted, stale = apply_baseline(
-            [self._finding("old"), self._finding("fresh")], baseline
-        )
-        assert [f.message for f in new] == ["fresh"]
-        assert [f.message for f in accepted] == ["old"]
-        assert stale == []
-
-    def test_fixed_finding_goes_stale(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        write_baseline(target, [self._finding("old")])
-        new, accepted, stale = apply_baseline([], load_baseline(target))
-        assert new == [] and accepted == []
-        assert stale == [("src/x.py", "RP010", "old")]
-
-    def test_duplicate_counts_ratchet(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        write_baseline(target, [self._finding("a"), self._finding("a")])
-        findings = [self._finding("a")] * 3
-        new, accepted, stale = apply_baseline(findings, load_baseline(target))
-        assert len(accepted) == 2 and len(new) == 1 and stale == []
-
-
-class TestSarif:
-    def _document(self, tmp_path):
-        root = make_package(
-            tmp_path, {"bad.py": VIOLATION, "broken.py": "def broken(:\n"}
-        )
-        report = analyze_project(root, jobs=1)
-        return sarif_document(
-            report.all_findings, (*ALL_RULES, *PROJECT_RULES)
-        )
-
-    def test_structure_is_valid_2_1_0(self, tmp_path):
-        document = self._document(tmp_path)
-        assert document["version"] == SARIF_VERSION
-        assert "sarif-schema-2.1.0" in document["$schema"]
-        (run,) = document["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "reprolint"
-        rule_ids = [r["id"] for r in driver["rules"]]
-        assert len(rule_ids) == len(set(rule_ids))
-        for result in run["results"]:
-            assert result["ruleId"] in rule_ids
-            assert result["message"]["text"]
-            (location,) = result["locations"]
-            region = location["physicalLocation"]["region"]
-            assert region["startLine"] >= 1
-            assert location["physicalLocation"]["artifactLocation"]["uri"]
-
-    def test_parse_error_rule_synthesized(self, tmp_path):
-        document = self._document(tmp_path)
-        driver = document["runs"][0]["tool"]["driver"]
-        assert PARSE_ERROR_CODE in {r["id"] for r in driver["rules"]}
-
-    def test_trace_in_properties(self, tmp_path):
+    def test_json_carries_call_path_trace(self, tmp_path, capsys):
         root = make_package(
             tmp_path,
             {
@@ -208,84 +134,26 @@ class TestSarif:
                 ),
             },
         )
-        report = analyze_project(root, jobs=1)
-        document = sarif_document(report.all_findings, PROJECT_RULES)
-        (result,) = document["runs"][0]["results"]
-        assert "SpreadJob.run" in result["properties"]["trace"]
-        assert "call path" in result["message"]["text"]
+        assert lint_main(["--format", "json", str(root)]) == 1
+        (finding,) = json.loads(capsys.readouterr().out)["findings"]
+        assert finding["code"] == "RP010"
+        assert "mypkg.jobs:SpreadJob.run" in finding["trace"]
 
-    def test_document_is_json_serializable(self, tmp_path):
-        document = self._document(tmp_path)
-        assert json.loads(json.dumps(document)) == document
-
-
-class TestProjectCli:
-    def test_clean_package_exits_zero(self, tmp_path, capsys):
-        root = make_package(tmp_path, {"ok.py": "def fn():\n    return 1\n"})
-        assert lint_main(["--project", str(root)]) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_findings_exit_one(self, tmp_path, capsys):
-        root = make_package(tmp_path, {"bad.py": VIOLATION})
-        assert lint_main(["--project", str(root)]) == 1
-        assert "RP010" in capsys.readouterr().out
-
-    def test_parse_error_exits_one(self, tmp_path, capsys):
-        root = make_package(tmp_path, {"broken.py": "def broken(:\n"})
-        assert lint_main(["--project", str(root)]) == 1
-        assert PARSE_ERROR_CODE in capsys.readouterr().out
+    def test_select_runs_project_rules_only(self, tmp_path, capsys):
+        root = make_package(
+            tmp_path, {"core/bad.py": VIOLATION + "def f(x):\n    return x == 0.0\n"}
+        )
+        assert lint_main(["--select", "RP010", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "RP010" in out and "RP002" not in out
+        assert lint_main(["--ignore", "RP010", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "RP002" in out and "RP010" not in out
 
     def test_unknown_code_is_usage_error(self, tmp_path, capsys):
         root = make_package(tmp_path, {"ok.py": "x = 1\n"})
-        assert lint_main(["--project", "--select", "RP777", str(root)]) == 2
+        assert lint_main(["--select", "RP777", str(root)]) == 2
         assert "unknown rule code" in capsys.readouterr().err
-
-    def test_baseline_gate_lifecycle(self, tmp_path, capsys):
-        root = make_package(tmp_path, {"bad.py": VIOLATION})
-        baseline = tmp_path / "baseline.json"
-        args = ["--project", "--baseline", str(baseline), str(root)]
-        # 1. unbaselined violation fails
-        assert lint_main(args) == 1
-        # 2. snapshot it
-        assert lint_main([*args, "--update-baseline"]) == 0
-        # 3. same violation now accepted
-        assert lint_main(args) == 0
-        capsys.readouterr()
-        # 4. fixing the violation leaves a stale entry -> still fails
-        (root / "bad.py").write_text(
-            "class SpreadJob:\n"
-            "    def run(self, generator):\n"
-            "        return generator.random()\n",
-            encoding="utf-8",
-        )
-        assert lint_main(args) == 1
-        assert "stale baseline entry" in capsys.readouterr().err
-        # 5. ratchet forward -> clean again
-        assert lint_main([*args, "--update-baseline"]) == 0
-        assert lint_main(args) == 0
-
-    def test_show_baselined(self, tmp_path, capsys):
-        root = make_package(tmp_path, {"bad.py": VIOLATION})
-        baseline = tmp_path / "baseline.json"
-        args = ["--project", "--baseline", str(baseline), str(root)]
-        lint_main([*args, "--update-baseline"])
-        capsys.readouterr()
-        assert lint_main([*args, "--show-baselined"]) == 0
-        assert "RP010" in capsys.readouterr().out
-
-    def test_sarif_output(self, tmp_path, capsys):
-        root = make_package(tmp_path, {"bad.py": VIOLATION})
-        assert lint_main(["--project", "--format", "sarif", str(root)]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == SARIF_VERSION
-
-    def test_parse_errors_never_baselined(self, tmp_path, capsys):
-        root = make_package(tmp_path, {"broken.py": "def broken(:\n"})
-        baseline = tmp_path / "baseline.json"
-        args = ["--project", "--baseline", str(baseline), str(root)]
-        assert lint_main([*args, "--update-baseline"]) == 1
-        assert json.loads(baseline.read_text(encoding="utf-8"))["entries"] == []
-        assert lint_main(args) == 1
 
     def test_list_rules_includes_project_catalogue(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -306,63 +174,3 @@ class TestPerFileCli:
         (tmp_path / "broken.py").write_text("def broken(:\n", encoding="utf-8")
         assert lint_main([str(tmp_path)]) == 1
         assert PARSE_ERROR_CODE in capsys.readouterr().out
-
-    def test_sarif_format_in_per_file_mode(self, tmp_path, capsys):
-        (tmp_path / "broken.py").write_text("def broken(:\n", encoding="utf-8")
-        assert lint_main(["--format", "sarif", str(tmp_path)]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["runs"][0]["results"][0]["ruleId"] == PARSE_ERROR_CODE
-
-
-class TestChangedOnly:
-    def _git(self, cwd, *args):
-        subprocess.run(
-            [
-                "git",
-                "-c",
-                "user.email=t@example.com",
-                "-c",
-                "user.name=t",
-                *args,
-            ],
-            cwd=cwd,
-            check=True,
-            capture_output=True,
-        )
-
-    def test_changed_files_in_fresh_repo(self, tmp_path):
-        self._git(tmp_path, "init", "-q")
-        tracked = tmp_path / "tracked.py"
-        tracked.write_text("x = 1\n", encoding="utf-8")
-        self._git(tmp_path, "add", "tracked.py")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-        tracked.write_text("x = 2\n", encoding="utf-8")
-        (tmp_path / "fresh.py").write_text("y = 1\n", encoding="utf-8")
-        changed = changed_files(cwd=tmp_path)
-        assert changed is not None
-        assert tracked.resolve() in changed
-        assert (tmp_path / "fresh.py").resolve() in changed
-
-    def test_outside_git_returns_none(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "nope"))
-        assert changed_files(cwd=tmp_path) is None
-
-    def test_cli_reports_nothing_for_unchanged_paths(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        root = make_package(tmp_path, {"bad.py": VIOLATION})
-        monkeypatch.setattr(
-            "repro.lint.cli.changed_files", lambda cwd=None: set()
-        )
-        assert lint_main(["--project", "--changed-only", str(root)]) == 0
-        assert lint_main(["--changed-only", str(root)]) == 0
-
-    def test_cli_keeps_findings_in_changed_files(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        root = make_package(tmp_path, {"bad.py": VIOLATION})
-        monkeypatch.setattr(
-            "repro.lint.cli.changed_files",
-            lambda cwd=None: {(root / "bad.py").resolve()},
-        )
-        assert lint_main(["--project", "--changed-only", str(root)]) == 1

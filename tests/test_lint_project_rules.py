@@ -1,9 +1,8 @@
-"""True-positive and true-negative fixtures for each project rule RP010-RP015."""
+"""True-positive and true-negative fixtures for each project rule (RP010–RP013, RP015)."""
 
 from repro.lint.project.callgraph import CallGraph
 from repro.lint.project.facts import extract_facts
 from repro.lint.project.rules import (
-    ContractCoverage,
     JournalSchemaConsistency,
     NondeterminismSources,
     PickleSafety,
@@ -323,151 +322,6 @@ class TestRP013SharedStateMutation:
         findings = SharedStateMutation().check(project)
         assert len(findings) == 1
         assert "_SEEN" in findings[0].message
-
-
-CONTRACTS_MODULE = "def check_shape(x):\n    return x\n"
-VALIDATION_MODULE = "def check_positive_int(x):\n    return x\n"
-
-
-class TestRP014ContractCoverage:
-    def test_uncovered_sibling_override_flagged(self):
-        project = build_project(
-            {
-                "pkg.contracts": CONTRACTS_MODULE,
-                "pkg.base": (
-                    "class Base:\n"
-                    "    def compute(self, x):\n"
-                    "        raise NotImplementedError\n"
-                ),
-                "pkg.one": (
-                    "from pkg.base import Base\n"
-                    "from pkg.contracts import check_shape\n"
-                    "class One(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        check_shape(x)\n"
-                    "        return x\n"
-                ),
-                "pkg.two": (
-                    "from pkg.base import Base\n"
-                    "class Two(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        return x + 1\n"
-                ),
-            }
-        )
-        findings = ContractCoverage().check(project)
-        assert len(findings) == 1
-        assert "Two.compute" in findings[0].message
-        assert "pkg.one:One.compute" in findings[0].message
-
-    def test_fully_covered_family_is_clean(self):
-        project = build_project(
-            {
-                "pkg.contracts": CONTRACTS_MODULE,
-                "pkg.base": (
-                    "class Base:\n"
-                    "    def compute(self, x):\n"
-                    "        raise NotImplementedError\n"
-                ),
-                "pkg.one": (
-                    "from pkg.base import Base\n"
-                    "from pkg.contracts import check_shape\n"
-                    "class One(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        check_shape(x)\n"
-                    "        return x\n"
-                ),
-                "pkg.two": (
-                    "from pkg.base import Base\n"
-                    "from pkg.contracts import check_shape\n"
-                    "class Two(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        check_shape(x)\n"
-                    "        return x + 1\n"
-                ),
-            }
-        )
-        assert ContractCoverage().check(project) == []
-
-    def test_abstract_and_delegating_members_skipped(self):
-        project = build_project(
-            {
-                "pkg.contracts": CONTRACTS_MODULE,
-                "pkg.base": (
-                    "from abc import abstractmethod\n"
-                    "class Base:\n"
-                    "    @abstractmethod\n"
-                    "    def compute(self, x):\n"
-                    "        ...\n"
-                    "    def compute_pooled(self, x):\n"
-                    "        return self.compute(x)\n"
-                ),
-                "pkg.one": (
-                    "from pkg.base import Base\n"
-                    "from pkg.contracts import check_shape\n"
-                    "class One(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        check_shape(x)\n"
-                    "        return x\n"
-                ),
-                "pkg.two": (
-                    "from pkg.base import Base\n"
-                    "class Two(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        return x + 1\n"
-                ),
-            }
-        )
-        findings = ContractCoverage().check(project)
-        assert len(findings) == 1
-        assert "Two.compute" in findings[0].message
-
-    def test_non_contract_check_call_does_not_count(self):
-        # check_positive_int comes from a validation helper, not a contracts
-        # module, so neither sibling is "covered" and the family stays clean.
-        project = build_project(
-            {
-                "pkg.validation": VALIDATION_MODULE,
-                "pkg.base": (
-                    "class Base:\n"
-                    "    def compute(self, x):\n"
-                    "        raise NotImplementedError\n"
-                ),
-                "pkg.one": (
-                    "from pkg.base import Base\n"
-                    "from pkg.validation import check_positive_int\n"
-                    "class One(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        check_positive_int(x)\n"
-                    "        return x\n"
-                ),
-                "pkg.two": (
-                    "from pkg.base import Base\n"
-                    "class Two(Base):\n"
-                    "    def compute(self, x):\n"
-                    "        return x + 1\n"
-                ),
-            }
-        )
-        assert ContractCoverage().check(project) == []
-
-    def test_kernel_suffix_pair(self):
-        project = build_project(
-            {
-                "pkg.contracts": CONTRACTS_MODULE,
-                "pkg.kernels": (
-                    "from pkg.contracts import check_shape\n"
-                    "def spread_python(graph):\n"
-                    "    check_shape(graph)\n"
-                    "    return 1\n"
-                    "def spread_numpy(graph):\n"
-                    "    return 2\n"
-                ),
-            }
-        )
-        findings = ContractCoverage().check(project)
-        assert len(findings) == 1
-        assert "spread_numpy" in findings[0].message
 
 
 class TestRP015JournalSchemaConsistency:

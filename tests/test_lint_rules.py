@@ -1,4 +1,4 @@
-"""Per-rule fixture tests for reprolint (RP001–RP009).
+"""Per-rule fixture tests for the per-file reprolint rules (RP001–RP004, RP009).
 
 Each rule gets positive snippets (must flag), negative snippets (must stay
 silent), and a suppressed variant (flag silenced by an inline
@@ -26,8 +26,7 @@ def codes(findings):
 class TestRuleCatalogue:
     def test_rules_with_stable_codes(self):
         assert [r.code for r in ALL_RULES] == [
-            "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP008",
-            "RP009",
+            "RP001", "RP002", "RP003", "RP004", "RP009",
         ]
 
     def test_every_rule_carries_metadata(self):
@@ -332,306 +331,6 @@ class TestRP004CacheMetricHandles:
             """,
             "cascade/engine.py",
             select=["RP004"],
-        )
-        assert found == []
-
-
-class TestRP005PublicAPIAnnotations:
-    def test_flags_unannotated_public_function(self):
-        found = findings_for(
-            """
-            def estimate(graph, rounds):
-                return 0.0
-            """,
-            "core/payoff.py",
-            select=["RP005"],
-        )
-        assert codes(found) == ["RP005"]
-        assert "graph" in found[0].message
-        assert "return" in found[0].message
-
-    def test_flags_missing_return_annotation_only(self):
-        found = findings_for(
-            """
-            def estimate(graph: object, rounds: int):
-                return 0.0
-            """,
-            "cascade/simulate.py",
-            select=["RP005"],
-        )
-        assert codes(found) == ["RP005"]
-        assert "return" in found[0].message
-
-    def test_flags_public_method_and_skips_self(self):
-        found = findings_for(
-            """
-            class Engine:
-                def run(self, rounds: int):
-                    return rounds
-            """,
-            "cascade/engine.py",
-            select=["RP005"],
-        )
-        assert codes(found) == ["RP005"]
-        assert "self" not in found[0].message
-
-    def test_allows_fully_annotated(self):
-        found = findings_for(
-            """
-            class Engine:
-                def __init__(self, rounds: int) -> None:
-                    self.rounds = rounds
-
-                def run(self, budget: int) -> float:
-                    return float(budget)
-            """,
-            "game/engine.py",
-            select=["RP005"],
-        )
-        assert found == []
-
-    def test_skips_private_functions_and_nested_helpers(self):
-        found = findings_for(
-            """
-            def _helper(x):
-                return x
-
-            def public(x: int) -> int:
-                def inner(y):
-                    return y
-                return inner(x)
-            """,
-            "core/x.py",
-            select=["RP005"],
-        )
-        assert found == []
-
-    def test_out_of_scope_package_not_linted(self):
-        found = findings_for(
-            "def f(x):\n    return x\n",
-            "graphs/loaders.py",
-            select=["RP005"],
-        )
-        assert found == []
-
-    def test_suppression_on_def_line(self):
-        found = findings_for(
-            """
-            def estimate(graph, rounds):  # reprolint: disable=RP005
-                return 0.0
-            """,
-            "core/payoff.py",
-            select=["RP005"],
-        )
-        assert found == []
-
-
-class TestRP006NoAdHocSimulationLoops:
-    def test_flags_spread_once_loop(self):
-        found = findings_for(
-            """
-            def estimate(model, graph, seeds, rounds, generator):
-                total = 0
-                for _ in range(rounds):
-                    total += model.spread_once(graph, seeds, generator)
-                return total / rounds
-            """,
-            "core/payoff.py",
-            select=["RP006"],
-        )
-        assert codes(found) == ["RP006"]
-        assert "spread_once" in found[0].message
-
-    def test_flags_spread_once_comprehension(self):
-        found = findings_for(
-            """
-            def estimate(model, graph, seeds, rounds, generator):
-                values = [
-                    model.spread_once(graph, seeds, generator)
-                    for _ in range(rounds)
-                ]
-                return sum(values) / rounds
-            """,
-            "algorithms/sweep.py",
-            select=["RP006"],
-        )
-        assert codes(found) == ["RP006"]
-
-    def test_flags_competitive_engine_loop(self):
-        found = findings_for(
-            """
-            from repro.cascade.competitive import CompetitiveDiffusion
-
-            def follower_spread(graph, model, profile, rounds, generator):
-                engine = CompetitiveDiffusion(graph, model)
-                total = 0.0
-                for _ in range(rounds):
-                    outcome = engine.run(profile, generator)
-                    total += outcome.spread(1)
-                return total / rounds
-            """,
-            "algorithms/follower.py",
-            select=["RP006"],
-        )
-        assert codes(found) == ["RP006"]
-        assert "CompetitiveDiffusion.run" in found[0].message
-
-    def test_flags_engine_stored_on_self(self):
-        found = findings_for(
-            """
-            from repro.cascade.competitive import CompetitiveDiffusion
-
-            class Evaluator:
-                def __init__(self, graph, model):
-                    self.engine = CompetitiveDiffusion(graph, model)
-
-                def average(self, profile, rounds, generator):
-                    total = 0.0
-                    while rounds:
-                        total += self.engine.run(profile, generator).spread(0)
-                        rounds -= 1
-                    return total
-            """,
-            "core/blocking.py",
-            select=["RP006"],
-        )
-        assert codes(found) == ["RP006"]
-
-    def test_allows_single_run_outside_loop(self):
-        found = findings_for(
-            """
-            from repro.cascade.competitive import CompetitiveDiffusion
-
-            def one_shot(graph, model, profile, generator):
-                engine = CompetitiveDiffusion(graph, model)
-                return engine.run(profile, generator)
-            """,
-            "core/metrics.py",
-            select=["RP006"],
-        )
-        assert found == []
-
-    def test_allows_unrelated_run_calls_in_loops(self):
-        found = findings_for(
-            """
-            def drive(tasks, runner):
-                for task in tasks:
-                    runner.run(task)
-            """,
-            "experiments/harness.py",
-            select=["RP006"],
-        )
-        assert found == []
-
-    def test_exec_package_is_exempt(self):
-        found = findings_for(
-            """
-            def run(self, generator):
-                for i in range(self.rounds):
-                    self.values[i] = self.model.spread_once(
-                        self.graph, self.seeds, generator
-                    )
-            """,
-            "exec/jobs.py",
-            select=["RP006"],
-        )
-        assert found == []
-
-    def test_cascade_simulate_is_exempt(self):
-        found = findings_for(
-            """
-            def estimate_spread(graph, model, seeds, rounds, generator):
-                return [
-                    model.spread_once(graph, seeds, generator)
-                    for _ in range(rounds)
-                ]
-            """,
-            "cascade/simulate.py",
-            select=["RP006"],
-        )
-        assert found == []
-
-    def test_suppression(self):
-        found = findings_for(
-            """
-            def estimate(model, graph, seeds, rounds, generator):
-                total = 0
-                for _ in range(rounds):
-                    total += model.spread_once(graph, seeds, generator)  # reprolint: disable=RP006
-                return total / rounds
-            """,
-            "core/payoff.py",
-            select=["RP006"],
-        )
-        assert found == []
-
-
-class TestRP008UseSharedSnapshotPools:
-    def test_flags_direct_sample_snapshots_call(self):
-        found = findings_for(
-            """
-            from repro.cascade.snapshots import sample_snapshots
-
-            def _select(self, graph, k, rng=None):
-                masks = sample_snapshots(graph, self.model, 100, rng)
-                return masks
-            """,
-            "algorithms/my_greedy.py",
-            select=["RP008"],
-        )
-        assert codes(found) == ["RP008"]
-
-    def test_flags_attribute_call(self):
-        found = findings_for(
-            """
-            import repro.cascade.snapshots as snapshots
-
-            def _select(self, graph, k, rng=None):
-                return snapshots.sample_snapshots(graph, self.model, 10, rng)
-            """,
-            "algorithms/my_greedy.py",
-            select=["RP008"],
-        )
-        assert codes(found) == ["RP008"]
-
-    def test_pool_api_is_silent(self):
-        found = findings_for(
-            """
-            def _select_pooled(self, graph, k, rng, pool):
-                oracle = pool.oracle(self.model, self.num_snapshots)
-                gains = pool.initial_gains(self.model, self.num_snapshots)
-                return oracle, gains
-            """,
-            "algorithms/my_greedy.py",
-            select=["RP008"],
-        )
-        assert found == []
-
-    def test_out_of_scope_package_not_linted(self):
-        found = findings_for(
-            """
-            from repro.cascade.snapshots import sample_snapshots
-
-            def build_pool(graph, model, rng):
-                return sample_snapshots(graph, model, 100, rng)
-            """,
-            "cascade/pools.py",
-            select=["RP008"],
-        )
-        assert found == []
-
-    def test_suppression_comment(self):
-        found = findings_for(
-            """
-            from repro.cascade.snapshots import sample_snapshots
-
-            def _select(self, graph, k, rng=None):
-                return sample_snapshots(  # reprolint: disable=RP008
-                    graph, self.model, 100, rng
-                )
-            """,
-            "algorithms/my_greedy.py",
-            select=["RP008"],
         )
         assert found == []
 

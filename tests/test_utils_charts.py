@@ -1,6 +1,6 @@
 """Tests for the ASCII chart renderer."""
 
-from repro.utils.charts import ascii_chart, series_from_rows
+from repro.utils.charts import ascii_chart
 
 
 class TestAsciiChart:
@@ -43,22 +43,3 @@ class TestAsciiChart:
             cols.append(line.index("*"))
         # Higher y (earlier rows) at larger x (later columns).
         assert cols == sorted(cols, reverse=True)
-
-
-class TestSeriesFromRows:
-    def test_grouping(self):
-        rows = [
-            {"k": 10, "spread": 5.0, "curve": "a"},
-            {"k": 20, "spread": 7.0, "curve": "a"},
-            {"k": 10, "spread": 3.0, "curve": "b"},
-        ]
-        series = series_from_rows(rows, "k", "spread", "curve")
-        assert series == {"a": [(10.0, 5.0), (20.0, 7.0)], "b": [(10.0, 3.0)]}
-
-    def test_points_sorted_by_x(self):
-        rows = [
-            {"k": 30, "v": 1.0, "g": "a"},
-            {"k": 10, "v": 2.0, "g": "a"},
-        ]
-        series = series_from_rows(rows, "k", "v", "g")
-        assert series["a"] == [(10.0, 2.0), (30.0, 1.0)]

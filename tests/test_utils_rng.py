@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, derive_seed, spawn_rngs
+from repro.utils.rng import as_rng, derive_seed
 
 
 class TestAsRng:
@@ -32,27 +32,6 @@ class TestAsRng:
     def test_bad_type_rejected(self):
         with pytest.raises(TypeError, match="rng must be"):
             as_rng("seed")
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(0, 2)
-        assert not np.array_equal(children[0].random(8), children[1].random(8))
-
-    def test_deterministic_from_seed(self):
-        a = spawn_rngs(5, 3)[1].random(4)
-        b = spawn_rngs(5, 3)[1].random(4)
-        assert np.array_equal(a, b)
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            spawn_rngs(0, -1)
 
 
 class TestDeriveSeed:

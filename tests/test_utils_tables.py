@@ -1,8 +1,6 @@
 """Tests for repro.utils.tables."""
 
-import csv
-
-from repro.utils.tables import format_table, write_csv
+from repro.utils.tables import format_table
 
 
 class TestFormatTable:
@@ -47,40 +45,3 @@ class TestFormatTable:
 
     def test_bool_rendering(self):
         assert "True" in format_table([{"flag": True}])
-
-
-class TestWriteCsv:
-    def test_round_trip(self, tmp_path):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        path = tmp_path / "out.csv"
-        write_csv(rows, path)
-        with open(path) as handle:
-            back = list(csv.DictReader(handle))
-        assert back == [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
-
-    def test_column_union_in_first_seen_order(self, tmp_path):
-        rows = [{"a": 1}, {"b": 2, "a": 3}]
-        path = tmp_path / "out.csv"
-        write_csv(rows, path)
-        with open(path) as handle:
-            header = handle.readline().strip()
-        assert header == "a,b"
-
-    def test_missing_cells_empty(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv([{"a": 1}, {"b": 2}], path)
-        with open(path) as handle:
-            back = list(csv.DictReader(handle))
-        assert back[0]["b"] == ""
-        assert back[1]["a"] == ""
-
-    def test_explicit_columns(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv([{"a": 1, "b": 2}], path, columns=["b"])
-        with open(path) as handle:
-            assert handle.readline().strip() == "b"
-
-    def test_empty_rows(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv([], path)
-        assert path.read_text() == "\r\n" or path.read_text() == "\n"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.timing import Stopwatch, timed
+from repro.utils.timing import Stopwatch
 
 
 class TestStopwatch:
@@ -47,18 +47,3 @@ class TestStopwatch:
         watch.start()
         lap = watch.stop()
         assert lap == watch.laps[-1]
-
-
-class TestTimed:
-    def test_yields_stopwatch(self):
-        with timed() as watch:
-            _ = sum(range(10))
-        assert isinstance(watch, Stopwatch)
-        assert watch.elapsed >= 0.0
-
-    def test_stops_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with timed() as watch:
-                raise RuntimeError("boom")
-        assert watch._started_at is None
-        assert watch.elapsed >= 0.0
