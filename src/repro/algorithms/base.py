@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, ClassVar
 
@@ -33,6 +34,8 @@ from repro.cache import (
     set_rng_state,
 )
 from repro.errors import SeedSelectionError
+from repro.exec.executor import Executor, inline_executor
+from repro.exec.jobs import SelectedSeeds
 from repro.graphs.digraph import DiGraph
 from repro.obs.log import get_logger
 from repro.obs.metrics import Histogram, counter, histogram
@@ -92,8 +95,9 @@ class SeedSelector(ABC):
         """Return *k* distinct seed nodes in greedy (prefix-consistent) order.
 
         *pool*, when given and the algorithm declares ``uses_snapshots``,
-        supplies shared live-edge masks and initial gains via
-        :meth:`_select_pooled`; other algorithms ignore it.
+        supplies shared live-edge masks and initial gains: the selection
+        runs inline as a one-selector :class:`SelectionJob`, the path every
+        pooled selection takes; other algorithms ignore the pool.
 
         When *rng* is provided (reproducible call), the result is memoized
         on (graph fingerprint, selector params, ``k``, RNG state, pool
@@ -103,44 +107,63 @@ class SeedSelector(ABC):
         """
         started = time.perf_counter()
         generator = as_rng(rng)
-        use_pool = pool is not None and self.uses_snapshots
-        # Seeding the pool draws (at most) one integer from the caller's
-        # generator — unconditionally, so the RNG stream does not depend on
-        # whether the cache is warm.
-        pool_token = pool.token(generator) if use_pool and pool is not None else None
-        memo = selection_memo() if rng is not None else None
-        key: Any = None
-        if memo is not None:
-            key = (
-                graph.fingerprint,
-                params_token(self),
-                int(k),
-                rng_token(generator),
-                pool_token,
-            )
-            hit = memo.get(key)
-            if hit is not None:
-                seeds, end_state = hit
-                set_rng_state(generator, end_state)
-                _SELECTIONS.inc()
-                _LOG.debug(
-                    "%s reused cached selection of %d seeds on %d nodes",
-                    self.name,
-                    len(seeds),
-                    graph.num_nodes,
-                )
-                return list(seeds)
-        if use_pool and pool is not None:
-            seeds = self._select_pooled(graph, k, generator, pool)
+        shared = pool if pool is not None and self.uses_snapshots else None
+        hit, key = self._lookup(graph, k, generator, shared, memoize=rng is not None)
+        if hit is not None:
+            return hit
+        if shared is not None:
+            (result,) = SelectionJob(shared, (self,), k).run(generator)
+            seeds = list(result.seeds[0])
         else:
             seeds = self._select(graph, k, generator)
-        if memo is not None:
-            memo.put(
-                key,
-                (tuple(seeds), rng_state(generator)),
-                nbytes=8 * len(seeds) + 256,
-            )
-        elapsed = time.perf_counter() - started  # reprolint: disable=RP009
+            elapsed = time.perf_counter() - started  # reprolint: disable=RP009
+            self._observe(graph, seeds, elapsed)
+        if key is not None:
+            _remember(key, seeds, rng_state(generator))
+        return seeds
+
+    def _lookup(
+        self,
+        graph: DiGraph,
+        k: int,
+        generator: np.random.Generator,
+        pool: SnapshotPool | None,
+        memoize: bool,
+    ) -> tuple[list[int] | None, Any]:
+        """Draw the pool token, then look the selection up in the memo.
+
+        Seeding the pool draws (at most) one integer from *generator* —
+        unconditionally, so the stream does not depend on whether the memo
+        is warm.  Returns ``(seeds, key)``: the seeds of a hit (whose
+        post-selection state is restored into *generator*) or ``None``,
+        and the memo key, ``None`` when not memoizing.
+        """
+        pool_token = pool.token(generator) if pool is not None else None
+        if not memoize:
+            return None, None
+        key = (
+            graph.fingerprint,
+            params_token(self),
+            int(k),
+            rng_token(generator),
+            pool_token,
+        )
+        hit = selection_memo().get(key)
+        if hit is None:
+            return None, key
+        seeds, end_state = hit
+        set_rng_state(generator, end_state)
+        _SELECTIONS.inc()
+        _LOG.debug(
+            "%s reused cached selection of %d seeds on %d nodes",
+            self.name,
+            len(seeds),
+            graph.num_nodes,
+        )
+        return list(seeds), key
+
+    def _observe(self, graph: DiGraph, seeds: Sequence[int], elapsed: float) -> None:
+        """Count one computed selection and record its wall time."""
         _SELECTIONS.inc()
         _select_seconds_histogram(self.name).observe(elapsed)
         _LOG.debug(
@@ -150,7 +173,6 @@ class SeedSelector(ABC):
             graph.num_nodes,
             elapsed,
         )
-        return seeds
 
     @abstractmethod
     def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
@@ -160,11 +182,11 @@ class SeedSelector(ABC):
         self,
         graph: DiGraph,
         k: int,
-        rng: np.random.Generator,
         pool: SnapshotPool,
+        executor: Executor,
     ) -> list[int]:
-        """Pool-aware body; the default ignores the pool (no snapshots used)."""
-        return self._select(graph, k, rng)
+        """Pool-aware body of a ``uses_snapshots`` algorithm; gains on *executor*."""
+        raise NotImplementedError(f"{self.name} does not select from snapshot pools")
 
     def _check_budget(self, graph: DiGraph, k: int) -> int:
         check_positive_int(k, "k")
@@ -176,6 +198,103 @@ class SeedSelector(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _remember(key: Any, seeds: Sequence[int], end_state: dict[str, Any]) -> None:
+    """Memoize a computed selection with its post-selection generator state."""
+    selection_memo().put(
+        key,
+        (tuple(int(s) for s in seeds), end_state),
+        nbytes=8 * len(seeds) + 256,
+    )
+
+
+@dataclass(frozen=True)
+class SelectionJob:
+    """The snapshot selections of one ``(draw, group)`` pool, as one job.
+
+    For every selector (each declares ``uses_snapshots``) the job samples
+    the pool's masks, computes the NewGreedy gains on the in-process
+    :func:`~repro.exec.executor.inline_executor` and runs CELF, and it
+    returns their seed lists as one :class:`SelectedSeeds`.  A pooled
+    selection is a function of (graph, model, count, pool token, k), so
+    the job draws nothing from its generator and its seeds are the same
+    inline, on a thread or in a worker process.  It pickles as the pool's
+    graph and token, the selectors without their executors, and ``k``.
+    """
+
+    pool: SnapshotPool
+    selectors: tuple[SeedSelector, ...]
+    k: int
+
+    @property
+    def num_nodes(self) -> int | None:
+        return self.pool.graph.num_nodes
+
+    def run(self, generator: np.random.Generator) -> tuple[SelectedSeeds]:
+        graph, runner = self.pool.graph, inline_executor()
+        seeds = []
+        for selector in self.selectors:
+            started = time.perf_counter()
+            picks = selector._select_pooled(graph, self.k, self.pool, runner)
+            elapsed = time.perf_counter() - started  # reprolint: disable=RP009
+            selector._observe(graph, picks, elapsed)
+            seeds.append(tuple(int(s) for s in picks))
+        return (SelectedSeeds(tuple(seeds)),)
+
+
+def select_with_pools(
+    graph: DiGraph,
+    k: int,
+    selectors: Sequence[SeedSelector],
+    pools: Sequence[SnapshotPool],
+    generator: np.random.Generator,
+    executor: Executor,
+) -> list[list[list[int]]]:
+    """Every selector's seeds against each pool; the pooled ones as one batch.
+
+    Pools are served in order, and the selectors in order for each pool,
+    as ``selector.select(graph, k, generator, pool=pool)`` would serve
+    them: a heuristic selection draws from *generator*, a pooled one draws
+    its pool's token and is looked up in the selection memo.  Pooled
+    selections the memo misses are deferred: one :class:`SelectionJob` per
+    pool, all submitted to *executor* as one batch after the last pool.
+    Their results enter the memo with the generator state each selection
+    had, so the generator, the memo and the seeds are those of the
+    one-by-one loop on every backend.  A failing job raises before any of
+    the batch's results enters the memo.
+    """
+    seeds: list[list[list[int]]] = []
+    jobs: list[SelectionJob] = []
+    deferred: list[tuple[int, list[tuple[int, Any, dict[str, Any]]]]] = []
+    for pool in pools:
+        row: list[list[int]] = []
+        batch: list[SeedSelector] = []
+        slots: list[tuple[int, Any, dict[str, Any]]] = []
+        for selector in selectors:
+            if not selector.uses_snapshots:
+                row.append(selector.select(graph, k, generator, pool=pool))
+                continue
+            hit, key = selector._lookup(graph, k, generator, pool, memoize=True)
+            if hit is None:
+                batch.append(selector)
+                slots.append((len(row), key, rng_state(generator)))
+                hit = []  # filled in from the batch below
+            row.append(hit)
+        if batch:
+            jobs.append(SelectionJob(pool, tuple(batch), k))
+            deferred.append((len(seeds), slots))
+        seeds.append(row)
+    if jobs:
+        # The jobs draw nothing: their streams come off a fixed seed, so
+        # the batch leaves the caller's generator untouched.
+        outcomes = executor.run(jobs, rng=0)
+        for (pool_index, slots), outcome in zip(deferred, outcomes):
+            (result,) = outcome.estimates
+            for (slot, key, end_state), picks in zip(slots, result.seeds):
+                seeds[pool_index][slot] = list(picks)
+                _remember(key, picks, end_state)
+    return seeds
 
 
 _REGISTRY: dict[str, Callable[..., SeedSelector]] = {}

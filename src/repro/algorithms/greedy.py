@@ -10,13 +10,12 @@ the algorithm is randomized — two groups running MixGreedy independently
 get overlapping but not identical seed sets, which is exactly the behaviour
 the paper's Theorem 1 footnote relies on.
 
-The NewGreedy step dominates the cost and is embarrassingly parallel per
-snapshot, so it is fanned out through the execution engine as one
-:class:`~repro.exec.jobs.SnapshotGainsJob` per worker.  Each returns the
-integer reach totals of its masks, and the parent divides their sum once,
-so the gains are exact and never depend on the worker count.
-The CELF refinement stays in-process; its lazy re-evaluations run as
-doubling batches of candidates, one oracle sweep per batch.
+A private ``select`` call (no pool) fans the NewGreedy step out through
+the selector's executor as one :class:`~repro.exec.jobs.SnapshotGainsJob`
+per worker.  Each returns the integer reach totals of its masks, and the
+caller divides their sum once, so the gains are exact and never depend on
+the worker count.  CELF's lazy re-evaluations run as doubling batches of
+candidates, one oracle sweep per batch.
 
 ``CELFGreedy`` is the classical lazy-greedy of Leskovec et al. (KDD'07),
 implemented against the same snapshot oracle but initializing from the
@@ -27,7 +26,13 @@ estimate, so their spreads agree within noise).
 When a shared :class:`~repro.cascade.pools.SnapshotPool` is passed to
 ``select`` (the payoff estimator creates one per ``(draw, group)``), both
 algorithms draw their masks, oracle, and initial gains from the pool via
-``_select_pooled`` instead of resampling privately.
+``_select_pooled`` instead of resampling privately.  Such a selection
+takes one integer from the caller's generator (the pool token) and is
+otherwise a function of (graph, model, count, token, k), so it runs as a
+:class:`~repro.algorithms.base.SelectionJob` — sampling, gains and CELF
+together — inline or on a worker, with the gains run in that process
+(:func:`~repro.exec.executor.inline_executor`).  A selector pickles
+without its executor.
 """
 
 from __future__ import annotations
@@ -141,6 +146,11 @@ class _SnapshotGreedyBase(SeedSelector):
         self.num_snapshots = check_positive_int(num_snapshots, "num_snapshots")
         self.executor = executor
 
+    def __getstate__(self) -> dict[str, object]:
+        # Executors hold worker pools and do not travel; a selector in a
+        # selection job is handed the executor to compute gains on.
+        return {**self.__dict__, "executor": None}
+
     def _initial_gains(
         self, graph: DiGraph, oracle: SnapshotOracle
     ) -> list[float]:
@@ -169,13 +179,13 @@ class _SnapshotGreedyBase(SeedSelector):
         self,
         graph: DiGraph,
         k: int,
-        rng: np.random.Generator,
         pool: SnapshotPool,
+        executor: Executor,
     ) -> list[int]:
         """Select against the group's shared masks and shared initial gains."""
         k = self._check_budget(graph, k)
         oracle = pool.oracle(self.model, self.num_snapshots)
-        gains = pool.initial_gains(self.model, self.num_snapshots, self.executor)
+        gains = pool.initial_gains(self.model, self.num_snapshots, executor)
         return self._run_celf(k, oracle, gains)
 
     def _run_celf(

@@ -17,6 +17,13 @@ Pools store masks as **packed bitsets** (one bit per edge — see
 :mod:`repro.utils.bitset`), so a resident pool costs m/8 bytes per snapshot
 instead of m.
 
+**Where a pool is used.**  The payoff estimator submits each pool with
+its group's snapshot strategies as one
+:class:`~repro.algorithms.base.SelectionJob`, which samples, computes the
+gains and runs CELF wherever the executor places it.  A pool pickles as
+its graph and token only: the worker resamples the identical masks from
+the token, so masks never cross a process boundary.
+
 **Randomization contract (Theorem 1).**  The paper's mixed-equilibrium
 argument needs identical strategies played by different groups to produce
 *distinct* (independently randomized) seed sets, so pools are created per
@@ -39,7 +46,7 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import MASKS_PER_CHUNK, SnapshotGainsJob
+from repro.exec.jobs import SnapshotGainsJob
 from repro.graphs.digraph import DiGraph
 from repro.obs.metrics import counter
 from repro.utils.bitset import packed_bytes
@@ -65,17 +72,17 @@ def snapshot_initial_gains(
     This is the expensive all-nodes reachability pass both MixGreedy and
     CELFGreedy start from; it lives here so a :class:`SnapshotPool` can
     compute it once per ``(model, count)`` and serve every consumer.  The
-    masks are split into ``min(workers, chunks)`` contiguous runs of whole
-    :data:`~repro.exec.jobs.MASKS_PER_CHUNK`-mask chunks; the jobs' integer
-    reach totals are summed and divided once, so the gains are exact and
+    masks are split into ``min(workers, masks)`` contiguous runs of whole
+    masks, and each job sizes its reach DPs by live arcs
+    (:data:`~repro.exec.jobs.REACH_DP_BUDGET`); the jobs' integer reach
+    totals are summed and divided once, so the gains are exact and
     identical on every backend at any worker count.
     """
     if not masks:
         raise CascadeError("at least one snapshot mask is required")
     executor = resolve_executor(executor)
-    chunks = -(-len(masks) // MASKS_PER_CHUNK)
-    parts = min(executor.workers, chunks)
-    bounds = [MASKS_PER_CHUNK * (chunks * i // parts) for i in range(parts + 1)]
+    parts = min(executor.workers, len(masks))
+    bounds = [len(masks) * i // parts for i in range(parts + 1)]
     jobs = [
         SnapshotGainsJob(graph=graph, masks=tuple(masks[start:stop]))
         for start, stop in zip(bounds, bounds[1:])
@@ -112,6 +119,17 @@ class SnapshotPool:
     @property
     def seeded(self) -> bool:
         return self._seed is not None
+
+    def __getstate__(self) -> tuple[DiGraph, int | None]:
+        # A pool travels to a selection job as its graph and token: every
+        # cached sample is a function of the two, so the worker resamples
+        # it rather than receiving it.
+        return (self.graph, self._seed)
+
+    def __setstate__(self, state: tuple[DiGraph, int | None]) -> None:
+        graph, seed = state
+        SnapshotPool.__init__(self, graph)
+        self._seed = seed
 
     def _request_key(self, model: CascadeModel, count: int) -> tuple[object, int]:
         return (params_token(model), int(count))

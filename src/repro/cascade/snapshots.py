@@ -25,6 +25,11 @@ from repro.utils.bitset import is_packed, num_words, pack_bits, unpack_bits
 from repro.utils.rng import RandomSource, as_rng
 
 
+#: Uniform draws per block when sampling masks of a default-sampler model:
+#: bounds the block's float matrix at 1 MiB.
+_DRAWS_PER_BLOCK = 1 << 17
+
+
 def sample_snapshots(
     graph: DiGraph,
     model: CascadeModel,
@@ -34,6 +39,14 @@ def sample_snapshots(
 ) -> list[np.ndarray]:
     """Draw *count* independent live-edge masks from *model* on *graph*.
 
+    A model on the default sampler (IC, WC: an edge is live when its
+    uniform draw is below its probability) has its edge probabilities
+    computed once and draws the masks as ``(rows, m)`` uniform blocks; a
+    PCG64 block equals the same number of sequential ``random(m)`` draws
+    bit for bit, so the masks and the generator's end state are those of
+    the per-mask loop.  A model with its own sampler (LT) draws mask by
+    mask.
+
     With ``packed=True`` each mask is returned as a packed bitset
     (``uint64`` words, 8x smaller) holding exactly the same bits — the
     generator is consumed identically, so the packed sample is the packed
@@ -42,7 +55,15 @@ def sample_snapshots(
     if count <= 0:
         raise CascadeError(f"snapshot count must be positive, got {count}")
     generator = as_rng(rng)
-    masks = [model.sample_live_mask(graph, generator) for _ in range(count)]
+    masks: list[np.ndarray] = []
+    if type(model).sample_live_mask is CascadeModel.sample_live_mask:
+        probs = model.edge_probabilities(graph)
+        rows = max(1, _DRAWS_PER_BLOCK // max(probs.size, 1))
+        for start in range(0, count, rows):
+            block = generator.random((min(rows, count - start), probs.size)) < probs
+            masks.extend(block)
+    else:
+        masks = [model.sample_live_mask(graph, generator) for _ in range(count)]
     if packed:
         return [pack_bits(mask) for mask in masks]
     return masks

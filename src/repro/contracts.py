@@ -109,7 +109,9 @@ def check_batch(
       graph bound, its mean lies in ``[0, |V|]``, element-wise for an
       array mean (a gains job's per-node reach) — a garbage worker result
       (truncated pickle, mismatched stream) corrupts the payoff tensor as
-      surely as a broken model does.
+      surely as a broken model does;
+    * every seed list of a selection job's result holds distinct node ids,
+      in ``[0, |V|)`` when the job carries a graph bound.
     """
     if len(results) != len(num_nodes):
         raise ContractViolation(
@@ -117,13 +119,22 @@ def check_batch(
             f"{len(num_nodes)} jobs"
         )
     for job_index, (estimates, bound) in enumerate(zip(results, num_nodes)):
+        high = np.inf if bound is None else bound
         for estimate in estimates:
+            seed_lists = getattr(estimate, "seeds", None)
+            if seed_lists is not None:
+                for seeds in seed_lists:
+                    ids = np.asarray(seeds, dtype=np.int64)
+                    if np.unique(ids).size != ids.size or ((ids < 0) | (ids >= high)).any():
+                        raise ContractViolation(
+                            f"{name}: job {job_index} selected invalid seeds {list(seeds)}"
+                        )
+                continue
             mean = np.asarray(getattr(estimate, "mean", np.nan), dtype=float)
             if not np.isfinite(mean).all():
                 raise ContractViolation(
                     f"{name}: job {job_index} produced a non-finite mean"
                 )
-            high = np.inf if bound is None else bound
             outside = mean[(mean < 0.0) | (mean > high)]
             if outside.size:
                 raise ContractViolation(

@@ -34,10 +34,19 @@ semantics:
   *exactly* player-symmetric.  Precedence: explicit ``symmetry=``
   argument > ``REPRO_SYMMETRY`` > ``"full"``.
 
+Seed selection is fanned out too.  Heuristic selections, pool tokens and
+selection-memo lookups run in the caller, in a fixed order, since they
+consume the caller's generator.  A pooled selection takes only its pool's
+token from it, so the pooled selections the memo misses run afterwards as
+**one batch** of :class:`~repro.algorithms.base.SelectionJob` objects, one
+per ``(draw, group)`` pool, each sampling its masks, computing the gains
+and running CELF where the executor places it
+(:func:`~repro.algorithms.base.select_with_pools`).  Their seeds, and the
+caller's generator, are those of selecting one strategy at a time.
+
 All profile simulations are independent, so they are fanned out as **one
-batch** through the execution engine: seed sets are drawn sequentially up
-front (they consume the caller's generator), then every (draw, profile)
-*cell* gets its own spawned stream, and the cells are packed into
+batch** through the execution engine: once the seed sets are drawn, every
+(draw, profile) *cell* gets its own spawned stream, and the cells are packed into
 :class:`~repro.exec.jobs.CompetitiveJob` objects (:func:`pack_cells`: about
 one job per worker, each job's claimed bitset capped at the graph's
 out-CSR bytes).  Each job runs all of its cells as one frontier sweep.  A
@@ -59,6 +68,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.algorithms.base import select_with_pools
 from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
 from repro.cascade.kernels import out_csr_bytes
@@ -292,7 +302,8 @@ def estimate_payoff_table(
 
     Phase 1 (seed selection) is identical in both modes: every strategy of
     every group draws its seed set per draw, against a per-(draw, group)
-    shared :class:`~repro.cascade.pools.SnapshotPool`.
+    shared :class:`~repro.cascade.pools.SnapshotPool`; the pooled
+    selections run on *executor* as one batch of selection jobs.
 
     When *journal* is given (or a journal is attached via
     :func:`repro.obs.attach_journal`), a ``profile_start`` event is
@@ -340,22 +351,18 @@ def estimate_payoff_table(
         seed_draws,
     )
 
-    # Phase 1 (sequential): draw seed sets.  S[draw][i][j] is what group i
-    # would seed if it played strategy j in this draw.  These consume the
-    # caller's generator in a fixed order, independent of the backend and
-    # of the symmetry mode.  One snapshot pool per (draw, group) shares the
+    # Phase 1: draw seed sets.  S[draw][i][j] is what group i would seed
+    # if it played strategy j in this draw.  These consume the caller's
+    # generator in a fixed order, independent of the backend and of the
+    # symmetry mode.  One snapshot pool per (draw, group) shares the
     # live-edge sample among that group's strategies; pools stay private to
     # their group so identical strategies across groups remain
-    # independently randomized (Theorem 1).
-    all_seed_sets = []
-    for _draw in range(seed_draws):
-        draw_sets = []
-        for _group in range(r):
-            group_pool = SnapshotPool(graph)
-            draw_sets.append(
-                [space[j].select(graph, k, generator, pool=group_pool) for j in range(z)]
-            )
-        all_seed_sets.append(draw_sets)
+    # independently randomized (Theorem 1).  The pooled selections run as
+    # one batch of per-(draw, group) selection jobs.
+    runner = resolve_executor(executor)
+    pools = [SnapshotPool(graph) for _ in range(seed_draws * r)]
+    selected = select_with_pools(graph, k, space.selectors, pools, generator, runner)
+    all_seed_sets = [selected[draw * r : (draw + 1) * r] for draw in range(seed_draws)]
 
     # Phase 2: one cell per (draw, simulated profile), in deterministic
     # order, each drawing from its own spawned stream; the cells are packed
@@ -380,7 +387,6 @@ def estimate_payoff_table(
                 )
             )
             cell_keys.append((draw, profile))
-    runner = resolve_executor(executor)
     packs = pack_cells([cell.rounds for cell in cells], graph, runner.workers)
     jobs = [
         CompetitiveJob(

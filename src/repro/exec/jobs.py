@@ -25,6 +25,10 @@ Concrete jobs covering the σ(·) quantities of the paper:
 * :class:`SnapshotGainsJob` — exact per-node reach-size totals
   (:class:`ReachTotals`) over a run of pre-sampled live-edge masks.
 
+A job defined elsewhere, :class:`~repro.algorithms.base.SelectionJob`,
+runs a snapshot pool's seed selections where the executor places it and
+returns one :class:`SelectedSeeds`.
+
 A cell of a ``CompetitiveJob`` may carry its **own stream** (``seed``):
 it then draws every variate from it, so its estimates do not depend on
 how cells are packed into jobs or on the job's spawned generator.  Under
@@ -54,6 +58,7 @@ from repro.cascade.reachability import all_reach_sizes
 from repro.cascade.snapshots import stack_masks
 from repro.graphs.digraph import DiGraph
 from repro.obs.metrics import counter
+from repro.utils.bitset import count_bits
 from repro.utils.rng import as_rng
 
 _SIMULATIONS = counter("cascade.simulations")
@@ -61,9 +66,13 @@ _SIMULATIONS = counter("cascade.simulations")
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
 
-#: Snapshots per reach DP in a :class:`SnapshotGainsJob`: bounds the DP's
-#: block-diagonal arrays; results never depend on it.
-MASKS_PER_CHUNK = 8
+#: Size budget of one reach DP in a :class:`SnapshotGainsJob`, in live arcs
+#: plus block nodes: a mask costs its live arcs and the graph's n nodes,
+#: the two dimensions of the DP's block-diagonal arrays, at ~85 bytes per
+#: unit on hep and phy.  The DP's time is mostly per-level call overhead,
+#: so fewer, larger DPs are faster, up to ~25 masks on those graphs; the
+#: budget keeps a DP near 5 MiB.  Results never depend on it.
+REACH_DP_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +92,16 @@ class ReachTotals:
         return self.totals / self.samples
 
 
-#: Result of a :class:`SimulationJob`: estimates, or a gains job's totals.
-JobResult = SpreadEstimate | ReachTotals
+@dataclass(frozen=True)
+class SelectedSeeds:
+    """A selection job's seed lists, one per selector, in greedy order."""
+
+    seeds: tuple[tuple[int, ...], ...]
+
+
+#: Result of a :class:`SimulationJob`: estimates, a gains job's totals, or
+#: a selection job's seeds.
+JobResult = SpreadEstimate | ReachTotals | SelectedSeeds
 ResultT_co = TypeVar("ResultT_co", bound=JobResult, covariant=True)
 
 
@@ -213,16 +230,17 @@ class CompetitiveJob:
 class SnapshotGainsJob:
     """Per-node reach-size totals over a run of live-edge snapshots.
 
-    Used by the snapshot-greedy algorithms (MixGreedy / CELF) to fan the
-    NewGreedy step out across workers: the job runs the block-diagonal
-    SCC-condensation DP over its masks :data:`MASKS_PER_CHUNK` at a time
-    and sums each chunk's ``(masks, nodes)`` size matrix into one
-    ``int64`` :class:`ReachTotals` (samples = its masks).  The chunk bounds
-    the DP's memory only: totals are integers, so the parent's sum over
-    jobs divided by the snapshot count is exact however masks are split.
+    Used by :func:`~repro.cascade.pools.snapshot_initial_gains` to split
+    the NewGreedy step over workers: the job runs the block-diagonal
+    SCC-condensation DP over ``ceil(cost / REACH_DP_BUDGET)`` contiguous
+    runs of near-equal numbers of its masks (see :data:`REACH_DP_BUDGET`
+    for the cost) and sums each run's ``(masks, nodes)`` size matrix into
+    one ``int64`` :class:`ReachTotals` (samples = its masks).  Totals are
+    integers, so the sum over jobs divided by the snapshot count is exact
+    however the masks are split.
 
     The job draws no randomness — masks are sampled by the caller (a
-    private ``select`` call or a shared per-group
+    private ``select`` call or a per-group
     :class:`~repro.cascade.pools.SnapshotPool`, which also memoizes the
     gains of this batch) so the snapshot sample is identical no matter
     which backend evaluates it.  Masks may be boolean-style or packed
@@ -237,10 +255,12 @@ class SnapshotGainsJob:
         return self.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[ReachTotals]:
-        totals = np.zeros(self.graph.num_nodes, dtype=np.int64)
-        for start in range(0, len(self.masks), MASKS_PER_CHUNK):
-            chunk = stack_masks(
-                self.masks[start : start + MASKS_PER_CHUNK], self.graph.num_edges
-            )
+        count, n = len(self.masks), self.graph.num_nodes
+        cost = sum(count_bits(mask) for mask in self.masks) + count * n
+        runs = min(count, -(-cost // REACH_DP_BUDGET))
+        bounds = [count * i // runs for i in range(runs + 1)]
+        totals = np.zeros(n, dtype=np.int64)
+        for start, stop in zip(bounds, bounds[1:]):
+            chunk = stack_masks(self.masks[start:stop], self.graph.num_edges)
             totals += all_reach_sizes(self.graph, chunk).sum(axis=0)
-        return (ReachTotals(totals=totals, samples=len(self.masks)),)
+        return (ReachTotals(totals=totals, samples=count),)

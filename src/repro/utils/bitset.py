@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "WORD_BITS",
+    "count_bits",
     "is_packed",
     "lookup_bits",
     "num_words",
@@ -55,6 +56,16 @@ def num_words(num_bits: int) -> int:
 def is_packed(mask: np.ndarray) -> bool:
     """Whether *mask* is a packed word array (detected by ``uint64`` dtype)."""
     return mask.dtype == np.uint64
+
+
+def count_bits(mask: np.ndarray) -> int:
+    """Number of set bits of *mask*, packed or boolean-style."""
+    if not is_packed(mask):
+        return int(np.count_nonzero(mask))
+    popcount = getattr(np, "bitwise_count", None)  # numpy >= 2.0
+    if popcount is not None:
+        return int(popcount(mask).sum())
+    return int(np.count_nonzero(np.unpackbits(mask.view(np.uint8))))
 
 
 def packed_zeros(num_bits: int) -> np.ndarray:

@@ -3,9 +3,9 @@
 A tiny seeded GetReal run (MGIC vs DDIC, two groups, on the karate-like
 fixture graph) recorded through a :class:`~repro.obs.journal.RunJournal`
 on the serial executor.  Its shape is fixed by the parameters: one
-snapshot-gains batch of 1 job (one per worker, over all 100 snapshots) per
-group pool, plus one simulation batch of 1 job carrying the 4 profile
-cells — 3 batches, 3 jobs.
+selection batch of 2 jobs (MixGreedy's selection against each group's
+snapshot pool), plus one simulation batch of 1 job carrying the 4 profile
+cells — 2 batches, 3 jobs.
 
 Generated rather than recorded, so it always matches the current journal
 writers.  ``tests/conftest.py`` builds it once per test session; CI and

@@ -265,7 +265,7 @@ class TestObsCommands:
         assert "self" in out  # self-time column present
 
     def test_obs_trace_max_children_elides(self, capsys):
-        assert main(["obs", "trace", self.FIXTURE, "--max-children", "2"]) == 0
+        assert main(["obs", "trace", self.FIXTURE, "--max-children", "1"]) == 0
         assert "more child span(s)" in capsys.readouterr().out
 
     def test_obs_export_prom_is_parseable(self, capsys):
@@ -275,7 +275,7 @@ class TestObsCommands:
             ["obs", "export", "--journal", self.FIXTURE, "--format", "prom"]
         ) == 0
         samples = parse_prometheus_text(capsys.readouterr().out)
-        assert samples["repro_exec_batches_total"] == 3.0
+        assert samples["repro_exec_batches_total"] == 2.0
         assert samples["repro_exec_jobs_completed_total"] == 3.0
 
     def test_obs_export_json(self, capsys):
@@ -283,7 +283,7 @@ class TestObsCommands:
             ["obs", "export", "--journal", self.FIXTURE, "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counters"]["exec.batches"] == 3
+        assert payload["counters"]["exec.batches"] == 2
 
     def test_obs_export_live_registry_default(self, capsys):
         # Without --journal the command exports this process's registry;
@@ -298,7 +298,7 @@ class TestObsCommands:
         out = capsys.readouterr().out
         assert "repro run monitor" in out
         assert "get_real" in out
-        assert "batches: 3" in out
+        assert "batches: 2" in out
 
     def test_monitor_missing_file_renders_empty_dashboard(self, tmp_path, capsys):
         assert main(["monitor", str(tmp_path / "nope.jsonl"), "--once"]) == 0

@@ -161,7 +161,7 @@ class TestRunMonitor:
         assert code == 0
         panel = out.getvalue()
         assert "get_real" in panel
-        assert "batches: 3" in panel
+        assert "batches: 2" in panel
         assert "getreal.run" in panel
 
     def test_duration_bound_loop_over_growing_file(self, tmp_path):

@@ -14,15 +14,19 @@ import pytest
 
 from repro.algorithms.degree_discount import DegreeDiscount
 from repro.algorithms.greedy import CELFGreedy, MixGreedy
+from repro.cascade import snapshots as snapshots_mod
 from repro.cascade.ic import IndependentCascade
+from repro.cascade.wc import WeightedCascade
 from repro.cascade.kernels import reachable_mask, reachable_mask_batch
 from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
 from repro.cascade.reachability import all_reach_sizes
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots, stack_masks
 from repro.errors import CascadeError
 from repro.exec import Executor
-from repro.exec.jobs import MASKS_PER_CHUNK
+from repro.exec import jobs as jobs_mod
+from repro.exec.jobs import SnapshotGainsJob
 from repro.obs.metrics import counter
+from repro.utils.bitset import count_bits, pack_bits
 
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
@@ -176,11 +180,58 @@ class TestGainsExactness:
         submitted = counter("exec.jobs_submitted").value
         gains = snapshot_initial_gains(random_graph, masks, executor)
         assert gains == expected.tolist()
-        # One job per worker, each a run of whole 8-mask chunks.
-        chunks = -(-count // MASKS_PER_CHUNK)
+        # One job per worker, each a run of whole masks.
         assert counter("exec.jobs_submitted").value - submitted == min(
-            executor.workers, chunks
+            executor.workers, count
         )
+
+
+class TestReachDpBudget:
+    """A gains job sizes its reach DPs by live arcs; totals never move."""
+
+    def test_totals_equal_for_every_budget(self, random_graph, monkeypatch):
+        masks = sample_snapshots(
+            random_graph, IndependentCascade(0.2), 20, rng=5, packed=True
+        )
+        n = random_graph.num_nodes
+        costs = [count_bits(m) + n for m in masks]
+        job = SnapshotGainsJob(graph=random_graph, masks=tuple(masks))
+        dp_calls = []
+        original = jobs_mod.all_reach_sizes
+
+        def spy(graph, chunk):
+            dp_calls.append(len(chunk))
+            return original(graph, chunk)
+
+        monkeypatch.setattr(jobs_mod, "all_reach_sizes", spy)
+        stack = stack_masks(masks, random_graph.num_edges)
+        expected = all_reach_sizes(random_graph, stack).sum(0)
+        # A budget of one mask, of eight masks, and of everything.
+        for budget, runs in [(1, 20), (sum(costs[:8]), 3), (1 << 40, 1)]:
+            monkeypatch.setattr(jobs_mod, "REACH_DP_BUDGET", budget)
+            dp_calls.clear()
+            (result,) = job.run(np.random.default_rng(0))
+            np.testing.assert_array_equal(result.totals, expected)
+            assert sum(dp_calls) == len(masks) and len(dp_calls) == runs
+
+
+class TestDefaultSampler:
+    """Default-sampler models draw masks in blocks, bit for bit the per-mask loop."""
+
+    @pytest.mark.parametrize("model", [IndependentCascade(0.2), WeightedCascade()], ids=["ic", "wc"])
+    @pytest.mark.parametrize("packed", [False, True], ids=["bool", "packed"])
+    def test_masks_and_end_state_match_per_mask_loop(self, random_graph, model, packed, monkeypatch):
+        # A tiny block size also covers a sample split over several blocks.
+        for block in (snapshots_mod._DRAWS_PER_BLOCK, 3 * random_graph.num_edges):
+            monkeypatch.setattr(snapshots_mod, "_DRAWS_PER_BLOCK", block)
+            blocked, looped = np.random.default_rng(8), np.random.default_rng(8)
+            masks = sample_snapshots(random_graph, model, 10, blocked, packed=packed)
+            expected = [model.sample_live_mask(random_graph, looped) for _ in range(10)]
+            if packed:
+                expected = [pack_bits(mask) for mask in expected]
+            for got, want in zip(masks, expected, strict=True):
+                np.testing.assert_array_equal(got, want)
+            assert blocked.bit_generator.state == looped.bit_generator.state
 
 
 class TestGainsInputChecks:

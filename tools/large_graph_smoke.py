@@ -22,10 +22,15 @@ pickles as its O(1) ``GraphRef``.  It asserts the scale-out invariants:
   ``pool.initial_gains`` over ``GAINS_SNAPSHOTS`` snapshots and CELF up to
   its second pick, the first that needs the batched oracle sweep — on a
   serial executor, so their memory counts in this process's peak;
-* **exact parallel gains** — gains over two 8-mask chunks on a 2-worker
-  **process** executor are one batch of one job per worker, each
-  pickling as its ``GraphRef`` plus its share of the packed masks (O(1)
-  beyond the masks), and equal the serial gains bit for bit.
+* **exact parallel gains** — gains over 16 masks on a 2-worker
+  **process** executor are one batch of one job per worker (each a run of
+  whole masks), each pickling as its ``GraphRef`` plus its share of the
+  packed masks (O(1) beyond the masks), and equal the serial gains bit
+  for bit;
+* **selection jobs** — one pooled MixGreedy selection batch (one job per
+  group pool) on the 2-worker process executor pickles each job as its
+  ``GraphRef``, the selector's parameters and the pool token, with no
+  masks (O(1)), and picks the seeds of the serial batch.
 
 Run from the repo root::
 
@@ -47,11 +52,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.algorithms.greedy import run_celf
+from repro.algorithms.base import select_with_pools
+from repro.algorithms.greedy import MixGreedy, run_celf
+from repro.cache import clear_caches
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
 from repro.exec import Executor
-from repro.exec.jobs import MASKS_PER_CHUNK, CompetitiveJob, ProfileCell, SpreadJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.generators import powerlaw_configuration
 from repro.graphs.store import GraphStore, clear_handle_cache
 from repro.obs.journal import RunJournal, attached, read_journal
@@ -70,6 +77,8 @@ MAX_PAYLOAD_PER_JOB = 8192
 MAX_RSS_MB = 512
 GAINS_SNAPSHOTS = 8
 GAINS_WORKERS = 2
+PARALLEL_GAINS_SNAPSHOTS = 16
+SELECTION_GROUPS = 2
 
 
 def peak_rss_mb() -> float:
@@ -160,8 +169,8 @@ def main(argv: list[str] | None = None) -> int:
             MASK_SNAPSHOTS * num_words(num_edges) * 8
         ), f"pool mask bytes {counted} are not the packed footprint"
 
-        # One 8-mask chunk per worker, so the batch can fan out.
-        gains_masks = pool.masks(model, GAINS_WORKERS * MASKS_PER_CHUNK)
+        # Eight masks per worker, so the batch fans out.
+        gains_masks = pool.masks(model, PARALLEL_GAINS_SNAPSHOTS)
         with Executor("serial") as serial:
             serial_gains = snapshot_initial_gains(mapped, gains_masks, serial)
         gains_journal = Path(tmp) / "gains.jsonl"
@@ -191,6 +200,37 @@ def main(argv: list[str] | None = None) -> int:
         assert len(gains) == mapped.num_nodes and min(gains) >= 1.0
         picks, _ = run_celf(pool.oracle(model, GAINS_SNAPSHOTS), 2, gains)
         assert len(set(picks)) == 2
+        del gains
+
+        # One pooled MixGreedy selection per group pool, as one batch of
+        # selection jobs; the memo is cleared so the serial batch recomputes.
+        mixgreedy = MixGreedy(model, GAINS_SNAPSHOTS)
+
+        def select_batch(executor: Executor) -> list[list[list[int]]]:
+            clear_caches()
+            pools = [SnapshotPool(mapped) for _ in range(SELECTION_GROUPS)]
+            return select_with_pools(mapped, K, [mixgreedy], pools, as_rng(SEED), executor)
+
+        selection_journal = Path(tmp) / "selection.jsonl"
+        with RunJournal(selection_journal) as journal, attached(journal):
+            with Executor("process", workers=GAINS_WORKERS) as executor:
+                selected = select_batch(executor)
+        with Executor("serial") as serial:
+            assert selected == select_batch(serial), (
+                "process-backend selection jobs picked other seeds than serial"
+            )
+        (event,) = [
+            e for e in read_journal(selection_journal) if e["event"] == "batch_start"
+        ]
+        assert event["jobs"] == SELECTION_GROUPS, (
+            f"selection batch has {event['jobs']} jobs, not one per group pool"
+        )
+        selection_per_job = event["payload_bytes"] / event["jobs"]
+        assert selection_per_job <= MAX_PAYLOAD_PER_JOB, (
+            f"selection payload {selection_per_job:.0f}B/job exceeds the O(1) "
+            f"ceiling {MAX_PAYLOAD_PER_JOB}B (masks would be "
+            f"{GAINS_SNAPSHOTS * num_words(num_edges) * 8}B, CSR {csr_bytes}B)"
+        )
 
     rss = peak_rss_mb()
     assert rss <= MAX_RSS_MB, (
@@ -203,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         f"boolean), {GAINS_SNAPSHOTS}-snapshot gains + CELF picks {picks}, "
         f"{GAINS_WORKERS}-worker process gains identical to serial "
         f"({gains_overhead:.0f}B/job beyond masks), "
-        f"peak RSS {rss:.0f}MiB <= {MAX_RSS_MB}MiB"
+        f"{SELECTION_GROUPS} MixGreedy selection jobs identical to serial "
+        f"({selection_per_job:.0f}B/job), peak RSS {rss:.0f}MiB <= {MAX_RSS_MB}MiB"
     )
     return 0
 
