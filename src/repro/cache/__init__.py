@@ -18,9 +18,8 @@ draws continue from the same stream position either way.  See
 events.
 
 Graph edits need no invalidation: every key leads with the graph
-fingerprint, and a patched graph (:meth:`repro.graphs.digraph.DiGraph.apply_delta`)
-has a new one, so its lookups can never hit the parent's entries.  Those
-age out FIFO.
+fingerprint, and a graph with different edges has a different one, so its
+lookups can never hit another graph's entries.  Those age out FIFO.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ back the selection and blocking caches (see :mod:`repro.cache`); every
 lookup lands in the ``cache.hits`` / ``cache.misses`` counters, evictions in
 ``cache.evictions``, and the approximate resident size of all memos in the
 ``cache.bytes`` gauge.  Hits, misses, and clears are journaled as ``cache``
-events when a run journal is attached (the live monitor derives its hit
-rate from that stream).
+events when a run journal is attached (``repro journal`` tabulates hits
+and misses per namespace from that stream).
 
 Caching is always on: hits restore the exact post-computation RNG state,
 so a warm cache produces bit-identical results to a cold one.

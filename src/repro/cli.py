@@ -3,8 +3,7 @@
 Subcommands cover the everyday workflows:
 
 * ``stats``    — summarize a dataset surrogate or a SNAP edge-list file;
-* ``seeds``    — run one IM algorithm and print its seed set (``--delta``
-  selects on the graph patched by an edge-delta file);
+* ``seeds``    — run one IM algorithm and print its seed set;
 * ``spread``   — Monte-Carlo spread of an algorithm's seeds (optionally
   against a competing algorithm);
 * ``compete``  — two algorithms head-to-head: per-group spreads + overlap;
@@ -16,10 +15,9 @@ Subcommands cover the everyday workflows:
   ``gate`` diffs the newest entry against the stored history and exits
   non-zero on regressions, ``list`` shows registered scenario plugins
   (and, with ``--matrix``, the expanded cells);
-* ``journal``  — per-profile timing/variance report from a run journal;
-* ``monitor``  — tail-follow a run journal and render a live dashboard;
-* ``obs trace``  — per-run span waterfall (self vs child time) from a journal;
-* ``obs export`` — metrics in Prometheus text format or JSON.
+* ``journal``  — run-journal report: runs, per-profile timing/variance,
+  execution batches, span totals and cache hits per namespace;
+* ``obs trace`` — per-run span waterfall (self vs child time) from a journal.
 
 Every graph-taking command accepts the observability flags
 ``--log-level``/``--log-json`` (structured logging on stderr) and
@@ -35,15 +33,12 @@ Examples::
 
     python -m repro stats hep --scale 0.1
     python -m repro seeds hep --algorithm ddic --k 10
-    python -m repro seeds hep --algorithm mgic --k 10 --delta delta.json
     python -m repro spread hep --algorithm mgic --k 20 --rounds 50
     python -m repro compete hep --first mgic --second ddic --k 20
     python -m repro getreal hep --strategies mgic,ddic --k 20 --rounds 30 \
         --journal run.jsonl --log-level info
     python -m repro journal run.jsonl
-    python -m repro monitor run.jsonl
     python -m repro obs trace run.jsonl
-    python -m repro obs export --journal run.jsonl --format prom
     python -m repro overlap hep --first ddic --second mgic --k 20
     python -m repro block hep --rival ddic --k 5 --rival-k 10
     python -m repro experiments run --matrix benchmarks/matrices/smoke.json
@@ -64,12 +59,11 @@ from repro.cascade import IndependentCascade, LinearThreshold, WeightedCascade
 from repro.core.getreal import get_real
 from repro.core.metrics import jaccard
 from repro.core.strategy import StrategySpace
-from repro.errors import GraphError, JournalError
+from repro.errors import JournalError
 from repro.core.payoff import SYMMETRY_MODES
 from repro.exec.backends import BACKENDS
 from repro.exec.executor import Executor, build_executor
 from repro.graphs.datasets import DATASETS, get_dataset
-from repro.graphs.delta import EdgeDelta
 from repro.graphs.digraph import DiGraph
 from repro.graphs.loaders import load_edge_list
 from repro.graphs.store import GraphStore, is_store_entry
@@ -79,13 +73,9 @@ from repro.obs import (
     attach_journal,
     configure_logging,
     detach_journal,
-    metrics_snapshot,
     read_journal,
-    registry_from_journal,
-    render_export,
     render_journal_report,
     render_trace_tree,
-    run_monitor,
 )
 from repro.utils.tables import format_table
 
@@ -190,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--algorithm", default="ddic")
     seeds.add_argument("--k", type=int, default=10)
     seeds.add_argument("--probability", type=float, default=0.05, help="IC p")
-    seeds.add_argument(
-        "--delta",
-        metavar="FILE",
-        default=None,
-        help="JSON file {\"added\": [[u, v], ...], \"removed\": [...]}: "
-        "select on the graph with these edge changes applied",
-    )
 
     getreal = sub.add_parser("getreal", help="run the GetReal pipeline")
     _add_common(getreal)
@@ -259,30 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     journal.add_argument("file", help="path to a .jsonl run journal")
 
-    monitor = sub.add_parser(
-        "monitor", help="tail-follow a run journal and render a live dashboard"
-    )
-    monitor.add_argument("file", help="path to a (possibly growing) .jsonl journal")
-    monitor.add_argument(
-        "--interval", type=float, default=0.5, help="poll interval in seconds"
-    )
-    monitor.add_argument(
-        "--once",
-        action="store_true",
-        help="render one dashboard from the current contents and exit",
-    )
-    monitor.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="stop after this many seconds (default: follow until Ctrl-C)",
-    )
-    monitor.add_argument(
-        "--top-spans", type=int, default=10, dest="top_spans",
-        help="rows in the cumulative-span-time table",
-    )
-
-    obs = sub.add_parser("obs", help="observability tooling (trace/export)")
+    obs = sub.add_parser("obs", help="observability tooling (trace)")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
     trace = obs_sub.add_parser(
@@ -295,26 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=20,
         dest="max_children",
         help="per-span child rows before elision",
-    )
-
-    export = obs_sub.add_parser(
-        "export", help="export metrics (Prometheus text format or JSON)"
-    )
-    export.add_argument(
-        "--format",
-        dest="format",
-        choices=["prom", "json"],
-        default="prom",
-        help="output format (default: prom)",
-    )
-    export.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help=(
-            "rebuild metrics from a recorded journal instead of this "
-            "process's (empty) live registry"
-        ),
     )
 
     experiments = sub.add_parser(
@@ -414,15 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         print(render_journal_report(events))
         return 0
 
-    if args.command == "monitor":
-        return run_monitor(
-            args.file,
-            interval=args.interval,
-            once=args.once,
-            duration=args.duration,
-            top_spans=args.top_spans,
-        )
-
     if args.command == "obs":
         return _run_obs(args)
 
@@ -468,28 +399,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run_obs(args: argparse.Namespace) -> int:
-    """``repro obs trace|export`` — journal-driven, no graph loading."""
-    if args.obs_command == "trace":
-        try:
-            events = read_journal(args.file, strict=False)
-        except JournalError as exc:
-            raise SystemExit(str(exc)) from exc
-        print(render_trace_tree(events, max_children=args.max_children))
-        return 0
-
-    # export
-    if args.journal is not None:
-        try:
-            events = read_journal(args.journal, strict=False)
-        except JournalError as exc:
-            raise SystemExit(str(exc)) from exc
-        snapshot = registry_from_journal(events).snapshot()
-    else:
-        snapshot = metrics_snapshot()
+    """``repro obs trace`` — journal-driven, no graph loading."""
     try:
-        sys.stdout.write(render_export(snapshot, args.format))
+        events = read_journal(args.file, strict=False)
     except JournalError as exc:
         raise SystemExit(str(exc)) from exc
+    print(render_trace_tree(events, max_children=args.max_children))
     return 0
 
 
@@ -586,25 +501,6 @@ def _run_experiments(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _apply_delta_file(graph: DiGraph, path: str) -> DiGraph:
-    """*graph* with the JSON edge delta in *path* applied.
-
-    The file holds ``{"added": [[u, v], ...], "removed": [[u, v], ...]}``
-    (either key may be omitted).  An unreadable, malformed or out-of-range
-    file exits with a one-line message.
-    """
-    try:
-        spec = json.loads(Path(path).read_text())
-        if not isinstance(spec, dict) or set(spec) - {"added", "removed"}:
-            raise GraphError('expected a JSON object with keys "added" and/or "removed"')
-        delta = EdgeDelta.of(
-            added=spec.get("added", ()), removed=spec.get("removed", ())
-        )
-        return graph.apply_delta(delta)
-    except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"bad delta file {path}: {exc}") from exc
-
-
 def _run_command(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.scale, directed=not args.undirected)
     # The with-block shuts pooled workers down before interpreter exit;
@@ -620,8 +516,6 @@ def _dispatch(args: argparse.Namespace, graph: DiGraph, executor: Executor) -> i
         return 0
 
     if args.command == "seeds":
-        if args.delta:
-            graph = _apply_delta_file(graph, args.delta)
         algo = _algorithm(args.algorithm, args.probability)
         selected = algo.select(graph, args.k, rng=args.seed)
         print(f"{algo.name} seeds (k={args.k}): {selected}")

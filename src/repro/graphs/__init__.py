@@ -1,9 +1,8 @@
 """Graph substrate: CSR directed graphs, loaders, generators, datasets, stats."""
 
 from repro.graphs.digraph import DiGraph
-from repro.graphs.delta import AppliedDelta, EdgeDelta, merge_delta
 from repro.graphs.loaders import load_edge_list, save_edge_list, stream_edge_array
-from repro.graphs.store import GraphRef, GraphStore, resolve_graph
+from repro.graphs.store import GraphRef, GraphStore
 from repro.graphs.generators import (
     community_powerlaw,
     copying_model,
@@ -22,13 +21,9 @@ from repro.graphs.stats import (
 )
 
 __all__ = [
-    "AppliedDelta",
     "DiGraph",
-    "EdgeDelta",
     "GraphRef",
-    "merge_delta",
     "GraphStore",
-    "resolve_graph",
     "load_edge_list",
     "save_edge_list",
     "stream_edge_array",

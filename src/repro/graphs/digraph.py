@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.utils.bitset import lookup_bits
-
-if TYPE_CHECKING:
-    from repro.graphs.delta import EdgeDelta
 
 
 class DiGraph:
@@ -251,7 +247,7 @@ class DiGraph:
         indexes per-edge attribute arrays for the edge stored at in-CSR
         position *i*.  Derived lazily — the in-CSR is built by a stable sort
         on destination over edge-id order, so the permutation is recovered
-        by repeating that sort — and cached (delta merges pre-populate it).
+        by repeating that sort — and cached.
         """
         if self._in_edge_ids is None:
             _, dst = self.edge_array()
@@ -353,19 +349,6 @@ class DiGraph:
         graph._fingerprint = fingerprint
         graph._in_edge_ids = None
         return graph
-
-    def apply_delta(self, delta: "EdgeDelta") -> "DiGraph":
-        """The graph with *delta*'s edge changes applied (vectorized merge).
-
-        Bit-identical — CSR arrays, edge-id permutation, fingerprint — to
-        rebuilding from the merged edge list; see
-        :func:`repro.graphs.delta.merge_delta` for the full contract and
-        the :class:`~repro.graphs.delta.AppliedDelta` id maps it also
-        returns.
-        """
-        from repro.graphs.delta import merge_delta
-
-        return merge_delta(self, delta).graph
 
     @classmethod
     def from_arrays(cls, num_nodes: int, src: np.ndarray, dst: np.ndarray) -> "DiGraph":

@@ -34,7 +34,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, cast
+from typing import cast
 
 import numpy as np
 
@@ -43,13 +43,9 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.loaders import PathLike, stream_edge_array
 from repro.obs.metrics import counter
 
-if TYPE_CHECKING:
-    from repro.graphs.delta import EdgeDelta
-
 __all__ = [
     "GraphRef",
     "GraphStore",
-    "resolve_graph",
 ]
 
 #: meta.json layout version, bumped on any array-layout change.
@@ -61,7 +57,6 @@ _ARRAY_NAMES = ("out_indptr", "out_indices", "in_indptr", "in_indices", "edge_id
 _STORE_SAVES = counter("graphs.store_saves")
 _STORE_OPENS = counter("graphs.store_opens")
 _STORE_CACHE_HITS = counter("graphs.store_cache_hits")
-_STORE_DELTAS = counter("graphs.store_deltas")
 
 
 @dataclass(frozen=True)
@@ -124,13 +119,6 @@ def clear_handle_cache() -> None:
     """Drop every cached mmap handle (mainly for tests)."""
     with _HANDLE_LOCK:
         _HANDLES.clear()
-
-
-def resolve_graph(graph: DiGraph | GraphRef) -> DiGraph:
-    """*graph* itself, or the ref's cached mmap-backed graph."""
-    if isinstance(graph, GraphRef):
-        return graph.open()
-    return graph
 
 
 def _read_meta(directory: Path) -> dict[str, object]:
@@ -255,49 +243,6 @@ class GraphStore:
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
         )
-
-    def apply_delta(
-        self,
-        graph: str | GraphRef | DiGraph,
-        delta: "EdgeDelta",
-        name: str | None = None,
-    ) -> GraphRef:
-        """Patch a stored graph and persist the child as a new entry.
-
-        *graph* may be an entry name, a :class:`GraphRef`, or an in-memory
-        :class:`DiGraph`; the child entry is named after its fingerprint by
-        default, so re-applying the same delta is idempotent.  Each
-        application appends one JSON line to the store-level
-        ``deltas.jsonl`` journal — parent/child fingerprints, the edge
-        lists, and the no-op counts — so a store's version lineage can be
-        reconstructed (:meth:`delta_log`) and replayed.
-        """
-        from repro.graphs.delta import merge_delta
-
-        parent = self.open(graph) if isinstance(graph, str) else resolve_graph(graph)
-        applied = merge_delta(parent, delta)
-        child_ref = self.save(applied.graph, name)
-        record = {
-            "parent_fingerprint": parent.fingerprint,
-            "child_fingerprint": applied.graph.fingerprint,
-            "child_path": child_ref.path,
-            "added": [[int(u), int(v)] for u, v in applied.added_edges],
-            "removed": [[int(u), int(v)] for u, v in applied.removed_edges],
-            "noop_added": applied.noop_added,
-            "noop_removed": applied.noop_removed,
-        }
-        with open(self.root / "deltas.jsonl", "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record) + "\n")
-        _STORE_DELTAS.inc()
-        return child_ref
-
-    def delta_log(self) -> list[dict[str, object]]:
-        """Every recorded delta application, oldest first."""
-        path = self.root / "deltas.jsonl"
-        if not path.is_file():
-            return []
-        with open(path, encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
 
     def ref(self, name: str) -> GraphRef:
         """An O(1) ref to a stored graph, from its metadata alone."""

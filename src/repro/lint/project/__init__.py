@@ -10,7 +10,7 @@ and runs taint-style dataflow rules on top:
   (imports, re-exports, star imports, aliases, base-class method lookup);
 * :mod:`repro.lint.project.callgraph` — caller→callee edges, reachability,
   call-path traces for findings;
-* :mod:`repro.lint.project.rules` — RP010–RP013 and RP015;
+* :mod:`repro.lint.project.rules` — RP010–RP013;
 * :mod:`repro.lint.project.engine` — the extract → aggregate → check driver
   behind the project half of ``python -m repro lint``.
 """

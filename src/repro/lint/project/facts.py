@@ -6,7 +6,7 @@ parsed exactly once (possibly in a worker process) and reduced to a
 cross-module rules need: definitions, imports, call sites, and the
 rule-specific "interesting events" (ambient RNG construction, wall-clock
 reads, ``id()`` keying, unordered-set iteration, shared-state mutation,
-journal emit/read sites, job constructions).  Facts pickle
+journal emit sites, job constructions).  Facts pickle
 cheaply, so the extraction fans out over a process pool and the single-
 process aggregation step stays small.
 
@@ -142,30 +142,8 @@ class MutationSite:
 
 @dataclass(frozen=True)
 class EmitSite:
-    """A journal write: ``<sink>.emit("<event>", k1=..., **rest)``.
+    """A journal write: ``<sink>.emit(...)``."""
 
-    ``event`` is ``None`` when the event name is not a string literal;
-    ``open_keyed`` is True when a ``**kwargs`` splat makes the key set
-    unknowable statically.
-    """
-
-    event: str | None
-    keys: tuple[str, ...]
-    open_keyed: bool
-    line: int
-
-
-@dataclass(frozen=True)
-class ReadSite:
-    """A journal read: key accesses in a function that filters one event type.
-
-    ``event`` is the literal the function compares against
-    (``e.get("event") == "profile_done"``); ``keys`` are the
-    ``.get("k")`` / ``["k"]`` accesses syntactically inside that function.
-    """
-
-    event: str
-    keys: tuple[tuple[str, int], ...]
     line: int
 
 
@@ -205,7 +183,6 @@ class FunctionFacts:
     set_iters: list[SetIterSite] = field(default_factory=list)
     mutations: list[MutationSite] = field(default_factory=list)
     emits: list[EmitSite] = field(default_factory=list)
-    reads: list[ReadSite] = field(default_factory=list)
     job_ctors: list[JobCtorSite] = field(default_factory=list)
 
 
@@ -358,7 +335,6 @@ class _Extractor(ast.NodeVisitor):
         self._func_stack.append(fn)
         self._local_funcs.append(set())
         self.generic_visit(node)
-        self._detect_reads(node, fn)
         self._local_funcs.pop()
         self._func_stack.pop()
 
@@ -562,7 +538,7 @@ class _Extractor(ast.NodeVisitor):
                             MutationSite(owner, mutator, node.lineno, self._locked())
                         )
                 if parts[-1] == "emit":
-                    self._record_emit(fn, node)
+                    fn.emits.append(EmitSite(node.lineno))
                 if parts[-1].endswith("Job") and parts[-1][0].isupper():
                     self._record_job_ctor(fn, node, name)
             rng_name = _ambient_rng_name(node)
@@ -607,15 +583,6 @@ class _Extractor(ast.NodeVisitor):
                 if key is not None and self._contains_id_call(key):
                     fn.id_keys.append(IdKeySite(key.lineno))
         self.generic_visit(node)
-
-    def _record_emit(self, fn: FunctionFacts, node: ast.Call) -> None:
-        event: str | None = None
-        if node.args and isinstance(node.args[0], ast.Constant):
-            if isinstance(node.args[0].value, str):
-                event = node.args[0].value
-        keys = tuple(kw.arg for kw in node.keywords if kw.arg is not None)
-        open_keyed = any(kw.arg is None for kw in node.keywords)
-        fn.emits.append(EmitSite(event, keys, open_keyed, node.lineno))
 
     def _record_job_ctor(
         self, fn: FunctionFacts, node: ast.Call, name: str
@@ -666,70 +633,6 @@ class _Extractor(ast.NodeVisitor):
             if kw.arg is not None:
                 classify(kw.value)
         fn.job_ctors.append(JobCtorSite(name, tuple(suspicious), node.lineno))
-
-    # ------------------------------------------------------------------ #
-    # reader-side journal schema (per function, after the walk)
-    # ------------------------------------------------------------------ #
-
-    def _detect_reads(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, fn: FunctionFacts
-    ) -> None:
-        """Pair an ``== "event"`` guard with the key accesses around it.
-
-        Scope is the whole function body: if a function compares something
-        to exactly one event-name literal and subscripts/gets string keys,
-        those keys are assumed to describe that event's schema.  Functions
-        comparing against several event names are skipped (too ambiguous).
-        """
-        events: set[str] = set()
-        keys: list[tuple[str, int]] = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Compare) and len(sub.ops) == 1:
-                if isinstance(sub.ops[0], ast.Eq):
-                    operands = [sub.left, *sub.comparators]
-                    literals = [
-                        o.value
-                        for o in operands
-                        if isinstance(o, ast.Constant) and isinstance(o.value, str)
-                    ]
-                    guard = any(
-                        isinstance(o, ast.Call)
-                        and isinstance(o.func, ast.Attribute)
-                        and o.func.attr == "get"
-                        and o.args
-                        and isinstance(o.args[0], ast.Constant)
-                        and o.args[0].value == "event"
-                        or isinstance(o, ast.Subscript)
-                        and isinstance(o.slice, ast.Constant)
-                        and o.slice.value == "event"
-                        for o in operands
-                    )
-                    if guard:
-                        events.update(literals)
-            elif isinstance(sub, ast.Call):
-                if (
-                    isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "get"
-                    and sub.args
-                    and isinstance(sub.args[0], ast.Constant)
-                    and isinstance(sub.args[0].value, str)
-                ):
-                    keys.append((sub.args[0].value, sub.lineno))
-            elif isinstance(sub, ast.Subscript):
-                if isinstance(sub.slice, ast.Constant) and isinstance(
-                    sub.slice.value, str
-                ):
-                    keys.append((sub.slice.value, sub.lineno))
-        if len(events) == 1 and keys:
-            event = next(iter(events))
-            fn.reads.append(
-                ReadSite(
-                    event,
-                    tuple(k for k in keys if k[0] != "event"),
-                    fn.lineno,
-                )
-            )
-
 
 def extract_facts(source: str, module: str, path: str) -> ModuleFacts:
     """Parse *source* and reduce it to a :class:`ModuleFacts` record.

@@ -1,10 +1,10 @@
-"""The whole-program rule catalogue: RP010–RP013 and RP015.
+"""The whole-program rule catalogue: RP010–RP013.
 
 Unlike the per-file rules (RP001–RP004, RP009), these run over a :class:`Project`
 — symbol table plus approximate call graph — so they can see an ambient
 ``default_rng()`` three call hops below a job, an unpicklable closure
-captured into a process-backend payload, or a journal reader whose expected
-keys drifted from every writer.  Each finding carries a ``trace`` (an
+captured into a process-backend payload, or an un-locked write to shared
+state reachable from a thread-backend job.  Each finding carries a ``trace`` (an
 entry→site call path) when the evidence is cross-module.
 
 The dataflow model is deliberately over-approximate (unknown-receiver calls
@@ -22,9 +22,6 @@ from repro.lint.base import Finding
 from repro.lint.project.callgraph import CallGraph, render_trace
 from repro.lint.project.facts import ModuleFacts
 from repro.lint.project.symbols import SymbolTable
-
-#: Envelope keys the journal transport stamps on every event.
-JOURNAL_ENVELOPE_KEYS = frozenset({"event", "ts", "seq", "run_id"})
 
 #: Function names that build cache/journal keys — wall-clock or id() taint
 #: flowing into these makes cache keys and journal records nondeterministic.
@@ -404,74 +401,10 @@ class SharedStateMutation(ProjectRule):
         return findings
 
 
-class JournalSchemaConsistency(ProjectRule):
-    """RP015: journal readers only expect keys some writer actually emits.
-
-    The JSONL journal is a producer/consumer contract with no schema file:
-    writers emit keyword dicts, readers ``get`` keys back out.  When a
-    reader's expected key drifts from every writer (a rename on one side),
-    the reader silently sees ``None`` and the monitor/report/export tables
-    quietly go blank — no error, just wrong dashboards.
-    """
-
-    code: ClassVar[str] = "RP015"
-    name: ClassVar[str] = "journal-schema-consistency"
-    rationale: ClassVar[str] = (
-        "journal writers and readers share an implicit per-event key "
-        "schema; a key read that no writer emits returns None forever and "
-        "blanks dashboards without an error"
-    )
-    hint: ClassVar[str] = (
-        "rename the reader key to match the writer (or vice versa); if the "
-        "key is genuinely optional and sometimes absent, suppress with "
-        "'# reprolint: disable=RP015' at the reader"
-    )
-
-    def check(self, project: Project) -> list[Finding]:
-        writers: dict[str, set[str]] = {}
-        open_events: set[str] = set()
-        writer_sites: dict[str, list[str]] = {}
-        for _facts, fn, symbol_id in project.symbols.iter_functions():
-            for emit in fn.emits:
-                if emit.event is None:
-                    continue
-                writers.setdefault(emit.event, set()).update(emit.keys)
-                writer_sites.setdefault(emit.event, []).append(symbol_id)
-                if emit.open_keyed:
-                    open_events.add(emit.event)
-        if not writers:
-            return []
-        findings: list[Finding] = []
-        for facts, fn, _symbol_id in project.symbols.iter_functions():
-            for read in fn.reads:
-                if read.event not in writers:
-                    continue  # reader of an event this project never writes
-                if read.event in open_events:
-                    continue  # writer key set is statically unknowable
-                known = writers[read.event] | JOURNAL_ENVELOPE_KEYS
-                for key, line in read.keys:
-                    if key in known:
-                        continue
-                    if project.suppressed(facts, line, self.code):
-                        continue
-                    sites = ", ".join(sorted(set(writer_sites[read.event]))[:3])
-                    findings.append(
-                        self.finding(
-                            facts,
-                            line,
-                            f"reader {fn.qualname} expects key {key!r} of "
-                            f"event {read.event!r} that no writer emits "
-                            f"(writers: {sites})",
-                        )
-                    )
-        return findings
-
-
 PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     RngProvenance,
     NondeterminismSources,
     PickleSafety,
     SharedStateMutation,
-    JournalSchemaConsistency,
 )
 

@@ -325,7 +325,7 @@ class UseSpanTiming(Rule):
     ``t0 = time.perf_counter(); ...; elapsed = time.perf_counter() - t0``
     measures a duration that no one else can see: it has no trace id, no
     histogram, and no journal record, so the waterfall in ``repro obs
-    trace`` and the monitor's span table silently omit it.  Wrapping the
+    trace`` and the span table of ``repro journal`` silently omit it.  Wrapping the
     region in :func:`repro.obs.trace.span` (or a
     :class:`repro.utils.timing.Stopwatch` when a reusable timer object is
     wanted) yields the same number *and* feeds the telemetry pipeline.

@@ -7,17 +7,13 @@ Three independent sinks with one import surface:
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms with
   :func:`metrics_snapshot` / :func:`metrics_reset`;
 * :mod:`repro.obs.journal` — typed JSONL run journal written by
-  ``estimate_payoff_table`` / ``get_real`` and read back into per-profile
-  timing/variance reports;
+  ``estimate_payoff_table`` / ``get_real`` and read back into one report
+  (runs, per-profile timing/variance, batches, spans, cache; ``repro journal``);
 * :mod:`repro.obs.trace` — hierarchical :func:`span` blocks feeding all of
   the above; spans carry ``trace_id``/``span_id``/``parent_id`` and the
   context crosses execution backends (:func:`trace_scope`);
 * :mod:`repro.obs.tracetree` — reassemble journaled spans into per-trace
-  waterfalls (``repro obs trace``);
-* :mod:`repro.obs.export` — Prometheus text-format / JSON metric export
-  (``repro obs export``);
-* :mod:`repro.obs.monitor` — live journal tail-follower and in-terminal
-  dashboard (``repro monitor``).
+  waterfalls (``repro obs trace``).
 """
 
 from repro.obs.log import (
@@ -49,6 +45,7 @@ from repro.obs.journal import (
     attached,
     current_journal,
     detach_journal,
+    journal_report_tables,
     journal_summary_rows,
     read_journal,
     reconstruct_runs,
@@ -63,19 +60,6 @@ from repro.obs.trace import (
     trace_scope,
 )
 from repro.obs.tracetree import SpanNode, Trace, build_traces, render_trace_tree
-from repro.obs.export import (
-    parse_prometheus_text,
-    registry_from_journal,
-    render_export,
-    to_json,
-    to_prometheus,
-)
-from repro.obs.monitor import (
-    JournalTailer,
-    MonitorState,
-    render_dashboard,
-    run_monitor,
-)
 
 __all__ = [
     # log
@@ -108,6 +92,7 @@ __all__ = [
     "read_journal",
     "reconstruct_runs",
     "journal_summary_rows",
+    "journal_report_tables",
     "render_journal_report",
     # trace
     "Span",
@@ -121,15 +106,4 @@ __all__ = [
     "Trace",
     "build_traces",
     "render_trace_tree",
-    # export
-    "to_prometheus",
-    "to_json",
-    "parse_prometheus_text",
-    "registry_from_journal",
-    "render_export",
-    # monitor
-    "JournalTailer",
-    "MonitorState",
-    "render_dashboard",
-    "run_monitor",
 ]

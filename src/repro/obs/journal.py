@@ -19,15 +19,17 @@ event                  emitted by / payload highlights
 ``run_end``            pipeline exit — ``status`` (``ok``/``error``), duration
 ``span``               :func:`repro.obs.trace.span` with ``journal=True``
 ``cache``              :mod:`repro.cache` — ``namespace`` (``selection`` /
-                       ``blocking``), ``op`` (``hit``/``clear``), ``entries``
+                       ``blocking``), ``op`` (``hit``/``miss``/``clear``),
+                       ``entries``
 =====================  ==========================================================
 
 Every line also carries ``ts`` (epoch seconds), ``seq`` (per-journal
 monotonic index) and ``run_id``.  The reader side —
 :func:`read_journal`, :func:`reconstruct_runs`,
-:func:`journal_summary_rows`, :func:`render_journal_report` — turns a
-journal file back into per-profile timing/variance tables via
-:mod:`repro.utils.tables`.
+:func:`journal_summary_rows`, :func:`journal_report_tables`,
+:func:`render_journal_report` — turns a journal file back into one report
+(runs, per-profile timing/variance, execution batches, span totals, cache
+hits and misses) rendered by :func:`repro.utils.tables.format_table`.
 
 Estimation entry points look the journal up through a module-level stack
 (:func:`attach_journal` / :func:`current_journal` / the :func:`attached`
@@ -45,6 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Lock
+from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from typing import IO, Any
 
@@ -293,8 +296,8 @@ def read_journal(path: str | Path, strict: bool = True) -> list[dict[str, Any]]:
     With ``strict=False``, malformed lines — interleaved half-writes from a
     crashed process, or a truncated trailing line from a live writer — are
     skipped instead of raising, which is what journal-consuming tools
-    (``repro obs trace``, the monitor, the exporter) want when pointed at a
-    journal that is still being written.
+    (``repro obs trace``) want when pointed at a journal that is still
+    being written.
     """
     path = Path(path)
     if not path.exists():
@@ -433,12 +436,20 @@ def journal_summary_rows(
     return rows
 
 
-def render_journal_report(events: Sequence[Mapping[str, Any]]) -> str:
-    """Human-readable report for ``python -m repro journal <file.jsonl>``."""
+def journal_report_tables(
+    events: Sequence[Mapping[str, Any]],
+) -> list[tuple[str, list[dict[str, object]]]]:
+    """The ``repro journal`` report as ``(title, rows)`` pairs, in print order.
+
+    Tables: ``runs``, per-profile estimates, ``execution batches``,
+    ``spans`` (count and total seconds per span name, slowest first) and
+    ``cache`` (hits and misses per memo namespace).  A table whose events
+    the journal lacks is left out.
+    """
     runs = reconstruct_runs(events)
     if not runs:
-        return "(empty journal)"
-    sections: list[str] = []
+        return []
+    tables: list[tuple[str, list[dict[str, object]]]] = []
 
     run_rows: list[dict[str, object]] = []
     for run in runs:
@@ -467,7 +478,7 @@ def render_journal_report(events: Sequence[Mapping[str, Any]]) -> str:
                 ),
             }
         )
-    sections.append(format_table(run_rows, title="runs"))
+    tables.append(("runs", run_rows))
 
     profile_rows = journal_summary_rows(events)
     if profile_rows:
@@ -478,34 +489,62 @@ def render_journal_report(events: Sequence[Mapping[str, Any]]) -> str:
         ) or 1.0
         for row in profile_rows:
             row["time_share"] = float(row["seconds"]) / total
-        sections.append(
-            format_table(
-                profile_rows, title="per-profile estimates (timing & variance)"
+        tables.append(("per-profile estimates (timing & variance)", profile_rows))
+
+    batch_rows: list[dict[str, object]] = [
+        {
+            "batch": int(b.get("batch_id", -1)),
+            "backend": str(b.get("backend", "?")),
+            "workers": int(b.get("workers", 1)),
+            "jobs": int(b.get("jobs", 0)),
+            "seconds": float(b.get("duration_seconds", 0.0)),
+        }
+        for b in events
+        if b.get("event") == "batch_done"
+    ]
+    if batch_rows:
+        tables.append(("execution batches", batch_rows))
+
+    span_counts: Counter[str] = Counter()
+    span_seconds: dict[str, float] = {}
+    cache_ops: dict[str, Counter[str]] = {}
+    for e in events:
+        if e.get("event") == "span":
+            name = str(e.get("name", "?"))
+            span_counts[name] += 1
+            seconds = float(e.get("duration_seconds", 0.0))
+            span_seconds[name] = span_seconds.get(name, 0.0) + seconds
+        elif e.get("event") == "cache":
+            namespace = str(e.get("namespace", "?"))
+            cache_ops.setdefault(namespace, Counter())[str(e.get("op", "?"))] += 1
+    if span_counts:
+        tables.append(
+            (
+                "spans",
+                [
+                    {"span": name, "count": span_counts[name], "total_seconds": seconds}
+                    for name, seconds in sorted(
+                        span_seconds.items(), key=lambda item: -item[1]
+                    )
+                ],
             )
         )
+    if cache_ops:
+        tables.append(
+            (
+                "cache",
+                [
+                    {"namespace": namespace, "hits": ops["hit"], "misses": ops["miss"]}
+                    for namespace, ops in cache_ops.items()
+                ],
+            )
+        )
+    return tables
 
-    batches = [e for e in events if e.get("event") == "batch_done"]
-    if batches:
-        batch_rows = [
-            {
-                "batch": int(b.get("batch_id", -1)),
-                "backend": str(b.get("backend", "?")),
-                "workers": int(b.get("workers", 1)),
-                "jobs": int(b.get("jobs", 0)),
-                "seconds": float(b.get("duration_seconds", 0.0)),
-            }
-            for b in batches
-        ]
-        sections.append(format_table(batch_rows, title="execution batches"))
 
-    spans = [e for e in events if e.get("event") == "span"]
-    if spans:
-        span_rows = [
-            {
-                "span": s.get("name", "?"),
-                "seconds": float(s.get("duration_seconds", 0.0)),
-            }
-            for s in spans
-        ]
-        sections.append(format_table(span_rows, title="spans"))
-    return "\n\n".join(sections)
+def render_journal_report(events: Sequence[Mapping[str, Any]]) -> str:
+    """Human-readable report for ``python -m repro journal <file.jsonl>``."""
+    tables = journal_report_tables(events)
+    if not tables:
+        return "(empty journal)"
+    return "\n\n".join(format_table(rows, title=title) for title, rows in tables)

@@ -5,7 +5,7 @@ fixture graph) recorded through a :class:`~repro.obs.journal.RunJournal`
 on the serial executor.  Its shape is fixed by the parameters: one
 selection batch of 2 jobs (MixGreedy's selection against each group's
 snapshot pool), plus one simulation batch of 1 job carrying the 4 profile
-cells — 2 batches, 3 jobs.
+cells — 2 batches, 3 jobs — and 4 selection-cache misses.
 
 Generated rather than recorded, so it always matches the current journal
 writers.  ``tests/conftest.py`` builds it once per test session; CI and
@@ -32,6 +32,8 @@ def write_run_journal(path: str | Path) -> Path:
     """Record the fixture run into *path* (overwritten) and return it."""
     path = Path(path)
     path.unlink(missing_ok=True)
+    # Start from empty memos, so all 4 selections miss whatever ran before.
+    clear_caches()
     model = IndependentCascade(0.1)
     with (
         Executor("serial") as executor,

@@ -29,8 +29,7 @@ from repro.core.getreal import get_real
 from repro.core.payoff import estimate_payoff_table
 from repro.core.strategy import StrategySpace
 from repro.exec.executor import Executor
-from repro.graphs.delta import EdgeDelta
-from repro.graphs.generators import erdos_renyi
+from repro.graphs.digraph import DiGraph
 from repro.obs.journal import RunJournal, attached, read_journal
 from repro.obs.metrics import counter
 
@@ -152,11 +151,13 @@ class TestSelectionCache:
         assert a != b
 
     def test_patched_graph_never_hits_parent_entries(self, karate):
-        # Keys lead with the graph fingerprint, so an edge delta needs no
+        # Keys lead with the graph fingerprint, so an edge edit needs no
         # invalidation: the patched graph's lookups miss the parent's entries.
         selector = DegreeDiscount(0.1)
         selector.select(karate, 3, np.random.default_rng(5))
-        patched = karate.apply_delta(EdgeDelta.of(added=[(0, 33)], removed=[(0, 1)]))
+        edges = [e for e in karate.edges() if e != (0, 1)] + [(0, 33)]
+        patched = DiGraph(karate.num_nodes, edges)
+        assert patched.fingerprint != karate.fingerprint
         h0 = _HITS.value
         selector.select(patched, 3, np.random.default_rng(5))
         assert _HITS.value == h0

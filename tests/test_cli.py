@@ -1,14 +1,10 @@
 """Tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
-from repro.graphs.delta import EdgeDelta, merge_delta
 from repro.graphs.generators import karate_like_fixture
-from repro.graphs.loaders import load_edge_list, save_edge_list
-from repro.graphs.store import GraphStore
+from repro.graphs.loaders import save_edge_list
 
 
 @pytest.fixture
@@ -33,6 +29,21 @@ class TestParser:
         assert args.strategies == "mgic,ddic"
         assert args.model == "ic"
         assert args.groups == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["monitor", "x.jsonl"], "invalid choice: 'monitor'"),
+            (["obs", "export"], "invalid choice: 'export'"),
+            (["seeds", "hep", "--delta", "f.json"], "unrecognized arguments: --delta"),
+        ],
+        ids=["monitor", "obs-export", "seeds-delta"],
+    )
+    def test_removed_commands_are_unknown(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestStatsCommand:
@@ -60,61 +71,6 @@ class TestSeedsCommand:
     def test_unknown_algorithm(self, karate_file):
         with pytest.raises(SystemExit, match="unknown algorithm"):
             main(["seeds", karate_file, "--algorithm", "nope"])
-
-
-class TestSeedsDelta:
-    DELTA = {"added": [[0, 5], [3, 9]], "removed": [[1, 2]]}
-
-    def _write(self, tmp_path, text):
-        path = tmp_path / "delta.json"
-        path.write_text(text)
-        return str(path)
-
-    def test_delta_matches_patched_graph(self, karate_file, tmp_path, capsys):
-        # seeds --delta must answer exactly what seeds answers on the stored
-        # merge_delta graph: same algorithm, same seed, same output.  A graph
-        # store keeps the patched CSR (and its edge ids) bit for bit.
-        graph, _ = load_edge_list(karate_file)
-        patched = merge_delta(
-            graph,
-            EdgeDelta.of(added=self.DELTA["added"], removed=self.DELTA["removed"]),
-        ).graph
-        GraphStore(tmp_path / "store").save(patched, "patched")
-        args = ["--algorithm", "mgic", "--k", "3", "--seed", "7"]
-
-        assert main(["seeds", str(tmp_path / "store" / "patched"), *args]) == 0
-        expected = capsys.readouterr().out
-        delta_file = self._write(tmp_path, json.dumps(self.DELTA))
-        assert main(["seeds", karate_file, *args, "--delta", delta_file]) == 0
-        assert capsys.readouterr().out == expected
-        assert expected.startswith("mgic seeds (k=3): ")
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ('{"added": [[1, 2, 3]]}', "pairs"),
-            ('{"removed": [[0]]}', "pairs"),
-            ('{"added": [[0, 34]]}', "endpoints"),
-            ('{"added": [[0, 1]', "delimiter"),
-            ('[[0, 1]]', "JSON object"),
-            ('{"add": [[0, 1]]}', "JSON object"),
-            (None, "No such file"),
-        ],
-        ids=["triple", "single", "out-of-range", "malformed", "not-object",
-             "unknown-key", "missing"],
-    )
-    def test_bad_delta_file_exits_with_message(
-        self, karate_file, tmp_path, capsys, text, message
-    ):
-        path = (
-            str(tmp_path / "missing.json") if text is None else self._write(tmp_path, text)
-        )
-        with pytest.raises(SystemExit, match=message) as info:
-            main(["seeds", karate_file, "--k", "3", "--delta", path])
-        assert str(info.value).startswith("bad delta file ")
-        assert "\n" not in str(info.value)
-        # The file is read before any selection runs, so nothing is printed.
-        assert capsys.readouterr().out == ""
 
 
 class TestOverlapCommand:
@@ -267,39 +223,3 @@ class TestObsCommands:
     def test_obs_trace_max_children_elides(self, capsys):
         assert main(["obs", "trace", self.FIXTURE, "--max-children", "1"]) == 0
         assert "more child span(s)" in capsys.readouterr().out
-
-    def test_obs_export_prom_is_parseable(self, capsys):
-        from repro.obs.export import parse_prometheus_text
-
-        assert main(
-            ["obs", "export", "--journal", self.FIXTURE, "--format", "prom"]
-        ) == 0
-        samples = parse_prometheus_text(capsys.readouterr().out)
-        assert samples["repro_exec_batches_total"] == 2.0
-        assert samples["repro_exec_jobs_completed_total"] == 3.0
-
-    def test_obs_export_json(self, capsys):
-        assert main(
-            ["obs", "export", "--journal", self.FIXTURE, "--format", "json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counters"]["exec.batches"] == 2
-
-    def test_obs_export_live_registry_default(self, capsys):
-        # Without --journal the command exports this process's registry;
-        # exercising the parser is enough (contents depend on test order).
-        from repro.obs.export import parse_prometheus_text
-
-        assert main(["obs", "export", "--format", "prom"]) == 0
-        parse_prometheus_text(capsys.readouterr().out)  # must not raise
-
-    def test_monitor_once_smoke(self, capsys):
-        assert main(["monitor", self.FIXTURE, "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "repro run monitor" in out
-        assert "get_real" in out
-        assert "batches: 2" in out
-
-    def test_monitor_missing_file_renders_empty_dashboard(self, tmp_path, capsys):
-        assert main(["monitor", str(tmp_path / "nope.jsonl"), "--once"]) == 0
-        assert "(no runs yet)" in capsys.readouterr().out

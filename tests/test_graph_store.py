@@ -22,7 +22,6 @@ from repro.graphs.store import (
     GraphStore,
     clear_handle_cache,
     is_store_entry,
-    resolve_graph,
 )
 from repro.utils.bitset import is_packed, unpack_bits
 
@@ -118,16 +117,13 @@ class TestGraphRefPayloads:
         # O(1): a ref pickles in hundreds of bytes regardless of graph size
         assert len(payload) < 1024
         restored = pickle.loads(payload)
-        resolved = resolve_graph(restored)
+        resolved = restored.open()
         assert resolved.fingerprint == graph.fingerprint
 
     def test_handle_cache_returns_same_object(self, tmp_path, karate):
         store = GraphStore(tmp_path)
         ref = store.save(karate, "karate")
-        assert resolve_graph(ref) is resolve_graph(ref)
-
-    def test_resolve_graph_passes_digraph_through(self, karate):
-        assert resolve_graph(karate) is karate
+        assert ref.open() is ref.open()
 
     def test_spread_job_runs_from_ref(self, tmp_path, karate):
         store = GraphStore(tmp_path)

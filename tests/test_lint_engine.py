@@ -195,7 +195,7 @@ class TestCli:
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("RP")]
         assert listed == [
             "RP001", "RP002", "RP003", "RP004", "RP009",
-            "RP010", "RP011", "RP012", "RP013", "RP015",
+            "RP010", "RP011", "RP012", "RP013",
         ]
 
 

@@ -158,7 +158,7 @@ class TestProjectCli:
     def test_list_rules_includes_project_catalogue(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RP001", "RP010", "RP015"):
+        for code in ("RP001", "RP010"):
             assert code in out
 
 

@@ -1,9 +1,8 @@
-"""True-positive and true-negative fixtures for each project rule (RP010–RP013, RP015)."""
+"""True-positive and true-negative fixtures for each project rule (RP010–RP013)."""
 
 from repro.lint.project.callgraph import CallGraph
 from repro.lint.project.facts import extract_facts
 from repro.lint.project.rules import (
-    JournalSchemaConsistency,
     NondeterminismSources,
     PickleSafety,
     Project,
@@ -322,98 +321,4 @@ class TestRP013SharedStateMutation:
         findings = SharedStateMutation().check(project)
         assert len(findings) == 1
         assert "_SEEN" in findings[0].message
-
-
-class TestRP015JournalSchemaConsistency:
-    WRITER = (
-        "class Journal:\n"
-        "    def done(self, journal, spread):\n"
-        "        journal.emit('profile_done', spread=spread, seeds=3)\n"
-    )
-
-    def test_reader_key_no_writer_emits(self):
-        project = build_project(
-            {
-                "pkg.writer": self.WRITER,
-                "pkg.reader": (
-                    "def summarize(events):\n"
-                    "    out = []\n"
-                    "    for e in events:\n"
-                    "        if e.get('event') == 'profile_done':\n"
-                    "            out.append(e.get('sprad'))\n"
-                    "    return out\n"
-                ),
-            }
-        )
-        findings = JournalSchemaConsistency().check(project)
-        assert len(findings) == 1
-        assert "'sprad'" in findings[0].message
-        assert "profile_done" in findings[0].message
-
-    def test_matching_keys_are_clean(self):
-        project = build_project(
-            {
-                "pkg.writer": self.WRITER,
-                "pkg.reader": (
-                    "def summarize(events):\n"
-                    "    out = []\n"
-                    "    for e in events:\n"
-                    "        if e.get('event') == 'profile_done':\n"
-                    "            out.append((e.get('spread'), e['seeds']))\n"
-                    "    return out\n"
-                ),
-            }
-        )
-        assert JournalSchemaConsistency().check(project) == []
-
-    def test_envelope_keys_always_known(self):
-        project = build_project(
-            {
-                "pkg.writer": self.WRITER,
-                "pkg.reader": (
-                    "def summarize(events):\n"
-                    "    out = []\n"
-                    "    for e in events:\n"
-                    "        if e.get('event') == 'profile_done':\n"
-                    "            out.append((e.get('ts'), e.get('run_id')))\n"
-                    "    return out\n"
-                ),
-            }
-        )
-        assert JournalSchemaConsistency().check(project) == []
-
-    def test_open_keyed_writer_silences_event(self):
-        project = build_project(
-            {
-                "pkg.writer": (
-                    "def done(journal, extra):\n"
-                    "    journal.emit('profile_done', spread=1, **extra)\n"
-                ),
-                "pkg.reader": (
-                    "def summarize(events):\n"
-                    "    out = []\n"
-                    "    for e in events:\n"
-                    "        if e.get('event') == 'profile_done':\n"
-                    "            out.append(e.get('anything'))\n"
-                    "    return out\n"
-                ),
-            }
-        )
-        assert JournalSchemaConsistency().check(project) == []
-
-    def test_event_never_written_is_skipped(self):
-        project = build_project(
-            {
-                "pkg.writer": self.WRITER,
-                "pkg.reader": (
-                    "def summarize(events):\n"
-                    "    out = []\n"
-                    "    for e in events:\n"
-                    "        if e.get('event') == 'external_event':\n"
-                    "            out.append(e.get('whatever'))\n"
-                    "    return out\n"
-                ),
-            }
-        )
-        assert JournalSchemaConsistency().check(project) == []
 

@@ -1,6 +1,7 @@
 """Tests for repro.obs.journal: JSONL run journal, reader, and CLI wiring."""
 
 import json
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.obs.journal import (
     attached,
     current_journal,
     detach_journal,
+    journal_report_tables,
     journal_summary_rows,
     read_journal,
     reconstruct_runs,
@@ -186,14 +188,92 @@ class TestReader:
         assert all(row["seconds"] == 0.75 for row in rows)
 
     def test_render_report(self):
-        report = render_journal_report(self._sample_events())
+        events = self._sample_events() + [
+            {"event": "span", "name": "exec.job", "duration_seconds": 0.25},
+            {"event": "span", "name": "getreal.run", "duration_seconds": 2.0},
+            {"event": "span", "name": "exec.job", "duration_seconds": 0.5},
+            {"event": "cache", "namespace": "selection", "op": "miss", "entries": 0},
+            {"event": "cache", "namespace": "selection", "op": "hit", "entries": 1},
+            {"event": "cache", "namespace": "blocking", "op": "miss", "entries": 0},
+            {"event": "cache", "namespace": "selection", "op": "clear", "entries": 0},
+        ]
+        tables = dict(journal_report_tables(events))
+        # One row per span name, slowest first.
+        assert tables["spans"] == [
+            {"span": "getreal.run", "count": 1, "total_seconds": 2.0},
+            {"span": "exec.job", "count": 2, "total_seconds": 0.75},
+        ]
+        assert tables["cache"] == [
+            {"namespace": "selection", "hits": 1, "misses": 1},
+            {"namespace": "blocking", "hits": 0, "misses": 1},
+        ]
+        report = render_journal_report(events)
         assert "runs" in report
         assert "get_real" in report
         assert "ddic-random" in report
         assert "per-profile estimates" in report
+        assert "\nspans\nspan         count  total_seconds\n" in report
+        assert "\ncache\nnamespace  hits  misses\n" in report
+
+    def test_tables_without_spans_or_cache_are_left_out(self):
+        titles = [title for title, _ in journal_report_tables(self._sample_events())]
+        assert titles == ["runs", "per-profile estimates (timing & variance)"]
 
     def test_render_empty(self):
         assert render_journal_report([]) == "(empty journal)"
+
+
+class TestFixtureJournalReport:
+    """The report of the journal a real ``get_real`` run writes.
+
+    ``tests/journal_fixture.py`` records it: 2 groups, MGIC vs DDIC,
+    ``rounds=4``, 2 batches of 3 jobs in all.  Each value asserted here
+    travels through a key a writer emits and the reader looks up, so a
+    rename on either side fails a test.
+    """
+
+    ROUNDS = 4
+
+    @pytest.fixture
+    def tables(self, run_journal):
+        return dict(journal_report_tables(read_journal(run_journal)))
+
+    def test_profile_rows(self, tables):
+        rows = tables["per-profile estimates (timing & variance)"]
+        assert len(rows) == 8  # 4 profiles x 2 groups
+        for row in rows:
+            assert math.isfinite(row["mean"]) and math.isfinite(row["stderr"])
+            assert row["samples"] == self.ROUNDS
+            assert row["seconds"] > 0
+
+    def test_batch_rows(self, tables):
+        rows = tables["execution batches"]
+        assert len(rows) == 2
+        assert sum(row["jobs"] for row in rows) == 3
+        assert all(row["backend"] == "serial" and row["seconds"] > 0 for row in rows)
+
+    def test_run_row(self, tables):
+        [run] = tables["runs"]
+        assert run["command"] == "get_real"
+        assert run["status"] == "ok"
+        assert run["equilibrium"] == "pure"
+        assert run["profiles"] == 4
+
+    def test_span_and_cache_rows(self, tables):
+        spans = {row["span"]: row for row in tables["spans"]}
+        assert {name: row["count"] for name, row in spans.items()} == {
+            "getreal.run": 1,
+            "exec.batch": 2,
+            "exec.job": 3,
+        }
+        assert all(row["total_seconds"] > 0 for row in spans.values())
+        assert tables["cache"] == [{"namespace": "selection", "hits": 0, "misses": 4}]
+
+    def test_cli_prints_every_table(self, run_journal, capsys):
+        assert main(["journal", str(run_journal)]) == 0
+        out = capsys.readouterr().out
+        for title in ("runs", "per-profile estimates", "execution batches", "spans", "cache"):
+            assert f"\n{title}" in f"\n{out}"
 
 
 class TestCliIntegration:
