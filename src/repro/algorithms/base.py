@@ -17,8 +17,6 @@ Two contract points matter for the game-theoretic layer:
 
 from __future__ import annotations
 
-import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
@@ -38,7 +36,6 @@ from repro.exec.executor import Executor, inline_executor
 from repro.exec.jobs import SelectedSeeds
 from repro.graphs.digraph import DiGraph
 from repro.obs.log import get_logger
-from repro.obs.metrics import Histogram, counter, histogram
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int
 
@@ -47,35 +44,12 @@ if TYPE_CHECKING:
 
 _LOG = get_logger("algorithms")
 
-_SELECTIONS = counter("algorithms.selections")
-
-# Per-algorithm wall-time histograms have dynamic names; memoize the handles
-# so a selection inside the payoff loop never re-formats the metric name or
-# re-enters the registry (same discipline reprolint RP004 enforces for the
-# cascade hot paths).
-_SELECT_SECONDS: dict[str, Histogram] = {}
-_SELECT_SECONDS_LOCK = threading.Lock()
-
-
-def _select_seconds_histogram(name: str) -> Histogram:
-    try:
-        return _SELECT_SECONDS[name]
-    except KeyError:
-        with _SELECT_SECONDS_LOCK:
-            handle = _SELECT_SECONDS.get(name)
-            if handle is None:
-                handle = histogram(f"algorithms.{name}.select_seconds")
-                _SELECT_SECONDS[name] = handle
-            return handle
-
 
 class SeedSelector(ABC):
     """An influence-maximization algorithm: graph × budget → ordered seed list.
 
     Subclasses implement :meth:`_select`; the public :meth:`select` wraps it
-    with observability (selection counter, per-algorithm wall-time
-    histogram, debug log) so every seed-set draw in the pipeline is
-    measured uniformly.
+    with the selection memo and a debug log.
     """
 
     #: short identifier used in strategy labels ("mgic", "ddic", ...)
@@ -105,7 +79,6 @@ class SeedSelector(ABC):
         post-selection RNG state into the caller's generator, so warm runs
         are bit-identical to cold ones.
         """
-        started = time.perf_counter()
         generator = as_rng(rng)
         shared = pool if pool is not None and self.uses_snapshots else None
         hit, key = self._lookup(graph, k, generator, shared, memoize=rng is not None)
@@ -116,8 +89,7 @@ class SeedSelector(ABC):
             seeds = list(result.seeds[0])
         else:
             seeds = self._select(graph, k, generator)
-            elapsed = time.perf_counter() - started  # reprolint: disable=RP009
-            self._observe(graph, seeds, elapsed)
+            self._log_selection(graph, seeds)
         if key is not None:
             _remember(key, seeds, rng_state(generator))
         return seeds
@@ -153,7 +125,6 @@ class SeedSelector(ABC):
             return None, key
         seeds, end_state = hit
         set_rng_state(generator, end_state)
-        _SELECTIONS.inc()
         _LOG.debug(
             "%s reused cached selection of %d seeds on %d nodes",
             self.name,
@@ -162,16 +133,9 @@ class SeedSelector(ABC):
         )
         return list(seeds), key
 
-    def _observe(self, graph: DiGraph, seeds: Sequence[int], elapsed: float) -> None:
-        """Count one computed selection and record its wall time."""
-        _SELECTIONS.inc()
-        _select_seconds_histogram(self.name).observe(elapsed)
+    def _log_selection(self, graph: DiGraph, seeds: Sequence[int]) -> None:
         _LOG.debug(
-            "%s selected %d seeds on %d nodes in %.3fs",
-            self.name,
-            len(seeds),
-            graph.num_nodes,
-            elapsed,
+            "%s selected %d seeds on %d nodes", self.name, len(seeds), graph.num_nodes
         )
 
     @abstractmethod
@@ -202,11 +166,7 @@ class SeedSelector(ABC):
 
 def _remember(key: Any, seeds: Sequence[int], end_state: dict[str, Any]) -> None:
     """Memoize a computed selection with its post-selection generator state."""
-    selection_memo().put(
-        key,
-        (tuple(int(s) for s in seeds), end_state),
-        nbytes=8 * len(seeds) + 256,
-    )
+    selection_memo().put(key, (tuple(int(s) for s in seeds), end_state))
 
 
 @dataclass(frozen=True)
@@ -219,7 +179,7 @@ class SelectionJob:
     returns their seed lists as one :class:`SelectedSeeds`.  A pooled
     selection is a function of (graph, model, count, pool token, k), so
     the job draws nothing from its generator and its seeds are the same
-    inline, on a thread or in a worker process.  It pickles as the pool's
+    inline or in a worker process.  It pickles as the pool's
     graph and token, the selectors without their executors, and ``k``.
     """
 
@@ -235,10 +195,8 @@ class SelectionJob:
         graph, runner = self.pool.graph, inline_executor()
         seeds = []
         for selector in self.selectors:
-            started = time.perf_counter()
             picks = selector._select_pooled(graph, self.k, self.pool, runner)
-            elapsed = time.perf_counter() - started  # reprolint: disable=RP009
-            selector._observe(graph, picks, elapsed)
+            selector._log_selection(graph, picks)
             seeds.append(tuple(int(s) for s in picks))
         return (SelectedSeeds(tuple(seeds)),)
 

@@ -14,8 +14,7 @@ Hits restore the exact post-computation RNG state into the caller's
 generator, so a warm cache is bit-identical to a cold one — downstream
 draws continue from the same stream position either way.  See
 :mod:`repro.cache.memo` for the metrics (``cache.hits`` /
-``cache.misses`` / ``cache.evictions`` / ``cache.bytes``) and journal
-events.
+``cache.misses``) and journal events.
 
 Graph edits need no invalidation: every key leads with the graph
 fingerprint, and a graph with different edges has a different one, so its

@@ -38,7 +38,6 @@ stream, and runs the cascade path's rounds as one batched frontier sweep.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -55,7 +54,7 @@ from repro.cascade.lt import LinearThreshold
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
 from repro import contracts
-from repro.obs.metrics import Histogram, counter, histogram
+from repro.obs.metrics import counter
 from repro.utils.rng import RandomSource, as_rng
 
 __all__ = [
@@ -69,28 +68,7 @@ __all__ = [
 # Cached instrument handles: incremented once per simulation (or round), so
 # the per-simulation overhead is a handful of attribute updates (RP004).
 _SIMULATIONS = counter("cascade.simulations")
-_ROUNDS = counter("cascade.rounds")
 _NODES_ACTIVATED = counter("cascade.nodes_activated")
-_SEED_COLLISIONS = counter("cascade.seed_collisions")
-
-# Per-group spread histograms have dynamic names ("cascade.group1.spread"…),
-# so they are memoized here instead of re-resolved — and re-formatted — on
-# every simulation.  Handles survive metrics.reset(), so the cache is safe.
-# The memo is written from thread-backend jobs, hence the lock (RP013).
-_GROUP_SPREADS: dict[int, Histogram] = {}
-_GROUP_SPREADS_LOCK = threading.Lock()
-
-
-def _group_spread_histogram(group: int) -> Histogram:
-    try:
-        return _GROUP_SPREADS[group]
-    except KeyError:
-        with _GROUP_SPREADS_LOCK:
-            handle = _GROUP_SPREADS.get(group)
-            if handle is None:
-                handle = histogram(f"cascade.group{group + 1}.spread")  # reprolint: disable=RP004
-                _GROUP_SPREADS[group] = handle
-            return handle
 
 
 class TieBreakRule(enum.Enum):
@@ -244,7 +222,6 @@ class SeedIncidence:
             points = generator.random((rounds, contested)) * total
             pick = (points[:, :, None] >= self._cum).sum(axis=2)
             winners = self._groups[np.arange(contested), pick]
-            _SEED_COLLISIONS.inc(rounds * contested)
         nodes = np.concatenate([self.exclusive_nodes, self.contested_nodes])
         groups = np.concatenate(
             [np.broadcast_to(self.exclusive_groups, (rounds, self.exclusive_nodes.size)), winners],
@@ -360,7 +337,7 @@ class CompetitiveDiffusion:
             rounds = int(steps[0])
         outcome = CompetitiveOutcome(owner, initiators, rounds, when)
         owners = [owner] if contracts.enabled() else None
-        self._record(outcome.spreads()[None, :], np.array([rounds]), owners, [initiators])
+        self._record(outcome.spreads()[None, :], owners, [initiators])
         return outcome
 
     def spreads(
@@ -413,7 +390,7 @@ class CompetitiveDiffusion:
         claims: list[tuple[np.ndarray, np.ndarray]] | None = (
             [] if contracts.enabled() else None
         )
-        spreads, steps = run_competitive_cascades(
+        spreads, _ = run_competitive_cascades(
             self.graph,
             probs,
             np.concatenate(rows),
@@ -425,16 +402,15 @@ class CompetitiveDiffusion:
             claims,
         )
         if claims is None:
-            self._record(spreads, steps, None, None)
+            self._record(spreads, None, None)
         else:
             owners, initiators = _outcomes_from_claims(claims, offset, self.graph.num_nodes, r)
-            self._record(spreads, steps, owners, initiators)
+            self._record(spreads, owners, initiators)
         return spreads
 
     def _record(
         self,
         spreads: np.ndarray,
-        steps: np.ndarray,
         owners: Sequence[np.ndarray] | None,
         initiators: Sequence[Sequence[Sequence[int]]] | None,
     ) -> None:
@@ -449,25 +425,7 @@ class CompetitiveDiffusion:
                 contracts.check_ownership(owner, inits, r)
                 contracts.check_spreads(row, self.graph.num_nodes)
         _SIMULATIONS.inc(rounds)
-        _ROUNDS.inc(int(steps.sum()))
         _NODES_ACTIVATED.inc(int(spreads.sum()))
-        if rounds == 0:
-            return
-        values = spreads.astype(float)
-        means = values.mean(axis=0)
-        m2 = ((values - means) ** 2).sum(axis=0)
-        lows, highs = values.min(axis=0), values.max(axis=0)
-        for j in range(r):
-            # One Chan merge per group instead of one observe per simulation.
-            _group_spread_histogram(j).merge_state(
-                {
-                    "count": rounds,
-                    "mean": float(means[j]),
-                    "m2": float(m2[j]),
-                    "min": float(lows[j]),
-                    "max": float(highs[j]),
-                }
-            )
 
 
 def _outcomes_from_claims(

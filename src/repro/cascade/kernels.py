@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
-from repro.obs.metrics import histogram
 from repro.utils.bitset import (
     is_packed,
     lookup_bits,
@@ -57,9 +56,6 @@ from repro.utils.bitset import (
     packed_zeros,
     set_bits,
 )
-
-# Cached instrument handle (RP004).
-_FRONTIER_SIZE = histogram("cascade.frontier_size")
 
 
 class ClaimRule(enum.Enum):
@@ -267,7 +263,6 @@ def run_competitive_cascades(
         rows = keys // n
         spreads += np.bincount(rows * r + groups, minlength=rounds * r)
         last[rows] = wave
-        _FRONTIER_SIZE.observe(float(keys.size))
     return spreads.reshape(rounds, r), last + 1
 
 
@@ -390,7 +385,6 @@ def run_competitive_threshold(
             frontier = new_nodes
         else:
             frontier = targets
-        _FRONTIER_SIZE.observe(float(frontier.size))
     return owner, rounds, when
 
 

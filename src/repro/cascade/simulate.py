@@ -20,7 +20,6 @@ run them concurrently; see ``docs/execution.md``.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 
 from repro.cascade.base import CascadeModel
@@ -31,16 +30,10 @@ from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
 from repro.graphs.digraph import DiGraph
 from repro import contracts
 from repro.obs.log import get_logger
-from repro.obs.metrics import counter, histogram
 from repro.utils.rng import RandomSource
 from repro.utils.validation import check_positive_int
 
 _LOG = get_logger("cascade.simulate")
-
-_SPREAD_CALLS = counter("estimate.spread_calls")
-_COMPETITIVE_CALLS = counter("estimate.competitive_calls")
-_SPREAD_SECONDS = histogram("estimate.spread_seconds")
-_COMPETITIVE_SECONDS = histogram("estimate.competitive_seconds")
 
 __all__ = [
     "SpreadEstimate",
@@ -65,10 +58,7 @@ def estimate_spread(
         seeds=tuple(int(s) for s in seeds),
         rounds=rounds,
     )
-    started = time.perf_counter()
     (estimate,) = resolve_executor(executor).estimates([job], rng=rng)[0]
-    _SPREAD_CALLS.inc()
-    _SPREAD_SECONDS.observe(time.perf_counter() - started)  # reprolint: disable=RP009
     if contracts.enabled():
         contracts.check_spread_estimate(estimate.mean, graph.num_nodes)
     return estimate
@@ -102,17 +92,8 @@ def estimate_competitive_spread(
         tie_break=tie_break,
         claim_rule=claim_rule,
     )
-    started = time.perf_counter()
     estimates = list(resolve_executor(executor).estimates([job], rng=rng)[0])
-    elapsed = time.perf_counter() - started  # reprolint: disable=RP009
-    _COMPETITIVE_CALLS.inc()
-    _COMPETITIVE_SECONDS.observe(elapsed)
-    _LOG.debug(
-        "competitive spread: %d groups x %d rounds in %.3fs",
-        len(seed_sets),
-        rounds,
-        elapsed,
-    )
+    _LOG.debug("competitive spread: %d groups x %d rounds", len(seed_sets), rounds)
     if contracts.enabled():
         # Per-profile invariant: the group means partition at most |V| nodes.
         contracts.check_spreads(

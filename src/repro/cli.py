@@ -22,7 +22,7 @@ Subcommands cover the everyday workflows:
 Every graph-taking command accepts the observability flags
 ``--log-level``/``--log-json`` (structured logging on stderr) and
 ``--journal PATH`` (append typed JSONL events to *PATH*), plus the
-execution flags ``--backend {serial,thread,process}`` / ``--workers N``
+execution flags ``--backend {serial,process}`` / ``--workers N``
 selecting the simulation backend (defaults come from ``REPRO_BACKEND`` /
 ``REPRO_WORKERS``; results are bit-identical across backends for a fixed
 seed).  ``getreal`` additionally accepts
@@ -161,7 +161,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker count for pooled backends (default: $REPRO_WORKERS)",
+        help="worker count for the process backend (default: $REPRO_WORKERS)",
     )
 
 

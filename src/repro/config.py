@@ -3,9 +3,8 @@
 ==========================  ==============================================  ==========
 variable                    meaning                                         default
 ==========================  ==============================================  ==========
-``REPRO_BACKEND``           execution backend (``serial``/``thread``/       ``serial``
-                            ``process``)
-``REPRO_WORKERS``           worker count of the pooled backends, >= 1       CPU count
+``REPRO_BACKEND``           execution backend (``serial``/``process``)      ``serial``
+``REPRO_WORKERS``           worker count of the process backend, >= 1       CPU count
 ``REPRO_SYMMETRY``          payoff-profile enumeration (``full``/           ``full``
                             ``reduce``)
 ``REPRO_CONTRACTS``         runtime invariant checks in the simulation      off

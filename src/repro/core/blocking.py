@@ -193,5 +193,5 @@ def select_blockers(
         blocker_spread=final[1].mean,
     )
     if memo is not None:
-        memo.put(key, (result, rng_state(generator)), nbytes=8 * len(blockers) + 512)
+        memo.put(key, (result, rng_state(generator)))
     return result

@@ -41,14 +41,11 @@ from repro.graphs.digraph import DiGraph
 from repro import contracts
 from repro.obs.journal import RunJournal, current_journal
 from repro.obs.log import get_logger
-from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.utils.rng import RandomSource
 from repro.utils.timing import Stopwatch
 
 _LOG = get_logger("core.getreal")
-
-_RUNS = counter("getreal.runs")
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,6 @@ def get_real(
         else StrategySpace(list(strategies))
     )
     sink = journal if journal is not None else current_journal()
-    _RUNS.inc()
     _LOG.info(
         "get_real: %d nodes / %d arcs, strategies=%s, r=%d, k=%d, rounds=%d",
         graph.num_nodes,

@@ -84,16 +84,13 @@ from repro.graphs.digraph import DiGraph
 from repro import contracts
 from repro.obs.journal import RunJournal, current_journal
 from repro.obs.log import get_logger
-from repro.obs.metrics import counter, histogram
+from repro.obs.metrics import counter
 from repro.utils.rng import RandomSource, as_rng, spawn_seed_sequences
 from repro.utils.validation import check_positive_int
 
 _LOG = get_logger("core.payoff")
 
-_TABLES = counter("payoff.tables_estimated")
 _PROFILES = counter("payoff.profiles_estimated")
-_PROFILES_FILLED = counter("payoff.profiles_filled")
-_PROFILE_SECONDS = histogram("payoff.profile_seconds")
 
 #: Known symmetry modes, in documentation order.
 SYMMETRY_MODES = ("full", "reduce")
@@ -426,7 +423,6 @@ def estimate_payoff_table(
         # counter reports the number of *simulated* profiles regardless of
         # seed_draws.
         _PROFILES.inc()
-        _PROFILE_SECONDS.observe(durations[profile])
         if contracts.enabled():
             contracts.check_spreads(
                 [est.mean for est in pooled], graph.num_nodes, "mean spreads"
@@ -465,9 +461,7 @@ def estimate_payoff_table(
             canonical, mapping = _canonical_assignment(profile)
             source = accumulated[canonical]
             accumulated[profile] = [source[j] for j in mapping]
-            _PROFILES_FILLED.inc()
 
-    _TABLES.inc()
     estimates = {
         profile: tuple(ests) for profile, ests in accumulated.items()
     }

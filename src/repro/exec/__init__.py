@@ -2,9 +2,8 @@
 
 Public surface: the :class:`Executor` facade, the job types it schedules
 (:class:`SpreadJob`, :class:`CompetitiveJob` with its :class:`ProfileCell`,
-anything satisfying the :class:`SimulationJob` protocol), the three
-backends, and the env-driven
-default-executor plumbing.  See ``docs/execution.md`` for the design and
+anything satisfying the :class:`SimulationJob` protocol), the serial and
+process backends, and the env-driven default-executor plumbing.  See ``docs/execution.md`` for the design and
 the SeedSequence-spawn determinism scheme.
 """
 
@@ -13,7 +12,6 @@ from repro.exec.backends import (
     ProcessBackend,
     SerialBackend,
     SimulationBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.exec.executor import (
@@ -46,7 +44,6 @@ __all__ = [
     "SimulationJob",
     "SnapshotGainsJob",
     "SpreadJob",
-    "ThreadBackend",
     "build_executor",
     "default_executor",
     "make_backend",

@@ -1,4 +1,4 @@
-"""Execution backends: serial, thread-pool, and process-pool job runners.
+"""Execution backends: serial and process-pool job runners.
 
 A backend's only contract is :meth:`SimulationBackend.map_unordered`: apply
 the worker function to every payload and yield ``(index, estimates,
@@ -10,29 +10,21 @@ completion order never affects results.
 Backend choice is a pure performance trade-off (see ``docs/execution.md``):
 
 * :class:`SerialBackend` — zero overhead; the default and the baseline.
-* :class:`ThreadBackend` — shares memory (no pickling) but the diffusion
-  inner loops are pure Python, so the GIL caps speedup; useful mainly when
-  a job type releases the GIL (numpy-heavy jobs) or for latency hiding.
 * :class:`ProcessBackend` — true multi-core scaling at the cost of
   pickling each job (graph included) to the worker; wins whenever per-job
   simulation time dominates serialization, which the Table-4 payoff
   workload comfortably does.
 
-Pools are created lazily and reused across batches; call
+The process pool is created lazily and reused across batches; call
 :meth:`SimulationBackend.close` (or close the owning executor) to release
-worker threads/processes.
+its worker processes.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    Executor as _FuturesExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -87,13 +79,13 @@ def execute_job(payload: JobPayload) -> JobRecord:
     """
     index, job, seed_seq, submitted, trace_ctx, harvest = payload
     registry = get_registry()
-    before = registry.state() if harvest else None
+    before = registry.snapshot() if harvest else None
     started = time.monotonic()
     with trace_scope(trace_ctx), collect_spans() as records:
         with span("exec.job", journal=True, index=index):
             estimates = job.run(as_rng(seed_seq))
     finished = time.monotonic()
-    delta = delta_state(before, registry.state()) if before is not None else None
+    delta = delta_state(before, registry.snapshot()) if before is not None else None
     return (
         index,
         estimates,
@@ -143,28 +135,30 @@ class SerialBackend(SimulationBackend):
             yield execute_job(payload)
 
 
-class _PooledBackend(SimulationBackend):
-    """Shared submit/gather plumbing for the pool-based backends."""
+class ProcessBackend(SimulationBackend):
+    """Run jobs on a shared :class:`ProcessPoolExecutor`.
+
+    Jobs and results cross the process boundary by pickling, so job types
+    must be module-level classes and should keep their payloads lean (the
+    graph's arrays dominate; at experiment scale that is well under the
+    per-job simulation cost).
+    """
+
+    name = "process"
+    shares_registry = False
 
     def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {workers}")
         self.workers = workers or os.cpu_count() or 1
-        self._pool: _FuturesExecutor | None = None
-
-    def _make_pool(self) -> _FuturesExecutor:
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> _FuturesExecutor:
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
+        self._pool: ProcessPoolExecutor | None = None
 
     def map_unordered(
         self, payloads: Sequence[JobPayload]
     ) -> Iterator[JobRecord]:
-        pool = self._ensure_pool()
-        futures = [pool.submit(execute_job, payload) for payload in payloads]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        futures = [self._pool.submit(execute_job, payload) for payload in payloads]
         for future in as_completed(futures):
             yield future.result()
 
@@ -177,43 +171,15 @@ class _PooledBackend(SimulationBackend):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-class ThreadBackend(_PooledBackend):
-    """Run jobs on a shared :class:`ThreadPoolExecutor`."""
-
-    name = "thread"
-
-    def _make_pool(self) -> _FuturesExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-exec"
-        )
-
-
-class ProcessBackend(_PooledBackend):
-    """Run jobs on a shared :class:`ProcessPoolExecutor`.
-
-    Jobs and results cross the process boundary by pickling, so job types
-    must be module-level classes and should keep their payloads lean (the
-    graph's arrays dominate; at experiment scale that is well under the
-    per-job simulation cost).
-    """
-
-    name = "process"
-    shares_registry = False
-
-    def _make_pool(self) -> _FuturesExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-
 #: Registry used by the CLI/env plumbing; order defines documentation order.
 BACKENDS: dict[str, type[SimulationBackend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 
 
 def make_backend(name: str, workers: int | None = None) -> SimulationBackend:
-    """Instantiate a backend by name (``serial``/``thread``/``process``)."""
+    """Instantiate a backend by name (``serial``/``process``)."""
     try:
         backend_cls = BACKENDS[name]
     except KeyError:

@@ -54,7 +54,6 @@ from repro.utils.rng import RandomSource, as_rng, spawn_seed_sequences
 _LOG = get_logger("exec.executor")
 
 _BATCHES = counter("exec.batches")
-_JOBS_SUBMITTED = counter("exec.jobs_submitted")
 _JOBS_COMPLETED = counter("exec.jobs_completed")
 _QUEUE_WAIT_SECONDS = histogram("exec.queue_wait_seconds")
 _JOB_SECONDS = histogram("exec.job_seconds")
@@ -86,10 +85,10 @@ class Executor:
     Parameters
     ----------
     backend:
-        A backend name (``serial``/``thread``/``process``) or an already
+        A backend name (``serial``/``process``) or an already
         constructed :class:`SimulationBackend`.
     workers:
-        Worker count for the pooled backends (ignored by ``serial``;
+        Worker count for the process backend (ignored by ``serial``;
         defaults to the CPU count).
     """
 
@@ -134,11 +133,11 @@ class Executor:
         sequences = spawn_seed_sequences(generator, len(jobs))
         batch_id = next(_BATCH_IDS)
         # Harvest worker-local metric deltas only when workers do not share
-        # this process's registry (process backend): serial/thread jobs
+        # this process's registry (process backend): serial jobs
         # already increment it directly, so merging would double-count.
         harvest = not self._backend.shares_registry
         # Measure submit-side payloads only where they are actually pickled
-        # (same condition as harvesting): serial/thread backends pass jobs
+        # (same condition as harvesting): the serial backend passes jobs
         # by reference, so serializing them there would be pure overhead.
         payload_bytes: int | None = None
         if harvest:
@@ -159,7 +158,6 @@ class Executor:
                 payload_bytes=payload_bytes,
             )
         _BATCHES.inc()
-        _JOBS_SUBMITTED.inc(len(jobs))
         registry = get_registry()
         outcomes: list[JobOutcome[ResultT] | None] = [None] * len(jobs)
         worker_spans: list[dict[str, object]] = []

@@ -5,8 +5,8 @@ Monte-Carlo work: everything it needs (graph, model, seed sets, round
 count) travels with it, and :meth:`~SimulationJob.run` produces a tuple of
 :class:`~repro.cascade.estimate.SpreadEstimate` — one per quantity the job
 estimates — or a gains job's one :class:`ReachTotals`.  Self-containment
-is what lets the same job object execute unchanged on the serial, thread,
-and process backends.
+is what lets the same job object execute unchanged on the serial and
+process backends.
 
 **Graph payloads.**  A job's ``graph`` is a
 :class:`~repro.graphs.digraph.DiGraph`.  One opened from a

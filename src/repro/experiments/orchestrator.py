@@ -65,13 +65,11 @@ from repro.graphs.datasets import DATASETS
 from repro.graphs.digraph import DiGraph
 from repro.obs.journal import RunJournal, attached
 from repro.obs.log import get_logger
-from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.utils.timing import Stopwatch
 
 _LOG = get_logger("experiments.orchestrator")
-_CELLS_RUN = counter("experiments.cells_run")
-_CELLS_FAILED = counter("experiments.cells_failed")
+
 
 def _utc_timestamp() -> str:
     # Trajectory entries record *when* a benchmark ran — the timestamp is
@@ -420,7 +418,6 @@ def _run_cells(
                     cell.backend, config.workers
                 )
             config._executor = executors[cell.backend]
-            _CELLS_RUN.inc()
             watch = Stopwatch()
             metrics: dict[str, Any] | None = None
             journal_scope = (
@@ -438,7 +435,6 @@ def _run_cells(
                 if check is not None:
                     check(metrics)
             except Exception as exc:  # cell failures must not kill the run
-                _CELLS_FAILED.inc()
                 error = f"{type(exc).__name__}: {exc}"
                 _LOG.warning("cell %s failed: %s", cell.cell_id, error)
                 # A failed check keeps the metrics it rejected.
@@ -476,7 +472,6 @@ def _apply_matrix_check(spec: MatrixSpec, results: list[CellResult]) -> None:
     except Exception as exc:
         error = f"matrix check: {type(exc).__name__}: {exc}"
         _LOG.warning("matrix %s failed its check: %s", spec.name, error)
-        _CELLS_FAILED.inc(len(ok))
         for result in ok:
             result.status = "failed"
             result.error = error

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import GameError
 from repro.game.normal_form import NormalFormGame
 

@@ -41,7 +41,6 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.loaders import PathLike, stream_edge_array
-from repro.obs.metrics import counter
 
 __all__ = [
     "GraphRef",
@@ -53,10 +52,6 @@ _FORMAT_VERSION = 1
 
 #: The CSR arrays persisted per graph, in (filename stem, attribute) order.
 _ARRAY_NAMES = ("out_indptr", "out_indices", "in_indptr", "in_indices", "edge_ids")
-
-_STORE_SAVES = counter("graphs.store_saves")
-_STORE_OPENS = counter("graphs.store_opens")
-_STORE_CACHE_HITS = counter("graphs.store_cache_hits")
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class GraphRef:
         )
 
 
-# Per-process handle cache.  Workers of the thread backend resolve refs
+# Per-process handle cache.  Callers' own threads may resolve refs
 # concurrently, so writes happen under the lock (RP013); forked workers
 # inherit the parent's dict, whose mmap handles remain valid post-fork, but
 # the pid guard re-keys defensively in case the cache was captured mid-write.
@@ -104,7 +99,6 @@ def _cached_open(ref: GraphRef) -> DiGraph:
             _HANDLES_PID = os.getpid()
         graph = _HANDLES.get(key)
         if graph is not None:
-            _STORE_CACHE_HITS.inc()
             return graph
     # The mmap open happens outside the lock (it touches the filesystem);
     # a racing duplicate open is harmless — last writer wins, both views
@@ -162,7 +156,6 @@ def _open_graph_dir(ref: GraphRef) -> DiGraph:
     arrays = [
         np.load(directory / f"{name}.npy", mmap_mode="r") for name in _ARRAY_NAMES
     ]
-    _STORE_OPENS.inc()
     graph = cast(
         _StoredGraph,
         _StoredGraph._from_csr(
@@ -236,7 +229,6 @@ class GraphStore:
         with open(directory / "meta.json", "w", encoding="utf-8") as handle:
             json.dump(meta, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        _STORE_SAVES.inc()
         return GraphRef(
             path=str(directory),
             fingerprint=graph.fingerprint,

@@ -4,7 +4,7 @@ Unlike the per-file rules (RP001–RP004, RP009), these run over a :class:`Proje
 — symbol table plus approximate call graph — so they can see an ambient
 ``default_rng()`` three call hops below a job, an unpicklable closure
 captured into a process-backend payload, or an un-locked write to shared
-state reachable from a thread-backend job.  Each finding carries a ``trace`` (an
+state reachable from a job.  Each finding carries a ``trace`` (an
 entry→site call path) when the evidence is cross-module.
 
 The dataflow model is deliberately over-approximate (unknown-receiver calls
@@ -50,10 +50,10 @@ class Project:
     def job_run_entries(self) -> list[str]:
         """``run`` methods of every ``*Job`` payload class.
 
-        These are the functions the execution backends invoke — on worker
-        threads under the thread backend and in worker processes under the
-        process backend — so they anchor both the RNG-provenance and the
-        shared-state reachability analyses.
+        These are the functions the execution backends invoke — in the
+        calling thread under the serial backend and in worker processes
+        under the process backend — so they anchor both the RNG-provenance
+        and the shared-state reachability analyses.
         """
         cached = self._entry_cache.get("job_run")
         if cached is None:
@@ -289,7 +289,7 @@ class PickleSafety(ProjectRule):
 
     A lambda, a locally-defined closure, a lock, an open handle, or a live
     ``Generator`` captured into a ``*Job`` construction works on the serial
-    and thread backends and then fails — or worse, silently duplicates RNG
+    backend and then fails — or worse, silently duplicates RNG
     state — the first time the process backend pickles the payload.
     """
 
@@ -351,19 +351,19 @@ class PickleSafety(ProjectRule):
 
 
 class SharedStateMutation(ProjectRule):
-    """RP013: thread-backend code paths never mutate shared state un-locked.
+    """RP013: job code paths never mutate shared state un-locked.
 
-    Under the thread backend every job's ``run`` executes concurrently in
-    one process, so a write to a module-level or class-level mutable
-    reachable from a job — a handle-memo dict, a registry list — races
-    unless it happens under a lock.  The metrics registry's instruments
+    A caller may drive executors from threads of its own, so jobs can run
+    concurrently in one process, and a write to a module-level or
+    class-level mutable reachable from a job — a handle-memo dict, a
+    registry list — races unless it happens under a lock.  The metrics registry's instruments
     carry their own lock; everything else needs an explicit ``with lock:``.
     """
 
     code: ClassVar[str] = "RP013"
     name: ClassVar[str] = "locked-shared-state"
     rationale: ClassVar[str] = (
-        "the thread backend runs jobs concurrently in-process; un-locked "
+        "callers' threads can run jobs concurrently in-process; un-locked "
         "writes to module/class-level mutables on those paths race and can "
         "drop or corrupt shared state"
     )
@@ -394,7 +394,7 @@ class SharedStateMutation(ProjectRule):
                         site.line,
                         f"un-locked write ({site.via}) to shared mutable "
                         f"{site.target!r} in {fn.qualname}, reachable from "
-                        "a thread-backend job",
+                        "a job",
                         trace=trace,
                     )
                 )

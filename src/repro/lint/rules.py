@@ -235,7 +235,7 @@ class NoGraphMutation(Rule):
         self.generic_visit(node)
 
 
-_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
+_METRIC_FACTORIES = frozenset({"counter", "histogram"})
 
 
 class CacheMetricHandles(Rule):
@@ -255,8 +255,7 @@ class CacheMetricHandles(Rule):
         "tax every simulation; handles are stable and cacheable"
     )
     hint: ClassVar[str] = (
-        "bind handles at module level (_SIMS = counter('cascade.simulations')) "
-        "or memoize dynamic names in a module-level dict"
+        "bind handles at module level (_SIMS = counter('cascade.simulations'))"
     )
 
     @classmethod

@@ -4,7 +4,7 @@ Three independent sinks with one import surface:
 
 * :mod:`repro.obs.log` — per-module loggers, silent until
   :func:`configure_logging` attaches a handler (text or JSONL);
-* :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms with
+* :mod:`repro.obs.metrics` — process-wide counters and count/total histograms with
   :func:`metrics_snapshot` / :func:`metrics_reset`;
 * :mod:`repro.obs.journal` — typed JSONL run journal written by
   ``estimate_payoff_table`` / ``get_real`` and read back into one report
@@ -25,13 +25,11 @@ from repro.obs.log import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsState,
     counter,
     delta_state,
-    gauge,
     get_registry,
     histogram,
 )
@@ -70,13 +68,11 @@ __all__ = [
     "JsonLineFormatter",
     # metrics
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsState",
     "counter",
     "delta_state",
-    "gauge",
     "histogram",
     "get_registry",
     "metrics_snapshot",

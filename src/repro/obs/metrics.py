@@ -1,39 +1,35 @@
-"""Process-wide metrics registry: counters, gauges, and histograms.
+"""Process-wide metrics registry: additive counters and histograms.
 
-The simulation stack increments these from its hot paths (simulations run,
-nodes activated, seed collisions resolved, frontier sizes, per-profile wall
-time).  The design goals are:
+The simulation stack counts its work here (simulations run, nodes
+activated, jobs completed, seconds jobs waited in the queue).  Every
+instrument is a sum, so the design stays small:
 
 * **cheap, thread-safe increments** — every instrument shares its
   registry's lock (one uncontended lock acquire per update; no string
-  formatting, no I/O), so concurrent jobs on the thread backend can never
-  drop increments;
+  formatting, no I/O), so callers' own threads can never drop increments;
 * **stable handles** — modules cache ``counter("cascade.simulations")`` at
   import time; :meth:`MetricsRegistry.reset` zeroes instruments *in place*
   so cached handles stay live across resets;
-* **one snapshot call** — :func:`snapshot` returns a plain nested dict
-  ready for JSON, tables, or assertions in tests;
-* **mergeable state** — :meth:`MetricsRegistry.state`,
-  :func:`delta_state`, and :meth:`MetricsRegistry.merge_delta` let the
-  execution engine harvest the metric activity of a worker process and
-  fold it into the parent registry, making snapshots backend-invariant
-  (see ``docs/observability.md``).
+* **one snapshot call** — :func:`snapshot` returns
+  ``{"counters": {name: value}, "histograms": {name: {"count", "total"}}}``,
+  a plain nested dict ready for JSON or assertions in tests;
+* **mergeable state** — :func:`delta_state` subtracts two snapshots name
+  by name and :meth:`MetricsRegistry.merge_delta` adds a delta back, which
+  lets the execution engine fold a worker process's metric activity into
+  the parent registry exactly (see ``docs/observability.md``).
 
-Instrument names are dotted paths (``layer.subject[.detail]``), e.g.
-``cascade.simulations``, ``payoff.profile_seconds``,
-``algorithms.ddic.select_seconds``.
+Instrument names are dotted paths (``layer.subject``), e.g.
+``cascade.simulations`` or ``exec.queue_wait_seconds``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from collections.abc import Iterator, Mapping
 from typing import Any
 
-#: Raw-state type: what ``MetricsRegistry.state`` returns and what
-#: ``delta_state`` / ``merge_delta`` consume.  Plain nested dicts of floats
-#: so states pickle cheaply across the process-backend boundary.
+#: Snapshot/delta type: what :meth:`MetricsRegistry.snapshot` returns and
+#: what ``delta_state`` / ``merge_delta`` consume.  Plain nested dicts of
+#: numbers so they pickle cheaply across the process-backend boundary.
 MetricsState = dict[str, dict[str, Any]]
 
 
@@ -59,147 +55,47 @@ class Counter:
         return f"Counter({self.name!r}, value={self.value})"
 
 
-class Gauge:
-    """Last-written value (e.g. current graph size, active journal).
-
-    ``writes`` counts :meth:`set` calls so a state diff can tell "written
-    during the window" apart from "still holding the same value" — the
-    last-write-wins merge only transfers gauges the worker actually set.
-    """
-
-    __slots__ = ("name", "value", "writes", "_lock")
-
-    def __init__(self, name: str, lock: threading.RLock | None = None):
-        self.name = name
-        self.value = 0.0
-        self.writes = 0
-        self._lock = lock if lock is not None else threading.RLock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-            self.writes += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.value = 0.0
-            self.writes = 0
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, value={self.value})"
-
-
 class Histogram:
-    """Streaming aggregate of observed values (count/mean/std/min/max).
+    """Count and sum of observed values (e.g. the seconds of every job)."""
 
-    Keeps O(1) state — count, running mean, sum of squared deviations
-    (Welford's online algorithm), extrema — rather than samples, so
-    observing from a loop that runs thousands of times per second is safe.
-    Welford's recurrence avoids the catastrophic cancellation of the naive
-    ``E[x²] − mean²`` estimator for large-offset values (e.g. epoch
-    timestamps), and the (count, mean, M2) triple merges exactly across
-    registries via Chan's parallel combination.
-    """
-
-    __slots__ = ("name", "count", "_mean", "_m2", "min", "max", "_lock")
+    __slots__ = ("name", "count", "total", "_lock")
 
     def __init__(self, name: str, lock: threading.RLock | None = None):
         self.name = name
         self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        self.total = 0.0
         self._lock = lock if lock is not None else threading.RLock()
 
     def observe(self, value: float) -> None:
-        value = float(value)
         with self._lock:
             self.count += 1
-            delta = value - self._mean
-            self._mean += delta / self.count
-            self._m2 += delta * (value - self._mean)
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
+            self.total += float(value)
 
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def total(self) -> float:
-        return self._mean * self.count
-
-    @property
-    def std(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(max(0.0, self._m2 / self.count))
+    def add(self, count: int, total: float) -> None:
+        """Fold in *count* observations summing to *total*."""
+        with self._lock:
+            self.count += int(count)
+            self.total += float(total)
 
     def reset(self) -> None:
         with self._lock:
             self.count = 0
-            self._mean = 0.0
-            self._m2 = 0.0
-            self.min = math.inf
-            self.max = -math.inf
-
-    def state(self) -> dict[str, float]:
-        """Raw (count, mean, M2, min, max) tuple as a picklable dict."""
-        with self._lock:
-            return {
-                "count": self.count,
-                "mean": self._mean,
-                "m2": self._m2,
-                "min": self.min,
-                "max": self.max,
-            }
-
-    def merge_state(self, other: Mapping[str, float]) -> None:
-        """Fold another histogram's raw state in (Chan's parallel merge)."""
-        n_b = int(other.get("count", 0))
-        if n_b <= 0:
-            return
-        mean_b = float(other.get("mean", 0.0))
-        m2_b = float(other.get("m2", 0.0))
-        with self._lock:
-            n_a = self.count
-            n = n_a + n_b
-            delta = mean_b - self._mean
-            self._mean += delta * n_b / n
-            self._m2 += m2_b + delta * delta * n_a * n_b / n
-            self.count = n
-            self.min = min(self.min, float(other.get("min", math.inf)))
-            self.max = max(self.max, float(other.get("max", -math.inf)))
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
-        }
+            self.total = 0.0
 
     def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.4g})"
+        return f"Histogram({self.name!r}, count={self.count}, total={self.total:.4g})"
 
 
 class MetricsRegistry:
     """Named instruments with get-or-create semantics.
 
     One re-entrant lock per registry guards instrument creation *and* every
-    update on the instruments it hands out, so thread-backend jobs racing
-    on ``Counter.inc`` can never drop increments.
+    update on the instruments it hands out.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -208,13 +104,6 @@ class MetricsRegistry:
         except KeyError:
             with self._lock:
                 return self._counters.setdefault(name, Counter(name, self._lock))
-
-    def gauge(self, name: str) -> Gauge:
-        try:
-            return self._gauges[name]
-        except KeyError:
-            with self._lock:
-                return self._gauges.setdefault(name, Gauge(name, self._lock))
 
     def histogram(self, name: str) -> Histogram:
         try:
@@ -225,139 +114,57 @@ class MetricsRegistry:
                     name, Histogram(name, self._lock)
                 )
 
-    def snapshot(self) -> dict[str, dict[str, object]]:
-        """Plain-dict view of every instrument (JSON/table ready)."""
+    def snapshot(self) -> MetricsState:
+        """Plain-dict view of every instrument (JSON ready, picklable)."""
         with self._lock:
             return {
                 "counters": {n: c.value for n, c in sorted(self._counters.items())},
-                "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
                 "histograms": {
-                    n: h.as_dict() for n, h in sorted(self._histograms.items())
-                },
-            }
-
-    # ------------------------------------------------------------------ #
-    # cross-process harvest: state / delta / merge
-    # ------------------------------------------------------------------ #
-
-    def state(self) -> MetricsState:
-        """Raw mergeable state of every instrument (picklable).
-
-        Unlike :meth:`snapshot` (a human/JSON view), the state keeps the
-        internal accumulators (Welford M2, gauge write counts) that
-        :func:`delta_state` and :meth:`merge_delta` need for exact
-        cross-process accounting.
-        """
-        with self._lock:
-            return {
-                "counters": {n: c.value for n, c in self._counters.items()},
-                "gauges": {
-                    n: {"value": g.value, "writes": g.writes}
-                    for n, g in self._gauges.items()
-                },
-                "histograms": {
-                    n: h.state() for n, h in self._histograms.items()
+                    n: {"count": h.count, "total": h.total}
+                    for n, h in sorted(self._histograms.items())
                 },
             }
 
     def merge_delta(self, delta: MetricsState) -> None:
-        """Fold a :func:`delta_state` result into this registry.
-
-        Counters add, gauges take the delta's value (last write wins),
-        histograms merge their (count, mean, M2, min, max) state exactly.
-        """
+        """Add a :func:`delta_state` result into this registry, name by name."""
         for name, amount in delta.get("counters", {}).items():
             self.counter(name).inc(amount)
-        for name, payload in delta.get("gauges", {}).items():
-            self.gauge(name).set(float(payload["value"]))
         for name, payload in delta.get("histograms", {}).items():
-            self.histogram(name).merge_state(payload)
+            self.histogram(name).add(payload["count"], payload["total"])
 
     def reset(self) -> None:
         """Zero every instrument **in place** (cached handles stay valid)."""
         with self._lock:
-            for instrument in self._iter_instruments():
-                instrument.reset()
-
-    def _iter_instruments(self) -> Iterator[Counter | Gauge | Histogram]:
-        yield from self._counters.values()
-        yield from self._gauges.values()
-        yield from self._histograms.values()
-
-    def rows(self) -> list[dict[str, object]]:
-        """Counter/histogram rows for :func:`repro.utils.tables.format_table`."""
-        out: list[dict[str, object]] = []
-        for name, ctr in sorted(self._counters.items()):
-            out.append({"metric": name, "kind": "counter", "value": ctr.value})
-        for name, gauge in sorted(self._gauges.items()):
-            out.append({"metric": name, "kind": "gauge", "value": gauge.value})
-        for name, hist in sorted(self._histograms.items()):
-            out.append(
-                {
-                    "metric": name,
-                    "kind": "histogram",
-                    "value": hist.count,
-                    "mean": hist.mean,
-                    "min": hist.min if hist.count else 0.0,
-                    "max": hist.max if hist.count else 0.0,
-                }
-            )
-        return out
+            for ctr in self._counters.values():
+                ctr.reset()
+            for hist in self._histograms.values():
+                hist.reset()
 
 
 def delta_state(before: MetricsState, after: MetricsState) -> MetricsState:
-    """The metric activity between two :meth:`MetricsRegistry.state` calls.
+    """The metric activity between two :meth:`MetricsRegistry.snapshot` calls.
 
-    Returns a sparse state containing only what changed: counter
-    *increments*, gauges whose write count moved (carrying their final
-    value), and per-histogram (count, mean, M2, min, max) deltas obtained
-    by inverting Chan's combination formula.  The result feeds
+    Sparse: only counters that moved and histograms that gained
+    observations appear.  The result feeds
     :meth:`MetricsRegistry.merge_delta` in another process.
-
-    The histogram min/max fields carry the *after* extrema: a window-exact
-    minimum is not recoverable from aggregates, but re-merging a worker's
-    lifetime extremum is idempotent (``min`` of mins), so parent-side
-    extrema still converge to the true values.
     """
-    delta: MetricsState = {"counters": {}, "gauges": {}, "histograms": {}}
+    counters: dict[str, Any] = {}
     before_counters = before.get("counters", {})
     for name, value in after.get("counters", {}).items():
         moved = value - before_counters.get(name, 0)
         if moved:
-            delta["counters"][name] = moved
-    before_gauges = before.get("gauges", {})
-    for name, payload in after.get("gauges", {}).items():
-        prior = before_gauges.get(name)
-        if prior is None or payload["writes"] != prior["writes"]:
-            delta["gauges"][name] = {"value": payload["value"]}
+            counters[name] = moved
+    histograms: dict[str, Any] = {}
     before_hists = before.get("histograms", {})
     for name, payload in after.get("histograms", {}).items():
-        prior = before_hists.get(
-            name, {"count": 0, "mean": 0.0, "m2": 0.0}
-        )
-        n_a = int(prior["count"])
-        n_ab = int(payload["count"])
-        n_b = n_ab - n_a
-        if n_b <= 0:
-            continue
-        mean_a = float(prior["mean"])
-        mean_ab = float(payload["mean"])
-        # Invert Chan's merge: recover the window's (mean, M2) from the
-        # combined and the prior aggregates.
-        mean_b = (n_ab * mean_ab - n_a * mean_a) / n_b
-        m2_b = (
-            float(payload["m2"])
-            - float(prior["m2"])
-            - (mean_b - mean_a) ** 2 * n_a * n_b / n_ab
-        )
-        delta["histograms"][name] = {
-            "count": n_b,
-            "mean": mean_b,
-            "m2": max(0.0, m2_b),
-            "min": float(payload["min"]),
-            "max": float(payload["max"]),
-        }
-    return delta
+        prior = before_hists.get(name, {"count": 0, "total": 0.0})
+        count = payload["count"] - prior["count"]
+        if count > 0:
+            histograms[name] = {
+                "count": count,
+                "total": payload["total"] - prior["total"],
+            }
+    return {"counters": counters, "histograms": histograms}
 
 
 #: The process-wide default registry used by the simulation stack.
@@ -374,17 +181,12 @@ def counter(name: str) -> Counter:
     return _DEFAULT.counter(name)
 
 
-def gauge(name: str) -> Gauge:
-    """Get-or-create a gauge in the default registry."""
-    return _DEFAULT.gauge(name)
-
-
 def histogram(name: str) -> Histogram:
     """Get-or-create a histogram in the default registry."""
     return _DEFAULT.histogram(name)
 
 
-def snapshot() -> dict[str, dict[str, object]]:
+def snapshot() -> MetricsState:
     """Snapshot of the default registry."""
     return _DEFAULT.snapshot()
 

@@ -1,8 +1,8 @@
 """Hierarchical trace spans: causally-linked timed blocks across processes.
 
 A span is the glue between the observability sinks: it debug-logs
-entry/exit, observes its duration into a ``span.<name>.seconds`` histogram,
-and — when asked — appends a ``span`` event to the active run journal::
+entry/exit, times the block, and — when asked — appends a ``span`` event
+to the active run journal::
 
     from repro.obs import span
 
@@ -14,7 +14,7 @@ causal tree, its own ``span_id``, and the ``parent_id`` of the span that
 was open when it started.  The current span is tracked on a
 :mod:`contextvars` stack, so nesting works across ``async`` boundaries and
 the execution engine can serialize the ambient context into each
-:data:`~repro.exec.backends.JobPayload` — spans opened inside thread or
+:data:`~repro.exec.backends.JobPayload` — spans opened inside
 process workers parent correctly under the submitting batch span (see
 :func:`trace_scope`).
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
 from typing import Any
 
-from repro.obs import metrics as _metrics
 from repro.obs.journal import current_journal
 from repro.obs.log import get_logger
 
@@ -177,8 +176,7 @@ def span(
     Parameters
     ----------
     name:
-        Dotted span name; the duration lands in the
-        ``span.<name>.seconds`` histogram.
+        Dotted span name.
     journal:
         Also record a ``span`` event — to the active span collector if one
         is installed (worker side), else to the attached run journal.  The
@@ -207,7 +205,6 @@ def span(
     finally:
         handle.elapsed = time.perf_counter() - started
         _SPAN_STACK.reset(token)
-        _metrics.histogram(f"span.{name}.seconds").observe(handle.elapsed)
         _LOG.debug("span %s finished in %.4fs", name, handle.elapsed)
         if journal:
             record: dict[str, Any] = {

@@ -27,8 +27,11 @@ def _entropy_rng() -> np.random.Generator:
     helper is the only place that contract is honoured — every other
     generator in the project derives from an explicit seed through the
     ``SeedSequence.spawn`` chain.  Setting ``REPRO_REQUIRE_SEED=1`` turns
-    the fallback into an error so CI and benchmark runs cannot silently
-    pick up nondeterministic streams.
+    the fallback into a ``ValueError``: an opt-in check for a user who
+    wants a run of their own code to fail at the first call that would
+    draw unseeded randomness.  Neither CI nor the benchmark sets it (the
+    benchmark clears every ``REPRO_*`` variable), and the test suite does
+    not pass under it, since some tests call with ``rng=None`` on purpose.
     """
     if RunConfig.from_env().require_seed:
         raise ValueError(

@@ -49,10 +49,9 @@ class TestMemo:
     def test_miss_then_hit(self):
         memo = Memo("t1")
         assert memo.get(("a", 1)) is None
-        memo.put(("a", 1), [1, 2, 3], nbytes=24)
+        memo.put(("a", 1), [1, 2, 3])
         assert memo.get(("a", 1)) == [1, 2, 3]
         assert len(memo) == 1
-        assert memo.nbytes == 24
 
     def test_fifo_eviction_at_capacity(self):
         memo = Memo("t2", capacity=2)
@@ -66,10 +65,9 @@ class TestMemo:
 
     def test_clear(self):
         memo = Memo("t3")
-        memo.put("a", 1, nbytes=100)
+        memo.put("a", 1)
         memo.clear()
         assert len(memo) == 0
-        assert memo.nbytes == 0
         assert memo.get("a") is None
 
     def test_bad_capacity_rejected(self):
@@ -94,9 +92,9 @@ class TestKeys:
     def test_params_token_ignores_executor(self):
         model = IndependentCascade(0.1)
         serial = MixGreedy(model, num_snapshots=10, executor=Executor("serial"))
-        with Executor("thread", workers=2) as ex:
-            threaded = MixGreedy(model, num_snapshots=10, executor=ex)
-            assert params_token(serial) == params_token(threaded)
+        with Executor("process", workers=2) as ex:
+            pooled = MixGreedy(model, num_snapshots=10, executor=ex)
+            assert params_token(serial) == params_token(pooled)
 
     def test_freeze_handles_arrays_and_containers(self):
         a = freeze({"x": np.arange(3), "y": [1, (2, 3)]})
@@ -259,16 +257,9 @@ class TestCrossBackendDeterminism:
             for profile, ests in table.estimates.items()
         }
 
-    def test_serial_vs_thread_with_pools_and_cache(self, karate):
-        serial = self._flatten(self._table(Executor("serial"), karate))
-        clear_caches()  # force the thread run to recompute, not replay
-        with Executor("thread", workers=3) as ex:
-            threaded = self._flatten(self._table(ex, karate))
-        assert serial == threaded
-
     def test_serial_vs_process_with_pools_and_cache(self, karate):
         serial = self._flatten(self._table(Executor("serial"), karate))
-        clear_caches()
+        clear_caches()  # force the process run to recompute, not replay
         with Executor("process", workers=2) as ex:
             process = self._flatten(self._table(ex, karate))
         assert serial == process

@@ -7,7 +7,6 @@ from repro.cascade.ic import IndependentCascade
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError
-from repro.graphs.digraph import DiGraph
 from repro.utils.rng import as_rng
 
 

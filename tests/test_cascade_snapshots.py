@@ -6,7 +6,6 @@ import pytest
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.reachability import all_reach_sizes
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
-from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi

@@ -62,14 +62,14 @@ class TestRunConfig:
         assert RunConfig.from_env() == RunConfig()
 
     def test_reads_every_switch(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_BACKEND", " thread ")
+        monkeypatch.setenv("REPRO_BACKEND", " process ")
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_SYMMETRY", "reduce")
         monkeypatch.setenv(CONTRACTS_ENV_VAR, "on")
         monkeypatch.setenv(REQUIRE_SEED_ENV_VAR, "Yes")
         monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
         assert RunConfig.from_env() == RunConfig(
-            backend="thread",
+            backend="process",
             workers=3,
             symmetry="reduce",
             contracts=True,

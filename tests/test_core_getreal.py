@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.degree_discount import DegreeDiscount
-from repro.algorithms.heuristics import HighDegree, RandomSeeds
+from repro.algorithms.heuristics import RandomSeeds
 from repro.cascade.ic import IndependentCascade
 from repro.core.getreal import (
     GetRealResult,
@@ -12,7 +12,7 @@ from repro.core.getreal import (
     solve_strategy_game,
     symmetrize,
 )
-from repro.core.strategy import MixedStrategy, StrategySpace
+from repro.core.strategy import StrategySpace
 from repro.exec.executor import Executor
 from repro.game.normal_form import NormalFormGame
 from repro.obs.journal import RunJournal, read_journal
@@ -196,7 +196,7 @@ class TestGetRealEndToEnd:
         monkeypatch.setenv("REPRO_SYMMETRY", "reduce")
         monkeypatch.setenv("REPRO_CONTRACTS", "1")
         path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal, Executor("thread", workers=2) as executor:
+        with RunJournal(path) as journal, Executor("process", workers=2) as executor:
             get_real(
                 karate,
                 IndependentCascade(0.1),
@@ -208,6 +208,6 @@ class TestGetRealEndToEnd:
                 executor=executor,
             )
         (start,) = [e for e in read_journal(path) if e["event"] == "run_start"]
-        assert (start["backend"], start["workers"]) == ("thread", 2)
+        assert (start["backend"], start["workers"]) == ("process", 2)
         assert start["symmetry"] == "reduce"
         assert start["contracts"] is True

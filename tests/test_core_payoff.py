@@ -1,6 +1,5 @@
 """Tests for payoff-table estimation."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms.degree_discount import DegreeDiscount

@@ -54,12 +54,6 @@ class TestPayoffTableDeterminism:
             process = _flatten(_table(ex))
         assert serial == process
 
-    def test_thread_backend_matches_serial(self):
-        serial = _flatten(_table(Executor("serial")))
-        with Executor("thread", workers=3) as ex:
-            thread = _flatten(_table(ex))
-        assert serial == thread
-
     def test_worker_count_is_irrelevant(self):
         with Executor("process", workers=1) as ex:
             one = _flatten(_table(ex))

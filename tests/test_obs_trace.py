@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.obs import metrics
 from repro.obs.journal import RunJournal, attach_journal, detach_journal
 from repro.obs.trace import (
     TraceContext,
@@ -15,13 +14,6 @@ from repro.obs.trace import (
     trace_scope,
 )
 from repro.obs.tracetree import build_traces, render_trace_tree
-
-
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    metrics.reset()
-    yield
-    metrics.reset()
 
 
 class TestSpanIdentity:
@@ -146,12 +138,6 @@ class TestCollector:
             with span("quiet"):
                 pass
         assert records == []
-
-    def test_span_duration_lands_in_histogram(self):
-        with span("timed"):
-            pass
-        snap = metrics.snapshot()
-        assert snap["histograms"]["span.timed.seconds"]["count"] == 1
 
 
 def _span_event(name, trace_id, span_id, parent_id, start_ts, duration):

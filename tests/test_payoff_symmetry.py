@@ -195,9 +195,8 @@ class TestReducedTable:
 
     def test_profile_counters(self, karate, space):
         estimated = counter("payoff.profiles_estimated")
-        filled = counter("payoff.profiles_filled")
-        before = (estimated.value, filled.value)
-        estimate_payoff_table(
+        before = estimated.value
+        table = estimate_payoff_table(
             karate,
             IndependentCascade(0.1),
             space,
@@ -207,9 +206,14 @@ class TestReducedTable:
             rng=2,
             symmetry="reduce",
         )
-        plan_size = len(symmetric_profile_plan(2, 2, 6))
-        assert estimated.value - before[0] == plan_size
-        assert filled.value - before[1] == 2**2 - plan_size
+        plan = [profile for profile, _, _ in symmetric_profile_plan(2, 2, 6)]
+        assert estimated.value - before == len(plan)
+        # The table still holds all z^r profiles; the one permuted cell
+        # reuses the canonical (0, 1) estimates with the players swapped.
+        assert sorted(table.estimates) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert (1, 0) not in plan
+        assert table.estimate((1, 0), 0) is table.estimate((0, 1), 1)
+        assert table.estimate((1, 0), 1) is table.estimate((0, 1), 0)
 
     def test_reduced_mode_reproducible(self, karate, space):
         a = estimate_payoff_table(

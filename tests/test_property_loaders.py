@@ -1,6 +1,5 @@
 """Property-based round-trip tests for edge-list I/O."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

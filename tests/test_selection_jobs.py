@@ -127,12 +127,11 @@ class TestPhaseOneBitIdentity:
         seeds, state, _, _ = serial_run
         assert _one_by_one(graph, space) == (seeds, state)
 
-    @pytest.mark.parametrize(("backend", "workers"), [("thread", 2), ("process", 2)])
     def test_every_backend_gives_the_same_phase_one_and_table(
-        self, graph, space, serial_run, backend, workers
+        self, graph, space, serial_run
     ):
         seeds, state, tensor, end_state = serial_run
-        with Executor(backend, workers) as executor:
+        with Executor("process", 2) as executor:
             assert _phase1(graph, space, executor) == (seeds, state)
             clear_caches()
             got_tensor, got_end = _table(graph, space, executor)
@@ -192,7 +191,7 @@ class TestFailureAndNesting:
 
     def test_job_pickles_token_and_parameters_without_masks(self, karate):
         model = IndependentCascade(0.1)
-        with Executor("thread", 2) as executor:
+        with Executor("process", 2) as executor:
             selector = MixGreedy(model, 6, executor=executor)
             pool = SnapshotPool(karate)
             pool.token(np.random.default_rng(3))
