@@ -31,9 +31,13 @@ mask).  The LT paths run one simulation per call.
 bit-identical to itself across backends and worker counts (the
 SeedSequence discipline of :mod:`repro.exec`).  In the competitive sweep
 each run of rows draws from its own generator, in key order, and only for
-its own keys, and a target's attempts are grouped by a stable sort, so a
-row's survival products and results do not depend on which other rows
-share the sweep.  The python reference walks in
+its own keys.  A wave groups its attempts by target with one in-place sort
+of packed ``(target - base) << b | position`` keys (:func:`_segments`):
+the keys are distinct and equal targets sort by position, so the order is
+exactly that of a stable argsort, and a target's survival product
+multiplies its attempts in frontier order.  A row's survival products and
+results therefore do not depend on which other rows share the sweep.  The
+python reference walks in
 ``tests/reference_kernels.py`` consume randomness in a different order, so
 the kernels are *statistically* equivalent to them — per-node activation
 and claim probabilities match exactly, only the sample paths differ —
@@ -119,21 +123,64 @@ def _frontier_edges(
     return targets, eids, degs
 
 
-def _segments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _segments(
+    targets: np.ndarray, base: int, span: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group a flat attempt list by target: ``(order, segment starts, uniques)``.
 
-    ``targets[order]`` is sorted; segment *s* starts at ``starts[s]`` and
-    belongs to ``uniques[s]``.  The sort is stable, so a segment keeps its
+    Every target lies in ``[base, base + span)``.  ``targets[order]`` is
+    sorted; segment *s* starts at ``starts[s]`` and belongs to
+    ``uniques[s]``.  Equal targets keep their attempt order, so *order* is
+    exactly ``np.argsort(targets, kind="stable")``: a segment keeps its
     attempts in frontier order and the survival product over them does not
     depend on the other keys in the sweep.
+
+    One in-place sort of packed keys ``(target - base) << b | position``,
+    with *b* the bit length of the attempt count, yields that order: the
+    packed keys are distinct, they sort by target first, and equal targets
+    by position.  When ``span - 1`` needs more than ``63 - b`` bits, the
+    same packed sort runs once per ``63 - b``-bit digit of ``target -
+    base``, lowest digit first; each pass keeps the order of equal digits,
+    so the passes compose to the stable order (an LSD radix sort).
     """
-    order = np.argsort(targets, kind="stable")
-    t_sorted = targets[order]
-    head = np.empty(t_sorted.size, dtype=bool)
-    head[0] = True
-    np.not_equal(t_sorted[1:], t_sorted[:-1], out=head[1:])
+    size = targets.size
+    bits = size.bit_length()
+    room = 63 - bits
+    low = (1 << bits) - 1
+    positions = np.arange(size, dtype=np.int64)
+    keys = targets - base
+    order: np.ndarray | None = None
+    shift = 0
+    while shift + room < (span - 1).bit_length():
+        digits = keys >> shift
+        digits &= (1 << room) - 1
+        digits <<= bits
+        digits |= positions
+        digits.sort()
+        step = digits & low
+        keys = keys[step]
+        order = step if order is None else order[step]
+        shift += room
+    # The top digit; a single pass packs the keys in place.
+    packed = keys >> shift if shift else keys
+    packed <<= bits
+    packed |= positions
+    packed.sort()
+    step = packed & low
+    if order is None:
+        order = step
+        packed >>= bits
+        keys = packed
+    else:
+        order = order[step]
+        keys = keys[step]
+    head = np.empty(size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
     starts = np.flatnonzero(head)
-    return order, starts, t_sorted[starts]
+    uniques = keys[starts]
+    uniques += base
+    return order, starts, uniques
 
 
 def _claim_batch(
@@ -305,26 +352,30 @@ def _wave(
     claim_rule: ClaimRule,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One diffusion step of sorted frontier *keys*: the ``(keys, groups)`` it claims."""
-    offsets = keys // graph.num_nodes * graph.num_nodes
+    n = graph.num_nodes
+    offsets = keys // n * n
     targets, eids, degs = _frontier_edges(graph, keys - offsets)
     targets += offsets.repeat(degs)
-    live = ~lookup_bits(claimed, targets)
-    targets, eids = targets[live], eids[live]
-    if targets.size == 0:
-        return targets, targets
-    # Segment the flat attempt list by target key: survival Π(1 - p_e)
-    # via reduceat and, with several groups, the activated targets'
-    # per-group attempt counts via bincount over (target, group) slots.
-    order, starts, uniq = _segments(targets)
-    survive = np.multiply.reduceat(1.0 - probs[eids[order]], starts)
+    live = np.flatnonzero(~lookup_bits(claimed, targets))
+    if live.size == 0:
+        return live, live
+    # Segment the live attempts by target key: survival Π(1 - p_e) via
+    # reduceat and, with several groups, the activated targets' per-group
+    # attempt counts via bincount over (target, group) slots.  Every
+    # target lies in the rows of the first to the last frontier key.
+    base = int(offsets[0])
+    order, starts, uniq = _segments(targets[live], base, int(offsets[-1]) + n - base)
+    # Each sorted attempt's position in the full frontier expansion.
+    attempts = live[order]
+    survive = np.multiply.reduceat(1.0 - probs[eids[attempts]], starts)
     draws = _stream_uniforms(uniq, heads, generators)
     activated = np.flatnonzero(draws < 1.0 - survive)
     claimed_keys = uniq[activated]
     if r == 1:
         return claimed_keys, np.zeros(claimed_keys.size, dtype=np.int64)
-    sizes = np.diff(starts, append=targets.size)[activated]
-    attempts = order[segment_ranges(starts[activated], sizes)]
-    attackers = groups.repeat(degs)[live][attempts]
+    sizes = np.diff(starts, append=live.size)[activated]
+    attempts = attempts[segment_ranges(starts[activated], sizes)]
+    attackers = groups.repeat(degs)[attempts]
     slots = np.arange(claimed_keys.size, dtype=np.int64).repeat(sizes) * r
     counts = np.bincount(slots + attackers, minlength=claimed_keys.size * r)
     claimed_groups = _claim_batch(

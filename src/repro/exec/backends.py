@@ -23,6 +23,7 @@ its worker processes.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from collections.abc import Iterator, Sequence
@@ -37,11 +38,11 @@ from repro.obs.metrics import MetricsState, delta_state, get_registry
 from repro.obs.trace import collect_spans, span, trace_scope
 from repro.utils.rng import as_rng
 
-#: (index, job, per-job seed sequence, batch submission time,
-#:  serialized trace context or None, harvest-worker-metrics flag).
+#: (index, job or its pickle, per-job seed sequence, batch submission
+#:  time, serialized trace context or None, harvest-worker-metrics flag).
 JobPayload = tuple[
     int,
-    SimulationJob[JobResult],
+    SimulationJob[JobResult] | bytes,
     np.random.SeedSequence,
     float,
     dict[str, str] | None,
@@ -75,9 +76,13 @@ def execute_job(payload: JobPayload) -> JobRecord:
     the job is snapshotted as a delta and shipped back in the record for
     the executor to merge, so ``metrics.snapshot()`` is backend-invariant.
     Journal-worthy spans are collected rather than emitted (workers have no
-    journal attached) and replayed into the parent-side journal.
+    journal attached) and replayed into the parent-side journal.  A job
+    sent to a process arrives as the bytes the executor pickled it to.
     """
-    index, job, seed_seq, submitted, trace_ctx, harvest = payload
+    index, shipped, seed_seq, submitted, trace_ctx, harvest = payload
+    job: SimulationJob[JobResult] = (
+        pickle.loads(shipped) if isinstance(shipped, bytes) else shipped
+    )
     registry = get_registry()
     before = registry.snapshot() if harvest else None
     started = time.monotonic()

@@ -136,18 +136,18 @@ class Executor:
         # this process's registry (process backend): serial jobs
         # already increment it directly, so merging would double-count.
         harvest = not self._backend.shares_registry
-        # Measure submit-side payloads only where they are actually pickled
-        # (same condition as harvesting): the serial backend passes jobs
-        # by reference, so serializing them there would be pure overhead.
+        # Jobs that cross a process boundary (same condition as harvesting)
+        # are pickled once, here: the worker receives these bytes, so the
+        # observed payload size is the size sent.  The serial backend
+        # passes jobs by reference.
+        shipped: Sequence[SimulationJob[ResultT] | bytes] = jobs
         payload_bytes: int | None = None
         if harvest:
-            sizes = [
-                len(pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))
-                for job in jobs
-            ]
-            for size in sizes:
-                _JOB_PAYLOAD_BYTES.observe(float(size))
-            payload_bytes = int(sum(sizes))
+            blobs = [pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL) for job in jobs]
+            for blob in blobs:
+                _JOB_PAYLOAD_BYTES.observe(float(len(blob)))
+            payload_bytes = sum(len(blob) for blob in blobs)
+            shipped = blobs
         sink = current_journal()
         if sink is not None:
             sink.batch_start(
@@ -173,7 +173,7 @@ class Executor:
             submitted = time.monotonic()
             payloads: list[JobPayload] = [
                 (i, job, sequences[i], submitted, serialized, harvest)
-                for i, job in enumerate(jobs)
+                for i, job in enumerate(shipped)
             ]
             for (
                 index,

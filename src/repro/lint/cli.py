@@ -2,7 +2,9 @@
 
 One pass over the given paths (default ``src``): the per-file rules run on
 every ``.py`` file, and the whole-program rules run on every directory
-argument as one package (``src`` descends into ``src/repro``).
+argument as one package (``src`` descends into ``src/repro``).  Each file
+is read and parsed once: a package's per-file rules run in the project
+pass's extraction workers, on the trees the facts come from.
 
 Exit codes: 0 — clean; 1 — findings (including RP999 parse errors and
 unreadable files); 2 — usage error (unknown rule code, missing path).
@@ -14,7 +16,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.engine import format_findings, format_json, lint_paths
+from repro.lint.base import Finding
+from repro.lint.engine import (
+    format_findings,
+    format_json,
+    iter_python_files,
+    lint_paths,
+    select_rules,
+)
 from repro.lint.project import PROJECT_RULES, analyze_project
 from repro.lint.rules import ALL_RULES
 
@@ -122,14 +131,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"reprolint: no such file or directory: {path}", file=sys.stderr)
             return 2
 
-    # The per-file pass reports every parse error and unreadable file as
-    # RP999; the project pass reads the same files, so it adds rule
-    # findings only.
-    findings = lint_paths(
-        paths,
-        select=_within(select, _FILE_CODES),
-        ignore=_within(ignore, _FILE_CODES),
-    )
+    file_select = _within(select, _FILE_CODES)
+    file_ignore = _within(ignore, _FILE_CODES)
+    file_rules = select_rules(file_select, file_ignore)
+    findings: list[Finding] = []
+    # Per-file findings (every parse error and unreadable file as RP999)
+    # are kept once per file, whichever pass linted it first; the project
+    # report's own parse errors would repeat them.
+    linted: set[Path] = set()
     for path in paths:
         if path.is_dir():
             report = analyze_project(
@@ -137,8 +146,18 @@ def main(argv: list[str] | None = None) -> int:
                 select=_within(select, _PROJECT_CODES),
                 ignore=_within(ignore, _PROJECT_CODES),
                 jobs=args.jobs,
+                file_rules=file_rules,
             )
             findings.extend(report.findings)
+            for name, file_findings in report.file_findings.items():
+                resolved = Path(name).resolve()
+                if resolved not in linted:
+                    linted.add(resolved)
+                    findings.extend(file_findings)
+    # Files outside every package pass: file arguments and files beside
+    # a package root (``src/*.py``).
+    rest = [f for f in iter_python_files(paths) if f.resolve() not in linted]
+    findings.extend(lint_paths(rest, select=file_select, ignore=file_ignore))
     findings.sort()
     if args.output_format == "json":
         print(format_json(findings))

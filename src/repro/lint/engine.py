@@ -84,10 +84,11 @@ def _suppressed(finding: Finding, suppressions: dict[int, set[str] | None]) -> b
     return codes is None or finding.code in codes
 
 
-def _select_rules(
+def select_rules(
     select: Sequence[str] | None,
     ignore: Sequence[str] | None,
 ) -> list[type[Rule]]:
+    """The per-file rules that *select* keeps and *ignore* drops (``None``: all)."""
     rules = list(ALL_RULES)
     if select is not None:
         wanted = set(select)
@@ -104,32 +105,46 @@ def _select_rules(
     return rules
 
 
-def lint_source(
-    source: str,
-    path: Path | str = "<string>",
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
+def parse_error_finding(display: str, exc: SyntaxError) -> Finding:
+    """The RP999 finding of a file the parser rejects."""
+    return Finding(
+        path=display,
+        line=exc.lineno or 1,
+        col=(exc.offset or 0) or 1,
+        code=PARSE_ERROR_CODE,
+        message=f"file does not parse: {exc.msg}",
+        hint="fix the syntax error; reprolint needs a valid AST",
+    )
+
+
+def unreadable_finding(display: str, exc: Exception) -> Finding:
+    """The RP999 finding of a file that cannot be read as UTF-8 text.
+
+    Unreadable files are findings, not crashes: the run completes, reports
+    the file, and exits nonzero like any other finding.
+    """
+    return Finding(
+        path=display,
+        line=1,
+        col=1,
+        code=PARSE_ERROR_CODE,
+        message=f"file unreadable: {exc}",
+        hint="fix the file's permissions or encoding; reprolint "
+        "never skips files silently",
+    )
+
+
+def lint_tree(
+    tree: ast.Module,
+    path: Path,
+    suppressions: dict[int, set[str] | None],
+    rules: Sequence[type[Rule]],
 ) -> list[Finding]:
-    """Lint *source*, scoping rules by *path*; returns sorted findings."""
-    path = Path(path)
+    """Run per-file *rules* on an already parsed module; returns sorted findings."""
     module = module_parts(path)
     display = str(path)
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) or 1,
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {exc.msg}",
-                hint="fix the syntax error; reprolint needs a valid AST",
-            )
-        ]
-    suppressions = parse_suppressions(source)
     findings: list[Finding] = []
-    for rule_cls in _select_rules(select, ignore):
+    for rule_cls in rules:
         if not rule_cls.applies_to(module):
             continue
         rule = rule_cls(display, module)
@@ -140,31 +155,34 @@ def lint_source(
     return sorted(findings)
 
 
+def lint_source(
+    source: str,
+    path: Path | str = "<string>",
+    select: Sequence[str] | None = None,
+    ignore: Sequence[str] | None = None,
+) -> list[Finding]:
+    """Lint *source*, scoping rules by *path*; returns sorted findings."""
+    path = Path(path)
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return [parse_error_finding(str(path), exc)]
+    return lint_tree(tree, path, parse_suppressions(source), select_rules(select, ignore))
+
+
 def lint_paths(
     paths: Iterable[Path | str],
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
 ) -> list[Finding]:
     """Lint every ``.py`` file under *paths*; returns sorted findings."""
-    _select_rules(select, ignore)  # validate codes even when no files match
+    select_rules(select, ignore)  # validate codes even when no files match
     findings: list[Finding] = []
     for file_path in iter_python_files(paths):
         try:
             source = file_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            # Unreadable files are findings, not crashes: the run completes,
-            # reports the file, and exits nonzero like any other finding.
-            findings.append(
-                Finding(
-                    path=str(file_path),
-                    line=1,
-                    col=1,
-                    code=PARSE_ERROR_CODE,
-                    message=f"file unreadable: {exc}",
-                    hint="fix the file's permissions or encoding; reprolint "
-                    "never skips files silently",
-                )
-            )
+            findings.append(unreadable_finding(str(file_path), exc))
             continue
         findings.extend(lint_source(source, file_path, select, ignore))
     return sorted(findings)

@@ -641,13 +641,25 @@ def extract_facts(source: str, module: str, path: str) -> ModuleFacts:
     (``parse_error`` / ``parse_error_line``) so the engine can surface them
     as findings and a nonzero exit instead of silently skipping the file.
     """
-    facts = ModuleFacts(module=module, path=path)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        facts.parse_error = exc.msg or "syntax error"
-        facts.parse_error_line = exc.lineno or 1
-        return facts
-    facts.suppressions = parse_suppressions(source)
+        return ModuleFacts(
+            module=module,
+            path=path,
+            parse_error=exc.msg or "syntax error",
+            parse_error_line=exc.lineno or 1,
+        )
+    return tree_facts(tree, parse_suppressions(source), module, path)
+
+
+def tree_facts(
+    tree: ast.Module,
+    suppressions: dict[int, set[str] | None],
+    module: str,
+    path: str,
+) -> ModuleFacts:
+    """Reduce an already parsed module to a :class:`ModuleFacts` record."""
+    facts = ModuleFacts(module=module, path=path, suppressions=suppressions)
     _Extractor(facts).visit(tree)
     return facts

@@ -9,7 +9,10 @@ million-node graphs keep whole snapshot pools resident.
 Conventions
 -----------
 * Bit *i* of a packed array lives in word ``i >> 6`` at bit position
-  ``i & 63`` (little-endian bit order, the ``np.packbits`` layout).
+  ``i & 63`` (little-endian bit order, the ``np.packbits(bitorder=
+  "little")`` layout).  In the words' ``uint8`` view that is bit ``i & 7``
+  of byte ``i >> 3``, which is where :func:`lookup_bits` reads it: one
+  byte gather and ``uint8`` shifts instead of ``uint64`` ones.
 * Packed arrays are detected **by dtype**: ``uint64`` means packed words,
   anything else is treated as a boolean-style mask.  The kernels accept
   either representation at every mask argument via :func:`lookup_bits`.
@@ -111,13 +114,16 @@ def lookup_bits(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     This is the single mask-indexing primitive of the cascade kernels:
     boolean-style masks use plain fancy indexing, packed masks extract bit
-    ``idx & 63`` of word ``idx >> 6``.
+    ``idx & 7`` of byte ``idx >> 3`` of the words' ``uint8`` view (the
+    module's layout, read byte-wise).
     """
     if not is_packed(mask):
         return mask[idx]
     idx = np.asarray(idx, dtype=np.int64)
-    shifts = (idx & 63).astype(np.uint64)
-    return ((mask[idx >> 6] >> shifts) & _ONE).astype(bool)
+    bits = np.ascontiguousarray(mask).view(np.uint8)[idx >> 3]
+    bits >>= (idx & 7).astype(np.uint8)
+    bits &= 1
+    return bits.view(bool)
 
 
 def set_bits(words: np.ndarray, idx: np.ndarray) -> None:

@@ -369,6 +369,112 @@ class TestChunkedWaves:
         assert len(chunks) - one_pass > one_pass
 
 
+def _stable_groups(targets):
+    """The definition ``_segments`` must meet: stable argsort plus run heads."""
+    order = np.argsort(targets, kind="stable")
+    ordered = targets[order]
+    heads = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]][: ordered.size])
+    return order, heads, ordered[heads]
+
+
+class TestSegments:
+    """The packed-key grouping equals a stable argsort element for element."""
+
+    @staticmethod
+    def _check(targets, base, span):
+        from repro.cascade.kernels import _segments
+
+        got = _segments(targets, base, span)
+        for actual, expected in zip(got, _stable_groups(targets)):
+            assert actual.dtype == np.int64
+            np.testing.assert_array_equal(actual, expected)
+
+    @pytest.mark.parametrize("size,span", [(7, 3), (500, 40), (20_000, 1_000), (4_096, 10**9)])
+    def test_random_keys_with_duplicates(self, size, span):
+        generator = as_rng(size)
+        base = int(generator.integers(0, 10**6))
+        self._check(generator.integers(base, base + span, size), base, span)
+
+    def test_empty_frontier(self):
+        self._check(np.empty(0, dtype=np.int64), 0, 1)
+
+    def test_single_attempt(self):
+        self._check(np.array([41], dtype=np.int64), 40, 5)
+
+    def test_span_at_packing_limit(self):
+        # 1,000 attempts take 10 bits; a span of 2**53 fills the other 53.
+        size, span = 1_000, 2**53
+        targets = as_rng(3).integers(0, span, size)
+        targets[:4] = [0, span - 1, span - 1, 0]
+        targets[500:600] = targets[:100]
+        self._check(targets + 5, 5, span)
+
+    @pytest.mark.parametrize(
+        "span", [2**53 + 1, 2**62, 2**63 - 1], ids=["limit+1", "2^62", "int64"]
+    )
+    def test_over_width_span(self, span):
+        # One bit past the limit up to the whole int64 range: digit passes.
+        size = 1_000
+        base = -(2**62)
+        targets = as_rng(4).integers(0, span, size) + base
+        targets[:3] = [base, base + span - 1, base]
+        targets[700:900] = targets[:200]
+        self._check(targets, base, span)
+
+
+class TestHeterogeneousSweepPin:
+    """Per-edge probabilities make each target's survival factors visible.
+
+    IC and WC give every in-edge of a target the same probability, so a
+    grouping that handed a target the right number of attempts but other
+    edges' ``(1 - p_e)`` factors, or multiplied them in another order,
+    would leave their results equal.  Random per-edge probabilities do
+    not: this sweep's digest, computed with the stable-argsort grouping,
+    pins the grouping whole and chunked.
+    """
+
+    DIGEST = "2c5feb5953dafd15414cb10ac8618000307c0509f527d5066d0ade7b0e13df93"
+
+    @staticmethod
+    def _sweep(claim_rule):
+        from repro.graphs.generators import erdos_renyi
+
+        graph = erdos_renyi(200, 1400, rng=7)
+        probs = as_rng(8).uniform(0.0, 0.3, graph.num_edges)
+        setup = as_rng(9)
+        row_counts = [12, 7, 15, 10]
+        rows, nodes, groups = [], [], []
+        for row in range(sum(row_counts)):
+            picks = setup.choice(graph.num_nodes, size=6, replace=False)
+            rows.extend([row] * 6)
+            nodes.extend(picks.tolist())
+            groups.extend([0, 0, 1, 1, 2, 2])
+        streams = [(count, as_rng(100 + s)) for s, count in enumerate(row_counts)]
+        return run_competitive_cascades(
+            graph, probs, np.array(rows), np.array(nodes), np.array(groups), 3,
+            streams, claim_rule,
+        )
+
+    def _digest(self):
+        import hashlib
+
+        digest = hashlib.sha256()
+        for rule in ClaimRule:
+            spreads, steps = self._sweep(rule)
+            digest.update(np.ascontiguousarray(spreads, dtype="<i8").tobytes())
+            digest.update(np.ascontiguousarray(steps, dtype="<i8").tobytes())
+        return digest.hexdigest()
+
+    def test_whole_sweep_digest(self):
+        assert self._digest() == self.DIGEST
+
+    def test_one_attempt_chunks_digest(self, monkeypatch):
+        from repro.cascade import kernels
+
+        monkeypatch.setattr(kernels, "out_csr_bytes", lambda graph: 8)
+        assert self._digest() == self.DIGEST
+
+
 class TestKernelInstrumentation:
     def test_simulation_counter_records_kernel(self, karate):
         handle = counter("cascade.simulations")

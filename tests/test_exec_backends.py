@@ -35,6 +35,16 @@ from repro.obs.metrics import counter
 from repro.utils.rng import as_rng, spawn_seed_sequences
 
 
+class CountingSpreadJob(SpreadJob):
+    """A spread job that counts how often it is pickled (in this process)."""
+
+    pickles = 0
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
+
+
 @pytest.fixture
 def model():
     return IndependentCascade(0.2)
@@ -144,6 +154,22 @@ class TestBackends:
 
 
 class TestExecutor:
+    def test_process_jobs_pickled_once(self, random_graph, model):
+        from repro.obs.metrics import histogram
+
+        jobs = [
+            CountingSpreadJob(graph=random_graph, model=model, seeds=(v,), rounds=3)
+            for v in range(3)
+        ]
+        sizes = histogram("exec.job_payload_bytes")
+        observed = sizes.count
+        CountingSpreadJob.pickles = 0
+        with Executor("process", workers=2) as ex:
+            outcomes = ex.run(jobs, rng=4)
+        assert CountingSpreadJob.pickles == len(jobs)
+        assert sizes.count == observed + len(jobs)
+        assert outcomes[0].estimates == Executor("serial").run(jobs, rng=4)[0].estimates
+
     def test_empty_batch(self):
         assert Executor("serial").run([], rng=1) == []
 

@@ -150,6 +150,37 @@ class TestProjectCli:
         out = capsys.readouterr().out
         assert "RP002" in out and "RP010" not in out
 
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch, capsys):
+        """Per-file and project rules share one parse of every file."""
+        import ast
+        from collections import Counter
+
+        root = make_package(
+            tmp_path,
+            {
+                "mod.py": "def fn():\n    return 1\n",
+                "core/bad.py": VIOLATION + "def f(x):\n    return x == 0.0\n",
+            },
+        )
+        loose = tmp_path / "loose.py"
+        loose.write_text("def g(y):\n    return y == 1.5\n", encoding="utf-8")
+        parsed: Counter[str] = Counter()
+        real = ast.parse
+
+        def counting(source, filename="<unknown>", *args, **kwargs):
+            parsed[str(filename)] += 1
+            return real(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        # The package, one of its files again, and a file outside it.
+        argv = ["--jobs", "1", str(root), str(root / "mod.py"), str(loose)]
+        assert lint_main(argv) == 1
+        out = capsys.readouterr().out
+        assert "RP010" in out and out.count("RP002") == 2
+        expected = sorted([*(str(p) for p in root.rglob("*.py")), str(loose)])
+        assert sorted(parsed) == expected
+        assert set(parsed.values()) == {1}
+
     def test_unknown_code_is_usage_error(self, tmp_path, capsys):
         root = make_package(tmp_path, {"ok.py": "x = 1\n"})
         assert lint_main(["--select", "RP777", str(root)]) == 2

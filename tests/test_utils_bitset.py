@@ -72,6 +72,20 @@ class TestLookupAndSet:
         # boolean-style masks pass through unchanged
         np.testing.assert_array_equal(lookup_bits(mask, idx), mask[idx])
 
+    def test_lookup_reads_set_bits_and_strided_words(self, rng):
+        # Bits written word-wise by set_bits read back byte-wise, also
+        # from a non-contiguous column of a packed stack.
+        idx = rng.integers(0, 500, 120)
+        stack = np.zeros((num_words(500), 3), dtype=np.uint64)
+        column = stack[:, 1]
+        set_bits(column, idx)
+        expected = np.zeros(500, dtype=bool)
+        expected[idx] = True
+        probe = np.arange(500)
+        np.testing.assert_array_equal(lookup_bits(column, probe), expected)
+        np.testing.assert_array_equal(lookup_bits(stack[:, 1].copy(), probe), expected)
+        assert lookup_bits(column, probe[:0]).shape == (0,)
+
     @pytest.mark.parametrize("size", [1, 64, 65, 300])
     def test_set_bits_matches_bool_assignment(self, size, rng):
         idx = rng.integers(0, size, 50)
