@@ -32,7 +32,7 @@ from repro.cache import (
     set_rng_state,
 )
 from repro.errors import SeedSelectionError
-from repro.exec.executor import Executor, inline_executor
+from repro.exec.executor import Executor
 from repro.exec.jobs import SelectedSeeds
 from repro.graphs.digraph import DiGraph
 from repro.obs.log import get_logger
@@ -142,14 +142,8 @@ class SeedSelector(ABC):
     def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
         """Algorithm body; see :meth:`select` for the contract."""
 
-    def _select_pooled(
-        self,
-        graph: DiGraph,
-        k: int,
-        pool: SnapshotPool,
-        executor: Executor,
-    ) -> list[int]:
-        """Pool-aware body of a ``uses_snapshots`` algorithm; gains on *executor*."""
+    def _select_pooled(self, graph: DiGraph, k: int, pool: SnapshotPool) -> list[int]:
+        """Pool-aware body of a ``uses_snapshots`` algorithm."""
         raise NotImplementedError(f"{self.name} does not select from snapshot pools")
 
     def _check_budget(self, graph: DiGraph, k: int) -> int:
@@ -174,13 +168,13 @@ class SelectionJob:
     """The snapshot selections of one ``(draw, group)`` pool, as one job.
 
     For every selector (each declares ``uses_snapshots``) the job samples
-    the pool's masks, computes the NewGreedy gains on the in-process
-    :func:`~repro.exec.executor.inline_executor` and runs CELF, and it
-    returns their seed lists as one :class:`SelectedSeeds`.  A pooled
-    selection is a function of (graph, model, count, pool token, k), so
-    the job draws nothing from its generator and its seeds are the same
-    inline or in a worker process.  It pickles as the pool's
-    graph and token, the selectors without their executors, and ``k``.
+    the pool's masks, builds their reach closure (the NewGreedy gains and
+    every CELF evaluation read it) and runs CELF, all in the job's own
+    process, then releases the closure and returns their seed lists as one
+    :class:`SelectedSeeds`.  A pooled selection is a function of (graph,
+    model, count, pool token, k), so the job draws nothing from its
+    generator and its seeds are the same inline or in a worker process.
+    It pickles as the pool's graph and token, the selectors, and ``k``.
     """
 
     pool: SnapshotPool
@@ -192,12 +186,13 @@ class SelectionJob:
         return self.pool.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[SelectedSeeds]:
-        graph, runner = self.pool.graph, inline_executor()
+        graph = self.pool.graph
         seeds = []
         for selector in self.selectors:
-            picks = selector._select_pooled(graph, self.k, self.pool, runner)
+            picks = selector._select_pooled(graph, self.k, self.pool)
             selector._log_selection(graph, picks)
             seeds.append(tuple(int(s) for s in picks))
+        self.pool.release()
         return (SelectedSeeds(tuple(seeds)),)
 
 

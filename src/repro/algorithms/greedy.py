@@ -10,12 +10,13 @@ the algorithm is randomized — two groups running MixGreedy independently
 get overlapping but not identical seed sets, which is exactly the behaviour
 the paper's Theorem 1 footnote relies on.
 
-A private ``select`` call (no pool) fans the NewGreedy step out through
-the selector's executor as one :class:`~repro.exec.jobs.SnapshotGainsJob`
-per worker.  Each returns the integer reach totals of its masks, and the
-caller divides their sum once, so the gains are exact and never depend on
-the worker count.  CELF's lazy re-evaluations run as doubling batches of
-candidates, one oracle sweep per batch.
+A selection runs one reach DP: the closure of its
+:class:`~repro.cascade.snapshots.SnapshotOracle`, which keeps each
+component's list of reached components.  The NewGreedy gains are its
+reach sizes, and CELF's lazy re-evaluations run as doubling batches of
+candidates, each batch one gather from the same closure.  Every count is
+an integer divided by the snapshot count once, so gains and picks are
+exact.
 
 ``CELFGreedy`` is the classical lazy-greedy of Leskovec et al. (KDD'07),
 implemented against the same snapshot oracle but initializing from the
@@ -29,10 +30,8 @@ algorithms draw their masks, oracle, and initial gains from the pool via
 ``_select_pooled`` instead of resampling privately.  Such a selection
 takes one integer from the caller's generator (the pool token) and is
 otherwise a function of (graph, model, count, token, k), so it runs as a
-:class:`~repro.algorithms.base.SelectionJob` — sampling, gains and CELF
-together — inline or on a worker, with the gains run in that process
-(:func:`~repro.exec.executor.inline_executor`).  A selector pickles
-without its executor.
+:class:`~repro.algorithms.base.SelectionJob` — sampling, closure and CELF
+together — inline or on a worker.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 
 from repro.algorithms.base import SeedSelector
 from repro.cascade.base import CascadeModel
-from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
+from repro.cascade.pools import SnapshotPool
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.exec.executor import Executor
 from repro.graphs.digraph import DiGraph
@@ -96,7 +95,7 @@ def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[i
     Heap entries are ``(-gain bound, node, stamp)``; an entry is fresh when
     its stamp equals the current pick depth.  A stale entry at the top is
     re-evaluated together with the stale entries just below it, in one
-    batched :meth:`SnapshotOracle.marginal_gain` sweep: the batch holds one
+    batched :meth:`SnapshotOracle.marginal_gain` gather: the batch holds one
     node, doubles on every re-evaluation within a pick and resets to one
     when a pick is accepted.  The heap then replays one-at-a-time CELF
     exactly — a batch value is pushed only when its node reaches the top
@@ -132,7 +131,11 @@ def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[i
 
 
 class _SnapshotGreedyBase(SeedSelector):
-    """Shared CELF machinery over a live-edge snapshot oracle."""
+    """Shared CELF machinery over a live-edge snapshot oracle.
+
+    *executor* is accepted for call compatibility and not used: a
+    selection's one DP runs in the process that selects.
+    """
 
     uses_snapshots: ClassVar[bool] = True
 
@@ -144,23 +147,6 @@ class _SnapshotGreedyBase(SeedSelector):
     ) -> None:
         self.model = model
         self.num_snapshots = check_positive_int(num_snapshots, "num_snapshots")
-        self.executor = executor
-
-    def __getstate__(self) -> dict[str, object]:
-        # Executors hold worker pools and do not travel; a selector in a
-        # selection job is handed the executor to compute gains on.
-        return {**self.__dict__, "executor": None}
-
-    def _initial_gains(
-        self, graph: DiGraph, oracle: SnapshotOracle
-    ) -> list[float]:
-        """Average exact reach size of every singleton seed over the snapshots.
-
-        Delegates to :func:`repro.cascade.pools.snapshot_initial_gains` —
-        the same batched computation a shared :class:`SnapshotPool` caches —
-        so pooled and private selection paths agree bit for bit.
-        """
-        return snapshot_initial_gains(graph, oracle.masks, self.executor)
 
     def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
         k = self._check_budget(graph, k)
@@ -172,20 +158,13 @@ class _SnapshotGreedyBase(SeedSelector):
             graph, self.model, self.num_snapshots, generator
         )
         oracle = SnapshotOracle(graph, masks)
-        gains = self._initial_gains(graph, oracle)
-        return self._run_celf(k, oracle, gains)
+        return self._run_celf(k, oracle, oracle.initial_gains())
 
-    def _select_pooled(
-        self,
-        graph: DiGraph,
-        k: int,
-        pool: SnapshotPool,
-        executor: Executor,
-    ) -> list[int]:
+    def _select_pooled(self, graph: DiGraph, k: int, pool: SnapshotPool) -> list[int]:
         """Select against the group's shared masks and shared initial gains."""
         k = self._check_budget(graph, k)
         oracle = pool.oracle(self.model, self.num_snapshots)
-        gains = pool.initial_gains(self.model, self.num_snapshots, executor)
+        gains = pool.initial_gains(self.model, self.num_snapshots)
         return self._run_celf(k, oracle, gains)
 
     def _run_celf(
@@ -217,8 +196,8 @@ class CELFGreedy(_SnapshotGreedyBase):
     """Classical CELF lazy greedy against the same snapshot oracle.
 
     The first-pick gains of CELF are the singleton spreads — identical
-    integers to the NewGreedy reach sizes — so it shares the batched
-    initial-gains computation and differs from MixGreedy only in name
+    integers to the NewGreedy reach sizes — so it shares the closure's
+    initial gains and differs from MixGreedy only in name
     (both then run the same lazy refinement).
     """
 

@@ -10,15 +10,14 @@ one vectorized pass.
 
 The competitive IC/WC kernel (:func:`run_competitive_cascades`) goes one
 step further and runs *many* simulations as one sweep over flat ``row * n
-+ node`` keys, the pattern the snapshot sweeps (:func:`sweep_live`,
-:func:`new_reach_counts`) use over ``snapshot * n + node`` keys: a
-simulation whose cascade dies early drops out of the frontier while the
-others keep expanding.  The caller hands it every row's initiators as
-``(row, node, group)`` arrays; a whole payoff job — several profile cells,
-each with its own rounds and its own random stream — is one call.  Its
-claimed-node state is one packed bitset of ``rows * n`` bits, and
-per-simulation spreads come from a ``bincount`` over the claimed keys, so a
-job costs what its cascades touch rather than ``rows * n``.  A wave that
++ node`` keys: a simulation whose cascade dies early drops out of the
+frontier while the others keep expanding.  The caller hands it every
+row's initiators as ``(row, node, group)`` arrays; a whole payoff job —
+several profile cells, each with its own rounds and its own random
+stream — is one call.  Its claimed-node state is one packed bitset of
+``rows * n`` bits, and per-simulation spreads come from a ``bincount``
+over the claimed keys, so a job costs what its cascades touch rather
+than ``rows * n``.  A wave that
 would expand more attempts than the out-CSR arrays hold int64 values runs
 in consecutive chunks of whole streams, so the temporaries of a many-row
 sweep stay on the order of the graph's CSR.  Single-group cascades of the
@@ -53,13 +52,7 @@ import numpy as np
 
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
-from repro.utils.bitset import (
-    is_packed,
-    lookup_bits,
-    num_words,
-    packed_zeros,
-    set_bits,
-)
+from repro.utils.bitset import lookup_bits, packed_zeros, set_bits
 
 
 class ClaimRule(enum.Enum):
@@ -104,23 +97,19 @@ def segment_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _frontier_edges(
     graph: DiGraph, frontier: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All out-edges of *frontier* at once: (targets, edge ids, out-degrees).
+    """All out-edges of *frontier* at once: (targets, CSR positions, out-degrees).
 
-    ``targets``/``eids`` are flat, ordered frontier-node-major; ``degs``
-    aligns with *frontier* so callers can ``np.repeat`` per-source values
-    onto the edge axis.
+    ``targets`` (int64) and ``positions`` are flat, ordered
+    frontier-node-major; ``degs`` aligns with *frontier* so callers can
+    ``np.repeat`` per-source values onto the edge axis.  An attempt's edge
+    id is ``graph.edge_ids[position]``, gathered only by the callers that
+    need it, and only for the attempts they keep.
     """
     indptr = graph.out_indptr
     starts = indptr[frontier]
     degs = indptr[frontier + 1] - starts
-    total = int(degs.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, degs
     pos = segment_ranges(starts, degs)
-    targets = graph.out_indices[pos].astype(np.int64)
-    eids = graph.edge_ids[pos]
-    return targets, eids, degs
+    return graph.out_indices[pos].astype(np.int64), pos, degs
 
 
 def _segments(
@@ -354,7 +343,7 @@ def _wave(
     """One diffusion step of sorted frontier *keys*: the ``(keys, groups)`` it claims."""
     n = graph.num_nodes
     offsets = keys // n * n
-    targets, eids, degs = _frontier_edges(graph, keys - offsets)
+    targets, pos, degs = _frontier_edges(graph, keys - offsets)
     targets += offsets.repeat(degs)
     live = np.flatnonzero(~lookup_bits(claimed, targets))
     if live.size == 0:
@@ -367,7 +356,7 @@ def _wave(
     order, starts, uniq = _segments(targets[live], base, int(offsets[-1]) + n - base)
     # Each sorted attempt's position in the full frontier expansion.
     attempts = live[order]
-    survive = np.multiply.reduceat(1.0 - probs[eids[attempts]], starts)
+    survive = np.multiply.reduceat(1.0 - probs[graph.edge_ids[pos[attempts]]], starts)
     draws = _stream_uniforms(uniq, heads, generators)
     activated = np.flatnonzero(draws < 1.0 - survive)
     claimed_keys = uniq[activated]
@@ -537,7 +526,7 @@ def simulate_threshold(
 
 
 # ---------------------------------------------------------------------- #
-# reachability sweeps (snapshot oracle / live-edge possible worlds)
+# reachability under one live-edge mask
 # ---------------------------------------------------------------------- #
 
 
@@ -564,181 +553,12 @@ def reachable_mask(
     frontier = _source_nodes(graph.num_nodes, sources)
     visited[frontier] = True
     while frontier.size:
-        targets, eids, _ = _frontier_edges(graph, frontier)
+        targets, pos, _ = _frontier_edges(graph, frontier)
         if edge_mask is not None and targets.size:
-            targets = targets[lookup_bits(edge_mask, eids)]
+            targets = targets[lookup_bits(edge_mask, graph.edge_ids[pos])]
         targets = targets[~visited[targets]]
         if targets.size == 0:
             break
         frontier = sorted_unique(targets)
         visited[frontier] = True
     return visited
-
-
-def live_edge_pairs(
-    graph: DiGraph, masks: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal ``(src, dst)`` node ids of every live ``(snapshot, edge)``.
-
-    *masks* is a ``(snapshots, edges)`` boolean-style or ``(snapshots,
-    words)`` packed stack, or ``None`` for one all-live snapshot.  Node *v*
-    of snapshot *s* is ``s * n + v``, so the live edges of different
-    snapshots never meet.  Pairs come out in snapshot-major CSR order:
-    ``src`` is non-decreasing.
-    """
-    n, m = graph.num_nodes, graph.num_edges
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.out_indptr))
-    dst = np.asarray(graph.out_indices, dtype=np.int64)
-    if masks is None:
-        return src, dst
-    width = num_words(m) if is_packed(masks) else m
-    if masks.ndim != 2 or masks.shape[1] != width:
-        raise CascadeError(
-            f"mask stack shape {masks.shape} does not match (snapshots, {width})"
-        )
-    # Flat ``s * m + p`` indices of the live edges, with columns permuted
-    # from edge-id order to CSR position order.
-    flat = np.flatnonzero(_unpacked(masks, m)[:, graph.edge_ids])
-    snap = flat // m
-    flat -= snap * m
-    snap *= n
-    live_src, live_dst = src[flat], dst[flat]
-    live_src += snap
-    live_dst += snap
-    return live_src, live_dst
-
-
-def _unpacked(masks: np.ndarray, num_edges: int) -> np.ndarray:
-    """A mask stack as ``(snapshots, edges)`` booleans."""
-    if not is_packed(masks):
-        return np.asarray(masks, dtype=bool)
-    bits = np.unpackbits(
-        np.ascontiguousarray(masks).view(np.uint8),
-        axis=1,
-        count=num_edges,
-        bitorder="little",
-    )
-    return bits.view(bool)
-
-
-def live_csr(graph: DiGraph, mask_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal CSR ``(indptr, indices)`` of every snapshot's live edges.
-
-    Row ``s * n + v`` lists the block nodes that node *v* reaches in one
-    live edge of snapshot *s* (see :func:`live_edge_pairs`), so the sweeps
-    below touch live edges only.
-    """
-    src, dst = live_edge_pairs(graph, mask_matrix)
-    indptr = np.zeros(mask_matrix.shape[0] * graph.num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=indptr.size - 1), out=indptr[1:])
-    return indptr, dst
-
-
-def reach_rows(
-    live_indptr: np.ndarray,
-    live_indices: np.ndarray,
-    sources: Sequence[int],
-    num_snaps: int,
-    num_nodes: int,
-) -> np.ndarray:
-    """``(snapshots, nodes)`` boolean array of what *sources* reach in each snapshot.
-
-    ``live_indptr``/``live_indices`` are a block-diagonal live CSR
-    (:func:`live_csr`); one :func:`sweep_live` covers every snapshot.
-    """
-    visited = np.zeros((num_snaps, num_nodes), dtype=bool)
-    uniq = _source_nodes(num_nodes, sources)
-    frontier = (np.arange(num_snaps, dtype=np.int64)[:, None] * num_nodes + uniq).ravel()
-    flat = visited.reshape(-1)
-    flat[frontier] = True
-    sweep_live(live_indptr, live_indices, flat, frontier)
-    return visited
-
-
-def reachable_mask_batch(
-    graph: DiGraph,
-    sources: Sequence[int],
-    mask_matrix: np.ndarray,
-) -> np.ndarray:
-    """Per-snapshot reachability over a stacked ``(snapshots, edges)`` mask.
-
-    Row *s* of the returned ``(snapshots, nodes)`` boolean matrix equals
-    ``reachable_mask(graph, sources, mask_matrix[s])`` bit for bit.  One
-    frontier sweep runs over the block-diagonal live CSR of the whole
-    stack, so a snapshot whose cascade dies early drops out of the frontier
-    while live snapshots keep expanding.
-
-    *mask_matrix* is either boolean-style ``(snapshots, edges)`` or packed
-    ``(snapshots, words)`` ``uint64`` rows (:mod:`repro.utils.bitset`);
-    results are bit-identical between the two representations.
-    """
-    return reach_rows(
-        *live_csr(graph, mask_matrix),
-        sources,
-        mask_matrix.shape[0],
-        graph.num_nodes,
-    )
-
-
-def sweep_live(
-    live_indptr: np.ndarray,
-    live_indices: np.ndarray,
-    visited: np.ndarray,
-    frontier: np.ndarray,
-) -> None:
-    """Mark in flat *visited* every block node the *frontier* block nodes reach.
-
-    ``live_indptr``/``live_indices`` are the block-diagonal CSR of the live
-    edges of every snapshot, over block nodes ``s * n + v``
-    (:func:`live_csr`); *visited* is the flat view of a ``(snapshots, n)``
-    boolean array.  The frontier
-    must already be marked; the sweep stops at marked nodes.
-    """
-    while frontier.size:
-        starts = live_indptr[frontier]
-        degs = live_indptr[frontier + 1] - starts
-        targets = live_indices[segment_ranges(starts, degs)]
-        frontier = sorted_unique(targets[~visited[targets]])
-        visited[frontier] = True
-
-
-def new_reach_counts(
-    live_indptr: np.ndarray,
-    live_indices: np.ndarray,
-    reached: np.ndarray,
-    candidates: np.ndarray,
-) -> np.ndarray:
-    """Per candidate, how many ``(snapshot, node)`` pairs it newly reaches.
-
-    Candidate *b* starts in every snapshot whose row of the ``(snapshots,
-    n)`` boolean *reached* does not contain it, and expands over the live
-    CSR (as in :func:`sweep_live`) into block nodes not yet reached.  All
-    candidates share one frontier sweep over flat ``b * snapshots * n + s
-    * n + v`` keys; each candidate's private visited set is a slice of one
-    sorted key array with ``searchsorted`` membership, so memory grows with
-    the keys touched rather than ``candidates * snapshots * n``.
-    *reached* is only read, and duplicate candidates are counted
-    independently.
-    """
-    num_snaps, n = reached.shape
-    block = num_snaps * n
-    flat_reached = reached.reshape(-1)
-    owner, snap = np.nonzero(~reached[:, candidates].T)
-    frontier = snap * n + candidates[owner]
-    base = owner * block
-    # Candidate-major then snapshot-major, so the keys start sorted.
-    visited = base + frontier
-    while frontier.size:
-        starts = live_indptr[frontier]
-        degs = live_indptr[frontier + 1] - starts
-        targets = live_indices[segment_ranges(starts, degs)]
-        fresh = ~flat_reached[targets]
-        keys = sorted_unique(base.repeat(degs)[fresh] + targets[fresh])
-        at = np.searchsorted(visited, keys)
-        keys = keys[visited[np.minimum(at, visited.size - 1)] != keys]
-        # Two sorted runs: the stable sort merges them in linear time.
-        visited = np.concatenate([visited, keys])
-        visited.sort(kind="stable")
-        base = keys // block * block
-        frontier = keys - base
-    return np.bincount(visited // block, minlength=candidates.size)

@@ -9,9 +9,10 @@ group and memoizes, per ``(model, count)``:
 
 * the sampled masks (:meth:`masks`),
 * the :class:`~repro.cascade.snapshots.SnapshotOracle` built on them
-  (:meth:`oracle`),
-* the batched initial gains (:meth:`initial_gains`, shared between
-  MixGreedy and CELFGreedy).
+  (:meth:`oracle`), whose reach closure is the one DP of the selection
+  and is dropped once the selection job is done (:meth:`release`),
+* the initial gains read from that closure (:meth:`initial_gains`,
+  shared between MixGreedy and CELFGreedy).
 
 Pools store masks as **packed bitsets** (one bit per edge — see
 :mod:`repro.utils.bitset`), so a resident pool costs m/8 bytes per snapshot
@@ -19,8 +20,8 @@ instead of m.
 
 **Where a pool is used.**  The payoff estimator submits each pool with
 its group's snapshot strategies as one
-:class:`~repro.algorithms.base.SelectionJob`, which samples, computes the
-gains and runs CELF wherever the executor places it.  A pool pickles as
+:class:`~repro.algorithms.base.SelectionJob`, which samples, builds the
+closure and runs CELF wherever the executor places it.  A pool pickles as
 its graph and token only: the worker resamples the identical masks from
 the token, so masks never cross a process boundary.
 
@@ -45,51 +46,16 @@ from repro.cache import params_token
 from repro.cascade.base import CascadeModel
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
-from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import SnapshotGainsJob
 from repro.graphs.digraph import DiGraph
 from repro.obs.metrics import counter
 from repro.utils.bitset import packed_bytes
 from repro.utils.rng import RandomSource, as_rng
 
-__all__ = [
-    "SnapshotPool",
-    "snapshot_initial_gains",
-]
+__all__ = ["SnapshotPool"]
 
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
 _POOL_MASK_BYTES = counter("cascade.pool_mask_bytes")
-
-
-def snapshot_initial_gains(
-    graph: DiGraph,
-    masks: list[np.ndarray],
-    executor: Executor | None = None,
-) -> list[float]:
-    """Batched per-node NewGreedy gains over *masks*: one job per worker.
-
-    This is the expensive all-nodes reachability pass both MixGreedy and
-    CELFGreedy start from; it lives here so a :class:`SnapshotPool` can
-    compute it once per ``(model, count)`` and serve every consumer.  The
-    masks are split into ``min(workers, masks)`` contiguous runs of whole
-    masks, and each job sizes its reach DPs by live arcs
-    (:data:`~repro.exec.jobs.REACH_DP_BUDGET`); the jobs' integer reach
-    totals are summed and divided once, so the gains are exact and
-    identical on every backend at any worker count.
-    """
-    if not masks:
-        raise CascadeError("at least one snapshot mask is required")
-    executor = resolve_executor(executor)
-    parts = min(executor.workers, len(masks))
-    bounds = [len(masks) * i // parts for i in range(parts + 1)]
-    jobs = [
-        SnapshotGainsJob(graph=graph, masks=tuple(masks[start:stop]))
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-    totals = np.sum([result.totals for (result,) in executor.estimates(jobs)], axis=0)
-    gains: list[float] = (totals / len(masks)).tolist()
-    return gains
 
 
 class SnapshotPool:
@@ -169,19 +135,23 @@ class SnapshotPool:
             self._oracles[key] = oracle
         return oracle
 
-    def initial_gains(
-        self,
-        model: CascadeModel,
-        count: int,
-        executor: Executor | None = None,
-    ) -> list[float]:
-        """The shared batched NewGreedy gains for ``(model, count)``.
+    def release(self) -> None:
+        """Drop the oracles and their reach closures; masks and gains stay.
 
-        Computed once from :meth:`masks` by :func:`snapshot_initial_gains`.
+        A selection job releases its pool when its selectors are done, so
+        a closure is held only while the selection that needs it runs.
+        """
+        self._oracles.clear()
+
+    def initial_gains(self, model: CascadeModel, count: int) -> list[float]:
+        """The shared NewGreedy gains for ``(model, count)``.
+
+        Read once from the reach closure of :meth:`oracle`, the same
+        closure its CELF rounds gather from.
         """
         key = self._request_key(model, count)
         gains = self._gains.get(key)
         if gains is None:
-            gains = snapshot_initial_gains(self.graph, self.masks(model, count), executor)
+            gains = self.oracle(model, count).initial_gains()
             self._gains[key] = gains
         return gains

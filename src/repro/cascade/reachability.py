@@ -1,11 +1,13 @@
-"""All-source reachability on live-edge snapshots.
+"""All-source reachability on live-edge snapshots: the reach closure.
 
 ``NewGreedy`` (Chen, Wang & Yang, KDD'09) — the first round of MixGreedy —
-needs, for each snapshot, the size of the reachable set of *every* node.
-Running a BFS from each node is quadratic in the worst case; instead the
-live subgraph is condensed into its strongly connected components and the
-reachable sets are propagated through the condensation DAG, children
-before parents.
+needs, for each snapshot, the size of the reachable set of *every* node,
+and the CELF rounds after it need how many nodes a candidate reaches that
+the chosen seeds do not.  Running a BFS from each node is quadratic in the
+worst case; instead the live subgraph is condensed into its strongly
+connected components and each component's reachable components are
+propagated through the condensation DAG, children before parents.  The
+result, a :class:`ReachClosure`, answers both questions by gathers.
 
 A stack of snapshots is handled as **one block-diagonal graph**: node *v*
 of snapshot *s* becomes node ``s * n + v``, so the live edges of different
@@ -13,11 +15,10 @@ snapshots never meet and every step below runs once for the whole stack:
 
 * the live ``(snapshot, edge)`` pairs come from one ``flatnonzero`` over
   the (unpacked) mask matrix, so only live edges are ever materialized as
-  integers (:func:`~repro.cascade.kernels.live_edge_pairs`, which the
-  snapshot oracle's block-diagonal live CSR is built from too);
-* block nodes without a live edge reach only themselves and stay out of
-  the DP, so its per-component arrays scale with the live edges rather
-  than with ``snapshots * n``;
+  integers (:func:`live_edge_pairs`);
+* block nodes without a live edge reach only themselves and get no
+  component (id -1), so the per-component arrays scale with the live edges
+  rather than with ``snapshots * n``;
 * SCC labels come from one :func:`strong_components` call over the union
   graph: a numpy trim + forward-backward colouring (below);
 * condensation edges are the unique ``(label[src], label[dst])`` keys;
@@ -26,11 +27,13 @@ snapshots never meet and every step below runs once for the whole stack:
   snapshots.  A level's reach lists are one sorted unique over
   ``(component, reachable component)`` keys gathered from its children's
   lists plus the components themselves, and a component's reach size is
-  the summed member count of its list.
+  the summed member count of its list.  Components are numbered in the
+  order the DP finishes them, so the lists are appended in id order and
+  stay as one int32 CSR.
 
 Masks may be boolean-style or packed bitsets (:mod:`repro.utils.bitset`);
-results are identical either way.  Reach sizes are integers, so the result
-is exact whatever the processing order.
+results are identical either way.  Every count is an integer, so the
+results are exact whatever the processing order.
 
 :func:`strong_components` is the trim + colouring SCC of Orzan and of Hong
 et al. (SC'13) as whole-array numpy steps.  Live-edge graphs are mostly
@@ -48,10 +51,19 @@ stays linear.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.cascade.kernels import live_edge_pairs, segment_ranges, sorted_unique
+from repro.cascade.kernels import segment_ranges, sorted_unique
+from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
+from repro.utils.bitset import is_packed, num_words
+
+if TYPE_CHECKING:
+    import numpy.typing as npt
 
 
 def all_reach_sizes(graph: DiGraph, masks: np.ndarray | None = None) -> np.ndarray:
@@ -60,52 +72,211 @@ def all_reach_sizes(graph: DiGraph, masks: np.ndarray | None = None) -> np.ndarr
     *masks* is a ``(snapshots, edges-or-words)`` stack — the layout of
     :attr:`~repro.cascade.snapshots.SnapshotOracle.mask_matrix` — and the
     result is the ``(snapshots, n)`` integer array with ``sizes[s, v] =
-    |R_s(v)|`` including *v* itself.  A 1-D mask, or ``None`` for the whole
-    graph, is a one-row stack and returns that row's ``(n,)`` sizes.
+    |R_s(v)|`` including *v* itself, a reduction over the stack's
+    :class:`ReachClosure`.  A 1-D mask, or ``None`` for the whole graph,
+    is a one-row stack and returns that row's ``(n,)`` sizes.
     """
     if masks is not None:
         masks = np.asarray(masks)
         if masks.ndim == 2:
-            return _reach_sizes(graph, masks)
+            return reach_closure(graph, masks).reach_sizes()
         masks = masks[None, :]
-    return _reach_sizes(graph, masks)[0]
+    return reach_closure(graph, masks).reach_sizes()[0]
 
 
-def _reach_sizes(graph: DiGraph, masks: np.ndarray | None) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ReachClosure:
+    """What every node reaches in every snapshot of a stack, by component.
+
+    ``comp[s, v]`` is the component of node *v* in snapshot *s*, or -1 when
+    no live edge touches it (it then reaches only itself).  Component ids
+    are global over the stack.  Component *c* reaches ``sizes[c]`` nodes
+    and the components ``lists[ptr[c] : ptr[c + 1]]``, itself included;
+    its nodes are the flat ``s * n + v`` ids
+    ``member_nodes[member_ptr[c] : member_ptr[c + 1]]``.  Every array is
+    int32 (``ptr`` int64 only past 2**31 list entries).
+
+    A set reached from seeds is closed under reachability, so it is a
+    union of components: a node's newly reached count is the summed member
+    count of the unreached components in its list, one segment gather per
+    ``(candidate, snapshot)``, with no sweep over live edges.
+    """
+
+    comp: np.ndarray
+    sizes: np.ndarray
+    ptr: np.ndarray
+    lists: np.ndarray
+    member_ptr: np.ndarray
+    member_nodes: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.comp, self.sizes, self.ptr, self.lists, self.member_ptr, self.member_nodes)
+        return sum(array.nbytes for array in arrays)
+
+    def reach_sizes(self) -> np.ndarray:
+        """``(snapshots, n)`` int32 ``|R_s(v)|``: a node without a component reaches 1."""
+        # comp == -1 picks the trailing 1.
+        return np.append(self.sizes, np.int32(1))[self.comp]
+
+    def _lists_of(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The concatenated reach lists of *comps*, and each list's length."""
+        lo = self.ptr[comps]
+        lengths = self.ptr[comps + 1] - lo
+        return self.lists[segment_ranges(lo, lengths)], lengths
+
+    def new_reach_counts(self, reached: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Per entry of *nodes*, the ``(snapshot, node)`` pairs it reaches outside *reached*.
+
+        *reached* is a closed ``(snapshots, n)`` boolean array (as
+        :meth:`mark` builds it) and is only read.  An entry already reached
+        in a snapshot adds nothing there; duplicates count independently.
+        """
+        # Candidate-major: entry b's open snapshots, then its lists.
+        unreached = ~reached[:, nodes].T
+        owner = np.nonzero(unreached)[0]
+        comps = self.comp[:, nodes].T[unreached]
+        alone = comps < 0
+        counts = np.bincount(owner[alone], minlength=nodes.size)
+        gathered, lengths = self._lists_of(comps[~alone])
+        # A component is reached when its first node is.
+        heads = self.member_ptr[gathered]
+        fresh = ~reached.reshape(-1)[self.member_nodes[heads]]
+        gathered = gathered[fresh]
+        owner = owner[~alone].repeat(lengths)[fresh]
+        members = self.member_ptr[gathered + 1] - heads[fresh]
+        # Float sums of integers below 2**53 are exact.
+        counts += np.bincount(owner, weights=members, minlength=nodes.size).astype(np.int64)
+        return counts
+
+    def mark(self, reached: np.ndarray, nodes: np.ndarray) -> None:
+        """Add to C-contiguous *reached* everything *nodes* reach, in place."""
+        flat = reached.reshape(-1)
+        snaps, which = np.nonzero(~reached[:, nodes])
+        comps = self.comp[snaps, nodes[which]]
+        alone = comps < 0
+        flat[snaps[alone] * reached.shape[1] + nodes[which[alone]]] = True
+        gathered, _ = self._lists_of(comps[~alone])
+        heads = self.member_ptr[gathered]
+        fresh = ~flat[self.member_nodes[heads]]
+        heads = heads[fresh]
+        ends = self.member_ptr[gathered[fresh] + 1]
+        flat[self.member_nodes[segment_ranges(heads, ends - heads)]] = True
+
+
+def reach_closure(
+    graph: DiGraph, masks: np.ndarray | None = None, bounds: Sequence[int] | None = None
+) -> ReachClosure:
+    """The :class:`ReachClosure` of a ``(snapshots, edges-or-words)`` mask stack.
+
+    ``None`` is one all-live snapshot.  *bounds* splits the stack into
+    runs of whole rows ``[bounds[i], bounds[i + 1])`` (default: one run),
+    each one SCC condensation and one level-by-level DP, so a run's
+    temporaries scale with the run.  Every run appends its reach lists, in
+    place, to one buffer that grows by reallocation.
+    """
     snapshots = 1 if masks is None else masks.shape[0]
     n = graph.num_nodes
-    total = snapshots * n
+    if snapshots * n >= 2**31:
+        raise CascadeError(f"{snapshots} snapshots of {n} nodes overflow int32 node ids")
+    bounds = [0, snapshots] if bounds is None else bounds
+    comp = np.empty((snapshots, n), dtype=np.int32)
+    buffer = np.empty(max(snapshots * n, 16), dtype=np.int32)
+    used = count = 0
+    lengths: list[np.ndarray] = []
+    sizes: list[np.ndarray] = []
+    members: list[np.ndarray] = []
+    member_nodes: list[np.ndarray] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = None if masks is None else masks[lo:hi]
+        start = used
+        labels, nodes, run_members, run_sizes, run_lengths, used = _closure_run(
+            graph, run, buffer, used
+        )
+        buffer[start:used] += count
+        rows = comp[lo:hi].reshape(-1)
+        rows[:] = -1
+        rows[nodes] = labels + count
+        nodes += lo * n
+        member_nodes.append(nodes[np.argsort(labels)].astype(np.int32))
+        members.append(run_members)
+        sizes.append(run_sizes)
+        lengths.append(run_lengths)
+        count += run_lengths.size
+    buffer.resize(used, refcheck=False)
+    return ReachClosure(
+        comp=comp,
+        sizes=np.concatenate(sizes),
+        ptr=_offsets(np.concatenate(lengths), np.int32 if used < 2**31 else np.int64),
+        lists=buffer,
+        member_ptr=_offsets(np.concatenate(members), np.int32),
+        member_nodes=np.concatenate(member_nodes),
+    )
+
+
+def _closure_run(
+    graph: DiGraph, masks: np.ndarray | None, buffer: np.ndarray, used: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One run's SCC condensation and DP, its lists appended to *buffer* at *used*.
+
+    *buffer* grows in place.  Returns each active block node's component
+    id (in finish order), the run's flat ids of those nodes, each
+    component's member count, reach size and list length, and the
+    buffer's new fill.  Ids are local to the run.
+    """
+    snapshots = 1 if masks is None else masks.shape[0]
     # The DP runs over the block nodes with a live edge, renumbered in order.
     src, dst = live_edge_pairs(graph, masks)
-    active = np.zeros(total, dtype=bool)
+    active = np.zeros(snapshots * graph.num_nodes, dtype=bool)
     active[src] = True
     active[dst] = True
-    src, dst = np.cumsum(active)[np.stack([src, dst])] - 1
-    num_comps, label = strong_components(int(active.sum()), src, dst)
-    members = np.bincount(label, minlength=num_comps)
+    nodes = np.flatnonzero(active)
+    index = np.cumsum(active, dtype=np.int32)
+    index -= 1
+    del active
+    src, dst = index[src], index[dst]
+    del index
+    num_comps, label = strong_components(nodes.size, src, dst)
+    # Ids, counts and CSR pointers the levels hold are int32 (the stack's
+    # block nodes fit, see reach_closure); keys combining two ids are int64.
+    label = label.astype(np.int32)
+    members = np.bincount(label, minlength=num_comps).astype(np.int32)
 
-    # Condensation DAG: unique cross-component edges, parent-major.
+    # Condensation DAG: unique cross-component edges, parent-major.  The
+    # arc arrays are dropped as soon as they are spent: the DP's peak
+    # memory is what it holds while its levels run.
     cs, cd = label[src], label[dst]
+    del src, dst
     cross = cs != cd
-    keys = sorted_unique(cs[cross] * num_comps + cd[cross])
-    parent, child = keys // num_comps, keys % num_comps
+    keys = sorted_unique(cs[cross].astype(np.int64) * num_comps + cd[cross])
+    del cs, cd, cross
+    parent = (keys // num_comps).astype(np.int32)
+    child = (keys % num_comps).astype(np.int32)
+    del keys
     # Edges grouped by parent (keys are parent-major already) and by child;
     # the order of a child's parents does not matter, so no stable sort.
-    pending = np.bincount(parent, minlength=num_comps)  # children not yet done
-    parent_ptr = _offsets(pending)
-    child_ptr = _offsets(np.bincount(child, minlength=num_comps))
+    pending = np.bincount(parent, minlength=num_comps).astype(np.int32)  # children not done
+    parent_ptr = _offsets(pending, np.int32)
+    child_ptr = _offsets(np.bincount(child, minlength=num_comps), np.int32)
     parents_of = parent[np.argsort(child)]
 
-    # Reach lists live in one growing buffer; a component's list is
-    # buffer[start : start + length].  Sinks reach only themselves.
+    # Components get new ids in the order they finish, and their reach
+    # lists (in new ids) are appended to the buffer in that order;
+    # start/length index a list by old id.  Sinks reach only themselves.
     done = np.flatnonzero(pending == 0)
-    buffer = np.empty(max(2 * num_comps, 16), dtype=np.int64)
-    buffer[: done.size] = done
-    used = done.size
+    _room(buffer, used + done.size)
+    buffer[used : used + done.size] = np.arange(done.size)
+    new_id = np.empty(num_comps, dtype=np.int32)
+    new_id[done] = np.arange(done.size)
+    new_members = np.empty(num_comps, dtype=np.int32)
+    new_members[: done.size] = members[done]
+    new_sizes = new_members.copy()
+    new_length = np.ones(num_comps, dtype=np.int32)
     start = np.zeros(num_comps, dtype=np.int64)
-    start[done] = np.arange(done.size)
-    length = (pending == 0).astype(np.int64)
-    comp_sizes = np.where(pending == 0, members, 0)
+    start[done] = used + np.arange(done.size)
+    length = (pending == 0).astype(np.int32)
+    used += done.size
+    finished = done.size
 
     while done.size:
         # Kahn step: parents whose last pending child was just done.
@@ -116,6 +287,10 @@ def _reach_sizes(graph: DiGraph, masks: np.ndarray | None) -> np.ndarray:
         level = ups[pending[ups] == 0]
         if level.size == 0:
             break
+        ids = np.arange(finished, finished + level.size)
+        span = slice(finished, finished + level.size)
+        new_id[level] = ids
+        new_members[span] = members[level]
         # Edges out of this level's components; children are all done.
         e_lo, e_hi = parent_ptr[level], parent_ptr[level + 1]
         edge_idx = segment_ranges(e_lo, e_hi - e_lo)
@@ -123,32 +298,87 @@ def _reach_sizes(graph: DiGraph, masks: np.ndarray | None) -> np.ndarray:
         kid_len = length[kids]
         gathered = buffer[segment_ranges(start[kids], kid_len)]
         owners = np.repeat(parent[edge_idx], kid_len)
-        pairs = sorted_unique(
-            np.concatenate([owners, level]) * num_comps
-            + np.concatenate([gathered, level])
-        )
-        owner, reached = pairs // num_comps, pairs % num_comps
-        heads = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        keys = np.concatenate([owners, level]).astype(np.int64)
+        keys *= num_comps
+        keys += np.concatenate([gathered, ids])
+        pairs = sorted_unique(keys)
+        reached = pairs % num_comps
         # ``level`` is sorted and every component owns at least itself, so
-        # segment i of ``pairs`` is level[i]'s reach list.
-        comp_sizes[level] = np.add.reduceat(members[reached], heads)
+        # segment i of ``pairs`` is level[i]'s reach list; the sentinel
+        # ``num_comps`` ends the last one.
+        bounds = np.searchsorted(pairs, np.append(level.astype(np.int64), num_comps) * num_comps)
+        heads = bounds[:-1]
+        new_sizes[span] = np.add.reduceat(new_members[reached], heads)
         if used + pairs.size > buffer.size:
-            grown = np.empty(max(2 * buffer.size, used + pairs.size), dtype=np.int64)
-            grown[:used] = buffer[:used]
-            buffer = grown
+            _room(buffer, used + pairs.size)
         buffer[used : used + pairs.size] = reached
         start[level] = used + heads
-        length[level] = np.diff(heads, append=pairs.size)
+        length[level] = new_length[span] = bounds[1:] - heads
         used += pairs.size
+        finished += level.size
         done = level
-    sizes = np.ones(total, dtype=np.int64)
-    sizes[active] = comp_sizes[label]
-    return sizes.reshape(snapshots, n)
+    return new_id[label], nodes, new_members, new_sizes, new_length, used
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
+def _room(buffer: np.ndarray, size: int) -> None:
+    """Grow *buffer* in place to at least *size* entries (doubling).
+
+    ``resize`` reallocates the array's own memory, so no view of it may be
+    alive.
+    """
+    if size > buffer.size:
+        buffer.resize(max(2 * buffer.size, size), refcheck=False)
+
+
+def live_edge_pairs(
+    graph: DiGraph, masks: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal ``(src, dst)`` node ids of every live ``(snapshot, edge)``.
+
+    *masks* is a ``(snapshots, edges)`` boolean-style or ``(snapshots,
+    words)`` packed stack, or ``None`` for one all-live snapshot.  Node *v*
+    of snapshot *s* is ``s * n + v``, so the live edges of different
+    snapshots never meet.  Pairs come out in snapshot-major CSR order:
+    ``src`` is non-decreasing.
+    """
+    n, m = graph.num_nodes, graph.num_edges
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.out_indptr))
+    dst = np.asarray(graph.out_indices, dtype=np.int64)
+    if masks is None:
+        return src, dst
+    width = num_words(m) if is_packed(masks) else m
+    if masks.ndim != 2 or masks.shape[1] != width:
+        raise CascadeError(
+            f"mask stack shape {masks.shape} does not match (snapshots, {width})"
+        )
+    # Flat ``s * m + p`` indices of the live edges, with columns permuted
+    # from edge-id order to CSR position order.
+    flat = np.flatnonzero(_unpacked(masks, m)[:, graph.edge_ids])
+    snap = flat // m
+    flat -= snap * m
+    snap *= n
+    live_src, live_dst = src[flat], dst[flat]
+    live_src += snap
+    live_dst += snap
+    return live_src, live_dst
+
+
+def _unpacked(masks: np.ndarray, num_edges: int) -> np.ndarray:
+    """A mask stack as ``(snapshots, edges)`` booleans."""
+    if not is_packed(masks):
+        return np.asarray(masks, dtype=bool)
+    bits = np.unpackbits(
+        np.ascontiguousarray(masks).view(np.uint8),
+        axis=1,
+        count=num_edges,
+        bitorder="little",
+    )
+    return bits.view(bool)
+
+
+def _offsets(counts: np.ndarray, dtype: npt.DTypeLike = np.int64) -> np.ndarray:
     """CSR row pointers of per-row *counts*."""
-    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    ptr = np.zeros(counts.size + 1, dtype=dtype)
     np.cumsum(counts, out=ptr[1:])
     return ptr
 

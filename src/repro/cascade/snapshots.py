@@ -18,10 +18,10 @@ from typing import overload
 import numpy as np
 
 from repro.cascade.base import CascadeModel
-from repro.cascade.kernels import live_csr, new_reach_counts, reach_rows, sweep_live
+from repro.cascade.reachability import ReachClosure, reach_closure
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
-from repro.utils.bitset import is_packed, num_words, pack_bits, unpack_bits
+from repro.utils.bitset import count_bits, is_packed, num_words, pack_bits, unpack_bits
 from repro.utils.rng import RandomSource, as_rng
 
 
@@ -93,6 +93,15 @@ def stack_masks(masks: Sequence[np.ndarray], num_edges: int) -> np.ndarray:
     )
 
 
+#: Size budget of one reach DP, in live arcs plus block nodes: a mask
+#: costs its live arcs and the graph's n nodes, the two dimensions of the
+#: DP's block-diagonal arrays.  The DP's time is mostly per-level call
+#: overhead, so fewer, larger DPs are faster, while its temporaries grow
+#: with the run; the budget bounds them (measured in docs/algorithms.md).
+#: Results never depend on it.
+REACH_DP_BUDGET = 1 << 16
+
+
 class SnapshotOracle:
     """Estimates spreads by reachability over a fixed set of live-edge masks.
 
@@ -100,15 +109,17 @@ class SnapshotOracle:
     :meth:`reach` returns the reached sets of the current seed set as one
     ``(snapshots, n)`` boolean array (row *s* is snapshot *s*),
     :meth:`extend_reach` adds a seed to that array in place, and
-    :meth:`marginal_gain` counts only *newly* reachable nodes, stopping at
-    already-reached ones (in a live-edge world, everything reachable from a
-    reached node is itself already reached).  Each call runs one frontier
-    sweep over a block-diagonal CSR of every snapshot's live edges, built
-    once per oracle, instead of one search per snapshot: :meth:`reach` and
-    :meth:`extend_reach` over flat ``(snapshot, node)`` keys
-    (:func:`~repro.cascade.kernels.sweep_live`), :meth:`marginal_gain` over
-    flat ``(candidate, snapshot, node)`` keys for a whole batch of
-    candidates (:func:`~repro.cascade.kernels.new_reach_counts`).
+    :meth:`marginal_gain` counts only *newly* reachable nodes.  All of them
+    read the :attr:`closure` of the masks
+    (:class:`~repro.cascade.reachability.ReachClosure`), built once on
+    first use: each node's component per snapshot and each component's
+    list of reached components.  A reached set is closed under reachability, so it is a
+    union of components, and a batch of candidates' gains is one segment
+    gather of their lists; :meth:`initial_gains` reads the reach sizes.
+
+    The closure is built by DPs over near-equal runs of whole masks, each
+    within :data:`REACH_DP_BUDGET`.  Every count is an integer divided by
+    the snapshot count once, so no result depends on the split.
 
     Masks may be boolean-style (length *m*) or packed bitsets
     (:mod:`repro.utils.bitset`); a homogeneous packed sample is kept packed
@@ -125,8 +136,8 @@ class SnapshotOracle:
             raise CascadeError("at least one snapshot mask is required")
         self.graph = graph
         self.masks = list(masks)
-        # Stacked (snapshots, edges-or-words) view: every sweep covers all
-        # snapshots at once.
+        # Stacked (snapshots, edges-or-words) view: every DP covers a run
+        # of its rows.
         self.mask_matrix = stack_masks(self.masks, graph.num_edges)
 
     @property
@@ -134,9 +145,19 @@ class SnapshotOracle:
         return len(self.masks)
 
     @cached_property
-    def _live_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Block-diagonal CSR of every snapshot's live edges, built on first use."""
-        return live_csr(self.graph, self.mask_matrix)
+    def closure(self) -> ReachClosure:
+        """The reach closure of every mask, built on first use."""
+        count = len(self.masks)
+        cost = count_bits(self.mask_matrix) + count * self.graph.num_nodes
+        runs = min(count, -(-cost // REACH_DP_BUDGET))
+        bounds = [count * i // runs for i in range(runs + 1)]
+        return reach_closure(self.graph, self.mask_matrix, bounds)
+
+    def initial_gains(self) -> list[float]:
+        """Average reach size of every node as a lone seed: the NewGreedy gains."""
+        totals = self.closure.reach_sizes().sum(axis=0, dtype=np.int64)
+        gains: list[float] = (totals / len(self.masks)).tolist()
+        return gains
 
     def spread(self, seeds: Sequence[int]) -> float:
         """Average number of nodes reachable from *seeds* over all snapshots."""
@@ -144,9 +165,9 @@ class SnapshotOracle:
 
     def reach(self, seeds: Sequence[int]) -> np.ndarray:
         """``(snapshots, n)`` boolean array of the nodes *seeds* reach."""
-        return reach_rows(
-            *self._live_csr, seeds, len(self.masks), self.graph.num_nodes
-        )
+        reached = np.zeros((len(self.masks), self.graph.num_nodes), dtype=bool)
+        self.closure.mark(reached, self._checked_nodes(seeds, reached))
+        return reached
 
     def _checked_nodes(self, nodes: object, reached: np.ndarray) -> np.ndarray:
         """*nodes* as a 1-D int64 array, validated against the graph and *reached*."""
@@ -171,14 +192,10 @@ class SnapshotOracle:
 
         *reached* must be C-contiguous, as :meth:`reach` returns it.
         """
-        seed = int(self._checked_nodes(new_seed, reached)[0])
+        nodes = self._checked_nodes(new_seed, reached)
         if not reached.flags.c_contiguous:
             raise CascadeError("reached array must be C-contiguous")
-        n = self.graph.num_nodes
-        frontier = np.flatnonzero(~reached[:, seed]) * n + seed
-        visited = reached.reshape(-1)
-        visited[frontier] = True
-        sweep_live(*self._live_csr, visited, frontier)
+        self.closure.mark(reached, nodes)
 
     @overload
     def marginal_gain(self, candidates: int, reached: np.ndarray) -> float: ...
@@ -195,11 +212,11 @@ class SnapshotOracle:
 
         *candidates* is one node id (returns a float) or a 1-D array of ids
         (returns a float array, one gain per entry, duplicates included).
-        All candidates are evaluated in one frontier sweep
-        (:func:`~repro.cascade.kernels.new_reach_counts`); *reached* is
-        only read.
+        All candidates are evaluated by one gather from the closure
+        (:meth:`~repro.cascade.reachability.ReachClosure.new_reach_counts`);
+        *reached* must be closed under reachability, as :meth:`reach` and
+        :meth:`extend_reach` leave it, and is only read.
         """
         nodes = self._checked_nodes(candidates, reached)
-        counts = new_reach_counts(*self._live_csr, reached, nodes)
-        gains = counts / len(self.masks)
+        gains = self.closure.new_reach_counts(reached, nodes) / len(self.masks)
         return float(gains[0]) if np.ndim(candidates) == 0 else gains

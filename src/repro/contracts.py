@@ -106,8 +106,7 @@ def check_batch(
 
     * the backend returned exactly one result per submitted job;
     * every estimate of every job is finite and, when the job carries a
-      graph bound, its mean lies in ``[0, |V|]``, element-wise for an
-      array mean (a gains job's per-node reach) — a garbage worker result
+      graph bound, its mean lies in ``[0, |V|]`` — a garbage worker result
       (truncated pickle, mismatched stream) corrupts the payoff tensor as
       surely as a broken model does;
     * every seed list of a selection job's result holds distinct node ids,

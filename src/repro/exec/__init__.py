@@ -25,9 +25,7 @@ from repro.exec.executor import (
 from repro.exec.jobs import (
     CompetitiveJob,
     ProfileCell,
-    ReachTotals,
     SimulationJob,
-    SnapshotGainsJob,
     SpreadJob,
 )
 
@@ -38,11 +36,9 @@ __all__ = [
     "JobOutcome",
     "ProcessBackend",
     "ProfileCell",
-    "ReachTotals",
     "SerialBackend",
     "SimulationBackend",
     "SimulationJob",
-    "SnapshotGainsJob",
     "SpreadJob",
     "build_executor",
     "default_executor",

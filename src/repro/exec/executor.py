@@ -39,7 +39,6 @@ from repro.errors import ExecutionError
 from repro.exec.backends import (
     BACKENDS,
     JobPayload,
-    SerialBackend,
     SimulationBackend,
     make_backend,
 )
@@ -344,47 +343,6 @@ def reset_default_executor() -> None:
     if _DEFAULT is not None:
         _DEFAULT.close()
         _DEFAULT = None
-
-
-class _InlineExecutor(Executor):
-    """Runs a batch in the calling thread, unrecorded: the nested work of a job.
-
-    Results are those of :meth:`Executor.run` (each job on its spawned
-    stream), but the batch opens no span, journals no event and counts no
-    ``exec.*`` metric: it is part of the enclosing job, whose span and
-    timing cover it, so a run's journal holds the same batches on every
-    backend.
-    """
-
-    def __init__(self) -> None:
-        self._backend = SerialBackend()
-
-    def run(
-        self,
-        jobs: Sequence[SimulationJob[ResultT]],
-        rng: RandomSource = None,
-    ) -> list[JobOutcome[ResultT]]:
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        sequences = spawn_seed_sequences(as_rng(rng), len(jobs))
-        return [
-            JobOutcome(i, job.run(as_rng(sequence)), 0.0, 0.0)
-            for i, (job, sequence) in enumerate(zip(jobs, sequences))
-        ]
-
-
-_INLINE = _InlineExecutor()
-
-
-def inline_executor() -> Executor:
-    """The executor for work nested inside a job: in-process and unrecorded.
-
-    A job that batches work of its own (a selection job's gains) runs it
-    here and never on the environment's default backend, which resolving
-    inside a worker would start as a pool per worker.
-    """
-    return _INLINE
 
 
 def resolve_executor(executor: Executor | None) -> Executor:

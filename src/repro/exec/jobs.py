@@ -4,9 +4,8 @@ A *job* is a self-contained, picklable description of a batch-able piece of
 Monte-Carlo work: everything it needs (graph, model, seed sets, round
 count) travels with it, and :meth:`~SimulationJob.run` produces a tuple of
 :class:`~repro.cascade.estimate.SpreadEstimate` — one per quantity the job
-estimates — or a gains job's one :class:`ReachTotals`.  Self-containment
-is what lets the same job object execute unchanged on the serial and
-process backends.
+estimates.  Self-containment is what lets the same job object execute
+unchanged on the serial and process backends.
 
 **Graph payloads.**  A job's ``graph`` is a
 :class:`~repro.graphs.digraph.DiGraph`.  One opened from a
@@ -21,9 +20,7 @@ Concrete jobs covering the σ(·) quantities of the paper:
   set (a 1-tuple of estimates);
 * :class:`CompetitiveJob` — the per-group spreads ``(σ1, .., σr)`` of one
   or more profile cells (:class:`ProfileCell`) under the competitive
-  engine, cell-major;
-* :class:`SnapshotGainsJob` — exact per-node reach-size totals
-  (:class:`ReachTotals`) over a run of pre-sampled live-edge masks.
+  engine, cell-major.
 
 A job defined elsewhere, :class:`~repro.algorithms.base.SelectionJob`,
 runs a snapshot pool's seed selections where the executor places it and
@@ -54,43 +51,14 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.kernels import cascade_spreads
-from repro.cascade.reachability import all_reach_sizes
-from repro.cascade.snapshots import stack_masks
 from repro.graphs.digraph import DiGraph
 from repro.obs.metrics import counter
-from repro.utils.bitset import count_bits
 from repro.utils.rng import as_rng
 
 _SIMULATIONS = counter("cascade.simulations")
 
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
-
-#: Size budget of one reach DP in a :class:`SnapshotGainsJob`, in live arcs
-#: plus block nodes: a mask costs its live arcs and the graph's n nodes,
-#: the two dimensions of the DP's block-diagonal arrays, at ~85 bytes per
-#: unit on hep and phy.  The DP's time is mostly per-level call overhead,
-#: so fewer, larger DPs are faster, up to ~25 masks on those graphs; the
-#: budget keeps a DP near 5 MiB.  Results never depend on it.
-REACH_DP_BUDGET = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class ReachTotals:
-    """Per-node reach-size totals over ``samples`` live-edge snapshots.
-
-    ``totals[v]`` is the sum of ``|R_s(v)|`` over the snapshots, an
-    integer, so totals from any split of a sample add up exactly; ``mean``
-    is the per-node average the runtime contracts bound element-wise.
-    """
-
-    totals: np.ndarray
-    samples: int
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.totals / self.samples
-
 
 @dataclass(frozen=True)
 class SelectedSeeds:
@@ -99,9 +67,8 @@ class SelectedSeeds:
     seeds: tuple[tuple[int, ...], ...]
 
 
-#: Result of a :class:`SimulationJob`: estimates, a gains job's totals, or
-#: a selection job's seeds.
-JobResult = SpreadEstimate | ReachTotals | SelectedSeeds
+#: Result of a :class:`SimulationJob`: estimates or a selection job's seeds.
+JobResult = SpreadEstimate | SelectedSeeds
 ResultT_co = TypeVar("ResultT_co", bound=JobResult, covariant=True)
 
 
@@ -113,9 +80,9 @@ class SimulationJob(Protocol[ResultT_co]):
     from the batch's root seed sequence — see
     :func:`repro.utils.rng.spawn_seed_sequences`) and returns one
     :class:`SpreadEstimate` per estimated quantity, or one
-    :class:`ReachTotals`.  ``num_nodes`` bounds every estimate's mean (each
-    element of an array mean) for the opt-in runtime contracts; return
-    ``None`` when no graph-derived bound applies.
+    :class:`SelectedSeeds`.  ``num_nodes`` bounds every estimate's mean for
+    the opt-in runtime contracts; return ``None`` when no graph-derived
+    bound applies.
     """
 
     def run(self, generator: np.random.Generator) -> tuple[ResultT_co, ...]:
@@ -224,43 +191,3 @@ class CompetitiveJob:
                 SpreadEstimate.from_values(block[:, j]) for j in range(block.shape[1])
             )
         return tuple(estimates)
-
-
-@dataclass(frozen=True)
-class SnapshotGainsJob:
-    """Per-node reach-size totals over a run of live-edge snapshots.
-
-    Used by :func:`~repro.cascade.pools.snapshot_initial_gains` to split
-    the NewGreedy step over workers: the job runs the block-diagonal
-    SCC-condensation DP over ``ceil(cost / REACH_DP_BUDGET)`` contiguous
-    runs of near-equal numbers of its masks (see :data:`REACH_DP_BUDGET`
-    for the cost) and sums each run's ``(masks, nodes)`` size matrix into
-    one ``int64`` :class:`ReachTotals` (samples = its masks).  Totals are
-    integers, so the sum over jobs divided by the snapshot count is exact
-    however the masks are split.
-
-    The job draws no randomness — masks are sampled by the caller (a
-    private ``select`` call or a per-group
-    :class:`~repro.cascade.pools.SnapshotPool`, which also memoizes the
-    gains of this batch) so the snapshot sample is identical no matter
-    which backend evaluates it.  Masks may be boolean-style or packed
-    bitsets.
-    """
-
-    graph: DiGraph
-    masks: tuple[np.ndarray, ...]
-
-    @property
-    def num_nodes(self) -> int | None:
-        return self.graph.num_nodes
-
-    def run(self, generator: np.random.Generator) -> tuple[ReachTotals]:
-        count, n = len(self.masks), self.graph.num_nodes
-        cost = sum(count_bits(mask) for mask in self.masks) + count * n
-        runs = min(count, -(-cost // REACH_DP_BUDGET))
-        bounds = [count * i // runs for i in range(runs + 1)]
-        totals = np.zeros(n, dtype=np.int64)
-        for start, stop in zip(bounds, bounds[1:]):
-            chunk = stack_masks(self.masks[start:stop], self.graph.num_edges)
-            totals += all_reach_sizes(self.graph, chunk).sum(axis=0)
-        return (ReachTotals(totals=totals, samples=count),)

@@ -108,11 +108,7 @@ class ExperimentConfig:
         φ1 = MixGreedy(LT) on LT triggering snapshots, φ2 = SingleDiscount.
         """
         model = self.model(model_kind)
-        greedy = MixGreedy(
-            model,
-            num_snapshots=self.snapshots,
-            executor=self.executor(),
-        )
+        greedy = MixGreedy(model, num_snapshots=self.snapshots)
         if model_kind == "ic":
             return StrategySpace([greedy, DegreeDiscount(self.ic_probability)])
         return StrategySpace([greedy, SingleDiscount()])

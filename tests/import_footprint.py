@@ -37,14 +37,14 @@ def scipy_modules() -> list[str]:
 
 @dataclass(frozen=True)
 class ScipyProbeJob:
-    """A job whose one-sample total is its worker's count of scipy modules."""
+    """A job whose one-sample estimate is its worker's count of scipy modules."""
 
     num_nodes = None
 
     def run(self, generator: np.random.Generator) -> tuple[object, ...]:
-        from repro.exec import ReachTotals
+        from repro.cascade.estimate import SpreadEstimate
 
-        return (ReachTotals(np.array([len(scipy_modules())]), 1),)
+        return (SpreadEstimate(float(len(scipy_modules())), 0.0, 1),)
 
 
 def main() -> dict[str, object]:
@@ -66,7 +66,7 @@ def main() -> dict[str, object]:
             kinds.append(result.kind)
             if backend == "process":
                 probes = executor.run([ScipyProbeJob() for _ in range(2 * count)], rng=0)
-                workers = [int(outcome.estimates[0].totals[0]) for outcome in probes]
+                workers = [int(outcome.estimates[0].mean) for outcome in probes]
     return {
         "parent": sorted(set(after_import) | set(scipy_modules())),
         "lint": lint_after_import,

@@ -1,11 +1,14 @@
 """One-at-a-time reference versions of the batched selection paths.
 
 :func:`celf_one_at_a_time` is the plain CELF loop of Leskovec et al.: pop
-the heap top, re-evaluate it alone if stale, accept it if fresh.  The
+the heap top, re-evaluate it alone if stale, accept it if fresh.  It
+evaluates a marginal gain by per-snapshot BFS
+(:meth:`~repro.graphs.digraph.DiGraph.reachable_from`), sharing nothing
+with the reach closure of :mod:`repro.cascade.reachability`; the
 production :func:`repro.algorithms.greedy.run_celf` re-evaluates stale
-entries in doubling batches and must reproduce this loop's picks and pick
-gains bit for bit.  :func:`reach_sizes_by_bfs` is the per-row BFS that the
-stacked reach DP of :mod:`repro.cascade.reachability` is checked against.
+entries in doubling batches against that closure and must reproduce this
+loop's picks and pick gains bit for bit.  :func:`reach_sizes_by_bfs` is
+the per-row BFS that the stacked reach DP is checked against.
 :func:`degree_discount_loop`, :func:`single_discount_loop` and
 :func:`high_degree_by_argsort` are the O(k·n) heuristics that re-mask and
 argmax every score per pick (or sort all of them); the live-key kernel of
@@ -16,28 +19,32 @@ generator in their end state.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.algorithms.greedy import CelfTrace
-from repro.cascade.snapshots import SnapshotOracle
 from repro.graphs.digraph import DiGraph
+from repro.utils.bitset import is_packed, unpack_bits
 from repro.utils.rng import RandomSource, as_rng
 
 
 def celf_one_at_a_time(
-    oracle: SnapshotOracle, k: int, gains: list[float]
+    graph: DiGraph, masks: Sequence[np.ndarray], k: int, gains: list[float]
 ) -> tuple[list[int], CelfTrace, int]:
-    """CELF with one ``marginal_gain`` call per stale pop.
+    """CELF with one per-snapshot BFS evaluation per stale pop.
 
-    Returns the seeds, the trace and the number of evaluations.
+    A candidate's gain is ``|R(picks + [v])| - |R(picks)|`` summed over the
+    snapshots and divided by their count once.  Returns the seeds, the
+    trace and the number of evaluations.
     """
+    rows = [unpack_bits(m, graph.num_edges) if is_packed(m) else m for m in masks]
     heap: list[tuple[float, int, int]] = [
         (-gain, v, 0) for v, gain in enumerate(gains)
     ]
     heapq.heapify(heap)
     trace = CelfTrace()
-    reached = oracle.reach([])
+    reached = [graph.reachable_from([], row) for row in rows]
     iteration = 0
     evaluations = 0
     while len(trace.picks) < k:
@@ -45,12 +52,15 @@ def celf_one_at_a_time(
         if stamp == iteration:
             trace.picks.append(v)
             trace.pick_gains.append(-neg_gain)
-            oracle.extend_reach(reached, v)
+            reached = [graph.reachable_from(trace.picks, row) for row in rows]
             iteration += 1
         else:
-            fresh = oracle.marginal_gain(v, reached)
+            count = sum(
+                int(graph.reachable_from(trace.picks + [v], row).sum() - done.sum())
+                for row, done in zip(rows, reached)
+            )
             evaluations += 1
-            heapq.heappush(heap, (-fresh, v, iteration))
+            heapq.heappush(heap, (-(count / len(rows)), v, iteration))
     return list(trace.picks), trace, evaluations
 
 

@@ -149,8 +149,8 @@ class TestPinnedHepSelection:
     """CELF seeds and gains on the hep surrogate, pinned to recorded values.
 
     Reach sizes and gain counts are integers, so any reimplementation of
-    the reach DP, the oracle sweeps or the gains pooling must reproduce
-    these numbers exactly (not merely within noise).
+    the reach DP, the closure gathers or the gains must reproduce these
+    numbers exactly (not merely within noise).
     """
 
     PINNED = {
@@ -179,17 +179,14 @@ class TestPinnedHepSelection:
         import hashlib
 
         from repro.algorithms.greedy import run_celf
-        from repro.cascade.pools import snapshot_initial_gains
         from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
-        from repro.exec import Executor
 
         model = IndependentCascade(0.08) if model_name == "ic" else WeightedCascade()
         seeds, pick_gains, gains_head, gains_sha = self.PINNED[model_name]
         masks = sample_snapshots(
             graph, model, 20, np.random.default_rng(7), packed=True
         )
-        with Executor("serial") as executor:
-            gains = snapshot_initial_gains(graph, masks, executor)
+        gains = SnapshotOracle(graph, masks).initial_gains()
         assert gains[:5] == gains_head
         assert hashlib.sha256(np.asarray(gains).tobytes()).hexdigest() == gains_sha
         got, trace = run_celf(SnapshotOracle(graph, masks), 10, gains)
@@ -205,8 +202,9 @@ class TestBatchedCelf:
     """``run_celf`` batches stale re-evaluations; the picks must not move.
 
     The reference is the one-candidate-per-pop loop in
-    ``tests/reference_selection.py``.  Snapshot counts include 64 and 100,
-    where pooled initial gains can sit an ulp off ``count / snapshots``.
+    ``tests/reference_selection.py``, which evaluates gains by per-snapshot
+    BFS.  Snapshot counts include 64 and 100, where initial gains can sit
+    an ulp off ``count / snapshots``.
     """
 
     @pytest.mark.parametrize("packed", [False, True], ids=["bool", "packed"])
@@ -223,21 +221,18 @@ class TestBatchedCelf:
         self, packed, seed, nodes, edges, prob, snapshots
     ):
         from repro.algorithms.greedy import run_celf
-        from repro.cascade.pools import snapshot_initial_gains
         from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
-        from repro.exec import Executor
-        from tests.reference_selection import celf_one_at_a_time
+        from tests.reference_selection import celf_one_at_a_time, reach_sizes_by_bfs
 
         graph = erdos_renyi(nodes, edges, rng=seed)
         masks = sample_snapshots(
             graph, IndependentCascade(prob), snapshots, rng=seed, packed=packed
         )
-        with Executor("serial") as executor:
-            gains = snapshot_initial_gains(graph, masks, executor)
+        gains = SnapshotOracle(graph, masks).initial_gains()
+        totals = np.sum([reach_sizes_by_bfs(graph, mask) for mask in masks], axis=0)
+        assert gains == (totals / snapshots).tolist()
         for k in (1, 3, nodes // 2, nodes):
-            want, want_trace, _ = celf_one_at_a_time(
-                SnapshotOracle(graph, masks), k, gains
-            )
+            want, want_trace, _ = celf_one_at_a_time(graph, masks, k, gains)
             got, trace = run_celf(SnapshotOracle(graph, masks), k, gains)
             assert got == want
             assert trace.pick_gains == want_trace.pick_gains

@@ -14,10 +14,8 @@ from repro.exec import (
     Executor,
     ProcessBackend,
     ProfileCell,
-    ReachTotals,
     SerialBackend,
     SimulationJob,
-    SnapshotGainsJob,
     SpreadJob,
     build_executor,
     default_executor,
@@ -112,20 +110,6 @@ class TestJobs:
             crn_base=123456,
         )
         assert job.run(as_rng(1)) == job.run(as_rng(999))
-
-    def test_snapshot_gains_job_matches_direct_reach(self, random_graph, model):
-        from repro.cascade.reachability import all_reach_sizes
-        from repro.cascade.snapshots import sample_snapshots
-
-        masks = sample_snapshots(random_graph, model, 11, as_rng(11))
-        job = SnapshotGainsJob(graph=random_graph, masks=tuple(masks))
-        (result,) = job.run(as_rng(0))
-        assert isinstance(result, ReachTotals)
-        assert result.samples == 11
-        assert result.totals.dtype == np.int64
-        expected = np.sum([all_reach_sizes(random_graph, m) for m in masks], axis=0)
-        assert np.array_equal(result.totals, expected)
-        assert np.array_equal(result.mean, expected / 11)
 
 
 class TestBackends:
@@ -249,30 +233,25 @@ class TestExecutor:
     @pytest.mark.parametrize(
         "corrupt", ["nan", "negative", "above_bound"], ids=str
     )
-    def test_contracts_reject_garbage_gains_totals(
+    def test_contracts_reject_garbage_estimates(
         self, random_graph, model, monkeypatch, corrupt
     ):
-        from repro.cascade.snapshots import sample_snapshots
         from repro.contracts import ContractViolation
 
-        masks = tuple(sample_snapshots(random_graph, model, 4, as_rng(3)))
-        n = random_graph.num_nodes
+        job = SpreadJob(graph=random_graph, model=model, seeds=(0, 1), rounds=4)
+        garbage = {"nan": np.nan, "negative": -1.0, "above_bound": random_graph.num_nodes + 1}
 
-        class CorruptGainsJob(SnapshotGainsJob):
+        class CorruptSpreadJob(SpreadJob):
             def run(self, generator):
-                (result,) = super().run(generator)
-                totals = result.totals.astype(float)
-                totals[5] = {"nan": np.nan, "negative": -1.0, "above_bound": n * 4 + 1}[
-                    corrupt
-                ]
-                return (ReachTotals(totals=totals, samples=result.samples),)
+                (estimate,) = super().run(generator)
+                return (SpreadEstimate(garbage[corrupt], estimate.std, estimate.samples),)
 
         monkeypatch.setenv("REPRO_CONTRACTS", "1")
-        job = SnapshotGainsJob(graph=random_graph, masks=masks)
         Executor("serial").run([job], rng=1)  # the honest job passes
         with pytest.raises(ContractViolation, match="job 0"):
             Executor("serial").run(
-                [CorruptGainsJob(graph=random_graph, masks=masks)], rng=1
+                [CorruptSpreadJob(graph=random_graph, model=model, seeds=(0, 1), rounds=4)],
+                rng=1,
             )
 
 

@@ -1,32 +1,33 @@
-"""Tests for shared snapshot pools and the batched oracle sweep.
+"""Tests for shared snapshot pools and the batched oracle.
 
 Covers :class:`~repro.cascade.pools.SnapshotPool` sharing semantics (one
 live-edge sample per (model, count) request served to every strategy of a
-group), the Theorem-1 independence of per-group pools, and the bit-identity
-of :func:`~repro.cascade.kernels.reachable_mask_batch` against the
-sequential per-mask sweeps: the ``python`` reference walk
-(:meth:`~repro.graphs.digraph.DiGraph.reachable_from`) and the ``numpy``
-kernel (:func:`~repro.cascade.kernels.reachable_mask`).
+group), the Theorem-1 independence of per-group pools, the exactness of the
+closure's gains on every backend and DP split, and the bit-identity of the
+oracle's stacked reach against the sequential per-mask sweeps: the
+``python`` reference walk (:meth:`~repro.graphs.digraph.DiGraph.reachable_from`)
+and the ``numpy`` kernel (:func:`~repro.cascade.kernels.reachable_mask`).
 """
 
 import numpy as np
 import pytest
 
+from repro.algorithms.base import SelectionJob
 from repro.algorithms.degree_discount import DegreeDiscount
-from repro.algorithms.greedy import CELFGreedy, MixGreedy
+from repro.algorithms.greedy import CELFGreedy, MixGreedy, run_celf
+from repro.cascade import reachability as reachability_mod
 from repro.cascade import snapshots as snapshots_mod
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.wc import WeightedCascade
-from repro.cascade.kernels import reachable_mask, reachable_mask_batch
-from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
+from repro.cascade.kernels import reachable_mask
+from repro.cascade.pools import SnapshotPool
 from repro.cascade.reachability import all_reach_sizes
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots, stack_masks
 from repro.errors import CascadeError
 from repro.exec import Executor
-from repro.exec import jobs as jobs_mod
-from repro.exec.jobs import SnapshotGainsJob
 from repro.obs.metrics import counter
 from repro.utils.bitset import count_bits, pack_bits
+from tests.reference_selection import reach_sizes_by_bfs
 
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
@@ -136,11 +137,12 @@ class TestPooledSelection:
         assert not pool.seeded  # the pool was never touched
 
     def test_pooled_matches_gains_helper(self, karate):
+        # The pool's gains are a private oracle's over the same masks.
         model = IndependentCascade(0.1)
         pool = SnapshotPool(karate)
         pool.token(np.random.default_rng(7))
         masks = pool.masks(model, 10)
-        direct = snapshot_initial_gains(karate, masks)
+        direct = SnapshotOracle(karate, masks).initial_gains()
         assert pool.initial_gains(model, 10) == direct
 
 
@@ -155,9 +157,9 @@ _GAINS_EXECUTORS = [
 class TestGainsExactness:
     """Gains are the stack's integer reach totals divided once, on any backend.
 
-    A gains job returns the reach totals of its masks, so the split into
-    one job per worker cannot move a bit: every backend and worker count
-    must equal ``all_reach_sizes(stack).sum(0) / len(masks)`` exactly.
+    The pool reads its gains from the reach closure; a selection job on
+    any backend and worker count rebuilds the same closure from the pool's
+    token, so its CELF picks are those the pool's own gains give.
     """
 
     @pytest.fixture(
@@ -169,22 +171,23 @@ class TestGainsExactness:
 
     @pytest.mark.parametrize("count", [1, 2, 7, 8, 50])
     def test_gains_equal_exact_reach_totals(self, random_graph, executor, count):
-        masks = sample_snapshots(
-            random_graph, IndependentCascade(0.2), count, rng=count, packed=True
+        model = IndependentCascade(0.2)
+        pool = SnapshotPool(random_graph)
+        pool.token(np.random.default_rng(count))
+        totals = np.sum(
+            [reach_sizes_by_bfs(random_graph, mask) for mask in pool.masks(model, count)],
+            axis=0,
         )
-        stack = stack_masks(masks, random_graph.num_edges)
-        expected = all_reach_sizes(random_graph, stack).sum(0) / len(masks)
-        completed = counter("exec.jobs_completed").value
-        gains = snapshot_initial_gains(random_graph, masks, executor)
-        assert gains == expected.tolist()
-        # One job per worker, each a run of whole masks.
-        assert counter("exec.jobs_completed").value - completed == min(
-            executor.workers, count
-        )
+        gains = pool.initial_gains(model, count)
+        assert gains == (totals / count).tolist()
+        seeds, _ = run_celf(pool.oracle(model, count), 4, gains)
+        job = SelectionJob(pool, (MixGreedy(model, count),), 4)
+        (outcome,) = executor.run([job], rng=0)
+        assert list(outcome.estimates[0].seeds[0]) == seeds
 
 
 class TestReachDpBudget:
-    """A gains job sizes its reach DPs by live arcs; totals never move."""
+    """The oracle sizes its reach DPs by live arcs; no result moves."""
 
     def test_totals_equal_for_every_budget(self, random_graph, monkeypatch):
         masks = sample_snapshots(
@@ -192,24 +195,25 @@ class TestReachDpBudget:
         )
         n = random_graph.num_nodes
         costs = [count_bits(m) + n for m in masks]
-        job = SnapshotGainsJob(graph=random_graph, masks=tuple(masks))
         dp_calls = []
-        original = jobs_mod.all_reach_sizes
+        original = reachability_mod._closure_run
 
-        def spy(graph, chunk):
+        def spy(graph, chunk, *args):
             dp_calls.append(len(chunk))
-            return original(graph, chunk)
+            return original(graph, chunk, *args)
 
-        monkeypatch.setattr(jobs_mod, "all_reach_sizes", spy)
+        monkeypatch.setattr(reachability_mod, "_closure_run", spy)
         stack = stack_masks(masks, random_graph.num_edges)
-        expected = all_reach_sizes(random_graph, stack).sum(0)
+        expected = [reach_sizes_by_bfs(random_graph, mask) for mask in masks]
         # A budget of one mask, of eight masks, and of everything.
         for budget, runs in [(1, 20), (sum(costs[:8]), 3), (1 << 40, 1)]:
-            monkeypatch.setattr(jobs_mod, "REACH_DP_BUDGET", budget)
+            monkeypatch.setattr(snapshots_mod, "REACH_DP_BUDGET", budget)
             dp_calls.clear()
-            (result,) = job.run(np.random.default_rng(0))
-            np.testing.assert_array_equal(result.totals, expected)
+            oracle = SnapshotOracle(random_graph, masks)
+            np.testing.assert_array_equal(oracle.closure.reach_sizes(), expected)
+            assert oracle.initial_gains() == (np.sum(expected, axis=0) / 20).tolist()
             assert sum(dp_calls) == len(masks) and len(dp_calls) == runs
+        np.testing.assert_array_equal(all_reach_sizes(random_graph, stack), expected)
 
 
 class TestDefaultSampler:
@@ -232,17 +236,6 @@ class TestDefaultSampler:
 
 
 class TestGainsInputChecks:
-    def test_string_executor_rejected_with_type_name(self, karate):
-        masks = sample_snapshots(karate, IndependentCascade(0.1), 3, rng=1)
-        with pytest.raises(TypeError, match="str"):
-            snapshot_initial_gains(karate, masks, "serial")
-
-    def test_pool_gains_reject_non_executor(self, karate):
-        pool = SnapshotPool(karate)
-        pool.token(np.random.default_rng(2))
-        with pytest.raises(TypeError, match="int"):
-            pool.initial_gains(IndependentCascade(0.1), 4, 3)
-
     def test_resolve_executor_names_offending_type(self):
         from repro.exec.executor import resolve_executor
 
@@ -251,10 +244,12 @@ class TestGainsInputChecks:
 
     def test_empty_mask_list_is_a_cascade_error(self, karate):
         with pytest.raises(CascadeError, match="at least one snapshot mask"):
-            snapshot_initial_gains(karate, [])
+            SnapshotOracle(karate, [])
 
 
 class TestReachableMaskBatch:
+    """The oracle's stacked reach, and the stacked reach DP's shape checks."""
+
     def _masks(self, graph, count, seed):
         return sample_snapshots(
             graph, IndependentCascade(0.3), count, np.random.default_rng(seed)
@@ -263,8 +258,7 @@ class TestReachableMaskBatch:
     @pytest.mark.parametrize("sweep", ["python", "numpy"])
     def test_bit_identical_to_sequential_sweep(self, random_graph, sweep):
         masks = self._masks(random_graph, 7, 10)
-        matrix = np.stack(masks)
-        batch = reachable_mask_batch(random_graph, [0, 3], matrix)
+        batch = SnapshotOracle(random_graph, masks).reach([0, 3])
         assert batch.shape == (7, random_graph.num_nodes)
         for s, mask in enumerate(masks):
             single = _sweep(sweep, random_graph, [0, 3], mask)
@@ -272,23 +266,21 @@ class TestReachableMaskBatch:
 
     def test_kernels_agree(self, random_graph):
         masks = self._masks(random_graph, 5, 11)
-        batch = reachable_mask_batch(random_graph, [1, 2], np.stack(masks))
+        batch = SnapshotOracle(random_graph, [pack_bits(m) for m in masks]).reach([1, 2])
         walks = np.stack([random_graph.reachable_from([1, 2], m) for m in masks])
         np.testing.assert_array_equal(batch, walks)
 
     def test_empty_matrix(self, random_graph):
         matrix = np.zeros((0, random_graph.num_edges), dtype=bool)
-        batch = reachable_mask_batch(random_graph, [0], matrix)
-        assert batch.shape == (0, random_graph.num_nodes)
+        sizes = all_reach_sizes(random_graph, matrix)
+        assert sizes.shape == (0, random_graph.num_nodes)
 
     def test_shape_validation(self, random_graph):
         bad = np.zeros((3, random_graph.num_edges + 1), dtype=bool)
         with pytest.raises(CascadeError):
-            reachable_mask_batch(random_graph, [0], bad)
+            all_reach_sizes(random_graph, bad)
         with pytest.raises(CascadeError):
-            reachable_mask_batch(
-                random_graph, [0], np.zeros(random_graph.num_edges, dtype=bool)
-            )
+            SnapshotOracle(random_graph, list(bad))
 
 
 class TestBatchedOracle:
