@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable
 
-import numpy as np
-
 from repro.config import RunConfig
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import community_powerlaw, copying_model
-from repro.graphs.loaders import stream_edge_array
+from repro.graphs.loaders import relabel, stream_edge_array
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_fraction
 
@@ -52,10 +50,9 @@ def real_wiki_path() -> Path | None:
 def _load_real_wiki(path: Path) -> DiGraph:
     """Stream-parse the real wiki-Talk edge list into a :class:`DiGraph`."""
     edges = stream_edge_array(path)
-    labels = np.unique(edges)
-    src = np.searchsorted(labels, edges[:, 0])
-    dst = np.searchsorted(labels, edges[:, 1])
-    return DiGraph(labels.size, np.column_stack([src, dst]))
+    labels, src, dst = relabel(edges[:, 0], edges[:, 1])
+    del edges
+    return DiGraph.from_arrays(labels.size, src, dst)
 
 
 @dataclass(frozen=True)

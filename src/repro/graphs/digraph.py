@@ -23,6 +23,88 @@ from repro.errors import GraphError
 from repro.utils.bitset import lookup_bits
 
 
+#: Node ids are int32 in the CSR arrays, which caps *n*.
+_MAX_NODES = int(np.iinfo(np.int32).max)
+
+#: Elements per block when a build fills an m-sized array piecewise.
+_BLOCK = 1 << 16
+
+
+def _as_ids(values: object) -> np.ndarray:
+    """*values* as an integer array; anything else is a :class:`GraphError`.
+
+    Float and bool input is rejected rather than truncated.  An empty
+    Python sequence carries no dtype and reads as an empty int64 array.
+    """
+    ids = np.asarray(values)
+    if ids.size == 0 and not isinstance(values, np.ndarray):
+        ids = ids.astype(np.int64)
+    if ids.dtype.kind not in "iu":
+        raise GraphError(f"edge endpoints must be integers, got dtype {ids.dtype}")
+    return ids
+
+
+def _edge_columns(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` column views of an ``(m, 2)`` array or an iterable of pairs."""
+    edge_arr = _as_ids(edges if isinstance(edges, np.ndarray) else list(edges))
+    if edge_arr.size == 0:
+        edge_arr = edge_arr.reshape(0, 2)
+    if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
+        raise GraphError("edges must be (src, dst) pairs")
+    return edge_arr[:, 0], edge_arr[:, 1]
+
+
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for non-negative *ids*.
+
+    The keys ``ids * m + position`` are distinct, so one in-place
+    unstable sort orders them exactly as the stable argsort would, and
+    the sorted key modulo *m* is the position.  The caller bounds
+    ``max(ids) * m`` below 2**63.
+    """
+    m = ids.size
+    order = ids.astype(np.int64)
+    order *= m
+    # Positions go in a block at a time: a whole arange would be one more
+    # m-sized temporary at the build's peak.
+    for lo in range(0, m, _BLOCK):
+        order[lo : lo + _BLOCK] += np.arange(lo, min(lo + _BLOCK, m))
+    order.sort()
+    order %= max(m, 1)
+    return order
+
+
+def _indptr(ids: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of *ids* over ``0..n-1``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _kept_arcs(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+    """Mask of the arcs a graph keeps, or None when it keeps every arc.
+
+    An arc is kept when it is not a self-loop and no earlier arc has the
+    same ``(src, dst)``.  Sorting by destination and then, stably, by
+    source orders the arcs by ``(src, dst, position)``, so the first of
+    each run is the first occurrence.
+    """
+    order = _stable_order(dst)
+    order = order[_stable_order(src[order])]
+    run_src = src[order]
+    run_dst = dst[order]
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(run_src[1:], run_src[:-1], out=first[1:])
+    first[1:] |= run_dst[1:] != run_dst[:-1]
+    del run_src, run_dst
+    keep = np.empty(order.size, dtype=bool)
+    keep[order] = first
+    del order, first
+    keep &= src != dst
+    return None if keep.all() else keep
+
+
 class DiGraph:
     """Immutable directed graph over nodes ``0..n-1``.
 
@@ -32,8 +114,11 @@ class DiGraph:
         Number of nodes *n*. Nodes are the integers ``0..n-1``; isolated
         nodes are allowed.
     edges:
-        Iterable of ``(src, dst)`` pairs. Duplicate edges and self-loops are
-        removed (the paper's cascade models are defined on simple graphs).
+        Integer ``(src, dst)`` pairs: an ``(m, 2)`` array or an iterable
+        of pairs.  Self-loops are dropped and of repeated arcs the first
+        occurrence is kept (the paper's cascade models are defined on
+        simple graphs); the kept arcs, in input order, get the stable edge
+        ids ``0..m-1``.  Non-integer input is a :class:`GraphError`.
     """
 
     __slots__ = (
@@ -45,62 +130,55 @@ class DiGraph:
         "_in_indices",
         "_edge_ids",
         "_fingerprint",
-        "_in_edge_ids",
     )
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]) -> None:
-        if num_nodes < 0:
+        self._build(num_nodes, *_edge_columns(edges))
+
+    def _build(self, num_nodes: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """Fill the CSR arrays from parallel integer id arrays.
+
+        Every m-sized temporary is dropped as soon as it is spent, so the
+        build peaks below twice the finished arrays' bytes.
+        """
+        n = int(num_nodes)
+        if n < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
-        self._n = int(num_nodes)
+        if n > _MAX_NODES:
+            raise GraphError(f"num_nodes must be at most {_MAX_NODES}, got {n}")
+        m = int(src.size)
+        if m:
+            lo = min(src.min(), dst.min())
+            hi = max(src.max(), dst.max())
+            if lo < 0 or hi >= n:
+                raise GraphError(
+                    f"edge endpoints must lie in [0, {n}), got range [{lo}, {hi}]"
+                )
+            if n * m >= 2**63:
+                raise GraphError(f"{m} edges over {n} nodes overflow int64 sort keys")
 
-        # Array input (loaders, stores, generators that already vectorized)
-        # is used as-is; only generic iterables pay the list round-trip.
-        if isinstance(edges, np.ndarray):
-            edge_arr = edges.astype(np.int64, copy=False)
-        else:
-            edge_arr = np.asarray(list(edges), dtype=np.int64)
-        if edge_arr.size == 0:
-            edge_arr = edge_arr.reshape(0, 2)
-        if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
-            raise GraphError("edges must be (src, dst) pairs")
-        if edge_arr.size and (
-            edge_arr.min() < 0 or edge_arr.max() >= self._n
-        ):
-            raise GraphError(
-                f"edge endpoints must lie in [0, {self._n}), "
-                f"got range [{edge_arr.min()}, {edge_arr.max()}]"
-            )
+        src = src.astype(np.int32, copy=False)
+        dst = dst.astype(np.int32, copy=False)
+        keep = _kept_arcs(src, dst)
+        if keep is not None:
+            src = src[keep]
+            dst = dst[keep]
+            del keep
 
-        # Drop self-loops, then deduplicate.
-        if edge_arr.size:
-            edge_arr = edge_arr[edge_arr[:, 0] != edge_arr[:, 1]]
-        if edge_arr.size:
-            keys = edge_arr[:, 0] * self._n + edge_arr[:, 1]
-            _, unique_idx = np.unique(keys, return_index=True)
-            edge_arr = edge_arr[np.sort(unique_idx)]
-
-        self._m = int(edge_arr.shape[0])
-
-        src = edge_arr[:, 0]
-        dst = edge_arr[:, 1]
-
-        # Out-CSR, sorted by source.  ``edge_ids`` maps each position in the
-        # out-CSR back to a stable edge id 0..m-1 (the order after dedup), so
-        # per-edge attributes (live-edge masks, probabilities) can be stored
-        # as flat arrays indexed the same way.
-        out_order = np.argsort(src, kind="stable")
-        self._out_indices = dst[out_order].astype(np.int32)
-        self._out_indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.add.at(self._out_indptr, src + 1, 1)
-        np.cumsum(self._out_indptr, out=self._out_indptr)
-        self._edge_ids = out_order.astype(np.int64)
-
-        # In-CSR, sorted by destination.
-        in_order = np.argsort(dst, kind="stable")
-        self._in_indices = src[in_order].astype(np.int32)
-        self._in_indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.add.at(self._in_indptr, dst + 1, 1)
-        np.cumsum(self._in_indptr, out=self._in_indptr)
+        self._n = n
+        self._m = int(src.size)
+        self._out_indptr = _indptr(src, n)
+        self._in_indptr = _indptr(dst, n)
+        # In-CSR, stable by destination.
+        in_order = _stable_order(dst)
+        self._in_indices = src[in_order]
+        del in_order
+        # Out-CSR, stable by source.  ``edge_ids`` maps each out-CSR
+        # position to its stable edge id, so per-edge attributes
+        # (live-edge masks, probabilities) are flat arrays in id order.
+        self._edge_ids = _stable_order(src)
+        del src
+        self._out_indices = dst[self._edge_ids]
 
         for arr in (
             self._out_indptr,
@@ -110,9 +188,7 @@ class DiGraph:
             self._edge_ids,
         ):
             arr.setflags(write=False)
-
         self._fingerprint: int | None = None
-        self._in_edge_ids: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -239,23 +315,6 @@ class DiGraph:
         """Raw in-CSR column indices (read-only)."""
         return self._in_indices
 
-    @property
-    def in_edge_ids(self) -> np.ndarray:
-        """Stable edge id of each in-CSR position (read-only).
-
-        The in-direction counterpart of :attr:`edge_ids`: ``in_edge_ids[i]``
-        indexes per-edge attribute arrays for the edge stored at in-CSR
-        position *i*.  Derived lazily — the in-CSR is built by a stable sort
-        on destination over edge-id order, so the permutation is recovered
-        by repeating that sort — and cached.
-        """
-        if self._in_edge_ids is None:
-            _, dst = self.edge_array()
-            in_edge_ids = np.argsort(dst, kind="stable").astype(np.int64)
-            in_edge_ids.setflags(write=False)
-            self._in_edge_ids = in_edge_ids
-        return self._in_edge_ids
-
     # ------------------------------------------------------------------ #
     # traversal
     # ------------------------------------------------------------------ #
@@ -347,17 +406,23 @@ class DiGraph:
             if arr.flags.writeable:
                 arr.setflags(write=False)
         graph._fingerprint = fingerprint
-        graph._in_edge_ids = None
         return graph
 
     @classmethod
-    def from_arrays(cls, num_nodes: int, src: np.ndarray, dst: np.ndarray) -> "DiGraph":
-        """Build from parallel source/destination arrays."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
+    def from_arrays(cls, num_nodes: int, src: object, dst: object) -> "DiGraph":
+        """Build from parallel integer source/destination arrays.
+
+        The construction path behind every other constructor: the arrays
+        are read, never kept or modified, and the result is the graph
+        ``DiGraph(num_nodes, zip(src, dst))`` would build.
+        """
+        src_ids = _as_ids(src)
+        dst_ids = _as_ids(dst)
+        if src_ids.shape != dst_ids.shape or src_ids.ndim != 1:
             raise GraphError("src and dst must be 1-D arrays of equal length")
-        return cls(num_nodes, np.column_stack([src, dst]))
+        graph = object.__new__(cls)
+        graph._build(num_nodes, src_ids, dst_ids)
+        return graph
 
     @classmethod
     def from_undirected(cls, num_nodes: int, edges: Iterable[tuple[int, int]]) -> "DiGraph":
@@ -366,10 +431,12 @@ class DiGraph:
         Collaboration networks (Hep, Phy in the paper) are undirected; the
         cascade models operate on directed edges, so each undirected edge
         becomes an arc in both directions — the convention of Kempe et al.
+        The forward arcs come first, then every reversed arc.
         """
-        pairs = list(edges)
-        both = pairs + [(v, u) for (u, v) in pairs]
-        return cls(num_nodes, both)
+        src, dst = _edge_columns(edges)
+        return cls.from_arrays(
+            num_nodes, np.concatenate([src, dst]), np.concatenate([dst, src])
+        )
 
     @classmethod
     def from_networkx(cls, nx_graph: object) -> "DiGraph":
@@ -409,6 +476,9 @@ class DiGraph:
         return src, dst
 
     def reverse(self) -> "DiGraph":
-        """Return the graph with every edge reversed."""
-        src_rev = np.repeat(np.arange(self._n), np.diff(self._out_indptr))
+        """Return the graph with every edge reversed.
+
+        The reversed arcs are numbered in this graph's out-CSR order.
+        """
+        src_rev = np.repeat(np.arange(self._n, dtype=np.int32), np.diff(self._out_indptr))
         return DiGraph.from_arrays(self._n, self._out_indices, src_rev)

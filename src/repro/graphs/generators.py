@@ -92,11 +92,9 @@ def powerlaw_configuration(
     generator.shuffle(stubs)
     src = stubs[0::2]
     dst = stubs[1::2]
-    pairs = np.column_stack([src, dst])
     # DiGraph's constructor removes self-loops and duplicates; symmetrize
     # first so deduplication sees both orientations.
-    both = np.vstack([pairs, pairs[:, ::-1]])
-    return DiGraph(n, both)
+    return DiGraph.from_arrays(n, np.concatenate([src, dst]), np.concatenate([dst, src]))
 
 
 def community_powerlaw(
@@ -181,9 +179,7 @@ def community_powerlaw(
             break
         matched_pairs(deficit)
 
-    edges = np.array(sorted(chosen), dtype=np.int64)
-    both = np.vstack([edges, edges[:, ::-1]])
-    return DiGraph(n, both)
+    return DiGraph.from_undirected(n, np.array(sorted(chosen), dtype=np.int64))
 
 
 def copying_model(
@@ -216,28 +212,36 @@ def copying_model(
     clique = np.arange(boot - 1)[None, :]
     clique = clique + (clique >= np.arange(boot)[:, None])
     if n == boot:
-        src = np.repeat(np.arange(boot, dtype=np.int64), boot - 1)
-        return DiGraph(n, np.column_stack([src, clique.ravel()]))
+        src = np.repeat(np.arange(boot, dtype=np.int32), boot - 1)
+        return DiGraph.from_arrays(n, src, clique.ravel())
 
     v = np.arange(boot, n, dtype=np.int64)
     proto = generator.integers(0, v)
     copied = generator.random((v.size, c)) < beta
     slot = generator.integers(0, c, size=(v.size, c))
-    uniform = generator.integers(0, v[:, None], size=(v.size, c))
 
     # Entry (u, j) of the table is flat index u*c + j.  A root holds its
-    # target; a copied entry points at (proto, slot) until resolved.
-    targets = np.concatenate([clique.ravel(), uniform.ravel()])
+    # target; a copied entry points at (proto, slot) until resolved.  The
+    # copy draws are spent before the uniform draw is made, so they are
+    # never alive together; the draw order itself is fixed by the seed.
     ptr = np.arange(n * c, dtype=np.int64)
-    tail = ptr[boot * c:].reshape(-1, c)
-    np.copyto(tail, proto[:, None] * c + slot, where=copied)
+    slot += proto[:, None] * c
+    np.copyto(ptr[boot * c:].reshape(-1, c), slot, where=copied)
+    del proto, copied, slot
+    uniform = generator.integers(0, v[:, None], size=(v.size, c))
+    del v
+    targets = np.concatenate([clique.ravel(), uniform.ravel()], dtype=np.int32)
+    del uniform
     while True:
         jumped = ptr[ptr]
         if np.array_equal(jumped, ptr):
             break
         ptr = jumped
-    src = np.repeat(np.arange(n, dtype=np.int64), c)
-    return DiGraph(n, np.column_stack([src, targets[ptr]]))
+    del jumped
+    dst = targets[ptr]
+    del targets, ptr
+    src = np.repeat(np.arange(n, dtype=np.int32), c)
+    return DiGraph.from_arrays(n, src, dst)
 
 
 def erdos_renyi(
@@ -264,8 +268,8 @@ def erdos_renyi(
                 chosen.add(u * n + v)
             if len(chosen) == m:
                 break
-    edges = [divmod(code, n) for code in chosen]
-    return DiGraph(n, edges)
+    src, dst = np.divmod(np.fromiter(chosen, dtype=np.int64, count=m), n)
+    return DiGraph.from_arrays(n, src, dst)
 
 
 #: Zachary's karate club, hard-coded so tests never depend on networkx data.

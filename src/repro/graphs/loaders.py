@@ -67,6 +67,25 @@ def stream_edge_array(
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
+def relabel(
+    src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ids ``0..n-1`` for arbitrary integer node labels.
+
+    Returns ``(labels, src_ids, dst_ids)``: *labels* holds the distinct
+    labels in sorted order and each endpoint's dense id is its label's
+    rank there (``labels[src_ids] == src``) — one sort and two
+    ``np.searchsorted`` passes, no per-edge dict lookups.
+    """
+    labels = np.concatenate([src, dst])
+    labels.sort()
+    distinct = np.empty(labels.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(labels[1:], labels[:-1], out=distinct[1:])
+    labels = labels[distinct]
+    return labels, np.searchsorted(labels, src), np.searchsorted(labels, dst)
+
+
 def load_edge_list(
     path: PathLike,
     directed: bool = True,
@@ -116,16 +135,9 @@ def load_edge_list(
             sources.append(u)
             targets.append(v)
 
-    if not sources:
-        return DiGraph(0, []), {}
-
-    raw_src = np.asarray(sources, dtype=np.int64)
-    raw_dst = np.asarray(targets, dtype=np.int64)
-    # Vectorized relabel: labels are sorted by construction, so the dense id
-    # of every endpoint is its searchsorted rank — no per-edge dict lookups.
-    labels = np.unique(np.concatenate([raw_src, raw_dst]))
-    src = np.searchsorted(labels, raw_src)
-    dst = np.searchsorted(labels, raw_dst)
+    labels, src, dst = relabel(
+        np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    )
     label_map = {int(label): i for i, label in enumerate(labels)}
 
     if not directed:

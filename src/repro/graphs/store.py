@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph
-from repro.graphs.loaders import PathLike, stream_edge_array
+from repro.graphs.loaders import PathLike, relabel, stream_edge_array
 
 __all__ = [
     "GraphRef",
@@ -276,26 +276,22 @@ class GraphStore:
         time; each chunk is parsed with the C tokenizer (``np.loadtxt``)
         into an int64 array, so peak Python-object overhead is bounded by
         the chunk size regardless of total edge count.  Node labels are
-        relabelled to dense ``0..n-1`` with one ``np.unique`` +
-        ``np.searchsorted`` pass over the accumulated endpoint arrays; the
+        relabelled to dense ``0..n-1`` by :func:`~repro.graphs.loaders.relabel`
+        (one sort and two ``np.searchsorted`` passes); the
         sorted original labels are saved alongside the CSR arrays as
         ``labels.npy`` (dense id → label) when they are not already dense.
         """
         source = Path(path)
         edges = stream_edge_array(source, comment=comment, chunk_lines=chunk_lines)
-        if edges.size == 0:
-            graph = DiGraph(0, edges)
-            return self.save(graph, name or source.stem)
-
-        labels = np.unique(edges)
-        src = np.searchsorted(labels, edges[:, 0])
-        dst = np.searchsorted(labels, edges[:, 1])
+        labels, src, dst = relabel(edges[:, 0], edges[:, 1])
+        del edges
         if not directed:
             src, dst = (
                 np.concatenate([src, dst]),
                 np.concatenate([dst, src]),
             )
-        graph = DiGraph(labels.size, np.column_stack([src, dst]))
+        graph = DiGraph.from_arrays(labels.size, src, dst)
+        del src, dst
         ref = self.save(graph, name or source.stem)
         dense = labels.size == 0 or bool(
             labels[0] == 0 and labels[-1] == labels.size - 1

@@ -52,6 +52,52 @@ class TestConstruction:
     def test_repr(self, path_graph):
         assert repr(path_graph) == "DiGraph(n=5, m=4)"
 
+    def test_first_occurrence_numbers_the_edges(self):
+        g = DiGraph(3, [(1, 2), (0, 0), (0, 1), (1, 2), (0, 2), (0, 1)])
+        src, dst = g.edge_array()
+        assert list(zip(src.tolist(), dst.tolist())) == [(1, 2), (0, 1), (0, 2)]
+        assert g.edge_ids.tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.array([[0.5, 1.7]]),
+            np.array([[0.0, 1.0]]),
+            np.array([[False, True]]),
+            [(0.0, 1.0)],
+            [(True, False)],
+            np.empty((0, 2)),
+        ],
+        ids=["fractional", "integral-float", "bool", "float-pairs", "bool-pairs", "empty-float"],
+    )
+    def test_non_integer_edges_rejected(self, edges):
+        with pytest.raises(GraphError, match="integers"):
+            DiGraph(3, edges)
+
+    @pytest.mark.parametrize(
+        "src, dst",
+        [
+            (np.array([0.5]), np.array([1])),
+            (np.array([0]), np.array([1.0])),
+            (np.array([False]), np.array([True])),
+        ],
+        ids=["float-src", "float-dst", "bool"],
+    )
+    def test_from_arrays_rejects_non_integer_ids(self, src, dst):
+        with pytest.raises(GraphError, match="integers"):
+            DiGraph.from_arrays(3, src, dst)
+
+    def test_unsigned_and_narrow_ids_accepted(self):
+        expected = DiGraph(4, [(0, 1), (1, 2), (2, 3)]).fingerprint
+        for dtype in (np.uint8, np.int16, np.int32, np.uint64):
+            src = np.array([0, 1, 2], dtype=dtype)
+            dst = np.array([1, 2, 3], dtype=dtype)
+            assert DiGraph.from_arrays(4, src, dst).fingerprint == expected
+
+    def test_too_many_nodes_rejected(self):
+        with pytest.raises(GraphError, match="at most"):
+            DiGraph.from_arrays(2**31, np.array([0]), np.array([1]))
+
 
 class TestAdjacency:
     def test_out_neighbors(self, diamond_graph):
@@ -146,6 +192,16 @@ class TestConstructors:
     def test_from_arrays(self):
         g = DiGraph.from_arrays(3, np.array([0, 1]), np.array([1, 2]))
         assert g.num_edges == 2
+
+    def test_from_arrays_accepts_sequences(self):
+        assert DiGraph.from_arrays(3, [0, 1], [1, 2]).num_edges == 2
+        assert DiGraph.from_arrays(3, [], []).num_edges == 0
+
+    def test_from_arrays_keeps_its_input(self):
+        src = np.array([0, 0, 1, 1])
+        dst = np.array([1, 1, 1, 2])
+        DiGraph.from_arrays(3, src, dst)
+        assert src.tolist() == [0, 0, 1, 1] and dst.tolist() == [1, 1, 1, 2]
 
     def test_from_arrays_shape_mismatch(self):
         with pytest.raises(GraphError, match="equal length"):
