@@ -1,4 +1,4 @@
-"""The runtime switches: six ``REPRO_*`` environment variables, parsed here.
+"""The runtime switches: five ``REPRO_*`` environment variables, parsed here.
 
 ==========================  ==============================================  ==========
 variable                    meaning                                         default
@@ -9,8 +9,6 @@ variable                    meaning                                         defa
                             ``reduce``)
 ``REPRO_CONTRACTS``         runtime invariant checks in the simulation      off
                             stack
-``REPRO_REQUIRE_SEED``      make ``rng=None`` (ambient OS entropy) an       off
-                            error
 ``REPRO_DATA_DIR``          directory holding the real SNAP wiki-Talk       unset
                             edge list
 ==========================  ==============================================  ==========
@@ -41,7 +39,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "CONTRACTS_ENV_VAR",
     "DATA_DIR_ENV_VAR",
-    "REQUIRE_SEED_ENV_VAR",
     "SYMMETRY_ENV_VAR",
     "WORKERS_ENV_VAR",
     "RunConfig",
@@ -51,7 +48,6 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 SYMMETRY_ENV_VAR = "REPRO_SYMMETRY"
 CONTRACTS_ENV_VAR = "REPRO_CONTRACTS"
-REQUIRE_SEED_ENV_VAR = "REPRO_REQUIRE_SEED"
 DATA_DIR_ENV_VAR = "REPRO_DATA_DIR"
 
 _TRUE = frozenset({"1", "true", "on", "yes"})
@@ -91,13 +87,12 @@ def _parse_workers(raw: str | None) -> int | None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The resolved values of the six runtime switches."""
+    """The resolved values of the five runtime switches."""
 
     backend: str = "serial"
     workers: int | None = None
     symmetry: str = "full"
     contracts: bool = False
-    require_seed: bool = False
     data_dir: Path | None = None
 
     @classmethod
@@ -110,8 +105,5 @@ class RunConfig:
             workers=_parse_workers(env.get(WORKERS_ENV_VAR)),
             symmetry=env.get(SYMMETRY_ENV_VAR, "").strip() or "full",
             contracts=_parse_bool(CONTRACTS_ENV_VAR, env.get(CONTRACTS_ENV_VAR)),
-            require_seed=_parse_bool(
-                REQUIRE_SEED_ENV_VAR, env.get(REQUIRE_SEED_ENV_VAR)
-            ),
             data_dir=Path(data_dir) if data_dir else None,
         )

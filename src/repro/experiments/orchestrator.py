@@ -74,7 +74,7 @@ _LOG = get_logger("experiments.orchestrator")
 def _utc_timestamp() -> str:
     # Trajectory entries record *when* a benchmark ran — the timestamp is
     # the product, not hidden nondeterminism.
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")  # reprolint: disable=RP011
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @dataclass(frozen=True)

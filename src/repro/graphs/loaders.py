@@ -10,6 +10,7 @@ returned so results can be reported in terms of the original ids.
 from __future__ import annotations
 
 import gzip
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -27,6 +28,36 @@ def _open_text(path: Path, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
+def _parse_lines(
+    source: Path, lines: list[str], first_lineno: int, comment: str
+) -> np.ndarray:
+    """The ``(edges, 2)`` labels of *lines*, parsed one line at a time.
+
+    The slow path of :func:`stream_edge_array`, run only on a chunk the C
+    reader rejects: it names the offending line as ``path:lineno``, or
+    parses the labels ``int()`` reads but the C reader does not
+    (``1_000``).  Like the C reader it drops everything from *comment* to
+    the end of a line, so a line parses the same on either path.
+    """
+    pairs: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.split(comment, 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise GraphFormatError(
+                f"{source}:{lineno}: expected 'src dst', got {line!r}"
+            )
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{source}:{lineno}: non-integer node label in {line!r}"
+            ) from exc
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def stream_edge_array(
     path: PathLike,
     comment: str = "#",
@@ -39,29 +70,42 @@ def stream_edge_array(
     Python-object overhead stays bounded by the chunk size no matter how
     many edges the file holds, which is what makes 5M-edge ingestion
     (:meth:`repro.graphs.store.GraphStore.ingest_edge_list`) tractable.
-    Labels are returned raw (not relabelled).
+    Only a chunk the C reader rejects is re-scanned line by line, so a
+    malformed line raises :class:`GraphFormatError` naming
+    ``path:lineno``.  Labels are returned raw (not relabelled).
     """
     source = Path(path)
     chunks: list[np.ndarray] = []
+    first_lineno = 1
     with _open_text(source, "r") as handle:
         while True:
             lines = list(islice(handle, chunk_lines))
             if not lines:
                 break
             try:
-                chunk = np.loadtxt(
-                    lines,
-                    dtype=np.int64,
-                    comments=comment,
-                    usecols=(0, 1),
-                    ndmin=2,
-                )
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{source}: malformed edge-list chunk: {exc}"
-                ) from exc
+                with warnings.catch_warnings():
+                    # A chunk of comments and blank lines is no data, not
+                    # a problem.
+                    warnings.filterwarnings(
+                        "ignore",
+                        message="loadtxt: input contained no data",
+                        category=UserWarning,
+                    )
+                    # numpy 1.x truncates a float label ('0.5', '1e3') to
+                    # an int and only warns; reject the chunk instead.
+                    warnings.simplefilter("error", DeprecationWarning)
+                    chunk = np.loadtxt(
+                        lines,
+                        dtype=np.int64,
+                        comments=comment,
+                        usecols=(0, 1),
+                        ndmin=2,
+                    )
+            except (ValueError, DeprecationWarning):
+                chunk = _parse_lines(source, lines, first_lineno, comment)
             if chunk.size:
                 chunks.append(chunk)
+            first_lineno += len(lines)
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
@@ -101,7 +145,7 @@ def load_edge_list(
         If False, every edge is added in both directions (collaboration
         networks).
     comment:
-        Lines starting with this prefix are skipped.
+        Text from this prefix to the end of a line is skipped.
 
     Returns
     -------
@@ -113,31 +157,8 @@ def load_edge_list(
     GraphFormatError
         On malformed lines (wrong column count, non-integer labels).
     """
-    path = Path(path)
-    sources: list[int] = []
-    targets: list[int] = []
-    with _open_text(path, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith(comment):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'src dst', got {line!r}"
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer node label in {line!r}"
-                ) from exc
-            sources.append(u)
-            targets.append(v)
-
-    labels, src, dst = relabel(
-        np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
-    )
+    edges = stream_edge_array(path, comment=comment)
+    labels, src, dst = relabel(edges[:, 0], edges[:, 1])
     label_map = {int(label): i for i, label in enumerate(labels)}
 
     if not directed:

@@ -82,7 +82,7 @@ class GraphRef:
 
 
 # Per-process handle cache.  Callers' own threads may resolve refs
-# concurrently, so writes happen under the lock (RP013); forked workers
+# concurrently, so writes happen under the lock; forked workers
 # inherit the parent's dict, whose mmap handles remain valid post-fork, but
 # the pid guard re-keys defensively in case the cache was captured mid-write.
 _HANDLE_LOCK = threading.Lock()

@@ -11,12 +11,11 @@ mechanically:
 * :mod:`repro.lint.rules` — the per-file AST rules;
 * :mod:`repro.lint.engine` — file discovery, suppression handling
   (``# reprolint: disable=RPxxx``), and human/JSON rendering;
-* :mod:`repro.lint.project` — the whole-program rules over a symbol table
-  and call graph of the package;
-* :mod:`repro.lint.cli` — ``python -m repro lint``, one pass running both.
+* :mod:`repro.lint.cli` — ``python -m repro lint``, one pass of those rules.
 
 Nothing on the query path imports this package; the runtime invariant
-checks live in :mod:`repro.contracts`.  See ``docs/static-analysis.md``
+checks live in :mod:`repro.contracts`, and determinism under a seed is
+checked by running it (``tests/test_exec_determinism.py``).  See ``docs/static-analysis.md``
 for the rule catalogue with examples.
 """
 

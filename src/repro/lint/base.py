@@ -17,11 +17,7 @@ from typing import ClassVar
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a source location.
-
-    ``trace`` is the entry→site call path of a whole-program finding whose
-    evidence crosses modules; per-file findings leave it empty.
-    """
+    """One rule violation at a source location."""
 
     path: str
     line: int
@@ -29,16 +25,14 @@ class Finding:
     code: str
     message: str
     hint: str
-    trace: str = ""
 
     def render(self) -> str:
         """``path:line:col: CODE message`` — the human-readable form."""
-        base = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-        return f"{base}\n    via: {self.trace}" if self.trace else base
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready representation (stable key set; see docs)."""
-        out: dict[str, object] = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -46,9 +40,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-        if self.trace:
-            out["trace"] = self.trace
-        return out
 
 
 class Rule(ast.NodeVisitor):

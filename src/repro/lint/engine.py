@@ -28,7 +28,7 @@ from repro.lint.rules import ALL_RULES
 PARSE_ERROR_CODE = "RP999"
 
 #: JSON output schema version; bump on any key change.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 _SUPPRESSION = re.compile(r"#\s*reprolint:\s*disable(?:=(?P<codes>[A-Z0-9,\s]+))?")
 
@@ -105,56 +105,6 @@ def select_rules(
     return rules
 
 
-def parse_error_finding(display: str, exc: SyntaxError) -> Finding:
-    """The RP999 finding of a file the parser rejects."""
-    return Finding(
-        path=display,
-        line=exc.lineno or 1,
-        col=(exc.offset or 0) or 1,
-        code=PARSE_ERROR_CODE,
-        message=f"file does not parse: {exc.msg}",
-        hint="fix the syntax error; reprolint needs a valid AST",
-    )
-
-
-def unreadable_finding(display: str, exc: Exception) -> Finding:
-    """The RP999 finding of a file that cannot be read as UTF-8 text.
-
-    Unreadable files are findings, not crashes: the run completes, reports
-    the file, and exits nonzero like any other finding.
-    """
-    return Finding(
-        path=display,
-        line=1,
-        col=1,
-        code=PARSE_ERROR_CODE,
-        message=f"file unreadable: {exc}",
-        hint="fix the file's permissions or encoding; reprolint "
-        "never skips files silently",
-    )
-
-
-def lint_tree(
-    tree: ast.Module,
-    path: Path,
-    suppressions: dict[int, set[str] | None],
-    rules: Sequence[type[Rule]],
-) -> list[Finding]:
-    """Run per-file *rules* on an already parsed module; returns sorted findings."""
-    module = module_parts(path)
-    display = str(path)
-    findings: list[Finding] = []
-    for rule_cls in rules:
-        if not rule_cls.applies_to(module):
-            continue
-        rule = rule_cls(display, module)
-        rule.visit(tree)
-        findings.extend(
-            f for f in rule.findings if not _suppressed(f, suppressions)
-        )
-    return sorted(findings)
-
-
 def lint_source(
     source: str,
     path: Path | str = "<string>",
@@ -163,11 +113,32 @@ def lint_source(
 ) -> list[Finding]:
     """Lint *source*, scoping rules by *path*; returns sorted findings."""
     path = Path(path)
+    display = str(path)
     try:
-        tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=display)
     except SyntaxError as exc:
-        return [parse_error_finding(str(path), exc)]
-    return lint_tree(tree, path, parse_suppressions(source), select_rules(select, ignore))
+        return [
+            Finding(
+                path=display,
+                line=exc.lineno or 1,
+                col=(exc.offset or 0) or 1,
+                code=PARSE_ERROR_CODE,
+                message=f"file does not parse: {exc.msg}",
+                hint="fix the syntax error; reprolint needs a valid AST",
+            )
+        ]
+    suppressions = parse_suppressions(source)
+    module = module_parts(path)
+    findings: list[Finding] = []
+    for rule_cls in select_rules(select, ignore):
+        if not rule_cls.applies_to(module):
+            continue
+        rule = rule_cls(display, module)
+        rule.visit(tree)
+        findings.extend(
+            f for f in rule.findings if not _suppressed(f, suppressions)
+        )
+    return sorted(findings)
 
 
 def lint_paths(
@@ -182,7 +153,19 @@ def lint_paths(
         try:
             source = file_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            findings.append(unreadable_finding(str(file_path), exc))
+            # Unreadable files are findings, not crashes: the run completes,
+            # reports the file, and exits nonzero like any other finding.
+            findings.append(
+                Finding(
+                    path=str(file_path),
+                    line=1,
+                    col=1,
+                    code=PARSE_ERROR_CODE,
+                    message=f"file unreadable: {exc}",
+                    hint="fix the file's permissions or encoding; reprolint "
+                    "never skips files silently",
+                )
+            )
             continue
         findings.extend(lint_source(source, file_path, select, ignore))
     return sorted(findings)

@@ -129,7 +129,7 @@ class RunJournal:
                 "event": event,
                 # The timestamp IS the product here (journals record when
                 # things happened); replay comparisons ignore the envelope.
-                "ts": time.time(),  # reprolint: disable=RP011
+                "ts": time.time(),
                 "seq": self._seq,
                 "run_id": self.run_id,
             }

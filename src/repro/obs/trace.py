@@ -198,7 +198,7 @@ def span(
     _LOG.debug("span %s started %s", name, fields or "")
     # Wall-clock start is a journaled product field (durations use the
     # perf_counter below); same decision as RunJournal.emit's "ts".
-    handle.start_ts = time.time()  # reprolint: disable=RP011
+    handle.start_ts = time.time()
     started = time.perf_counter()
     try:
         yield handle

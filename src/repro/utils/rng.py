@@ -14,48 +14,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import RunConfig
-
 RandomSource = int | np.random.Generator | np.random.SeedSequence | None
 """Anything convertible to a :class:`numpy.random.Generator`."""
-
-
-def _entropy_rng() -> np.random.Generator:
-    """The single allowlisted ambient-entropy boundary of the library.
-
-    ``rng=None`` means "fresh OS entropy" by documented contract, and this
-    helper is the only place that contract is honoured — every other
-    generator in the project derives from an explicit seed through the
-    ``SeedSequence.spawn`` chain.  Setting ``REPRO_REQUIRE_SEED=1`` turns
-    the fallback into a ``ValueError``: an opt-in check for a user who
-    wants a run of their own code to fail at the first call that would
-    draw unseeded randomness.  Neither CI nor the benchmark sets it (the
-    benchmark clears every ``REPRO_*`` variable), and the test suite does
-    not pass under it, since some tests call with ``rng=None`` on purpose.
-    """
-    if RunConfig.from_env().require_seed:
-        raise ValueError(
-            "rng=None requests ambient OS entropy, but REPRO_REQUIRE_SEED "
-            "is set; pass an explicit int seed, SeedSequence, or Generator"
-        )
-    # Decision (reprolint RP010): ambient entropy is the *documented*
-    # meaning of rng=None, kept behind this one boundary and gated by
-    # REPRO_REQUIRE_SEED above for strict runs.
-    return np.random.default_rng()  # reprolint: disable=RP010
 
 
 def as_rng(rng: RandomSource = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for *rng*.
 
-    ``None`` produces a generator seeded from OS entropy (rejected when the
-    ``REPRO_REQUIRE_SEED`` environment variable is set — see
-    :func:`_entropy_rng`); an ``int`` or a
+    ``None`` produces a generator seeded from OS entropy — the one ambient
+    entropy source of the library; an ``int`` or a
     :class:`numpy.random.SeedSequence` produces a deterministic generator;
     an existing generator is returned unchanged (NOT copied — callers share
     its state deliberately).
     """
     if rng is None:
-        return _entropy_rng()
+        return np.random.default_rng()
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, np.random.SeedSequence):

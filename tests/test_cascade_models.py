@@ -7,6 +7,7 @@ from repro.cascade.ic import IndependentCascade
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError
+from repro.graphs.datasets import hep
 from repro.utils.rng import as_rng
 
 
@@ -118,6 +119,16 @@ class TestLinearThreshold:
     def test_bad_seed_rejected(self, karate):
         with pytest.raises(CascadeError):
             LinearThreshold().simulate(karate, [99])
+
+    def test_consecutive_spreads_pinned(self):
+        # Eight diffusions off one generator, seeds unsorted and repeated,
+        # then one more draw: pins both the spreads and how far each
+        # diffusion advances the stream.
+        graph = hep(scale=0.02)
+        model, rng = LinearThreshold(), as_rng(2015)
+        spreads = [int(model.simulate(graph, [40, 0, 17, 5, 5], rng).sum()) for _ in range(8)]
+        assert spreads == [17, 9, 52, 13, 6, 17, 11, 16]
+        assert int(rng.integers(2**31)) == 1897267909
 
     def test_live_mask_at_most_one_in_edge(self, karate):
         model = LinearThreshold()

@@ -10,12 +10,10 @@ import pytest
 import repro
 from repro.config import (
     CONTRACTS_ENV_VAR,
-    REQUIRE_SEED_ENV_VAR,
     RunConfig,
 )
 from repro.errors import ConfigError
 from repro import contracts
-from repro.utils.rng import as_rng
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -55,7 +53,6 @@ class TestRunConfig:
             "REPRO_WORKERS",
             "REPRO_SYMMETRY",
             CONTRACTS_ENV_VAR,
-            REQUIRE_SEED_ENV_VAR,
             "REPRO_DATA_DIR",
         ):
             monkeypatch.delenv(name, raising=False)
@@ -66,14 +63,12 @@ class TestRunConfig:
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_SYMMETRY", "reduce")
         monkeypatch.setenv(CONTRACTS_ENV_VAR, "on")
-        monkeypatch.setenv(REQUIRE_SEED_ENV_VAR, "Yes")
         monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
         assert RunConfig.from_env() == RunConfig(
             backend="process",
             workers=3,
             symmetry="reduce",
             contracts=True,
-            require_seed=True,
             data_dir=tmp_path,
         )
 
@@ -82,22 +77,13 @@ def _contracts_on() -> bool:
     return contracts.enabled()
 
 
-def _require_seed_on() -> bool:
-    try:
-        as_rng(None)
-    except ValueError:
-        return True
-    return False
-
-
 BOOL_SWITCHES = [
     pytest.param(CONTRACTS_ENV_VAR, _contracts_on, id="contracts"),
-    pytest.param(REQUIRE_SEED_ENV_VAR, _require_seed_on, id="require-seed"),
 ]
 
 
 class TestBoolSwitches:
-    """Both boolean switches share one strict parser."""
+    """The boolean switch has one strict parser."""
 
     @pytest.mark.parametrize("name, is_on", BOOL_SWITCHES)
     @pytest.mark.parametrize("raw", ["1", "true", "ON", "yes", " True "])

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.algorithms.base import SelectionJob
+from repro.algorithms.greedy import MixGreedy
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.ic import IndependentCascade
+from repro.cascade.pools import SnapshotPool
 from repro.errors import ConfigError, ExecutionError
 from repro.exec import (
     BACKENDS,
@@ -46,6 +51,32 @@ class CountingSpreadJob(SpreadJob):
 @pytest.fixture
 def model():
     return IndependentCascade(0.2)
+
+
+def _spread_job(graph, model):
+    return SpreadJob(graph=graph, model=model, seeds=(0, 1), rounds=6)
+
+
+def _competitive_job(graph, model):
+    cells = (
+        ProfileCell(seed_sets=((0, 1), (2, 3)), rounds=4),
+        ProfileCell(seed_sets=((4,), (0, 5)), rounds=3, seed=11),
+    )
+    return CompetitiveJob(graph=graph, model=model, cells=cells)
+
+
+def _selection_job(graph, model):
+    pool = SnapshotPool(graph)
+    pool.token(as_rng(3))
+    return SelectionJob(pool, (MixGreedy(model, 6),), 3)
+
+
+#: One factory per job class the executor ships to workers.
+JOB_FACTORIES = [
+    pytest.param(_spread_job, id="SpreadJob"),
+    pytest.param(_competitive_job, id="CompetitiveJob"),
+    pytest.param(_selection_job, id="SelectionJob"),
+]
 
 
 @pytest.fixture
@@ -110,6 +141,13 @@ class TestJobs:
             crn_base=123456,
         )
         assert job.run(as_rng(1)) == job.run(as_rng(999))
+
+    @pytest.mark.parametrize("make_job", JOB_FACTORIES)
+    def test_job_round_trips_through_pickle(self, random_graph, model, make_job):
+        job = make_job(random_graph, model)
+        clone = pickle.loads(pickle.dumps(job))
+        assert type(clone) is type(job)
+        assert clone.run(as_rng(5)) == job.run(as_rng(5))
 
 
 class TestBackends:

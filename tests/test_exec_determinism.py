@@ -6,9 +6,16 @@ results on every backend at any worker count** for a fixed master seed.
 These tests pin that promise at the two levels that matter: raw batches
 and the full ``estimate_payoff_table`` fan-out, plus a regression test
 that result assembly does not depend on job completion order.
+:class:`TestCrossProcessDigest` checks the whole promise end to end, in
+fresh interpreters.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +67,105 @@ class TestPayoffTableDeterminism:
         with Executor("process", workers=4) as ex:
             four = _flatten(_table(ex))
         assert one == four
+
+
+#: One small seeded GetReal query: MixGreedy runs as a selection job, the
+#: heuristics draw from the query's generator, and the payoff cells run as
+#: competitive jobs.  Prints the digest of the graph fingerprint, every
+#: selected seed set and the payoff table, then the backend and workers.
+_DIGEST_QUERY = """
+import hashlib
+
+import repro
+from repro.core import payoff
+from repro.exec.executor import default_executor
+
+selections = []
+_select_with_pools = payoff.select_with_pools
+
+
+def _recording(*args, **kwargs):
+    selected = _select_with_pools(*args, **kwargs)
+    selections.append(selected)
+    return selected
+
+
+payoff.select_with_pools = _recording
+graph = repro.hep(scale=0.02)
+model = repro.IndependentCascade(0.1)
+result = repro.get_real(
+    graph,
+    model,
+    [
+        repro.MixGreedy(model, num_snapshots=8),
+        repro.DegreeDiscount(0.1),
+        repro.RandomSeeds(),
+    ],
+    num_groups=2,
+    k=4,
+    rounds=12,
+    seed_draws=2,
+    rng=2015,
+)
+state = (
+    graph.fingerprint,
+    selections,
+    sorted(
+        (profile, [(e.mean, e.std, e.samples) for e in ests])
+        for profile, ests in result.payoff_table.estimates.items()
+    ),
+)
+executor = default_executor()
+print(
+    hashlib.sha256(repr(state).encode()).hexdigest(),
+    executor.backend_name,
+    executor.workers,
+)
+"""
+
+
+class TestCrossProcessDigest:
+    """Bit-identical replay under a seed, across interpreters and backends.
+
+    Each run is a fresh interpreter, so an ambient RNG draw, an
+    iteration order that follows ``PYTHONHASHSEED`` or ``id()``, or a job
+    payload that does not survive pickling shows as a different digest
+    (or a failed run).
+    """
+
+    RUNS = [
+        ("0", "serial", None),
+        ("1", "serial", None),
+        ("1", "process", "2"),
+    ]
+
+    def test_hash_seeds_and_backends_agree(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        base = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        procs = []
+        for hash_seed, backend, workers in self.RUNS:
+            env = {**base, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+            env["REPRO_BACKEND"] = backend
+            if workers is not None:
+                env["REPRO_WORKERS"] = workers
+            procs.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _DIGEST_QUERY],
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        outputs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            outputs.append(out.split())
+        assert [backend for _, backend, _ in outputs] == ["serial", "serial", "process"]
+        assert outputs[2][2] == "2"
+        digests = [digest for digest, _, _ in outputs]
+        assert len(set(digests)) == 1, dict(zip(self.RUNS, digests))
 
 
 class _ReversedBackend(SerialBackend):

@@ -1,12 +1,14 @@
 """Tests for repro.graphs.loaders (SNAP edge-list I/O)."""
 
 import gzip
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
 from repro.graphs.digraph import DiGraph
-from repro.graphs.loaders import load_edge_list, save_edge_list
+from repro.graphs.loaders import load_edge_list, save_edge_list, stream_edge_array
 
 
 class TestLoadEdgeList:
@@ -94,3 +96,55 @@ class TestSaveEdgeList:
         save_edge_list(graph, path)
         loaded, _ = load_edge_list(path)
         assert sorted(loaded.edges()) == sorted(graph.edges())
+
+
+class TestChunkedParsing:
+    def test_malformed_line_in_a_later_chunk_reports_location(self, tmp_path):
+        path = tmp_path / "g.txt"
+        lines = [f"{i} {i + 1}" for i in range(10)]
+        lines[7] = "7 x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError, match=r"g\.txt:8: non-integer"):
+            stream_edge_array(path, chunk_lines=3)
+
+    def test_labels_only_int_reads_parse_like_int(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1_000 2\n")
+        edges = stream_edge_array(path, chunk_lines=1)
+        assert edges.tolist() == [[0, 1], [1000, 2]]
+
+    def test_comment_only_file_loads_without_warning(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# only comments\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph, _ = load_edge_list(path)
+        assert graph.num_nodes == 0
+
+    @pytest.mark.parametrize("line", ["0.5 1.7", "1e3 2"])
+    @pytest.mark.parametrize("reader", [load_edge_list, stream_edge_array])
+    def test_float_labels_rejected(self, tmp_path, reader, line):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(GraphFormatError, match=r"g\.txt:2: non-integer"):
+            reader(path)
+
+    def test_float_label_rejected_when_numpy_only_warns(self, tmp_path, monkeypatch):
+        # numpy 1.x's loadtxt truncates a float to an int and only warns.
+        def truncating_loadtxt(lines, **kwargs):
+            warnings.warn("Parsing an integer via a float", DeprecationWarning)
+            return np.array([[0, 1]], dtype=np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        path = tmp_path / "g.txt"
+        path.write_text("0.5 1.7\n")
+        with pytest.raises(GraphFormatError, match=r"g\.txt:1: non-integer"):
+            stream_edge_array(path)
+
+    def test_inline_comment_parses_on_both_paths(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1#x\n2 3 # y\n")
+        assert stream_edge_array(path).tolist() == [[0, 1], [2, 3]]
+        # '1_000' sends the chunk to the line-by-line reader.
+        path.write_text("0 1#x\n2 3 # y\n1_000 2\n")
+        assert stream_edge_array(path).tolist() == [[0, 1], [2, 3], [1000, 2]]

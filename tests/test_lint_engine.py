@@ -193,10 +193,17 @@ class TestCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("RP")]
-        assert listed == [
-            "RP001", "RP002", "RP003", "RP004", "RP009",
-            "RP010", "RP011", "RP012", "RP013",
-        ]
+        assert listed == ["RP001", "RP002", "RP003", "RP004", "RP009"]
+
+    def test_unparsable_and_unreadable_files_exit_one(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        (tmp_path / "binary.py").write_bytes(b"x = '\xff\xfe'\n")
+        assert lint_main([str(tmp_path), "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        messages = sorted(f["message"] for f in document["findings"])
+        assert document["summary"]["by_code"] == {"RP999": 2}
+        assert messages[0].startswith("file does not parse")
+        assert messages[1].startswith("file unreadable")
 
 
 class TestSelfCheck:
@@ -206,8 +213,8 @@ class TestSelfCheck:
         assert findings == [], format_findings(findings)
 
     def test_module_entry_point(self):
-        """``python -m repro lint`` runs the per-file and the project rules
-        over ``src/repro`` and exits 0 on the shipped tree."""
+        """``python -m repro lint`` runs the per-file rules over ``src`` and
+        exits 0 on the shipped tree."""
         result = subprocess.run(
             [sys.executable, "-m", "repro", "lint"],
             capture_output=True,
@@ -227,6 +234,7 @@ class TestSelfCheck:
             ["--update-baseline"],
             ["--baseline", "b.json"],
             ["--show-baselined"],
+            ["--jobs", "2"],
         ):
             with pytest.raises(SystemExit) as exc:
                 lint_main([*option, str(SRC)])

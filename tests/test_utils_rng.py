@@ -44,20 +44,3 @@ class TestDeriveSeed:
 
     def test_salt_changes_value(self):
         assert derive_seed(9, salt=1) != derive_seed(9)
-
-
-class TestRequireSeed:
-    def test_none_raises_under_strict_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REQUIRE_SEED", "1")
-        with pytest.raises(ValueError, match="REPRO_REQUIRE_SEED"):
-            as_rng(None)
-
-    def test_explicit_seed_still_fine_under_strict_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REQUIRE_SEED", "1")
-        a = as_rng(7).random(4)
-        b = as_rng(7).random(4)
-        assert np.array_equal(a, b)
-
-    def test_falsy_value_leaves_entropy_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REQUIRE_SEED", "0")
-        assert isinstance(as_rng(None), np.random.Generator)
