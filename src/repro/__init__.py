@@ -54,7 +54,6 @@ from repro.cascade import (
     estimate_spread,
 )
 from repro.algorithms import (
-    CELFGreedy,
     DegreeDiscount,
     HighDegree,
     MixGreedy,
@@ -145,7 +144,6 @@ __all__ = [
     # algorithms
     "SeedSelector",
     "MixGreedy",
-    "CELFGreedy",
     "DegreeDiscount",
     "SingleDiscount",
     "HighDegree",

@@ -15,7 +15,7 @@ from repro.algorithms.base import (
     register_algorithm,
     registered_algorithms,
 )
-from repro.algorithms.greedy import CELFGreedy, MixGreedy
+from repro.algorithms.greedy import MixGreedy
 from repro.algorithms.degree_discount import DegreeDiscount
 from repro.algorithms.single_discount import SingleDiscount
 from repro.algorithms.heuristics import HighDegree, PageRankSeeds, RandomSeeds
@@ -26,7 +26,6 @@ __all__ = [
     "get_algorithm",
     "register_algorithm",
     "registered_algorithms",
-    "CELFGreedy",
     "MixGreedy",
     "DegreeDiscount",
     "SingleDiscount",
@@ -50,16 +49,6 @@ def _register_defaults() -> None:
     register_algorithm(
         "mgwc",
         lambda num_snapshots=100: MixGreedy(WeightedCascade(), num_snapshots),
-    )
-    register_algorithm(
-        "celfic",
-        lambda probability=0.01, num_snapshots=100: CELFGreedy(
-            IndependentCascade(probability), num_snapshots
-        ),
-    )
-    register_algorithm(
-        "celfwc",
-        lambda num_snapshots=100: CELFGreedy(WeightedCascade(), num_snapshots),
     )
     register_algorithm("ddic", DegreeDiscount)
     register_algorithm("sdwc", SingleDiscount)

@@ -1,4 +1,4 @@
-"""Greedy IM algorithms: MixGreedy (NewGreedy + CELF) and plain CELF.
+"""Greedy IM algorithm: MixGreedy (NewGreedy + CELF).
 
 ``MixGreedy`` is the algorithm of Chen, Wang & Yang (KDD'09) the paper uses
 as its strong strategy (MGIC under IC, MGWC under WC): sample ``R``
@@ -18,15 +18,9 @@ candidates, each batch one gather from the same closure.  Every count is
 an integer divided by the snapshot count once, so gains and picks are
 exact.
 
-``CELFGreedy`` is the classical lazy-greedy of Leskovec et al. (KDD'07),
-implemented against the same snapshot oracle but initializing from the
-same exact reach-size computation; it is provided as an extra strategy and
-for cross-checking MixGreedy (both maximize the same monotone submodular
-estimate, so their spreads agree within noise).
-
 When a shared :class:`~repro.cascade.pools.SnapshotPool` is passed to
-``select`` (the payoff estimator creates one per ``(draw, group)``), both
-algorithms draw their masks, oracle, and initial gains from the pool via
+``select`` (the payoff estimator creates one per ``(draw, group)``),
+MixGreedy draws its masks, oracle, and initial gains from the pool via
 ``_select_pooled`` instead of resampling privately.  Such a selection
 takes one integer from the caller's generator (the pool token) and is
 otherwise a function of (graph, model, count, token, k), so it runs as a
@@ -130,8 +124,14 @@ def run_celf(oracle: SnapshotOracle, k: int, gains: list[float]) -> tuple[list[i
     return list(trace.picks), trace
 
 
-class _SnapshotGreedyBase(SeedSelector):
-    """Shared CELF machinery over a live-edge snapshot oracle.
+class MixGreedy(SeedSelector):
+    """MixGreedy of Chen et al. — NewGreedy first round, CELF afterwards.
+
+    The paper's strategy labels follow the cascade model: ``mgic`` with
+    :class:`~repro.cascade.ic.IndependentCascade`, ``mgwc`` with
+    :class:`~repro.cascade.wc.WeightedCascade`.  CELF's first-pick gains
+    are the singleton spreads, the same integers as the NewGreedy reach
+    sizes, so both steps read one closure of a live-edge snapshot oracle.
 
     *executor* is accepted for call compatibility and not used: a
     selection's one DP runs in the process that selects.
@@ -147,6 +147,7 @@ class _SnapshotGreedyBase(SeedSelector):
     ) -> None:
         self.model = model
         self.num_snapshots = check_positive_int(num_snapshots, "num_snapshots")
+        self.name = f"mg{model.name}"
 
     def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
         k = self._check_budget(graph, k)
@@ -158,54 +159,13 @@ class _SnapshotGreedyBase(SeedSelector):
             graph, self.model, self.num_snapshots, generator
         )
         oracle = SnapshotOracle(graph, masks)
-        return self._run_celf(k, oracle, oracle.initial_gains())
+        seeds, _ = run_celf(oracle, k, oracle.initial_gains())
+        return seeds
 
     def _select_pooled(self, graph: DiGraph, k: int, pool: SnapshotPool) -> list[int]:
         """Select against the group's shared masks and shared initial gains."""
         k = self._check_budget(graph, k)
         oracle = pool.oracle(self.model, self.num_snapshots)
         gains = pool.initial_gains(self.model, self.num_snapshots)
-        return self._run_celf(k, oracle, gains)
-
-    def _run_celf(
-        self, k: int, oracle: SnapshotOracle, gains: list[float]
-    ) -> list[int]:
         seeds, _ = run_celf(oracle, k, gains)
         return seeds
-
-
-class MixGreedy(_SnapshotGreedyBase):
-    """MixGreedy of Chen et al. — NewGreedy first round, CELF afterwards.
-
-    The paper's strategy labels follow the cascade model: ``mgic`` with
-    :class:`~repro.cascade.ic.IndependentCascade`, ``mgwc`` with
-    :class:`~repro.cascade.wc.WeightedCascade`.
-    """
-
-    def __init__(
-        self,
-        model: CascadeModel,
-        num_snapshots: int = 100,
-        executor: Executor | None = None,
-    ) -> None:
-        super().__init__(model, num_snapshots, executor)
-        self.name = f"mg{model.name}"
-
-
-class CELFGreedy(_SnapshotGreedyBase):
-    """Classical CELF lazy greedy against the same snapshot oracle.
-
-    The first-pick gains of CELF are the singleton spreads — identical
-    integers to the NewGreedy reach sizes — so it shares the closure's
-    initial gains and differs from MixGreedy only in name
-    (both then run the same lazy refinement).
-    """
-
-    def __init__(
-        self,
-        model: CascadeModel,
-        num_snapshots: int = 100,
-        executor: Executor | None = None,
-    ) -> None:
-        super().__init__(model, num_snapshots, executor)
-        self.name = f"celf{model.name}"

@@ -16,20 +16,18 @@ model; this library also ships Linear Threshold (LT).  All three are
     which influence spread equals reachability.  MixGreedy evaluates spreads
     on pre-sampled snapshots instead of re-simulating cascades.
 
-``simulate``
-    Run one full (single-group, non-competitive) diffusion from a seed set
-    and return the activated-node indicator.  The competitive extension
-    lives in :mod:`repro.cascade.competitive`.
+Diffusions run in :class:`repro.cascade.competitive.CompetitiveDiffusion`,
+one kernel per model: a classical (single-group) diffusion is its one-group
+case, ``CompetitiveDiffusion(graph, model).run([seeds])``, whose active
+nodes are those with ``owner >= 0``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cascade.kernels import simulate_cascade
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import RandomSource, as_rng
 
@@ -49,32 +47,6 @@ class CascadeModel(ABC):
         generator = as_rng(rng)
         probs = self.edge_probabilities(graph)
         return generator.random(probs.shape[0]) < probs
-
-    def simulate(
-        self,
-        graph: DiGraph,
-        seeds: Sequence[int],
-        rng: RandomSource = None,
-    ) -> np.ndarray:
-        """One diffusion from *seeds*; returns the active-node boolean array.
-
-        Default implementation is the standard cascade process: each newly
-        activated node gets a single chance to activate each inactive
-        out-neighbour with the model's edge probability
-        (:func:`repro.cascade.kernels.simulate_cascade`).
-        """
-        generator = as_rng(rng)
-        probs = self.edge_probabilities(graph)
-        return simulate_cascade(graph, probs, seeds, generator)
-
-    def spread_once(
-        self,
-        graph: DiGraph,
-        seeds: Sequence[int],
-        rng: RandomSource = None,
-    ) -> int:
-        """Convenience: number of nodes activated in a single simulation."""
-        return int(self.simulate(graph, seeds, rng).sum())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -23,7 +23,10 @@ The engine accepts any :class:`~repro.cascade.base.CascadeModel`.  Models
 that define per-edge success probabilities (IC, WC, and any heterogeneous-p
 variant) run through the cascade path; :class:`LinearThreshold` runs through
 a threshold path where a node is claimed in proportion to each group's share
-of the accumulated in-neighbour weight.
+of the accumulated in-neighbour weight.  With one group neither path draws
+a claim, so a one-group run *is* the classical IC/WC/LT diffusion: the
+engine is also the single-group simulator (``run([seeds])``, active where
+``owner >= 0``).
 
 Seed collisions are resolved over arrays: :class:`SeedIncidence` builds a
 profile's seed → selecting-groups incidence once and draws every round's

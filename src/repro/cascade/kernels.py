@@ -1,15 +1,18 @@
 """Diffusion kernels: the inner loops behind every simulation.
 
-Every diffusion has exactly one implementation here, a frontier-batched
-numpy sweep over the CSR arrays.  Each step expands *all* frontier
-out-edges at once with ``np.repeat``/fancy indexing, reduces per-target
-attempt counts and the survival product ``Π(1 - p_e)`` with segmented
-reductions (``np.multiply.reduceat`` / ``np.bincount``), and resolves
-activation plus PROPORTIONAL / WINNER_TAKE_ALL claims for the whole step in
-one vectorized pass.
+Each diffusion model has exactly one kernel here, a frontier-batched
+numpy sweep over the CSR arrays: :func:`run_competitive_cascades` for the
+cascade models (IC, WC and any per-edge-probability model) and
+:func:`run_competitive_threshold` for LT.  A classical single-group spread
+is the one-group case of these kernels: with one group no claim is drawn
+and every activated node goes to group 0.  Each step expands *all*
+frontier out-edges at once with ``np.repeat``/fancy indexing, reduces
+per-target attempt counts and the survival product ``Π(1 - p_e)`` with
+segmented reductions (``np.multiply.reduceat`` / ``np.bincount``), and
+resolves activation plus PROPORTIONAL / WINNER_TAKE_ALL claims for the
+whole step in one vectorized pass.
 
-The competitive IC/WC kernel (:func:`run_competitive_cascades`) goes one
-step further and runs *many* simulations as one sweep over flat ``row * n
+The cascade kernel runs *many* simulations as one sweep over flat ``row * n
 + node`` keys: a simulation whose cascade dies early drops out of the
 frontier while the others keep expanding.  The caller hands it every
 row's initiators as ``(row, node, group)`` arrays; a whole payoff job —
@@ -20,15 +23,13 @@ over the claimed keys, so a job costs what its cascades touch rather
 than ``rows * n``.  A wave that
 would expand more attempts than the out-CSR arrays hold int64 values runs
 in consecutive chunks of whole streams, so the temporaries of a many-row
-sweep stay on the order of the graph's CSR.  Single-group cascades of the
-default cascade process run through the same sweep
-(:func:`cascade_spreads`, and :func:`simulate_cascade` for one active-node
-mask).  The LT paths run one simulation per call.
+sweep stay on the order of the graph's CSR.  The LT kernel runs one
+simulation per call.
 
 **Determinism contract.**  Every random variate comes from a caller's
 :class:`numpy.random.Generator`, so for a fixed master seed every kernel is
 bit-identical to itself across backends and worker counts (the
-SeedSequence discipline of :mod:`repro.exec`).  In the competitive sweep
+SeedSequence discipline of :mod:`repro.exec`).  In the cascade sweep
 each run of rows draws from its own generator, in key order, and only for
 its own keys.  A wave groups its attempts by target with one in-place sort
 of packed ``(target - base) << b | position`` keys (:func:`_segments`):
@@ -50,7 +51,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import CascadeError, GraphError
+from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
 from repro.utils.bitset import lookup_bits, packed_zeros, set_bits
 
@@ -65,7 +66,7 @@ class ClaimRule(enum.Enum):
 
 
 # ---------------------------------------------------------------------- #
-# CSR frontier expansion (shared by every kernel)
+# CSR frontier expansion (shared by both kernels)
 # ---------------------------------------------------------------------- #
 
 
@@ -391,7 +392,10 @@ def run_competitive_threshold(
     A node activates once the summed ``1/in_degree`` weight of its active
     in-neighbours reaches its uniform threshold, and is claimed in
     proportion to each group's share of that accumulated weight (the LT
-    analogue of ``t_j / Σt_j``).
+    analogue of ``t_j / Σt_j``).  The thresholds are drawn up front; with
+    one group no claim is drawn, so the generator advances by ``n``
+    variates per diffusion, as in classical LT.  Initiators must be in
+    range (:class:`~repro.cascade.competitive.SeedIncidence` checks them).
     """
     n = graph.num_nodes
     r = len(initiators)
@@ -417,148 +421,14 @@ def run_competitive_threshold(
             touched = sorted_unique(targets)
             crossed = pressure[touched].sum(axis=1) >= thresholds[touched]
             new_nodes = touched[crossed]
-            winners = _claim_batch(
-                pressure[new_nodes], claim_rule, generator.random(new_nodes.size)
-            )
-            owner[new_nodes] = winners
+            if r == 1:
+                owner[new_nodes] = 0
+            else:
+                owner[new_nodes] = _claim_batch(
+                    pressure[new_nodes], claim_rule, generator.random(new_nodes.size)
+                )
             when[new_nodes] = rounds
             frontier = new_nodes
         else:
             frontier = targets
     return owner, rounds, when
-
-
-# ---------------------------------------------------------------------- #
-# single-group simulation (classical spread)
-# ---------------------------------------------------------------------- #
-
-
-def _seed_frontier(num_nodes: int, seeds: Sequence[int]) -> np.ndarray:
-    """The distinct *seeds*, sorted; raises on an out-of-range seed."""
-    seed_arr = np.asarray([int(s) for s in seeds], dtype=np.int64)
-    bad = (seed_arr < 0) | (seed_arr >= num_nodes)
-    if bad.any():
-        first = int(seed_arr[bad][0])
-        raise CascadeError(f"seed {first} out of range [0, {num_nodes})")
-    return sorted_unique(seed_arr)
-
-
-def simulate_cascade(
-    graph: DiGraph,
-    probs: np.ndarray,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """One single-group cascade from *seeds*; returns the active-node mask.
-
-    A one-row :func:`run_competitive_cascades` whose claims mark the mask.
-    """
-    nodes = _seed_frontier(graph.num_nodes, seeds)
-    claims: list[tuple[np.ndarray, np.ndarray]] = []
-    run_competitive_cascades(
-        graph,
-        probs,
-        np.zeros(nodes.size, dtype=np.int64),
-        nodes,
-        np.zeros(nodes.size, dtype=np.int64),
-        1,
-        [(1, generator)],
-        ClaimRule.PROPORTIONAL,
-        claims,
-    )
-    active = np.zeros(graph.num_nodes, dtype=bool)
-    for keys, _ in claims:
-        active[keys] = True
-    return active
-
-
-def cascade_spreads(
-    graph: DiGraph,
-    probs: np.ndarray,
-    seeds: Sequence[int],
-    rounds: int,
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """Spreads of *rounds* single-group cascades from *seeds* as one sweep.
-
-    The one-group case of :func:`run_competitive_cascades`: every row starts
-    from the distinct *seeds*, and no claim is drawn.  Returns a
-    ``(rounds,)`` integer array.
-    """
-    nodes = _seed_frontier(graph.num_nodes, seeds)
-    spreads, _ = run_competitive_cascades(
-        graph,
-        probs,
-        np.arange(rounds, dtype=np.int64).repeat(nodes.size),
-        np.tile(nodes, rounds),
-        np.zeros(rounds * nodes.size, dtype=np.int64),
-        1,
-        [(rounds, generator)],
-        ClaimRule.PROPORTIONAL,
-    )
-    return spreads[:, 0]
-
-
-def simulate_threshold(
-    graph: DiGraph,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """One single-group LT diffusion from *seeds*; returns the active-node mask."""
-    n = graph.num_nodes
-    thresholds = generator.random(n)
-    weight_in = 1.0 / np.maximum(graph.in_degrees().astype(float), 1.0)
-
-    active = np.zeros(n, dtype=bool)
-    pressure = np.zeros(n)
-    frontier = _seed_frontier(n, seeds)
-    active[frontier] = True
-    while frontier.size:
-        targets, _, _ = _frontier_edges(graph, frontier)
-        targets = targets[~active[targets]]
-        if targets.size == 0:
-            break
-        np.add.at(pressure, targets, weight_in[targets])
-        touched = sorted_unique(targets)
-        frontier = touched[pressure[touched] >= thresholds[touched]]
-        active[frontier] = True
-    return active
-
-
-# ---------------------------------------------------------------------- #
-# reachability under one live-edge mask
-# ---------------------------------------------------------------------- #
-
-
-def _source_nodes(num_nodes: int, sources: Sequence[int]) -> np.ndarray:
-    """The distinct *sources*, sorted; raises on an out-of-range node."""
-    nodes = np.asarray([int(s) for s in sources], dtype=np.int64)
-    bad = (nodes < 0) | (nodes >= num_nodes)
-    if bad.any():
-        raise GraphError(f"node {int(nodes[bad][0])} out of range [0, {num_nodes})")
-    return sorted_unique(nodes)
-
-
-def reachable_mask(
-    graph: DiGraph,
-    sources: Sequence[int],
-    edge_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean array marking nodes reachable from *sources* (mask-filtered).
-
-    *edge_mask* may be a boolean-style array of length *m* or its packed
-    bitset equivalent (:mod:`repro.utils.bitset`); both filter identically.
-    """
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    frontier = _source_nodes(graph.num_nodes, sources)
-    visited[frontier] = True
-    while frontier.size:
-        targets, pos, _ = _frontier_edges(graph, frontier)
-        if edge_mask is not None and targets.size:
-            targets = targets[lookup_bits(edge_mask, graph.edge_ids[pos])]
-        targets = targets[~visited[targets]]
-        if targets.size == 0:
-            break
-        frontier = sorted_unique(targets)
-        visited[frontier] = True
-    return visited

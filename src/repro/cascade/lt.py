@@ -3,7 +3,9 @@
 Each node *v* draws a threshold ``θ_v ~ U[0,1]`` at the start of a
 simulation and activates once the summed weights of its active in-neighbours
 reach ``θ_v``.  With weights ``b(u,v) = 1 / in_degree(v)`` this is the
-standard normalization of Kempe et al.
+standard normalization of Kempe et al.  Its diffusions run through the
+threshold kernel (:func:`repro.cascade.kernels.run_competitive_threshold`),
+of which classical LT is the one-group case.
 
 LT is a triggering model: sampling, for every node, at most one live in-edge
 with probability equal to its weight yields the possible-world equivalence,
@@ -12,12 +14,9 @@ so LT plugs into the same snapshot machinery (MixGreedy) as IC/WC.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.cascade.base import CascadeModel
-from repro.cascade.kernels import simulate_threshold
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import RandomSource, as_rng
 
@@ -58,17 +57,6 @@ class LinearThreshold(CascadeModel):
             if pick < d:  # guards u == 1.0
                 mask[order[lo + pick]] = True
         return mask
-
-    def simulate(
-        self,
-        graph: DiGraph,
-        seeds: Sequence[int],
-        rng: RandomSource = None,
-    ) -> np.ndarray:
-        """One LT diffusion; thresholds are drawn up front, then the
-        pressure sweep runs (:func:`repro.cascade.kernels.simulate_threshold`)."""
-        generator = as_rng(rng)
-        return simulate_threshold(graph, seeds, generator)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinearThreshold)

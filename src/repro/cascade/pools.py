@@ -1,7 +1,7 @@
 """Shared live-edge snapshot pools: sample once, serve every strategy.
 
 Inside one payoff-table estimation, every snapshot-greedy strategy
-(MixGreedy, CELFGreedy) of a given ``(draw, group)`` pair used to resample
+(MixGreedy) of a given ``(draw, group)`` pair used to resample
 its own live-edge pool and recompute the batched NewGreedy initial gains —
 the dominant cost of selection — even when they share the same diffusion
 model.  A :class:`SnapshotPool` is handed to all ``z`` strategies of a
@@ -12,7 +12,7 @@ group and memoizes, per ``(model, count)``:
   (:meth:`oracle`), whose reach closure is the one DP of the selection
   and is dropped once the selection job is done (:meth:`release`),
 * the initial gains read from that closure (:meth:`initial_gains`,
-  shared between MixGreedy and CELFGreedy).
+  shared by every selector of that model).
 
 Pools store masks as **packed bitsets** (one bit per edge — see
 :mod:`repro.utils.bitset`), so a resident pool costs m/8 bytes per snapshot

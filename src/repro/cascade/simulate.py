@@ -8,9 +8,10 @@ simultaneously.  Both return a :class:`SpreadEstimate` carrying the sample
 standard error, which the GetReal layer uses to judge whether a pure-NE
 comparison is statistically meaningful.
 
-Since the execution-engine refactor both functions are thin wrappers: they
-describe the work as a single :class:`~repro.exec.jobs.SpreadJob` /
-:class:`~repro.exec.jobs.CompetitiveJob` and submit it through an
+Both functions are thin wrappers: they describe the work as a single
+one-cell :class:`~repro.exec.jobs.CompetitiveJob` (of one group for
+``σ0``, the classical spread being the one-group competitive diffusion)
+and submit it through an
 :class:`~repro.exec.executor.Executor` (the env-configured process default
 when none is passed).  Callers that need many estimates at once — the
 payoff table, the figure sweeps, greedy candidate scoring — should build
@@ -26,7 +27,7 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.graphs.digraph import DiGraph
 from repro import contracts
 from repro.obs.log import get_logger
@@ -50,15 +51,14 @@ def estimate_spread(
     rng: RandomSource = None,
     executor: Executor | None = None,
 ) -> SpreadEstimate:
-    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations."""
-    check_positive_int(rounds, "rounds")
-    job = SpreadJob(
-        graph=graph,
-        model=model,
-        seeds=tuple(int(s) for s in seeds),
-        rounds=rounds,
+    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations.
+
+    The one-group case of :func:`estimate_competitive_spread`: a single
+    group has no seed collisions and claims every node it activates.
+    """
+    (estimate,) = estimate_competitive_spread(
+        graph, model, [seeds], rounds, rng, executor=executor
     )
-    (estimate,) = resolve_executor(executor).estimates([job], rng=rng)[0]
     if contracts.enabled():
         contracts.check_spread_estimate(estimate.mean, graph.num_nodes)
     return estimate

@@ -115,7 +115,7 @@ def _model(name: str, probability: float):
 
 def _algorithm(name: str, probability: float):
     kwargs = {}
-    if name in ("mgic", "celfic", "ddic"):
+    if name in ("mgic", "ddic"):
         kwargs["probability"] = probability
     try:
         return get_algorithm(name, **kwargs)

@@ -20,9 +20,9 @@ semantics:
 
 * *Shared snapshot pools* — phase 1 hands one
   :class:`~repro.cascade.pools.SnapshotPool` per ``(draw, group)`` to every
-  strategy of that group, so MixGreedy and CELFGreedy sample live edges and
-  compute NewGreedy initial gains once per group instead of once per
-  strategy.  Pools are never shared *across* groups: identical strategies in
+  strategy of that group, so its snapshot strategies (MixGreedy on one or
+  more models) sample live edges and compute NewGreedy initial gains once
+  per group and model instead of once per strategy.  Pools are never shared *across* groups: identical strategies in
   different groups keep independently randomized seed sets (Theorem 1).
 * *Symmetric-profile reduction* (``symmetry="reduce"``, or the
   ``REPRO_SYMMETRY`` env var) — the game is player-symmetric, so only the

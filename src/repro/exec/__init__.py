@@ -1,8 +1,8 @@
 """Pluggable batched execution engine for Monte-Carlo simulation.
 
 Public surface: the :class:`Executor` facade, the job types it schedules
-(:class:`SpreadJob`, :class:`CompetitiveJob` with its :class:`ProfileCell`,
-anything satisfying the :class:`SimulationJob` protocol), the serial and
+(:class:`CompetitiveJob` with its :class:`ProfileCell`, anything
+satisfying the :class:`SimulationJob` protocol), the serial and
 process backends, and the env-driven default-executor plumbing.  See ``docs/execution.md`` for the design and
 the SeedSequence-spawn determinism scheme.
 """
@@ -26,7 +26,6 @@ from repro.exec.jobs import (
     CompetitiveJob,
     ProfileCell,
     SimulationJob,
-    SpreadJob,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "SerialBackend",
     "SimulationBackend",
     "SimulationJob",
-    "SpreadJob",
     "build_executor",
     "default_executor",
     "make_backend",

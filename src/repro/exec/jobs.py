@@ -14,13 +14,11 @@ unchanged on the serial and process backends.
 cost hundreds of bytes where the raw CSR arrays would cost O(n+m) — the
 difference between hep-scale and wiki-Talk-scale batches.
 
-Concrete jobs covering the σ(·) quantities of the paper:
-
-* :class:`SpreadJob` — the non-competitive spread ``σ0(S)`` of one seed
-  set (a 1-tuple of estimates);
-* :class:`CompetitiveJob` — the per-group spreads ``(σ1, .., σr)`` of one
-  or more profile cells (:class:`ProfileCell`) under the competitive
-  engine, cell-major.
+:class:`CompetitiveJob` covers the σ(·) quantities of the paper: the
+per-group spreads ``(σ1, .., σr)`` of one or more profile cells
+(:class:`ProfileCell`) under the competitive engine, cell-major.  The
+non-competitive spread ``σ0(S)`` is the one-cell, one-group case (what
+:func:`repro.cascade.simulate.estimate_spread` submits).
 
 A job defined elsewhere, :class:`~repro.algorithms.base.SelectionJob`,
 runs a snapshot pool's seed selections where the executor places it and
@@ -50,15 +48,12 @@ import numpy as np
 from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
-from repro.cascade.kernels import cascade_spreads
 from repro.graphs.digraph import DiGraph
-from repro.obs.metrics import counter
 from repro.utils.rng import as_rng
-
-_SIMULATIONS = counter("cascade.simulations")
 
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class SelectedSeeds:
@@ -93,39 +88,6 @@ class SimulationJob(Protocol[ResultT_co]):
     def num_nodes(self) -> int | None:
         """Upper bound for every estimate's mean, or ``None``."""
         ...
-
-
-@dataclass(frozen=True)
-class SpreadJob:
-    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations.
-
-    Models running the default cascade process (IC, WC) run all rounds as
-    one single-group frontier sweep (:func:`~repro.cascade.kernels.cascade_spreads`);
-    a model with its own ``simulate`` (LT) runs one simulation per round.
-    """
-
-    graph: DiGraph
-    model: CascadeModel
-    seeds: tuple[int, ...]
-    rounds: int
-
-    @property
-    def num_nodes(self) -> int | None:
-        return self.graph.num_nodes
-
-    def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        if type(self.model).simulate is CascadeModel.simulate:
-            probs = self.model.edge_probabilities(self.graph)
-            values = cascade_spreads(self.graph, probs, self.seeds, self.rounds, generator)
-        else:
-            values = np.array(
-                [
-                    self.model.spread_once(self.graph, self.seeds, generator)
-                    for _ in range(self.rounds)
-                ]
-            )
-        _SIMULATIONS.inc(self.rounds)
-        return (SpreadEstimate.from_values(values.astype(float)),)
 
 
 @dataclass(frozen=True)

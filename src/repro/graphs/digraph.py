@@ -438,29 +438,6 @@ class DiGraph:
             num_nodes, np.concatenate([src, dst]), np.concatenate([dst, src])
         )
 
-    @classmethod
-    def from_networkx(cls, nx_graph: object) -> "DiGraph":
-        """Convert a ``networkx`` (Di)Graph with integer or arbitrary labels."""
-        import networkx as nx
-
-        if not isinstance(nx_graph, (nx.Graph, nx.DiGraph)):
-            raise GraphError(f"expected a networkx graph, got {type(nx_graph).__name__}")
-        nodes = list(nx_graph.nodes())
-        index = {label: i for i, label in enumerate(nodes)}
-        edges = [(index[u], index[v]) for u, v in nx_graph.edges()]
-        if not nx_graph.is_directed():
-            return cls.from_undirected(len(nodes), edges)
-        return cls(len(nodes), edges)
-
-    def to_networkx(self) -> object:
-        """Convert to a :class:`networkx.DiGraph` (for stats/inspection only)."""
-        import networkx as nx
-
-        out = nx.DiGraph()
-        out.add_nodes_from(range(self._n))
-        out.add_edges_from(self.edges())
-        return out
-
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(src, dst)`` arrays indexed by stable edge id.
 

@@ -14,9 +14,7 @@ class TestRegistry:
         assert {"mgic", "mgwc", "ddic", "sdwc"} <= set(names)
 
     def test_extra_strategies_registered(self):
-        assert {"degree", "random", "pagerank", "celfic", "celfwc"} <= set(
-            registered_algorithms()
-        )
+        assert {"degree", "random", "pagerank"} <= set(registered_algorithms())
 
     def test_lookup_is_case_insensitive(self):
         assert get_algorithm("DDIC").name == "ddic"

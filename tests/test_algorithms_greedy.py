@@ -1,9 +1,9 @@
-"""Tests for MixGreedy and CELFGreedy."""
+"""Tests for MixGreedy and its CELF loop."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms.greedy import CELFGreedy, MixGreedy
+from repro.algorithms.greedy import MixGreedy, run_celf
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.simulate import estimate_spread
 from repro.cascade.wc import WeightedCascade
@@ -16,10 +16,6 @@ class TestNaming:
     def test_mixgreedy_names_follow_model(self):
         assert MixGreedy(IndependentCascade(0.01)).name == "mgic"
         assert MixGreedy(WeightedCascade()).name == "mgwc"
-
-    def test_celf_names(self):
-        assert CELFGreedy(IndependentCascade(0.01)).name == "celfic"
-        assert CELFGreedy(WeightedCascade()).name == "celfwc"
 
     def test_snapshot_count_validated(self):
         with pytest.raises(ValueError):
@@ -49,10 +45,13 @@ class TestSelection:
         assert sorted(seeds) == [0, 6]
 
     def test_celf_agrees_with_mixgreedy_on_deterministic_graph(self):
+        from repro.cascade.snapshots import SnapshotOracle
+
         edges = [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 10)]
         g = DiGraph(10, edges)
         mg = MixGreedy(IndependentCascade(1.0), 2).select(g, 2, rng=1)
-        celf = CELFGreedy(IndependentCascade(1.0), 2).select(g, 2, rng=1)
+        oracle = SnapshotOracle(g, [np.ones(g.num_edges, dtype=bool)] * 2)
+        celf, _ = run_celf(oracle, 2, oracle.initial_gains())
         assert sorted(mg) == sorted(celf) == [0, 6]
 
     def test_randomized_across_calls(self, karate):
@@ -130,7 +129,7 @@ class TestQuality:
             oracle.extend_reach(reached, best_node)
 
         # CELF on the same masks: monkeypatch sampling to return them.
-        algo = CELFGreedy(model, num_snapshots=20)
+        algo = MixGreedy(model, num_snapshots=20)
         import repro.algorithms.greedy as greedy_mod
 
         original = greedy_mod.sample_snapshots

@@ -139,8 +139,10 @@ class TestPageRankSeeds:
     def test_matches_networkx(self, karate):
         import networkx as nx
 
+        from tests.networkx_reference import networkx_digraph
+
         ours = PageRankSeeds(reverse=False, max_iterations=200).scores(karate)
-        theirs = nx.pagerank(karate.to_networkx(), alpha=0.85, tol=1e-12)
+        theirs = nx.pagerank(networkx_digraph(karate), alpha=0.85, tol=1e-12)
         theirs_arr = np.array([theirs[v] for v in range(karate.num_nodes)])
         assert np.allclose(ours, theirs_arr, atol=1e-6)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cascade.base import CascadeModel
+from repro.cascade.competitive import CompetitiveDiffusion
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError
@@ -23,6 +24,11 @@ class _FixedProbModel(CascadeModel):
         return self._probs
 
 
+def _active(graph, model, seeds, rng=None):
+    """One single-group diffusion's active-node mask: the one-group sweep."""
+    return CompetitiveDiffusion(graph, model).run([seeds], rng).owner >= 0
+
+
 class TestDefaultSimulate:
     def test_heterogeneous_probabilities_respected(self):
         # 0 -> 1 with p=1, 0 -> 2 with p=0.
@@ -30,18 +36,19 @@ class TestDefaultSimulate:
         src, dst = g.edge_array()
         probs = np.where(dst == 1, 1.0, 0.0)
         model = _FixedProbModel(probs)
-        active = model.simulate(g, [0], rng=0)
+        active = _active(g, model, [0], rng=0)
         assert active.tolist() == [True, True, False]
 
-    def test_spread_once_matches_simulate_sum(self, karate):
-        model = IndependentCascade(0.2)
-        rng_a, rng_b = as_rng(5), as_rng(5)
-        assert model.spread_once(karate, [0], rng_a) == int(
-            model.simulate(karate, [0], rng_b).sum()
+    def test_spread_matches_active_count(self, karate):
+        # The one-group outcome's spread is its active-node count.
+        outcome = CompetitiveDiffusion(karate, IndependentCascade(0.2)).run([[0]], as_rng(5))
+        assert outcome.spread(0) == outcome.total_activated
+        assert outcome.total_activated == int(
+            _active(karate, IndependentCascade(0.2), [0], as_rng(5)).sum()
         )
 
     def test_empty_seed_list(self, karate):
-        active = IndependentCascade(0.5).simulate(karate, [], rng=0)
+        active = _active(karate, IndependentCascade(0.5), [], rng=0)
         assert not active.any()
 
     def test_repr_default(self):
@@ -66,4 +73,4 @@ class TestSeedValidation:
     @pytest.mark.parametrize("bad_seed", [-1, 34, 1000])
     def test_out_of_range_rejected(self, karate, bad_seed):
         with pytest.raises(CascadeError, match="out of range"):
-            IndependentCascade(0.1).simulate(karate, [bad_seed])
+            _active(karate, IndependentCascade(0.1), [bad_seed])

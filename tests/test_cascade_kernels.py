@@ -13,12 +13,7 @@ import pytest
 
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, assign_initiators
 from repro.cascade.ic import IndependentCascade
-from repro.cascade.kernels import (
-    reachable_mask,
-    run_competitive_cascades,
-    simulate_cascade,
-    simulate_threshold,
-)
+from repro.cascade.kernels import run_competitive_cascades
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError, GraphError
@@ -179,49 +174,68 @@ class TestNumpyCompetitiveCascade:
         assert a.rounds == b.rounds
 
 
+def _active(graph, model, seeds, rng):
+    """One single-group diffusion's active-node mask: the one-group sweep."""
+    return CompetitiveDiffusion(graph, model).run([seeds], rng).owner >= 0
+
+
 class TestNumpySingleGroup:
+    """A classical spread is the one-group run of the competitive kernels."""
+
     def test_seed_out_of_range_matches_python_error(self, karate, rng):
-        probs = np.full(karate.num_edges, 0.1)
-        for simulate in (simulate_cascade, reference_kernels.simulate_cascade):
-            with pytest.raises(CascadeError, match=r"seed 99 out of range"):
-                simulate(karate, probs, [0, 99], rng)
-        for threshold in (simulate_threshold, reference_kernels.simulate_threshold):
-            with pytest.raises(CascadeError, match=r"seed -1 out of range"):
-                threshold(karate, [-1], rng)
+        model = IndependentCascade(0.1)
+        with pytest.raises(CascadeError, match=r"seed 99 out of range"):
+            _active(karate, model, [0, 99], rng)
+        with pytest.raises(CascadeError, match=r"seed 99 out of range"):
+            reference_kernels.simulate_cascade(
+                karate, model.edge_probabilities(karate), [0, 99], rng
+            )
+        with pytest.raises(CascadeError, match=r"seed -1 out of range"):
+            _active(karate, LinearThreshold(), [-1], rng)
+        with pytest.raises(CascadeError, match=r"seed -1 out of range"):
+            reference_kernels.simulate_threshold(karate, [-1], rng)
 
     def test_p_zero_only_seeds(self, karate, rng):
-        probs = np.zeros(karate.num_edges)
-        active = simulate_cascade(karate, probs, [0, 5], rng)
+        active = _active(karate, IndependentCascade(0.0), [0, 5], rng)
         assert sorted(np.flatnonzero(active)) == [0, 5]
 
     def test_p_one_reaches_everything_reachable(self, path_graph, rng):
-        probs = np.ones(path_graph.num_edges)
-        active = simulate_cascade(path_graph, probs, [1], rng)
+        active = _active(path_graph, IndependentCascade(1.0), [1], rng)
         assert sorted(np.flatnonzero(active)) == [1, 2, 3, 4]
 
     def test_duplicate_seeds_collapse(self, karate, rng):
-        probs = np.zeros(karate.num_edges)
-        active = simulate_cascade(karate, probs, [3, 3, 3], rng)
+        active = _active(karate, IndependentCascade(0.0), [3, 3, 3], rng)
         assert active.sum() == 1
 
     def test_lt_path_wave_is_deterministic(self, path_graph, rng):
         # Every path node has a single in-neighbour of weight 1, so the wave
         # from node 0 claims everything regardless of thresholds.
-        active = simulate_threshold(path_graph, [0], rng)
-        assert active.all()
+        assert _active(path_graph, LinearThreshold(), [0], rng).all()
+
+    def test_lt_one_group_draws_thresholds_only(self, karate):
+        # With one group no claim is drawn: a diffusion advances the
+        # generator by exactly the n thresholds, as classical LT does.
+        rng, thresholds = as_rng(12), as_rng(12)
+        CompetitiveDiffusion(karate, LinearThreshold()).run([[0, 33]], rng)
+        thresholds.random(karate.num_nodes)
+        assert rng.random() == thresholds.random()
 
 
 class TestNumpyReachability:
+    """The numpy reach DP of a one-mask oracle against the python walk."""
+
     def test_bad_source_raises_graph_error(self, karate):
+        mask = np.ones(karate.num_edges, dtype=bool)
         with pytest.raises(GraphError, match="out of range"):
-            reachable_mask(karate, [999])
+            SnapshotOracle(karate, [mask]).reach([999])
 
     def test_matches_python_sweep(self, random_graph, rng):
         mask = rng.random(random_graph.num_edges) < 0.5
+        oracle = SnapshotOracle(random_graph, [mask])
         for source in range(0, random_graph.num_nodes, 7):
             np.testing.assert_array_equal(
                 random_graph.reachable_from([source], mask),
-                reachable_mask(random_graph, [source], mask),
+                oracle.reach([source])[0],
             )
 
     def test_oracle_results_are_kernel_independent(self, random_graph):

@@ -1,14 +1,29 @@
-"""Tests for the single-group cascade models (IC, WC, LT)."""
+"""Tests for the single-group cascade models (IC, WC, LT).
+
+A single-group diffusion is the one-group run of the competitive engine;
+its active nodes are those with ``owner >= 0``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.cascade.competitive import CompetitiveDiffusion
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError
 from repro.graphs.datasets import hep
 from repro.utils.rng import as_rng
+
+
+def _active(graph, model, seeds, rng=None):
+    """One single-group diffusion from *seeds*: its active-node mask."""
+    return CompetitiveDiffusion(graph, model).run([seeds], rng).owner >= 0
+
+
+def _spread(graph, model, seeds, rng):
+    """Active-node count of one single-group diffusion."""
+    return int(_active(graph, model, seeds, rng).sum())
 
 
 class TestIndependentCascade:
@@ -20,24 +35,24 @@ class TestIndependentCascade:
 
     def test_p_one_floods_reachable(self, path_graph):
         model = IndependentCascade(1.0)
-        active = model.simulate(path_graph, [0], rng=0)
+        active = _active(path_graph, model, [0], rng=0)
         assert active.all()
 
     def test_p_zero_activates_only_seeds(self, path_graph):
         model = IndependentCascade(0.0)
-        active = model.simulate(path_graph, [0, 2], rng=0)
+        active = _active(path_graph, model, [0, 2], rng=0)
         assert active.tolist() == [True, False, True, False, False]
 
     def test_p_one_respects_direction(self, path_graph):
         model = IndependentCascade(1.0)
-        active = model.simulate(path_graph, [2], rng=0)
+        active = _active(path_graph, model, [2], rng=0)
         assert active.tolist() == [False, False, True, True, True]
 
     def test_star_spread_statistics(self, star_graph):
         # E[spread from hub] = 1 + 10 p.
         model = IndependentCascade(0.3)
         rng = as_rng(1)
-        spreads = [model.spread_once(star_graph, [0], rng) for _ in range(800)]
+        spreads = [_spread(star_graph, model, [0], rng) for _ in range(800)]
         assert np.mean(spreads) == pytest.approx(1 + 10 * 0.3, rel=0.08)
 
     def test_invalid_probability_rejected(self):
@@ -46,11 +61,11 @@ class TestIndependentCascade:
 
     def test_bad_seed_rejected(self, path_graph):
         with pytest.raises(CascadeError, match="out of range"):
-            IndependentCascade(0.5).simulate(path_graph, [9])
+            _active(path_graph, IndependentCascade(0.5), [9])
 
     def test_duplicate_seeds_collapse(self, path_graph):
         model = IndependentCascade(0.0)
-        active = model.simulate(path_graph, [1, 1, 1], rng=0)
+        active = _active(path_graph, model, [1, 1, 1], rng=0)
         assert active.sum() == 1
 
     def test_equality_and_hash(self):
@@ -63,8 +78,8 @@ class TestIndependentCascade:
 
     def test_deterministic_for_seed(self, karate):
         model = IndependentCascade(0.2)
-        a = model.simulate(karate, [0], rng=42)
-        b = model.simulate(karate, [0], rng=42)
+        a = _active(karate, model, [0], rng=42)
+        b = _active(karate, model, [0], rng=42)
         assert np.array_equal(a, b)
 
 
@@ -84,7 +99,7 @@ class TestWeightedCascade:
 
     def test_path_graph_always_floods(self, path_graph):
         # Every node on the path has in-degree 1 -> probability 1 edges.
-        active = WeightedCascade().simulate(path_graph, [0], rng=0)
+        active = _active(path_graph, WeightedCascade(), [0], rng=0)
         assert active.all()
 
     def test_expected_incoming_weight_is_one(self, karate):
@@ -109,16 +124,16 @@ class TestLinearThreshold:
 
     def test_path_graph_floods(self, path_graph):
         # Single in-neighbour with weight 1 always crosses any threshold.
-        active = LinearThreshold().simulate(path_graph, [0], rng=0)
+        active = _active(path_graph, LinearThreshold(), [0], rng=0)
         assert active.all()
 
     def test_seeds_always_active(self, karate):
-        active = LinearThreshold().simulate(karate, [5, 7], rng=3)
+        active = _active(karate, LinearThreshold(), [5, 7], rng=3)
         assert active[5] and active[7]
 
     def test_bad_seed_rejected(self, karate):
         with pytest.raises(CascadeError):
-            LinearThreshold().simulate(karate, [99])
+            _active(karate, LinearThreshold(), [99])
 
     def test_consecutive_spreads_pinned(self):
         # Eight diffusions off one generator, seeds unsorted and repeated,
@@ -126,7 +141,7 @@ class TestLinearThreshold:
         # diffusion advances the stream.
         graph = hep(scale=0.02)
         model, rng = LinearThreshold(), as_rng(2015)
-        spreads = [int(model.simulate(graph, [40, 0, 17, 5, 5], rng).sum()) for _ in range(8)]
+        spreads = [_spread(graph, model, [40, 0, 17, 5, 5], rng) for _ in range(8)]
         assert spreads == [17, 9, 52, 13, 6, 17, 11, 16]
         assert int(rng.integers(2**31)) == 1897267909
 
@@ -151,13 +166,13 @@ class TestLinearThreshold:
         model = LinearThreshold()
         rng_pairs = [(as_rng(s), as_rng(s)) for s in range(5)]
         for r1, r2 in rng_pairs:
-            small = model.simulate(karate, [0], r1).sum()
-            large = model.simulate(karate, [0, 33], r2).sum()
+            small = _active(karate, model, [0], r1).sum()
+            large = _active(karate, model, [0, 33], r2).sum()
             assert large >= 1  # sanity: diffusion happened
         # Statistical monotonicity over repeats.
-        small = np.mean([model.simulate(karate, [0], as_rng(i)).sum() for i in range(60)])
+        small = np.mean([_active(karate, model, [0], as_rng(i)).sum() for i in range(60)])
         large = np.mean(
-            [model.simulate(karate, [0, 33], as_rng(i)).sum() for i in range(60)]
+            [_active(karate, model, [0, 33], as_rng(i)).sum() for i in range(60)]
         )
         assert large > small
 
@@ -171,7 +186,7 @@ class TestTriggeringEquivalence:
     def test_snapshot_mean_matches_simulation_mean(self, karate, model):
         rng = as_rng(11)
         n = 400
-        sim = np.mean([model.spread_once(karate, [0, 33], rng) for _ in range(n)])
+        sim = np.mean([_spread(karate, model, [0, 33], rng) for _ in range(n)])
         snap = np.mean(
             [
                 karate.reachable_from([0, 33], model.sample_live_mask(karate, rng)).sum()

@@ -21,7 +21,6 @@ from repro.exec import (
     ProfileCell,
     SerialBackend,
     SimulationJob,
-    SpreadJob,
     build_executor,
     default_executor,
     make_backend,
@@ -38,7 +37,12 @@ from repro.obs.metrics import counter
 from repro.utils.rng import as_rng, spawn_seed_sequences
 
 
-class CountingSpreadJob(SpreadJob):
+def _cells(seeds, rounds):
+    """One cell of one group: the single-group spread σ0(seeds)."""
+    return (ProfileCell(seed_sets=(tuple(seeds),), rounds=rounds),)
+
+
+class CountingSpreadJob(CompetitiveJob):
     """A spread job that counts how often it is pickled (in this process)."""
 
     pickles = 0
@@ -54,7 +58,7 @@ def model():
 
 
 def _spread_job(graph, model):
-    return SpreadJob(graph=graph, model=model, seeds=(0, 1), rounds=6)
+    return CompetitiveJob(graph=graph, model=model, cells=_cells((0, 1), 6))
 
 
 def _competitive_job(graph, model):
@@ -73,7 +77,7 @@ def _selection_job(graph, model):
 
 #: One factory per job class the executor ships to workers.
 JOB_FACTORIES = [
-    pytest.param(_spread_job, id="SpreadJob"),
+    pytest.param(_spread_job, id="one-group-CompetitiveJob"),
     pytest.param(_competitive_job, id="CompetitiveJob"),
     pytest.param(_selection_job, id="SelectionJob"),
 ]
@@ -82,7 +86,7 @@ JOB_FACTORIES = [
 @pytest.fixture
 def jobs(random_graph, model):
     return [
-        SpreadJob(graph=random_graph, model=model, seeds=(v,), rounds=6)
+        CompetitiveJob(graph=random_graph, model=model, cells=_cells((v,), 6))
         for v in range(5)
     ]
 
@@ -114,7 +118,7 @@ class TestSpawnSeedSequences:
 
 class TestJobs:
     def test_spread_job_protocol_and_bounds(self, random_graph, model):
-        job = SpreadJob(graph=random_graph, model=model, seeds=(0, 1), rounds=8)
+        job = CompetitiveJob(graph=random_graph, model=model, cells=_cells((0, 1), 8))
         assert isinstance(job, SimulationJob)
         assert job.num_nodes == random_graph.num_nodes
         (est,) = job.run(as_rng(3))
@@ -180,7 +184,7 @@ class TestExecutor:
         from repro.obs.metrics import histogram
 
         jobs = [
-            CountingSpreadJob(graph=random_graph, model=model, seeds=(v,), rounds=3)
+            CountingSpreadJob(graph=random_graph, model=model, cells=_cells((v,), 3))
             for v in range(3)
         ]
         sizes = histogram("exec.job_payload_bytes")
@@ -276,10 +280,10 @@ class TestExecutor:
     ):
         from repro.contracts import ContractViolation
 
-        job = SpreadJob(graph=random_graph, model=model, seeds=(0, 1), rounds=4)
+        job = CompetitiveJob(graph=random_graph, model=model, cells=_cells((0, 1), 4))
         garbage = {"nan": np.nan, "negative": -1.0, "above_bound": random_graph.num_nodes + 1}
 
-        class CorruptSpreadJob(SpreadJob):
+        class CorruptSpreadJob(CompetitiveJob):
             def run(self, generator):
                 (estimate,) = super().run(generator)
                 return (SpreadEstimate(garbage[corrupt], estimate.std, estimate.samples),)
@@ -288,7 +292,7 @@ class TestExecutor:
         Executor("serial").run([job], rng=1)  # the honest job passes
         with pytest.raises(ContractViolation, match="job 0"):
             Executor("serial").run(
-                [CorruptSpreadJob(graph=random_graph, model=model, seeds=(0, 1), rounds=4)],
+                [CorruptSpreadJob(graph=random_graph, model=model, cells=_cells((0, 1), 4))],
                 rng=1,
             )
 

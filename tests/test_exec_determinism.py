@@ -24,7 +24,7 @@ from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.ic import IndependentCascade
 from repro.core.payoff import estimate_payoff_table
 from repro.core.strategy import StrategySpace
-from repro.exec import Executor, SpreadJob
+from repro.exec import CompetitiveJob, Executor, ProfileCell
 from repro.exec.backends import SerialBackend
 from repro.graphs.generators import erdos_renyi
 
@@ -168,6 +168,13 @@ class TestCrossProcessDigest:
         assert len(set(digests)) == 1, dict(zip(self.RUNS, digests))
 
 
+def _spread_job(graph, model, seeds, rounds):
+    """The one-cell, one-group job of a single-group spread σ0(seeds)."""
+    return CompetitiveJob(
+        graph=graph, model=model, cells=(ProfileCell(seed_sets=(seeds,), rounds=rounds),)
+    )
+
+
 class _ReversedBackend(SerialBackend):
     """Serial backend that completes jobs in reverse submission order."""
 
@@ -179,7 +186,7 @@ class TestOrderIndependence:
     def test_out_of_order_completion_same_results(self, random_graph):
         model = IndependentCascade(0.15)
         jobs = [
-            SpreadJob(graph=random_graph, model=model, seeds=(v,), rounds=5)
+            _spread_job(random_graph, model, (v,), 5)
             for v in range(8)
         ]
         forward = Executor(SerialBackend()).estimates(jobs, rng=77)

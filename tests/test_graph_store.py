@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.exec.executor import Executor
-from repro.exec.jobs import SpreadJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.pools import SnapshotPool
 from repro.graphs.digraph import DiGraph
@@ -31,6 +31,13 @@ def _fresh_handle_cache():
     clear_handle_cache()
     yield
     clear_handle_cache()
+
+
+def _spread_job(graph, model, seeds, rounds):
+    """The one-cell, one-group job of a single-group spread σ0(seeds)."""
+    return CompetitiveJob(
+        graph=graph, model=model, cells=(ProfileCell(seed_sets=(seeds,), rounds=rounds),)
+    )
 
 
 class TestSaveOpenRoundTrip:
@@ -129,10 +136,10 @@ class TestGraphRefPayloads:
         store = GraphStore(tmp_path)
         store.save(karate, "karate")
         model = IndependentCascade(0.1)
-        direct = SpreadJob(graph=karate, model=model, seeds=(0, 1), rounds=5)
+        direct = _spread_job(karate, model, (0, 1), 5)
         via_ref = pickle.loads(
             pickle.dumps(
-                SpreadJob(graph=store.open("karate"), model=model, seeds=(0, 1), rounds=5)
+                _spread_job(store.open("karate"), model, (0, 1), 5)
             )
         )
         with Executor("serial") as executor:
@@ -252,7 +259,7 @@ class TestPayloadMetric:
         from repro.obs.journal import RunJournal, attached, read_journal
 
         model = IndependentCascade(0.1)
-        job = SpreadJob(graph=karate, model=model, seeds=(0,), rounds=2)
+        job = _spread_job(karate, model, (0,), 2)
         path = tmp_path / "j.jsonl"
         with RunJournal(path) as journal, attached(journal):
             with Executor("serial") as executor:
@@ -268,8 +275,8 @@ class TestPayloadMetric:
         store = GraphStore(tmp_path / "store")
         store.save(karate, "karate")
         model = IndependentCascade(0.1)
-        raw = SpreadJob(graph=karate, model=model, seeds=(0,), rounds=1)
-        slim = SpreadJob(graph=store.open("karate"), model=model, seeds=(0,), rounds=1)
+        raw = _spread_job(karate, model, (0,), 1)
+        slim = _spread_job(store.open("karate"), model, (0,), 1)
         path = tmp_path / "j.jsonl"
         with RunJournal(path) as journal, attached(journal):
             with Executor("process", workers=2) as executor:

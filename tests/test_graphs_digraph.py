@@ -221,19 +221,3 @@ class TestConstructors:
     def test_double_reverse_identity(self, karate):
         twice = karate.reverse().reverse()
         assert sorted(twice.edges()) == sorted(karate.edges())
-
-    def test_networkx_round_trip(self, karate):
-        nx_graph = karate.to_networkx()
-        back = DiGraph.from_networkx(nx_graph)
-        assert back.num_nodes == karate.num_nodes
-        assert sorted(back.edges()) == sorted(karate.edges())
-
-    def test_from_networkx_undirected(self):
-        import networkx as nx
-
-        g = DiGraph.from_networkx(nx.path_graph(4))
-        assert g.num_edges == 6  # 3 undirected edges, both directions
-
-    def test_from_networkx_rejects_non_graph(self):
-        with pytest.raises(GraphError, match="networkx"):
-            DiGraph.from_networkx([1, 2, 3])

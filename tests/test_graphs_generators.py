@@ -79,11 +79,12 @@ class TestCommunityPowerlaw:
         import networkx as nx
 
         from repro.graphs.generators import community_powerlaw
+        from tests.networkx_reference import networkx_digraph
 
         g = community_powerlaw(500, 2000, mixing=0.05, rng=2)
         base = powerlaw_configuration(500, 2000, rng=2)
-        cc_comm = nx.average_clustering(g.to_networkx().to_undirected())
-        cc_base = nx.average_clustering(base.to_networkx().to_undirected())
+        cc_comm = nx.average_clustering(networkx_digraph(g).to_undirected())
+        cc_base = nx.average_clustering(networkx_digraph(base).to_undirected())
         assert cc_comm > cc_base * 2
 
     def test_heavy_tail(self):

@@ -98,8 +98,10 @@ class TestClusteringCoefficient:
     def test_matches_networkx(self, karate):
         import networkx as nx
 
+        from tests.networkx_reference import networkx_digraph
+
         ours = clustering_coefficient(karate)
-        theirs = nx.average_clustering(karate.to_networkx().to_undirected())
+        theirs = nx.average_clustering(networkx_digraph(karate).to_undirected())
         assert ours == pytest.approx(theirs, abs=1e-9)
 
     def test_sampling_close_to_exact(self, karate):

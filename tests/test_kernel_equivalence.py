@@ -32,7 +32,7 @@ from repro.config import CONTRACTS_ENV_VAR
 from repro.core.payoff import estimate_payoff_table
 from repro.core.strategy import StrategySpace
 from repro.exec import Executor
-from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi, karate_like_fixture
 from repro import contracts
@@ -94,6 +94,8 @@ def _reference_spreads(
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 class TestSingleGroupEquivalence:
+    """The one-group competitive run against the classical reference walks."""
+
     def test_spread_means_agree(self, graph_name, model_name):
         graph, seeds = GRAPHS[graph_name]
         model = MODELS[model_name]
@@ -109,8 +111,8 @@ class TestSingleGroupEquivalence:
                 reference_kernels.simulate_cascade(graph, probs, seeds, rng).sum()
                 for _ in range(300)
             ]
-        rng = as_rng(2015)
-        kernel = [model.spread_once(graph, seeds, rng) for _ in range(300)]
+        engine, rng = CompetitiveDiffusion(graph, model), as_rng(2015)
+        kernel = [engine.run([seeds], rng).spread(0) for _ in range(300)]
         _assert_within_pooled_stderr(reference, kernel)
 
 
@@ -162,7 +164,8 @@ class TestBatchedKernelEquivalence:
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 def test_spread_job_agrees_with_reference(graph_name, model_name):
-    # IC/WC run one single-group sweep; LT keeps one simulation per round.
+    # The one-cell, one-group job estimate_spread submits: IC/WC run its
+    # rounds as one sweep, LT one simulation per round.
     graph, seeds = GRAPHS[graph_name]
     model = MODELS[model_name]
     rng = as_rng(2016)
@@ -176,7 +179,9 @@ def test_spread_job_agrees_with_reference(graph_name, model_name):
             reference_kernels.simulate_cascade(graph, probs, seeds, rng).sum()
             for _ in range(300)
         ]
-    job = SpreadJob(graph=graph, model=model, seeds=tuple(seeds), rounds=300)
+    job = CompetitiveJob(
+        graph=graph, model=model, cells=(ProfileCell(seed_sets=(tuple(seeds),), rounds=300),)
+    )
     (estimate,) = job.run(as_rng(2017))
     stderr = np.std(reference, ddof=1) / math.sqrt(300)
     assert abs(estimate.mean - np.mean(reference)) <= 3 * math.hypot(stderr, estimate.stderr)

@@ -1,6 +1,6 @@
 """Phase 1's pooled selections as executor jobs (:class:`SelectionJob`).
 
-A pooled MixGreedy or CELFGreedy selection takes one integer from the
+A pooled MixGreedy selection takes one integer from the
 caller's generator (the pool token) and is otherwise a function of
 (graph, model, count, token, k).  Phase 1 keeps the caller's order of
 generator draws and memo lookups and submits the pooled selections the
@@ -20,7 +20,7 @@ import pytest
 from repro import get_real
 from repro.algorithms.base import SelectionJob, select_with_pools
 from repro.algorithms.degree_discount import DegreeDiscount
-from repro.algorithms.greedy import CELFGreedy, MixGreedy
+from repro.algorithms.greedy import MixGreedy
 from repro.algorithms.heuristics import RandomSeeds
 from repro.cache import clear_caches, selection_memo
 from repro.cascade.ic import IndependentCascade
@@ -41,6 +41,13 @@ R, K, ROUNDS, DRAWS, SEED = 3, 5, 6, 2, 25
 PINNED_DIGEST = "3aef0cd2dee4a41797ab7cd38d84f0fc4c179e0e7c15e3ce310858728962c150"
 
 
+def _second_mixgreedy(model, num_snapshots):
+    """Another MixGreedy on the same group pool, under its own strategy name."""
+    selector = MixGreedy(model, num_snapshots)
+    selector.name += "2"
+    return selector
+
+
 @pytest.fixture(scope="module")
 def graph():
     return hep(scale=0.02)
@@ -51,7 +58,7 @@ def space():
     model = IndependentCascade(0.05)
     # The pools' token draws fall between the heuristics' draws.
     return StrategySpace(
-        [DegreeDiscount(0.05), MixGreedy(model, 8), CELFGreedy(model, 8), RandomSeeds()]
+        [DegreeDiscount(0.05), MixGreedy(model, 8), _second_mixgreedy(model, 8), RandomSeeds()]
     )
 
 
@@ -164,7 +171,7 @@ class TestFailureAndNesting:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_failing_job_fails_get_real_and_memoizes_nothing(self, karate, backend):
         model = IndependentCascade(0.1)
-        strategies = [_Exploding(model, 6), CELFGreedy(model, 6)]
+        strategies = [_Exploding(model, 6), _second_mixgreedy(model, 6)]
         with Executor(backend, 2) as executor, pytest.raises(RuntimeError, match="job failed"):
             get_real(karate, model, strategies, k=3, rounds=2, rng=1, executor=executor)
         assert len(selection_memo()) == 0
@@ -179,7 +186,7 @@ class TestFailureAndNesting:
 
         monkeypatch.setattr(executor_mod, "default_executor", forbidden)
         model = IndependentCascade(0.1)
-        space = StrategySpace([MixGreedy(model, 6), CELFGreedy(model, 6)])
+        space = StrategySpace([MixGreedy(model, 6), _second_mixgreedy(model, 6)])
         with Executor("serial") as executor:
             pools = [SnapshotPool(karate) for _ in range(2)]
             generator = np.random.default_rng(4)

@@ -6,7 +6,7 @@ group), the Theorem-1 independence of per-group pools, the exactness of the
 closure's gains on every backend and DP split, and the bit-identity of the
 oracle's stacked reach against the sequential per-mask sweeps: the
 ``python`` reference walk (:meth:`~repro.graphs.digraph.DiGraph.reachable_from`)
-and the ``numpy`` kernel (:func:`~repro.cascade.kernels.reachable_mask`).
+and the ``numpy`` reach DP of a one-mask oracle.
 """
 
 import numpy as np
@@ -14,12 +14,11 @@ import pytest
 
 from repro.algorithms.base import SelectionJob
 from repro.algorithms.degree_discount import DegreeDiscount
-from repro.algorithms.greedy import CELFGreedy, MixGreedy, run_celf
+from repro.algorithms.greedy import MixGreedy, run_celf
 from repro.cascade import reachability as reachability_mod
 from repro.cascade import snapshots as snapshots_mod
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.wc import WeightedCascade
-from repro.cascade.kernels import reachable_mask
 from repro.cascade.pools import SnapshotPool
 from repro.cascade.reachability import all_reach_sizes
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots, stack_masks
@@ -34,10 +33,10 @@ _POOL_SHARED = counter("cascade.pool_shared")
 
 
 def _sweep(name, graph, sources, mask):
-    """One per-mask reachability sweep: the python walk or the numpy kernel."""
+    """One per-mask reachability sweep: the python walk or a one-mask oracle."""
     if name == "python":
         return graph.reachable_from(sources, mask)
-    return reachable_mask(graph, sources, mask)
+    return SnapshotOracle(graph, [mask]).reach(sources)[0]
 
 
 class TestSnapshotPool:
@@ -115,18 +114,18 @@ class TestSnapshotPool:
 
 
 class TestPooledSelection:
-    def test_mixgreedy_and_celf_share_one_sample(self, karate):
+    def test_two_selectors_share_one_sample(self, karate):
         # Both consumers of the same group pool reuse the identical masks
-        # and the identical batched initial gains — and on the same sample,
-        # deterministic CELF and the lazy-forward loop pick the same seeds.
+        # and the identical batched initial gains, so on the same sample
+        # they pick the same seeds.
         model = IndependentCascade(0.1)
         pool = SnapshotPool(karate)
         gen = np.random.default_rng(5)
         s0 = _POOL_SAMPLES.value
-        mg = MixGreedy(model, num_snapshots=12).select(karate, 3, gen, pool=pool)
-        celf = CELFGreedy(model, num_snapshots=12).select(karate, 3, gen, pool=pool)
+        first = MixGreedy(model, num_snapshots=12).select(karate, 3, gen, pool=pool)
+        second = MixGreedy(model, num_snapshots=12).select(karate, 3, gen, pool=pool)
         assert _POOL_SAMPLES.value - s0 == 1  # one sample served both
-        assert mg == celf
+        assert first == second
 
     def test_non_snapshot_selector_ignores_pool(self, karate):
         pool = SnapshotPool(karate)

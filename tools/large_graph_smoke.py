@@ -3,8 +3,8 @@
 Builds a heavy-tailed configuration-model graph (``--nodes``, default
 100k; the paper's wiki-Talk is 2.4M nodes), persists it into a
 memory-mapped :class:`~repro.graphs.store.GraphStore`, reopens it, and
-runs a payoff cell batch — one spread job plus the four
-{degree, random}² competitive cells of an r = 2 tensor — on the
+runs a payoff cell batch — one single-group spread (a one-group cell)
+plus the four {degree, random}² competitive cells of an r = 2 tensor — on the
 **process** backend with jobs built from the mmap-opened graph, which
 pickles as its O(1) ``GraphRef``.  It asserts the scale-out invariants:
 
@@ -53,7 +53,7 @@ from repro.cache import clear_caches
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.pools import SnapshotPool
 from repro.exec import Executor
-from repro.exec.jobs import CompetitiveJob, ProfileCell, SpreadJob
+from repro.exec.jobs import CompetitiveJob, ProfileCell
 from repro.graphs.generators import powerlaw_configuration
 from repro.graphs.store import GraphStore, clear_handle_cache
 from repro.obs.journal import RunJournal, attached, read_journal
@@ -119,23 +119,24 @@ def main(argv: list[str] | None = None) -> int:
                 int(v) for v in rng.choice(mapped.num_nodes, size=K, replace=False)
             ),
         }
-        cells = [(a, b) for a in strategies for b in strategies]
+        # The single-group spread of "deg" is its one-group cell.
+        cells = [("deg",)] + [(a, b) for a in strategies for b in strategies]
         jobs = [
-            SpreadJob(graph=mapped, model=model, seeds=strategies["deg"], rounds=ROUNDS)
-        ] + [
             CompetitiveJob(
                 graph=mapped,
                 model=model,
-                cells=(ProfileCell(seed_sets=(strategies[a], strategies[b]), rounds=ROUNDS),),
+                cells=(
+                    ProfileCell(seed_sets=tuple(strategies[s] for s in cell), rounds=ROUNDS),
+                ),
             )
-            for a, b in cells
+            for cell in cells
         ]
         journal_path = Path(tmp) / "smoke.jsonl"
         with RunJournal(journal_path) as journal, attached(journal):
             with Executor("process", workers=2) as executor:
                 estimates = executor.estimates(jobs, rng=SEED)
         assert estimates[0][0].mean >= K
-        for (a, b), cell in zip(cells, estimates[1:]):
+        for (a, b), cell in zip(cells[1:], estimates[1:]):
             # mirrored strategies share seeds and split them at collision
             # resolution, so only the cell total is bounded below by k
             assert len(cell) == 2 and cell[0].mean + cell[1].mean >= K, (a, b)
