@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 # Cached instrument handles: incremented once per simulation (or round), so
-# the per-simulation overhead is a handful of attribute updates (RP004).
+# the per-simulation overhead is a handful of attribute updates.
 _SIMULATIONS = counter("cascade.simulations")
 _NODES_ACTIVATED = counter("cascade.nodes_activated")
 

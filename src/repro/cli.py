@@ -327,23 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also expand and print this matrix spec's cells",
     )
 
-    # Listed for --help only: main() hands `lint` to repro.lint.cli before
-    # parsing, so the linter is imported only when it runs.
-    sub.add_parser(
-        "lint",
-        help="run the reprolint static-analysis rules (see 'repro lint --help')",
-    )
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
-
     args = build_parser().parse_args(argv)
 
     if args.command == "journal":
@@ -382,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         if wrap_run:
             journal.run_end(
                 status="error",
-                duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
+                duration_seconds=time.perf_counter() - started,
                 error=f"{type(exc).__name__}: {exc}",
             )
         raise
@@ -390,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         if wrap_run:
             journal.run_end(
                 status="ok",
-                duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
+                duration_seconds=time.perf_counter() - started,
             )
         return code
     finally:

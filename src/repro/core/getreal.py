@@ -278,7 +278,7 @@ def get_real(
         if sink is not None:
             sink.run_end(
                 status="error",
-                duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
+                duration_seconds=time.perf_counter() - started,
                 error=f"{type(exc).__name__}: {exc}",
             )
         raise
@@ -298,6 +298,6 @@ def get_real(
         )
         sink.run_end(
             status="ok",
-            duration_seconds=time.perf_counter() - started,  # reprolint: disable=RP009
+            duration_seconds=time.perf_counter() - started,
         )
     return result

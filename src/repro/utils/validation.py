@@ -49,7 +49,8 @@ def check_fraction(value: float, name: str) -> float:
 def nearly_zero(value: float, atol: float = 1e-12) -> bool:
     """True when *value* is within *atol* of zero.
 
-    The sanctioned replacement for ``x == 0.0`` on floats (reprolint RP002):
+    The sanctioned replacement for ``x == 0.0`` on floats, which
+    ``tests/test_source_rules.py`` forbids in ``game/`` and ``core/``:
     payoffs and mixture weights are Monte-Carlo estimates and products of
     probabilities, so exact equality encodes rounding behaviour, not model
     behaviour.  The default tolerance is far below any meaningful payoff
@@ -61,7 +62,8 @@ def nearly_zero(value: float, atol: float = 1e-12) -> bool:
 def values_close(a: float, b: float, atol: float = 1e-9, rtol: float = 1e-9) -> bool:
     """True when *a* and *b* agree within absolute or relative tolerance.
 
-    The sanctioned replacement for ``a == b`` on floats (reprolint RP002).
+    The sanctioned replacement for ``a == b`` on floats, which
+    ``tests/test_source_rules.py`` forbids in ``game/`` and ``core/``.
     Symmetric: ``|a - b| <= atol + rtol * max(|a|, |b|)``.
     """
     a = float(a)

@@ -129,9 +129,16 @@ class TestAdjacency:
     def test_edges_iteration(self, path_graph):
         assert sorted(path_graph.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
-    def test_arrays_read_only(self, path_graph):
+    @pytest.mark.parametrize(
+        "name", ["out_indptr", "out_indices", "in_indptr", "in_indices", "edge_ids"]
+    )
+    def test_arrays_read_only(self, path_graph, name):
+        # Selectors share one graph across every payoff estimate, so neither
+        # its CSR arrays nor its attributes may be changed in place.
         with pytest.raises(ValueError):
-            path_graph.out_indices[0] = 99
+            getattr(path_graph, name)[0] = 99
+        with pytest.raises(AttributeError):
+            path_graph.labels = {}
 
 
 class TestEdgeIds:

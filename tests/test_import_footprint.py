@@ -1,6 +1,5 @@
 """A fresh GetReal process loads no scipy, in the parent or in a pool worker,
-``import repro`` loads no part of the linter, and a query runs without
-networkx installed."""
+and a query runs without networkx installed."""
 
 from __future__ import annotations
 
@@ -34,13 +33,6 @@ def test_getreal_queries_load_no_scipy(report):
     assert report["kinds"] == ["mixed", "mixed"]
     assert report["parent"] == []
     assert report["workers"] and set(report["workers"]) == {0}
-
-
-def test_import_repro_loads_no_lint_module(report):
-    # The runtime contracts live in repro.contracts, so nothing on the
-    # import path of the library, the bench child or a pool worker pulls
-    # in the linter.
-    assert report["lint"] == []
 
 
 #: One seeded GetReal query in an interpreter where networkx cannot be
